@@ -23,10 +23,13 @@
 //! (`--min-replay-speedup` gates it in CI).
 //!
 //! A fourth **replay_batch** stage retimes the same sweep's memory variants
-//! twice more — once by serial per-variant replay, once by one fused
-//! `vmv_core::simulate_batch` walk per schedule key — asserts bit-identical
-//! statistics, and records the per-retimed-variant speedup of the batched
-//! walk over serial replay (`--min-batch-speedup` gates it in CI).
+//! twice more — once by one single-variant `vmv_core::simulate` per variant
+//! (a batch-of-1 walk each), once by one fused `vmv_core::simulate_batch`
+//! walk per schedule key — asserts bit-identical statistics, and records
+//! the per-retimed-variant speedup of the fused walk over the single-variant
+//! calls (`--min-batch-speedup` gates it in CI).  The slot analysis that
+//! `vmv_core` memoizes beside each trace is built by the first
+//! single-variant call, so the fused leg reuses it.
 //!
 //! Reports simulated-cycles-per-second per stage-adjusted workload and
 //! **appends** a host- and commit-stamped entry to the `BENCH_sim.json`
@@ -63,7 +66,8 @@ fn usage() {
          \x20               re-execution is below X\n\
          --min-batch-speedup X\n\
          \x20               exit non-zero when the replay_batch stage's speedup\n\
-         \x20               over serial replay is below X\n\
+         \x20               over one single-variant simulate per variant is\n\
+         \x20               below X\n\
          --repeat N      run each whole workload N times (default 1); the\n\
          \x20               trajectory entry carries the median run plus\n\
          \x20               min/median/max wall seconds per stage"
@@ -475,8 +479,9 @@ fn bench_replay() -> ReplayTotals {
     t
 }
 
-/// Totals of the replay_batch stage: the same retimed variants priced by
-/// serial per-variant replay and by one fused batched walk per schedule key.
+/// Totals of the replay_batch stage: the same retimed variants priced by one
+/// single-variant `simulate` per variant and by one fused batched walk per
+/// schedule key.
 struct BatchTotals {
     serial_s: f64,
     batch_s: f64,
@@ -487,9 +492,9 @@ struct BatchTotals {
 }
 
 impl BatchTotals {
-    /// Per-retimed-variant speedup of the batched walk over serial replay
-    /// (both sides cover exactly the retimed variants, so the totals ratio
-    /// *is* the per-variant ratio).
+    /// Per-retimed-variant speedup of the fused walk over single-variant
+    /// calls (both sides cover exactly the retimed variants, so the totals
+    /// ratio *is* the per-variant ratio).
     fn speedup(&self) -> f64 {
         if self.batch_s > 0.0 {
             self.serial_s / self.batch_s
@@ -504,7 +509,7 @@ impl BatchTotals {
             self.recorded, self.retimed, self.batches
         );
         println!(
-            "  serial replay {:.3}s | batched replay {:.3}s | {:.2}x speedup per retimed variant",
+            "  single-variant simulate {:.3}s | batched replay {:.3}s | {:.2}x speedup per retimed variant",
             self.serial_s,
             self.batch_s,
             self.speedup()
@@ -527,8 +532,8 @@ impl BatchTotals {
 
 /// The replay_batch stage: group the committed `latency_tolerance` sweep by
 /// schedule key, execute-and-record each key once, then retime the
-/// remaining memory variants twice — serially (one replay walk per variant)
-/// and as one fused `simulate_batch` walk — verifying the two agree
+/// remaining memory variants twice — one single-variant `simulate` per
+/// variant and one fused `simulate_batch` walk — verifying the two agree
 /// bit-for-bit while measuring the batching win.
 fn bench_replay_batch() -> BatchTotals {
     let spec = SpecFile::parse(LATENCY_TOLERANCE_SPEC)
@@ -573,7 +578,8 @@ fn bench_replay_batch() -> BatchTotals {
         if rest.is_empty() {
             continue;
         }
-        // Strategy A: serial replay, one full trace walk per variant.
+        // Strategy A: one single-variant `simulate` per variant, each a
+        // batch-of-1 trace walk.
         let (serial, serial_s) = timed(|| {
             rest.iter()
                 .map(|&i| simulate(prepared, &points[i].machine, points[i].model).expect("replays"))
@@ -590,7 +596,7 @@ fn bench_replay_batch() -> BatchTotals {
         for ((serial_run, batch_run), &i) in serial.iter().zip(&batched).zip(rest) {
             assert_eq!(
                 serial_run.stats, batch_run.stats,
-                "batched replay must be bit-identical to serial replay ({})",
+                "batched replay must be bit-identical to single-variant simulate ({})",
                 points[i].name
             );
             t.simulated_cycles += serial_run.stats.cycles();
@@ -621,8 +627,10 @@ fn main() {
                     Some(args.parsed("--min-replay-speedup", "a speedup floor over re-execution"))
             }
             "--min-batch-speedup" => {
-                min_batch_speedup =
-                    Some(args.parsed("--min-batch-speedup", "a speedup floor over serial replay"))
+                min_batch_speedup = Some(args.parsed(
+                    "--min-batch-speedup",
+                    "a speedup floor over single-variant simulate",
+                ))
             }
             "--repeat" => {
                 let n: u32 = args.parsed("--repeat", "a repeat count of at least 1");
@@ -742,6 +750,6 @@ fn main() {
             eprintln!("FAIL: replay_batch-stage speedup {speedup:.2}x < floor {floor:.2}x");
             std::process::exit(1);
         }
-        println!("batch floor ok: {speedup:.2}x >= {floor:.2}x over serial replay");
+        println!("batch floor ok: {speedup:.2}x >= {floor:.2}x over single-variant simulate");
     }
 }

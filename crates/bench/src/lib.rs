@@ -1,5 +1,5 @@
-//! Helper routines shared by the `repro`/`sweep`/`bench` binaries and the
-//! Criterion benches.
+//! Helper routines shared by the `repro`/`sweep`/`bench`/`report`/`verify`
+//! binaries.
 
 #![forbid(unsafe_code)]
 

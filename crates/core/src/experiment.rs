@@ -10,17 +10,22 @@
 //! functionally correct execution.
 //!
 //! Compilation and simulation are exposed as *separate* steps ([`prepare`]
-//! and [`simulate`]): the static schedule depends only on the
+//! and [`simulate_batch`]): the static schedule depends only on the
 //! schedule-relevant machine parameters, so a design-space sweep (the
 //! `vmv-sweep` crate) can schedule a program once and re-simulate it across
-//! many memory-system variations.
+//! many memory-system variations.  Simulation is one group operation: the
+//! first run of a [`Prepared`] executes and records a timing trace, and
+//! every other memory variant is retimed from that trace in one batched
+//! walk (`vmv_sim::replay_batch`); [`simulate`] is its one-variant case.
 
 use std::sync::{Arc, OnceLock};
 
 use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
-use vmv_sim::{Profile, ProfileStatics, RunStats, SimOptions, Simulator, Trace};
+use vmv_sim::{
+    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimOptions, Simulator, Trace, VariantState,
+};
 
 /// Hard cap on simulated (or replayed) cycles per run.
 const MAX_RUN_CYCLES: u64 = 2_000_000_000;
@@ -91,11 +96,12 @@ pub struct Prepared {
     /// lowered program serves every memory-system variant.
     pub lowered: vmv_sched::LoweredProgram,
     /// Timing trace of one functional execution, filled by the first
-    /// [`simulate`] call and replayed by every later one.  The trace is
-    /// memory-model- and memory-geometry-independent (functional values
-    /// never change with timing), so clones and `Arc`-shared copies of a
-    /// `Prepared` — e.g. in the sweep compile cache — execute each program
-    /// once and retime it for every memory variant.
+    /// successful [`simulate_batch`] call and retimed by every later one.
+    /// The trace is memory-model- and memory-geometry-independent
+    /// (functional values never change with timing), so clones and
+    /// `Arc`-shared copies of a `Prepared` — e.g. in the sweep compile
+    /// cache — execute each program once and retime it for every memory
+    /// variant.
     trace: OnceLock<Arc<Recorded>>,
     /// Cycle-attribution statics (bundle issue classes, op names, lanes),
     /// built on first profiled simulate.  Like the lowered program they
@@ -110,6 +116,9 @@ pub struct Prepared {
 struct Recorded {
     trace: Trace,
     check_failures: Vec<String>,
+    /// Slot analysis of the program for retiming the trace, memoized by the
+    /// first call that retimes this trace after it was recorded.
+    analysis: OnceLock<ReplayAnalysis>,
 }
 
 impl Prepared {
@@ -131,8 +140,8 @@ impl Prepared {
         }
     }
 
-    /// Whether a recorded trace is available (later [`simulate`] calls will
-    /// replay instead of executing).
+    /// Whether a recorded trace is available (later [`simulate_batch`] calls
+    /// retime every variant instead of executing the first).
     pub fn has_trace(&self) -> bool {
         self.trace.get().is_some()
     }
@@ -140,7 +149,7 @@ impl Prepared {
     /// The cycle-attribution statics for this program, built once per
     /// `Prepared` and shared across every profiled run.  `machine` must be
     /// schedule-compatible with the preparing configuration (the same
-    /// contract as [`simulate`]).
+    /// contract as [`simulate_batch`]).
     pub fn profile_statics(&self, machine: &MachineConfig) -> Arc<ProfileStatics> {
         self.profile_statics
             .get_or_init(|| Arc::new(ProfileStatics::build(&self.lowered, machine)))
@@ -160,149 +169,74 @@ pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared
     Ok(Prepared::new(benchmark, variant, build, compiled, lowered))
 }
 
-/// Simulate an already-compiled benchmark on `machine` under `model`.
+/// Simulate an already-compiled benchmark on `machine` under `model`: a
+/// [`simulate_batch`] of one variant.
 ///
 /// `machine` must agree with the configuration the program was scheduled
 /// for in every schedule-relevant parameter; the memory-hierarchy
 /// parameters (`machine.memory`) and the memory `model` are free to vary.
-///
-/// The first call on a `Prepared` executes the program functionally and
-/// records its timing trace; every later call (any memory variant, any
-/// model) *replays* that trace — bit-identical `RunStats`, proven by
-/// `tests/lowered_differential.rs`, at a fraction of the cost.  Callers
-/// that want to benchmark raw execution use [`simulate_fresh`].
+/// The first call on a `Prepared` executes the program and records its
+/// trace; every later call retimes that trace.  Callers that want to
+/// benchmark raw execution use [`simulate_fresh`].
 pub fn simulate(
     prepared: &Prepared,
     machine: &MachineConfig,
     model: MemoryModel,
 ) -> Result<RunOutcome, ExperimentError> {
-    if let Some(recorded) = prepared.trace.get() {
-        let stats = vmv_sim::replay(
-            &prepared.lowered,
-            &recorded.trace,
-            machine,
-            model,
-            MAX_RUN_CYCLES,
-        )
-        .map_err(|e| ExperimentError::Simulation(format!("{}: replay: {e}", machine.name)))?;
-        return Ok(RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        });
-    }
-    let mut sim = simulator_for(prepared, machine, model);
-    let (stats, trace) = sim
-        .run_lowered_recording(&prepared.lowered)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
-    let check_failures = prepared
-        .build
-        .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    // A concurrent first-simulate may have won the race; either trace is
-    // equivalent (functional state does not depend on memory timing).
-    let _ = prepared.trace.set(Arc::new(Recorded {
-        trace,
-        check_failures: check_failures.clone(),
-    }));
-    Ok(RunOutcome {
-        config: machine.name.clone(),
-        benchmark: prepared.benchmark,
-        variant: prepared.variant,
-        memory_model: model,
-        stats,
-        check_failures,
-    })
+    let mut outcomes = simulate_batch(prepared, &[(machine, model)])?;
+    Ok(outcomes.pop().expect("one outcome per variant"))
 }
 
-/// Retime an already-recorded benchmark against several memory variants in
-/// one batched trace walk.  `variants` pairs a machine configuration with a
-/// memory model under the same contract as [`simulate`]: every machine must
-/// agree with the scheduled configuration in all schedule-relevant
-/// parameters.  `outcomes[i]` is bit-identical to
-/// `simulate(prepared, variants[i].0, variants[i].1)`.
+/// Simulate an already-compiled benchmark under several memory variants.
+/// `variants` pairs a machine configuration with a memory model; every
+/// machine must agree with the scheduled configuration in all
+/// schedule-relevant parameters.
 ///
-/// Requires a recorded trace (some [`simulate`] call must have run first);
-/// errors otherwise.  Any per-variant replay failure (e.g. a cycle limit)
-/// fails the whole batch — callers wanting per-variant isolation fall back
-/// to serial [`simulate`] calls.
+/// When `prepared` holds no trace yet, `variants[0]` is executed
+/// functionally and its timing trace recorded; every remaining variant is
+/// retimed from the trace in one batched walk.  Calls that retime a trace
+/// recorded earlier share one slot analysis, memoized beside the trace.
+/// `outcomes[i]` is bit-identical to a fresh execution of `variants[i]`
+/// (`tests/lowered_differential.rs`).
+///
+/// Any failure (e.g. a cycle limit in one variant) fails the whole call and
+/// leaves `prepared` as it found it: no trace is kept from a failed call,
+/// so callers wanting per-variant isolation retry each variant on its own
+/// from the same starting state.
 pub fn simulate_batch(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
 ) -> Result<Vec<RunOutcome>, ExperimentError> {
-    let recorded = prepared.trace.get().ok_or_else(|| {
-        ExperimentError::Simulation(
-            "batched replay requires a recorded trace (simulate once first)".into(),
-        )
-    })?;
-    let analysis = vmv_sim::ReplayAnalysis::build(&prepared.lowered);
-    let mut states: Vec<vmv_sim::VariantState> = variants
-        .iter()
-        .map(|&(machine, model)| {
-            vmv_sim::VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES)
-        })
-        .collect();
-    let all = vmv_sim::replay_batch(&recorded.trace, &analysis, &mut states)
-        .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
-    Ok(all
-        .into_iter()
-        .zip(variants)
-        .map(|(stats, &(machine, model))| RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        })
-        .collect())
+    simulate_group(prepared, variants, false).map(|(outcomes, _)| outcomes)
 }
 
-/// [`simulate`] with cycle attribution: returns the outcome plus a
-/// [`Profile`] explaining every simulated cycle.  `outcome.stats` is
-/// bit-identical to the unprofiled [`simulate`] (enforced by
-/// `tests/lowered_differential.rs`), and the profile satisfies the
-/// sum-exactly contract `profile.check_against(&outcome.stats)`.
-pub fn simulate_profiled(
+/// [`simulate_batch`] with cycle attribution: `profiles[i]` explains every
+/// simulated cycle of `outcomes[i]` and satisfies the sum-exactly contract
+/// `profiles[i].check_against(&outcomes[i].stats)`.  The recording run is
+/// profiled in the same execution, and the batched walk carries one extra
+/// profiling pass (not K); the outcomes are bit-identical to the
+/// unprofiled call.
+pub fn simulate_batch_profiled(
     prepared: &Prepared,
-    machine: &MachineConfig,
-    model: MemoryModel,
-) -> Result<(RunOutcome, Profile), ExperimentError> {
-    let statics = prepared.profile_statics(machine);
-    if let Some(recorded) = prepared.trace.get() {
-        let (stats, profile) = vmv_sim::replay_profiled(
-            &prepared.lowered,
-            &recorded.trace,
-            machine,
-            model,
-            MAX_RUN_CYCLES,
-            &statics,
-        )
-        .map_err(|e| ExperimentError::Simulation(format!("{}: replay: {e}", machine.name)))?;
-        let outcome = RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        };
-        return Ok((outcome, profile));
-    }
-    let mut sim = simulator_for(prepared, machine, model);
-    let (stats, trace, profile) = sim
-        .run_lowered_recording_profiled(&prepared.lowered, &statics)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
-    let check_failures = prepared
-        .build
-        .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    let _ = prepared.trace.set(Arc::new(Recorded {
-        trace,
-        check_failures: check_failures.clone(),
-    }));
-    let outcome = RunOutcome {
+    variants: &[(&MachineConfig, MemoryModel)],
+) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
+    simulate_group(prepared, variants, true)
+}
+
+/// The one group operation behind [`simulate`], [`simulate_batch`] and
+/// [`simulate_batch_profiled`]: execute and record on first sight of the
+/// program, retime everything else in one batched walk.  Profiles are
+/// returned only when `profile` is set.
+fn simulate_group(
+    prepared: &Prepared,
+    variants: &[(&MachineConfig, MemoryModel)],
+    profile: bool,
+) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
+    let Some(&(first, first_model)) = variants.first() else {
+        return Ok((Vec::new(), Vec::new()));
+    };
+    let statics = profile.then(|| prepared.profile_statics(first));
+    let outcome = |machine: &MachineConfig, model, stats, check_failures| RunOutcome {
         config: machine.name.clone(),
         benchmark: prepared.benchmark,
         variant: prepared.variant,
@@ -310,47 +244,83 @@ pub fn simulate_profiled(
         stats,
         check_failures,
     };
-    Ok((outcome, profile))
-}
+    let mut outcomes = Vec::with_capacity(variants.len());
+    let mut profiles = Vec::new();
 
-/// [`simulate_batch`] with cycle attribution: the fused walk carries one
-/// extra profiling pass (not K), and `profiles[i]` is bit-identical to the
-/// profile [`simulate_profiled`] would produce for `variants[i]`.
-pub fn simulate_batch_profiled(
-    prepared: &Prepared,
-    variants: &[(&MachineConfig, MemoryModel)],
-) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
-    let recorded = prepared.trace.get().ok_or_else(|| {
-        ExperimentError::Simulation(
-            "batched replay requires a recorded trace (simulate once first)".into(),
-        )
-    })?;
-    let statics = match variants.first() {
-        Some(&(machine, _)) => prepared.profile_statics(machine),
-        None => return Ok((Vec::new(), Vec::new())),
+    let (recorded, rest) = match prepared.trace.get() {
+        Some(recorded) => (recorded.clone(), variants),
+        None => {
+            let mut sim = simulator_for(prepared, first, first_model);
+            let run = match &statics {
+                Some(statics) => sim
+                    .run_lowered_recording_profiled(&prepared.lowered, statics)
+                    .map(|(stats, trace, p)| {
+                        profiles.push(p);
+                        (stats, trace)
+                    }),
+                None => sim.run_lowered_recording(&prepared.lowered),
+            };
+            let (stats, trace) =
+                run.map_err(|e| ExperimentError::Simulation(format!("{}: {e}", first.name)))?;
+            let check_failures = prepared
+                .build
+                .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
+            outcomes.push(outcome(first, first_model, stats, check_failures.clone()));
+            let recorded = Arc::new(Recorded {
+                trace,
+                check_failures,
+                analysis: OnceLock::new(),
+            });
+            (recorded, &variants[1..])
+        }
     };
-    let analysis = vmv_sim::ReplayAnalysis::build(&prepared.lowered);
-    let mut states: Vec<vmv_sim::VariantState> = variants
-        .iter()
-        .map(|&(machine, model)| {
-            vmv_sim::VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES)
-        })
-        .collect();
-    let (all, profiles) =
-        vmv_sim::replay_batch_profiled(&recorded.trace, &analysis, &mut states, &statics)
-            .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
-    let outcomes = all
-        .into_iter()
-        .zip(variants)
-        .map(|(stats, &(machine, model))| RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        })
-        .collect();
+
+    if !rest.is_empty() {
+        // The slot analysis is built on the first retime only, so a program
+        // recorded and never retimed pays nothing for it.  A call that
+        // recorded the trace keeps its analysis local: a sweep retimes each
+        // schedule key in that one call, and holding an analysis per key
+        // until the sweep ends would only raise its peak memory.  Calls
+        // retiming an earlier trace (e.g. one `simulate` per variant)
+        // share the one memoized next to it.
+        let local;
+        let analysis = if rest.len() < variants.len() {
+            local = ReplayAnalysis::build(&prepared.lowered);
+            &local
+        } else {
+            recorded
+                .analysis
+                .get_or_init(|| ReplayAnalysis::build(&prepared.lowered))
+        };
+        let mut states: Vec<VariantState> = rest
+            .iter()
+            .map(|&(machine, model)| VariantState::new(analysis, machine, model, MAX_RUN_CYCLES))
+            .collect();
+        let retimed = match &statics {
+            Some(statics) => {
+                vmv_sim::replay_batch_profiled(&recorded.trace, analysis, &mut states, statics).map(
+                    |(stats, p)| {
+                        profiles.extend(p);
+                        stats
+                    },
+                )
+            }
+            None => vmv_sim::replay_batch(&recorded.trace, analysis, &mut states),
+        }
+        .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
+        for (stats, &(machine, model)) in retimed.into_iter().zip(rest) {
+            outcomes.push(outcome(
+                machine,
+                model,
+                stats,
+                recorded.check_failures.clone(),
+            ));
+        }
+    }
+    // Publish the trace only now that the whole call succeeded.  A
+    // concurrent first call may have won the race; either trace is
+    // equivalent (functional state does not depend on memory timing).
+    let _ = prepared.trace.set(recorded);
     Ok((outcomes, profiles))
 }
 

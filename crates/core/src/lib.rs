@@ -16,8 +16,8 @@ pub mod figures;
 
 pub use experiment::{
     default_workers, prepare, run_one, simulate, simulate_batch, simulate_batch_profiled,
-    simulate_fresh, simulate_profiled, variant_for, variant_from_name, workers_capped,
-    ExperimentError, Prepared, RunOutcome, Suite,
+    simulate_fresh, variant_for, variant_from_name, workers_capped, ExperimentError, Prepared,
+    RunOutcome, Suite,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,

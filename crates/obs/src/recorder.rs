@@ -188,19 +188,16 @@ pub enum SpanKind {
     JobSimulate,
     /// Time spent appending a batch to the result store.
     StoreAppend,
-    /// Time spent retiming a recorded trace (the replay engine).
-    TraceReplay,
     /// Time spent in one batched replay walk (all variants together).
     ReplayBatch,
 }
 
 impl SpanKind {
-    pub const ALL: [SpanKind; 6] = [
+    pub const ALL: [SpanKind; 5] = [
         SpanKind::JobQueueWait,
         SpanKind::JobCompile,
         SpanKind::JobSimulate,
         SpanKind::StoreAppend,
-        SpanKind::TraceReplay,
         SpanKind::ReplayBatch,
     ];
 
@@ -211,7 +208,6 @@ impl SpanKind {
             SpanKind::JobCompile => "job_compile_ns",
             SpanKind::JobSimulate => "job_simulate_ns",
             SpanKind::StoreAppend => "store_append_ns",
-            SpanKind::TraceReplay => "trace_replay_ns",
             SpanKind::ReplayBatch => "replay_batch_ns",
         }
     }

@@ -413,9 +413,12 @@ mod tests {
         use vmv_sweep::profiles::{profile_json, ProfileMeta};
         let machine = vmv_machine::presets::vector2(2);
         let prepared = vmv_core::prepare(vmv_kernels::Benchmark::GsmDec, &machine).unwrap();
-        let (outcome, profile) =
-            vmv_core::simulate_profiled(&prepared, &machine, vmv_mem::MemoryModel::Realistic)
-                .unwrap();
+        let (outcomes, profiles) = vmv_core::simulate_batch_profiled(
+            &prepared,
+            &[(&machine, vmv_mem::MemoryModel::Realistic)],
+        )
+        .unwrap();
+        let (outcome, profile) = (&outcomes[0], &profiles[0]);
         let meta = ProfileMeta {
             key: "00deadbeef00cafe".to_string(),
             config: machine.name.clone(),
@@ -423,7 +426,7 @@ mod tests {
             variant: outcome.variant.name().to_string(),
             model: "Realistic".to_string(),
         };
-        parse_profile(&profile_json(&meta, &profile).render()).unwrap()
+        parse_profile(&profile_json(&meta, profile).render()).unwrap()
     }
 
     #[test]

@@ -156,8 +156,8 @@ impl Simulator {
     }
 
     /// Run a lowered program to completion *and* record its timing trace
-    /// (block sequence, memory accesses, VL updates) for later replay with
-    /// [`crate::replay::replay`].
+    /// (block sequence, memory accesses, VL updates) for later retiming
+    /// with [`crate::replay::replay_batch`].
     pub fn run_lowered_recording(
         &mut self,
         program: &LoweredProgram,
@@ -168,25 +168,11 @@ impl Simulator {
         Ok((stats, recorder.finish()))
     }
 
-    /// Run a lowered program to completion *and* attribute every simulated
-    /// cycle to a [`Cause`].  The returned [`RunStats`] are bit-identical
-    /// to [`Simulator::run_lowered`]; the profile sums exactly to them
-    /// (see [`Profile::check_against`]).
-    pub fn run_lowered_profiled(
-        &mut self,
-        program: &LoweredProgram,
-        statics: &Arc<ProfileStatics>,
-    ) -> Result<(RunStats, Profile), SimError> {
-        let mut rec = ProfileRecorder::new(statics.clone());
-        let stats = self.run_lowered_with(program, &mut NoTrace, &mut rec)?;
-        let profile = rec.finish();
-        profile.record_obs();
-        Ok((stats, profile))
-    }
-
-    /// [`Simulator::run_lowered_recording`] and
-    /// [`Simulator::run_lowered_profiled`] in one pass: record the timing
-    /// trace *and* the cycle attribution of the same execution.
+    /// [`Simulator::run_lowered_recording`] with cycle attribution: record
+    /// the timing trace *and* attribute every simulated cycle to a
+    /// [`Cause`].  The returned [`RunStats`] are bit-identical to
+    /// [`Simulator::run_lowered`]; the profile sums exactly to them (see
+    /// [`Profile::check_against`]).
     pub fn run_lowered_recording_profiled(
         &mut self,
         program: &LoweredProgram,
@@ -594,8 +580,7 @@ impl Simulator {
     }
 
     /// Completion latency of a memory operation against a borrowed
-    /// hierarchy (the lowered engine's split-borrow hot loop; also the
-    /// pricing rule the replay engine applies to recorded accesses).
+    /// hierarchy (the lowered engine's split-borrow hot loop).
     #[inline]
     pub(crate) fn memory_latency_on(hierarchy: &mut MemoryHierarchy, access: &MemAccess) -> u32 {
         let kind = if access.is_store {

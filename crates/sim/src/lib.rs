@@ -8,6 +8,13 @@
 //! stalls whenever run-time latencies exceed what the compiler assumed
 //! (cache misses, non-unit-stride vector accesses, cross-block dependences),
 //! exactly the stall-on-miss model of the paper.
+//!
+//! Three timing engines share that model and are bit-identical on every
+//! run (`tests/lowered_differential.rs`): the string-keyed reference
+//! interpreter (`Simulator::run_reference`), the lowered hot path
+//! (`Simulator::run_lowered*`, which can also record a [`Trace`]), and the
+//! batched trace retimer ([`replay_batch`]), which prices K memory
+//! variants of one recorded execution in a single walk.
 
 #![forbid(unsafe_code)]
 
@@ -28,9 +35,6 @@ pub use profile::{
     TimelineEvent, LANE_NAMES, N_CAUSES, N_STALLS, STALL_BASE, TIMELINE_CAP,
 };
 pub use regfile::{RegFiles, VectorValue};
-pub use replay::{
-    replay, replay_batch, replay_batch_profiled, replay_profiled, ReplayAnalysis, ReplayError,
-    VariantState,
-};
+pub use replay::{replay_batch, replay_batch_profiled, ReplayAnalysis, ReplayError, VariantState};
 pub use stats::{RegionStats, RunStats};
 pub use trace::Trace;

@@ -8,8 +8,8 @@
 //! bundle issue events for Chrome-trace rendering.
 //!
 //! The contract, enforced by `tests/lowered_differential.rs` across the
-//! full 120-case matrix for all three profiled engines (lowered, serial
-//! replay, batched replay):
+//! full 120-case matrix for both profiled engines (lowered and batched
+//! replay):
 //!
 //! * the ten cause buckets sum **exactly** to `RunStats` total cycles;
 //! * the six stall causes (indices [`STALL_BASE`]..) sum **exactly** to
@@ -31,9 +31,9 @@
 //! binding into a cause (RAW for fixed-latency producers, a per-level
 //! memory wait for loads/stores, priced from the [`vmv_mem::AccessEcho`])
 //! and blames the producing op.  A stall no slot explains is an L2
-//! vector-port conflict.  The replay engines track a strict subset of the
+//! vector-port conflict.  The replay engine tracks a strict subset of the
 //! slots, but an untracked slot is provably never the binder (its readiness
-//! is below the bundle's base cycle whenever a stall exists), so all three
+//! is below the bundle's base cycle whenever a stall exists), so both
 //! engines derive identical profiles.
 
 use std::sync::Arc;
@@ -413,7 +413,7 @@ pub struct OpProfile {
 }
 
 /// The finished attribution of one run.  Identical (PartialEq) across the
-/// lowered engine, serial replay and batched replay of the same run.
+/// lowered engine and batched replay of the same run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// Total cycles per cause; sums to `RunStats` cycles.
@@ -514,7 +514,7 @@ impl Profile {
 /// accumulators, the per-slot blame side table and the capped timeline —
 /// because every issue-cycle class is static per bundle and expands as
 /// `class × visits` at [`ProfileRecorder::finish`]; this is what lets the
-/// replay engines keep their segment-skipping while profiling.
+/// replay engine keep its segment-skipping while profiling.
 pub struct ProfileRecorder {
     statics: Arc<ProfileStatics>,
     visits: Vec<u64>,

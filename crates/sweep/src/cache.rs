@@ -10,8 +10,8 @@
 //!
 //! The shared [`Prepared`] also memoizes the **execution trace**: the first
 //! run of a cached entry executes and records, and every later memory
-//! variant replays that trace against a fresh memory hierarchy
-//! (see `vmv_sim::replay`), skipping functional execution entirely.
+//! variant is retimed from that trace by the batched replay walk (see
+//! `vmv_sim::replay_batch`), skipping functional execution entirely.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

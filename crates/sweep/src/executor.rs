@@ -1,28 +1,27 @@
-//! The parallel sweep executor: a work-stealing pool over
-//! `std::thread::scope` that runs every `(design point, benchmark)` job,
-//! sharing one [`CompileCache`] so each program is scheduled once per
-//! unique schedule key, and skipping jobs whose run keys are already in the
-//! result store.
+//! The parallel sweep executor: runs every `(design point, benchmark)` job
+//! on a pool of `std::thread::scope` workers, sharing one [`CompileCache`]
+//! so each program is scheduled once per unique schedule key, and skipping
+//! jobs whose run keys are already in the result store.
 //!
 //! Jobs are dispatched in *groups*: every job sharing one compile-cache key
 //! also shares one lowered program and one recorded trace, so a group is
-//! executed as a single record-then-batch-replay unit — the first run
-//! executes and records (exactly the adaptive behaviour of
-//! [`vmv_core::simulate`]), and every remaining memory variant is retimed
-//! by one batched trace walk ([`vmv_core::simulate_batch`]).  A batch that
-//! fails or panics falls back to serial per-job simulation, preserving
-//! per-job error isolation.
+//! one call of [`vmv_core::simulate_batch`] — the first run executes and
+//! records, and every remaining memory variant is retimed by one batched
+//! trace walk.  A call that fails or panics is retried job by job, each as
+//! a group of one, preserving per-job error isolation.
 //!
-//! Results are collected into pre-assigned slots, so the report order is
-//! deterministic (point-major, benchmark-minor) regardless of the worker
-//! count or scheduling jitter.
+//! There is one executor loop for every worker count: the calling thread
+//! works through groups like every helper thread and also commits results
+//! in job order, so the report and the store content are deterministic
+//! (point-major, benchmark-minor) regardless of the worker count or
+//! scheduling jitter.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
-use vmv_core::{simulate, simulate_batch, simulate_batch_profiled, simulate_profiled, Prepared};
+use vmv_core::{simulate_batch, simulate_batch_profiled, Prepared};
 use vmv_kernels::Benchmark;
 use vmv_obs::{Counter, SpanKind};
 
@@ -185,10 +184,11 @@ impl Progress {
 
 /// Run `benchmarks × points` in parallel.  When `store` is given, jobs whose
 /// run keys are already persisted are skipped and new records are **streamed**
-/// to it while the sweep runs: the main thread commits the completed prefix
-/// of the job list as workers finish, so an interrupted sweep keeps
-/// everything up to the first still-running job, and the file content stays
-/// deterministic (job order) regardless of the worker count.
+/// to it while the sweep runs: the calling thread appends the completed
+/// prefix of the job list in small batches as groups finish, so an
+/// interrupted sweep keeps (almost) everything before the first
+/// still-running job, and the file content stays deterministic (job order)
+/// regardless of the worker count.
 ///
 /// A job that panics (e.g. a generated configuration the simulator's memory
 /// model rejects) is caught and reported in `errors` like any other failed
@@ -265,50 +265,54 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // Serial per-job body (the pre-batching behaviour): adaptive
-    // record-or-replay with per-job panic isolation.  Used for the
-    // recording run of each group and as the fallback when a batch fails.
-    let run_serial = |i: usize, prepared: &Prepared| -> Result<RunRecord, String> {
-        let job = &jobs[i];
+    // One group call (`vmv_core::simulate_batch`): the first job of a key
+    // without a trace executes and records, every other job is retimed in
+    // one batched walk.  A panic is caught and returned as the call's error.
+    let simulate_jobs = |prepared: &Prepared, group: &[usize]| -> Result<Vec<RunRecord>, String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _simulate = vmv_obs::span(SpanKind::JobSimulate);
-            // A shared `Prepared` that already carries a trace is served
-            // by replay; classify before the call since the first
-            // execution is also the one that records.
-            let replayed = prepared.has_trace();
-            let outcome = match &opts.profile_dir {
+            // Classify before the call, which records the trace if missing.
+            let retimed = group.len() - usize::from(!prepared.has_trace());
+            let variants: Vec<_> = group
+                .iter()
+                .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
+                .collect();
+            let outcomes = match &opts.profile_dir {
                 Some(dir) => {
-                    let (outcome, profile) =
-                        simulate_profiled(prepared, &job.point.machine, job.point.model)
-                            .map_err(|e| e.to_string())?;
-                    write_profile(
-                        dir,
-                        &meta_of(&job.key, job.point, job.benchmark, &outcome),
-                        &profile,
-                    )
-                    .map_err(|e| format!("profile write: {e}"))?;
-                    outcome
+                    let (outcomes, profiles) =
+                        simulate_batch_profiled(prepared, &variants).map_err(|e| e.to_string())?;
+                    for ((&i, outcome), profile) in group.iter().zip(&outcomes).zip(&profiles) {
+                        let job = &jobs[i];
+                        write_profile(
+                            dir,
+                            &meta_of(&job.key, job.point, job.benchmark, outcome),
+                            profile,
+                        )
+                        .map_err(|e| format!("profile write: {e}"))?;
+                    }
+                    outcomes
                 }
-                None => simulate(prepared, &job.point.machine, job.point.model)
-                    .map_err(|e| e.to_string())?,
+                None => simulate_batch(prepared, &variants).map_err(|e| e.to_string())?,
             };
-            if replayed {
-                replays.fetch_add(1, Ordering::Relaxed);
+            if retimed > 0 {
+                replays.fetch_add(retimed, Ordering::Relaxed);
+                replay_batches.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(record_of(
-                job.key.clone(),
-                job.point,
-                job.benchmark,
-                &outcome,
-            ))
+            Ok(group
+                .iter()
+                .zip(&outcomes)
+                .map(|(&i, outcome)| {
+                    let job = &jobs[i];
+                    record_of(job.key.clone(), job.point, job.benchmark, outcome)
+                })
+                .collect())
         }))
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     };
 
-    // One group body shared by the inline and pooled paths, so the two can
-    // never diverge in cache interaction, record layout or panic handling.
-    // Returns one result per job of the group, in group (= job) order.
-    let run_group = |group: &[usize]| -> Vec<(usize, Result<RunRecord, String>)> {
+    // One group, start to finish.  Returns one result per job of the
+    // group, in group (= job) order.
+    let run_group = |group: &[usize]| -> Vec<JobResult> {
         for _ in group {
             vmv_obs::record_ns(
                 SpanKind::JobQueueWait,
@@ -333,76 +337,25 @@ pub fn run_sweep(
             }
         }
 
-        let mut results: Vec<(usize, Result<RunRecord, String>)> = Vec::with_capacity(group.len());
-        match (prepared, compile_err) {
-            (Some(prepared), _) => {
-                let mut rest = group;
-                if !prepared.has_trace() {
-                    // First run of the key: execute and record the trace.
-                    let i = rest[0];
-                    rest = &rest[1..];
-                    results.push((i, run_serial(i, &prepared)));
-                }
-                if !rest.is_empty() && prepared.has_trace() {
-                    // Everything else retimes the shared trace in one
-                    // batched walk.
-                    let batched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> Result<Vec<vmv_core::RunOutcome>, String> {
-                            let _simulate = vmv_obs::span(SpanKind::JobSimulate);
-                            let variants: Vec<_> = rest
-                                .iter()
-                                .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
-                                .collect();
-                            match &opts.profile_dir {
-                                Some(dir) => {
-                                    // Attribution piggybacks on the fused
-                                    // walk: one extra pass, not K runs.
-                                    let (outcomes, profiles) =
-                                        simulate_batch_profiled(&prepared, &variants)
-                                            .map_err(|e| e.to_string())?;
-                                    for ((&i, outcome), profile) in
-                                        rest.iter().zip(&outcomes).zip(&profiles)
-                                    {
-                                        let job = &jobs[i];
-                                        write_profile(
-                                            dir,
-                                            &meta_of(&job.key, job.point, job.benchmark, outcome),
-                                            profile,
-                                        )
-                                        .map_err(|e| format!("profile write: {e}"))?;
-                                    }
-                                    Ok(outcomes)
-                                }
-                                None => {
-                                    simulate_batch(&prepared, &variants).map_err(|e| e.to_string())
-                                }
-                            }
-                        },
-                    ));
-                    if let Ok(Ok(outcomes)) = batched {
-                        replay_batches.fetch_add(1, Ordering::Relaxed);
-                        replays.fetch_add(rest.len(), Ordering::Relaxed);
-                        for (&i, outcome) in rest.iter().zip(&outcomes) {
-                            let job = &jobs[i];
-                            let record =
-                                record_of(job.key.clone(), job.point, job.benchmark, outcome);
-                            results.push((i, Ok(record)));
-                        }
-                        rest = &[];
-                    }
-                    // A failed or panicked batch leaves `rest` untouched:
-                    // the serial fallback below re-runs each job on its
-                    // own, preserving per-job error isolation.
-                }
-                for &i in rest {
-                    results.push((i, run_serial(i, &prepared)));
-                }
-            }
-            (None, Some(e)) => {
-                results.extend(group.iter().map(|&i| (i, Err(e.clone()))));
-            }
+        let results: Vec<JobResult> = match (prepared, compile_err) {
+            (Some(prepared), _) => match simulate_jobs(&prepared, group) {
+                Ok(records) => group
+                    .iter()
+                    .copied()
+                    .zip(records.into_iter().map(Ok))
+                    .collect(),
+                Err(e) if group.len() == 1 => vec![(group[0], Err(e))],
+                // A failed call leaves `prepared` as it found it: re-run
+                // each job as a group of one, so only the jobs that fail
+                // on their own are reported.
+                Err(_) => group
+                    .iter()
+                    .map(|&i| (i, simulate_jobs(&prepared, &[i]).map(|mut r| r.remove(0))))
+                    .collect(),
+            },
+            (None, Some(e)) => group.iter().map(|&i| (i, Err(e.clone()))).collect(),
             (None, None) => unreachable!("non-empty group yields a compile result"),
-        }
+        };
         for (_, r) in &results {
             vmv_obs::incr(if r.is_ok() {
                 Counter::SweepJobsCompleted
@@ -414,164 +367,159 @@ pub fn run_sweep(
         results
     };
 
-    // Single-worker sweeps run inline on the calling thread: no pool, no
-    // committer polling — on a single-CPU machine the 1 ms poll loop would
-    // otherwise contend with the one worker for the core.  Groups may
-    // interleave in the job list, so results land in pre-assigned slots
-    // and the completed prefix streams out after each group.
-    if opts.effective_workers() == 1 {
-        const BATCH: usize = 16;
-        let start = Instant::now();
-        let mut progress = Progress::new(opts.progress, jobs.len(), skipped);
-        let mut slots: Vec<Option<Result<RunRecord, String>>> = jobs.iter().map(|_| None).collect();
-        let mut records = Vec::with_capacity(jobs.len());
-        let mut errors = Vec::new();
-        let mut drained = 0usize;
-        let mut committed = 0usize;
-        let mut busy_ns = 0u64;
-        for group in &groups {
+    // One loop for every worker count.  The calling thread is worker 0 and
+    // the committer; `min(workers, groups) - 1` scoped helpers pull groups
+    // from the same atomic index and send each group's `(job index,
+    // result)` pairs over a channel.  The caller drains the channel after
+    // each of its own groups and blocks on it once no groups remain, so it
+    // never polls.  With one worker no thread is spawned at all.
+    let workers = opts.effective_workers().min(groups.len()).max(1);
+    let next = AtomicUsize::new(0);
+    // Raised by the committer when the store breaks: simulating groups whose
+    // results could never be persisted or reported would be wasted work.
+    let abort = AtomicBool::new(false);
+    // Pull groups until none remain, handing each group's results to
+    // `deliver`; returns the worker's job count and busy nanoseconds.
+    let work = |deliver: &mut dyn FnMut(Vec<JobResult>)| -> (u64, u64) {
+        let (mut worker_jobs, mut busy_ns) = (0u64, 0u64);
+        while !abort.load(Ordering::Relaxed) {
+            let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
             let group_start = vmv_obs::enabled().then(Instant::now);
-            for (i, result) in run_group(group) {
-                slots[i] = Some(result);
-            }
+            let results = run_group(group);
             if let Some(t) = group_start {
                 busy_ns += t.elapsed().as_nanos() as u64;
             }
-            while drained < jobs.len() && slots[drained].is_some() {
-                match slots[drained].take().expect("checked above") {
-                    Ok(record) => records.push(record),
-                    Err(e) => {
-                        let job = &jobs[drained];
-                        errors.push((format!("{} on {}", job.benchmark.name(), job.point.name), e));
-                    }
-                }
-                drained += 1;
-            }
-            progress.tick(done_runs.load(Ordering::Relaxed), &cache, false);
-            // Stream completed records in small batches so an interrupted
-            // sweep keeps (almost) everything, without one write per run.
-            if records.len() - committed >= BATCH {
-                if let Some(s) = store {
-                    let _append = vmv_obs::span(SpanKind::StoreAppend);
-                    s.append(&records[committed..])?;
-                }
-                committed = records.len();
-            }
+            worker_jobs += group.len() as u64;
+            deliver(results);
         }
-        if let Some(s) = store {
-            let _append = vmv_obs::span(SpanKind::StoreAppend);
-            s.append(&records[committed..])?;
-        }
-        vmv_obs::worker_record(0, (records.len() + errors.len()) as u64, busy_ns);
-        progress.tick(done_runs.load(Ordering::Relaxed), &cache, true);
-        return Ok(SweepReport {
-            records,
-            skipped,
-            errors,
-            cache: cache.counters(),
-            replays: replays.load(Ordering::Relaxed),
-            replay_batches: replay_batches.load(Ordering::Relaxed),
-            wall_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
+        (worker_jobs, busy_ns)
+    };
 
-    let slots: Vec<Mutex<Option<Result<RunRecord, String>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    // Raised by the committer when the store breaks: simulating jobs whose
-    // results could never be persisted or reported would be wasted work.
-    let abort = std::sync::atomic::AtomicBool::new(false);
     let start = Instant::now();
-    let mut records = Vec::with_capacity(jobs.len());
-    let mut errors = Vec::new();
+    let mut commit = Commit {
+        slots: jobs.iter().map(|_| None).collect(),
+        records: Vec::with_capacity(jobs.len()),
+        failed: Vec::new(),
+        appended: 0,
+        store,
+    };
+    let mut progress = Progress::new(opts.progress, jobs.len(), skipped);
     let mut append_error: Option<std::io::Error> = None;
+    let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
-        // Shadow the shared state as references: the worker closures are
-        // `move` (each owns its `worker` index) but must share everything
-        // else, and references are `Copy`.
-        let run_group = &run_group;
-        let (jobs, groups, slots, next, abort) = (&jobs, &groups, &slots, &next, &abort);
-        for worker in 0..opts.effective_workers() {
+        for worker in 1..workers {
+            let (tx, work) = (tx.clone(), &work);
             scope.spawn(move || {
-                let mut worker_jobs = 0u64;
-                let mut busy_ns = 0u64;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let group = &groups[g];
-                    let group_start = vmv_obs::enabled().then(Instant::now);
-                    for (i, result) in run_group(group) {
-                        *slots[i].lock().unwrap() = Some(result);
-                    }
-                    worker_jobs += group.len() as u64;
-                    if let Some(t) = group_start {
-                        busy_ns += t.elapsed().as_nanos() as u64;
-                    }
-                }
+                // The caller receives until every helper is done, so a
+                // send fails only if it panicked; the scope re-raises that.
+                let (worker_jobs, busy_ns) = work(&mut |results| {
+                    let _ = tx.send(results);
+                });
                 vmv_obs::worker_record(worker, worker_jobs, busy_ns);
             });
         }
-
-        // The main thread is the committer: persist the completed prefix of
-        // the job list as it grows.  The heartbeat reads the completed-runs
-        // counter, not the committed prefix, so progress keeps moving even
-        // while an interleaved group holds the prefix back.
-        let mut progress = Progress::new(opts.progress, jobs.len(), skipped);
-        let mut committed = 0usize;
-        while committed < jobs.len() {
-            let mut batch = Vec::new();
-            while committed < jobs.len() {
-                let taken = slots[committed].lock().unwrap().take();
-                match taken {
-                    Some(Ok(record)) => batch.push(record),
-                    Some(Err(e)) => {
-                        let job = &jobs[committed];
-                        errors.push((format!("{} on {}", job.benchmark.name(), job.point.name), e));
-                    }
-                    None => break,
+        // The helpers hold the only senders now, so the channel closes
+        // when the last of them finishes.
+        drop(tx);
+        let mut deliver = |results: Vec<JobResult>| {
+            for result in results.into_iter().chain(rx.try_iter().flatten()) {
+                commit.accept(result);
+            }
+            // The heartbeat reads the completed-runs counter, not the
+            // committed prefix, so progress keeps moving even while an
+            // interleaved group holds the prefix back.
+            progress.tick(done_runs.load(Ordering::Relaxed), &cache, false);
+            if append_error.is_none() {
+                // Stream completed records in small batches so an
+                // interrupted sweep keeps (almost) everything, without one
+                // write per run.
+                if let Err(e) = commit.append(BATCH) {
+                    append_error = Some(e);
+                    abort.store(true, Ordering::Relaxed);
                 }
-                committed += 1;
             }
-            if !batch.is_empty() {
-                if let Some(s) = store {
-                    let _append = vmv_obs::span(SpanKind::StoreAppend);
-                    if let Err(e) = s.append(&batch) {
-                        append_error = Some(e);
-                        abort.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                records.extend(batch);
-            }
-            progress.tick(
-                done_runs.load(Ordering::Relaxed),
-                &cache,
-                committed == jobs.len(),
-            );
-            if committed < jobs.len() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+        };
+        let (worker_jobs, busy_ns) = work(&mut deliver);
+        vmv_obs::worker_record(0, worker_jobs, busy_ns);
+        for results in rx.iter() {
+            deliver(results);
         }
     });
     if let Some(e) = append_error {
         return Err(e);
     }
-    let wall_seconds = start.elapsed().as_secs_f64();
+    commit.append(1)?;
+    progress.tick(done_runs.load(Ordering::Relaxed), &cache, true);
+    let errors = commit
+        .failed
+        .into_iter()
+        .map(|(i, e)| {
+            let job = &jobs[i];
+            (format!("{} on {}", job.benchmark.name(), job.point.name), e)
+        })
+        .collect();
 
     Ok(SweepReport {
-        records,
+        records: commit.records,
         skipped,
         errors,
         cache: cache.counters(),
         replays: replays.load(Ordering::Relaxed),
         replay_batches: replay_batches.load(Ordering::Relaxed),
-        wall_seconds,
+        wall_seconds: start.elapsed().as_secs_f64(),
     })
+}
+
+/// Records drained per store append while a sweep runs.
+const BATCH: usize = 16;
+
+/// One job's result, tagged with its index in the job list.
+type JobResult = (usize, Result<RunRecord, String>);
+
+/// The committing half of the executor loop, owned by the calling thread:
+/// results land in job-order slots, the completed prefix of the job list
+/// drains into records and failures, and drained records stream to the
+/// store.  The store content is therefore in job order whatever the worker
+/// count, and an interrupted sweep keeps everything it appended.
+struct Commit<'s> {
+    slots: Vec<Option<Result<RunRecord, String>>>,
+    records: Vec<RunRecord>,
+    /// Failed jobs as `(job index, error)`.
+    failed: Vec<(usize, String)>,
+    /// How many of `records` the store already holds.
+    appended: usize,
+    store: Option<&'s ResultStore>,
+}
+
+impl Commit<'_> {
+    /// Slot one job's result and drain the completed prefix.
+    fn accept(&mut self, (i, result): JobResult) {
+        self.slots[i] = Some(result);
+        loop {
+            let next = self.records.len() + self.failed.len();
+            match self.slots.get_mut(next).and_then(Option::take) {
+                Some(Ok(record)) => self.records.push(record),
+                Some(Err(e)) => self.failed.push((next, e)),
+                None => break,
+            }
+        }
+    }
+
+    /// Append the drained records the store lacks, once at least `min` are
+    /// pending.
+    fn append(&mut self, min: usize) -> std::io::Result<()> {
+        if self.records.len() - self.appended < min {
+            return Ok(());
+        }
+        if let Some(s) = self.store {
+            let _append = vmv_obs::span(SpanKind::StoreAppend);
+            s.append(&self.records[self.appended..])?;
+        }
+        self.appended = self.records.len();
+        Ok(())
+    }
 }
 
 /// Build the persisted record of one completed run.
@@ -713,6 +661,35 @@ mod tests {
             "{:?}",
             report.errors
         );
+    }
+
+    #[test]
+    fn a_failing_group_call_is_retried_job_by_job() {
+        // One schedule key, three L1 sizes: 16 KB executes and records,
+        // then 48 KB (384 sets) panics the cache model inside the batched
+        // walk.  The retry re-runs each job as a group of one, so only the
+        // 48 KB job fails and the others match a clean sweep.
+        let sweep = |sizes: &[usize], workers: usize| {
+            let points = SweepSpec::new().axis(Axis::l1_size(sizes)).expand().points;
+            let opts = ExecOptions {
+                benchmarks: vec![Benchmark::GsmDec],
+                workers,
+                ..ExecOptions::default()
+            };
+            run_sweep(&points, &opts, None).unwrap()
+        };
+        let clean = sweep(&[16 * 1024, 32 * 1024], 1);
+        assert!(clean.errors.is_empty(), "{:?}", clean.errors);
+        for workers in [1, 2] {
+            let report = sweep(&[16 * 1024, 48 * 1024, 32 * 1024], workers);
+            assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+            assert!(report.errors[0].0.contains("l1:48K"), "{:?}", report.errors);
+            assert_eq!(report.records, clean.records, "workers {workers}");
+            // The failed call kept no trace: the 16 KB retry records it
+            // again, and 32 KB is retimed as a batch of one.
+            assert_eq!(report.replays, 1);
+            assert_eq!(report.replay_batches, 1);
+        }
     }
 
     #[test]

@@ -380,8 +380,10 @@ mod tests {
     fn demo_profile() -> (ProfileMeta, Profile) {
         let machine = presets::vector2(2);
         let prepared = vmv_core::prepare(Benchmark::GsmDec, &machine).unwrap();
-        let (outcome, profile) =
-            vmv_core::simulate_profiled(&prepared, &machine, MemoryModel::Realistic).unwrap();
+        let (outcomes, mut profiles) =
+            vmv_core::simulate_batch_profiled(&prepared, &[(&machine, MemoryModel::Realistic)])
+                .unwrap();
+        let (outcome, profile) = (&outcomes[0], profiles.remove(0));
         profile.check_against(&outcome.stats).unwrap();
         let meta = ProfileMeta {
             key: crate::store::run_key(

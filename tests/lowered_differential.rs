@@ -1,15 +1,14 @@
 //! Differential harness for the lowered execution engine.
 //!
-//! The simulator has three interpretation loops: the original string-keyed
+//! The simulator has three timing engines: the original string-keyed
 //! reference engine (`Simulator::run_reference` — hash-map scoreboard,
 //! label-map branch resolution, per-operation metadata re-derivation), the
 //! lowered hot path (`Simulator::run_lowered` — slot-indexed scoreboard
-//! over the pre-resolved `LoweredProgram`), and the trace-replay retimer
-//! (`vmv_sim::replay` — no functional execution at all, just the recorded
-//! block/access/VL streams walked against a fresh memory hierarchy).  The
-//! batched retimer (`vmv_sim::replay_batch`) is a fourth leg: one fused
-//! walk advancing every memory variant in lockstep.  Any timing-semantics
-//! change is only sound if all four agree *exactly*: same cycles, same
+//! over the pre-resolved `LoweredProgram`), and the batched trace retimer
+//! (`vmv_sim::replay_batch` — no functional execution at all, just the
+//! recorded block/access/VL streams walked once against fresh memory
+//! hierarchies, every memory variant in lockstep).  Any timing-semantics
+//! change is only sound if all three agree *exactly*: same cycles, same
 //! stalls, same per-region breakdown, same memory-system counters, on
 //! every workload and machine.
 //!
@@ -62,8 +61,8 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
             let prepared = prepare(bench, machine)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
             // Record the trace once, under perfect memory; the replay leg
-            // below retimes it under *both* models (the cross-model reuse
-            // the sweep's trace cache depends on).
+            // below retimes it under *both* models in one batched walk (the
+            // cross-model reuse the sweep's trace cache depends on).
             let (recorded_stats, trace) = {
                 let mut sim = Simulator::new(
                     machine,
@@ -79,9 +78,6 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
                 sim.run_lowered_recording(&prepared.lowered)
                     .expect("recording run")
             };
-            // Fourth leg: one batched walk retimes the trace under both
-            // models at once; per-variant results are compared against the
-            // reference engine inside the model loop below.
             let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
             let mut variants = vec![
                 vmv::sim::VariantState::new(
@@ -116,24 +112,6 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
                     machine.name,
                     model
                 );
-                let replayed =
-                    vmv::sim::replay(&prepared.lowered, &trace, machine, model, 2_000_000_000)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "replay: {} on {} under {model:?}: {e}",
-                                bench.name(),
-                                machine.name
-                            )
-                        });
-                assert_eq!(
-                    reference,
-                    replayed,
-                    "replay diverged: {} ({}) on {} under {:?}",
-                    bench.name(),
-                    variant_for(machine).name(),
-                    machine.name,
-                    model
-                );
                 assert_eq!(
                     reference,
                     batched[bi],
@@ -157,81 +135,31 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
         }
     }
     // 10 configurations x 6 benchmarks x 2 memory models, each compared
-    // across all four engines.
+    // across all three engines.
     assert_eq!(compared, 120);
 }
 
 /// The cycle-attribution contract, on the same 120-case matrix: for every
-/// preset x kernel x memory model and for all three profiled engines
-/// (lowered, serial replay, batched replay), the per-cause attributed
-/// cycles sum *exactly* to the `RunStats` totals (in total and per region,
-/// via `Profile::check_against`), enabling profiling never changes
-/// `RunStats`, and all three engines derive the *same* profile.
+/// preset x kernel x memory model and for both profiled engines (lowered,
+/// batched replay), the per-cause attributed cycles sum *exactly* to the
+/// `RunStats` totals (in total and per region, via
+/// `Profile::check_against`), enabling profiling never changes `RunStats`,
+/// and both engines derive the *same* profile.
 #[test]
 fn profiler_attribution_contract_on_all_presets() {
     let configs = all_configs();
+    let models = [MemoryModel::Perfect, MemoryModel::Realistic];
     let mut checked = 0usize;
     for machine in &configs {
         for bench in Benchmark::ALL {
             let prepared = prepare(bench, machine)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
             let statics = prepared.profile_statics(machine);
-            // Record once under perfect memory, with profiling on.
-            let (rec_stats, trace, rec_profile) = {
-                let mut sim = Simulator::new(
-                    machine,
-                    SimOptions {
-                        memory_model: MemoryModel::Perfect,
-                        mem_size: prepared.build.mem_size.max(1 << 20),
-                        max_cycles: 2_000_000_000,
-                    },
-                );
-                for (addr, bytes) in &prepared.build.init {
-                    sim.mem.write_bytes(*addr, bytes);
-                }
-                sim.run_lowered_recording_profiled(&prepared.lowered, &statics)
-                    .expect("profiled recording run")
-            };
-            rec_profile
-                .check_against(&rec_stats)
-                .unwrap_or_else(|e| panic!("recording: {} on {}: {e}", bench.name(), machine.name));
-            let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
-            let mut variants = vec![
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Perfect,
-                    2_000_000_000,
-                ),
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Realistic,
-                    2_000_000_000,
-                ),
-            ];
-            let (batch_stats, batch_profiles) =
-                vmv::sim::replay_batch_profiled(&trace, &analysis, &mut variants, &statics)
-                    .unwrap_or_else(|e| {
-                        panic!("batch profiled: {} on {}: {e}", bench.name(), machine.name)
-                    });
-            for (bi, model) in [MemoryModel::Perfect, MemoryModel::Realistic]
-                .into_iter()
-                .enumerate()
-            {
-                let ctx = || {
-                    format!(
-                        "{} ({}) on {} under {:?}",
-                        bench.name(),
-                        variant_for(machine).name(),
-                        machine.name,
-                        model
-                    )
-                };
-                let unprofiled = run_with(&prepared, machine, model, true);
-
-                // Lowered engine, profiled.
-                let (lp_stats, lp_profile) = {
+            // Lowered engine, profiled, under each model.  The run also
+            // records its trace; the perfect-memory one feeds the batch.
+            let lowered: Vec<_> = models
+                .iter()
+                .map(|&model| {
                     let mut sim = Simulator::new(
                         machine,
                         SimOptions {
@@ -243,40 +171,44 @@ fn profiler_attribution_contract_on_all_presets() {
                     for (addr, bytes) in &prepared.build.init {
                         sim.mem.write_bytes(*addr, bytes);
                     }
-                    sim.run_lowered_profiled(&prepared.lowered, &statics)
-                        .expect("profiled lowered run")
+                    sim.run_lowered_recording_profiled(&prepared.lowered, &statics)
+                        .expect("profiled recording run")
+                })
+                .collect();
+            let trace = &lowered[0].1;
+            let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
+            let mut variants: Vec<_> = models
+                .iter()
+                .map(|&model| vmv::sim::VariantState::new(&analysis, machine, model, 2_000_000_000))
+                .collect();
+            let (batch_stats, batch_profiles) =
+                vmv::sim::replay_batch_profiled(trace, &analysis, &mut variants, &statics)
+                    .unwrap_or_else(|e| {
+                        panic!("batch profiled: {} on {}: {e}", bench.name(), machine.name)
+                    });
+            for (bi, model) in models.into_iter().enumerate() {
+                let ctx = || {
+                    format!(
+                        "{} ({}) on {} under {:?}",
+                        bench.name(),
+                        variant_for(machine).name(),
+                        machine.name,
+                        model
+                    )
                 };
+                let unprofiled = run_with(&prepared, machine, model, true);
+
+                let (lp_stats, _, lp_profile) = &lowered[bi];
                 assert_eq!(
-                    lp_stats,
+                    *lp_stats,
                     unprofiled,
                     "profiling changed RunStats: {}",
                     ctx()
                 );
                 lp_profile
-                    .check_against(&lp_stats)
+                    .check_against(lp_stats)
                     .unwrap_or_else(|e| panic!("lowered attribution: {}: {e}", ctx()));
 
-                // Serial replay, profiled.
-                let (rp_stats, rp_profile) = vmv::sim::replay_profiled(
-                    &prepared.lowered,
-                    &trace,
-                    machine,
-                    model,
-                    2_000_000_000,
-                    &statics,
-                )
-                .unwrap_or_else(|e| panic!("profiled replay: {}: {e}", ctx()));
-                assert_eq!(
-                    rp_stats,
-                    unprofiled,
-                    "profiled replay changed RunStats: {}",
-                    ctx()
-                );
-                rp_profile
-                    .check_against(&rp_stats)
-                    .unwrap_or_else(|e| panic!("replay attribution: {}: {e}", ctx()));
-
-                // Batched replay, profiled.
                 assert_eq!(
                     batch_stats[bi],
                     unprofiled,
@@ -287,27 +219,13 @@ fn profiler_attribution_contract_on_all_presets() {
                     .check_against(&batch_stats[bi])
                     .unwrap_or_else(|e| panic!("batch attribution: {}: {e}", ctx()));
 
-                // All three engines attribute identically, event for event.
+                // Both engines attribute identically, event for event.
                 assert_eq!(
-                    lp_profile,
-                    rp_profile,
-                    "lowered vs replay profile: {}",
-                    ctx()
-                );
-                assert_eq!(
-                    rp_profile,
+                    *lp_profile,
                     batch_profiles[bi],
-                    "replay vs batch profile: {}",
+                    "lowered vs batch profile: {}",
                     ctx()
                 );
-                if model == MemoryModel::Perfect {
-                    assert_eq!(
-                        lp_profile,
-                        rec_profile,
-                        "recording+profiling diverged: {}",
-                        ctx()
-                    );
-                }
                 checked += 1;
             }
         }

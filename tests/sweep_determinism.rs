@@ -1,12 +1,14 @@
 //! Workspace-level determinism guarantees: the experiment driver and the
 //! sweep executor must produce byte-identical, identically-ordered results
-//! no matter how many worker threads run the matrix.
+//! no matter how many worker threads run the matrix.  The nightly
+//! ThreadSanitizer job runs this file, so it drives both thread pools.
 
 use vector_usimd_vliw as vmv;
 use vmv::core::Suite;
 use vmv::kernels::Benchmark;
 use vmv::machine::presets;
 use vmv::mem::MemoryModel;
+use vmv::sweep::{run_sweep, ExecOptions, ResultStore, SpecFile};
 
 /// Reduced Table 2 matrix at 1 and N worker threads: the outcome *order*
 /// (benchmark-major, then Table 2 machine index) and every statistic must
@@ -57,4 +59,58 @@ fn realistic_suite_ordering_matches_perfect_suite_ordering() {
             .collect::<Vec<_>>()
     };
     assert_eq!(order(&perfect), order(&realistic));
+}
+
+/// The sweep executor's one loop at one worker, two workers and more
+/// workers than groups: the on-disk store (spec header line included), the
+/// returned records and the compile-cache and replay accounting must not
+/// depend on the worker count.  The committed `latency_tolerance` spec has
+/// 12 schedule keys of 5 memory variants each, so every group records once
+/// and retimes the other four in one batched walk.
+#[test]
+fn run_sweep_store_is_byte_identical_across_worker_counts() {
+    let spec = SpecFile::parse(include_str!("../examples/specs/latency_tolerance.json"))
+        .expect("committed spec parses");
+    let lowered = spec.lower().expect("committed spec lowers");
+    let points = lowered.spec.expand().points;
+    let dir = std::env::temp_dir().join(format!("vmv_sweep_determinism_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut runs = Vec::new();
+    for workers in [1, 2, 64] {
+        let path = dir.join(format!("workers_{workers}.jsonl"));
+        let _ = std::fs::remove_file(&path);
+        let store = ResultStore::with_header(&path, spec.store_header());
+        let opts = ExecOptions::for_spec(&lowered, workers);
+        let report = run_sweep(&points, &opts, Some(&store)).unwrap();
+        assert!(
+            report.errors.is_empty(),
+            "{workers} workers: {:?}",
+            report.errors
+        );
+        runs.push((workers, std::fs::read(&path).unwrap(), report));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (_, bytes, base) = &runs[0];
+    assert_eq!(base.records.len(), 60);
+    assert_eq!((base.replays, base.replay_batches), (48, 12));
+    let header = String::from_utf8_lossy(bytes.split(|&b| b == b'\n').next().unwrap());
+    assert!(
+        header.contains(&format!("\"fingerprint\":\"{}\"", spec.fingerprint())),
+        "the store opens with the spec header: {header}"
+    );
+    for (workers, other_bytes, report) in &runs[1..] {
+        assert!(
+            other_bytes == bytes,
+            "store at {workers} workers differs from the 1-worker store"
+        );
+        assert_eq!(report.records, base.records, "{workers} workers");
+        assert_eq!(report.cache, base.cache, "{workers} workers");
+        assert_eq!(report.replays, base.replays, "{workers} workers");
+        assert_eq!(
+            report.replay_batches, base.replay_batches,
+            "{workers} workers"
+        );
+    }
 }

@@ -1,7 +1,8 @@
-//! Trace-replay behaviour beyond the three-engine differential: replay is
-//! deterministic, the adaptive `simulate` path agrees with fresh execution
-//! on a shared `Prepared`, and malformed traces are rejected with typed
-//! errors instead of garbage statistics.
+//! Trace-replay behaviour beyond the three-engine differential: the batched
+//! walk is deterministic and bit-identical to fresh execution for any
+//! variant subset (a batch of one included), the adaptive `simulate` path
+//! agrees with fresh execution on a shared `Prepared`, and malformed traces
+//! are rejected with typed errors instead of garbage statistics.
 
 use vector_usimd_vliw as vmv;
 use vmv::core::{prepare, simulate, simulate_fresh};
@@ -10,7 +11,7 @@ use vmv::kernels::Benchmark;
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sim::{
-    replay, replay_batch, ReplayAnalysis, ReplayError, SimOptions, Simulator, Trace, VariantState,
+    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimOptions, Simulator, Trace, VariantState,
 };
 
 const MAX_CYCLES: u64 = 2_000_000_000;
@@ -38,26 +39,26 @@ fn record(
     (prepared, stats, trace)
 }
 
+/// Retime `trace` for one variant: a batched walk of width one.
+fn retime_one(
+    prepared: &vmv::core::Prepared,
+    trace: &Trace,
+    machine: &MachineConfig,
+    model: MemoryModel,
+) -> Result<RunStats, ReplayError> {
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let mut variant = [VariantState::new(&analysis, machine, model, MAX_CYCLES)];
+    let mut out = replay_batch(trace, &analysis, &mut variant)?;
+    assert_eq!(out.len(), 1, "one RunStats per variant");
+    Ok(out.remove(0))
+}
+
 #[test]
 fn replaying_the_same_trace_twice_is_deterministic() {
     let machine = presets::vector2(4);
     let (prepared, stats, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Realistic);
-    let a = replay(
-        &prepared.lowered,
-        &trace,
-        &machine,
-        MemoryModel::Realistic,
-        MAX_CYCLES,
-    )
-    .expect("first replay");
-    let b = replay(
-        &prepared.lowered,
-        &trace,
-        &machine,
-        MemoryModel::Realistic,
-        MAX_CYCLES,
-    )
-    .expect("second replay");
+    let a = retime_one(&prepared, &trace, &machine, MemoryModel::Realistic).expect("first replay");
+    let b = retime_one(&prepared, &trace, &machine, MemoryModel::Realistic).expect("second replay");
     assert_eq!(a, b, "replay must be a pure function of (program, trace)");
     assert_eq!(a, stats, "and must reproduce the recorded run exactly");
 }
@@ -86,13 +87,7 @@ fn truncated_access_stream_is_rejected() {
     assert!(!trace.accesses.is_empty());
     let mut cut = trace.clone();
     cut.accesses.truncate(trace.accesses.len() / 2);
-    match replay(
-        &prepared.lowered,
-        &cut,
-        &machine,
-        MemoryModel::Perfect,
-        MAX_CYCLES,
-    ) {
+    match retime_one(&prepared, &cut, &machine, MemoryModel::Perfect) {
         Err(ReplayError::TruncatedAccesses { consumed }) => {
             assert_eq!(consumed, cut.accesses.len())
         }
@@ -110,13 +105,7 @@ fn truncated_vl_stream_is_rejected() {
     );
     let mut cut = trace.clone();
     cut.vl_sets.clear();
-    match replay(
-        &prepared.lowered,
-        &cut,
-        &machine,
-        MemoryModel::Perfect,
-        MAX_CYCLES,
-    ) {
+    match retime_one(&prepared, &cut, &machine, MemoryModel::Perfect) {
         Err(ReplayError::TruncatedVlSets { consumed }) => assert_eq!(consumed, 0),
         other => panic!("expected TruncatedVlSets, got {other:?}"),
     }
@@ -130,26 +119,14 @@ fn out_of_range_block_and_trailing_events_are_rejected() {
     let mut bogus = trace.clone();
     bogus.blocks[0] = prepared.lowered.blocks.len() as u32 + 7;
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &bogus,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        retime_one(&prepared, &bogus, &machine, MemoryModel::Perfect),
         Err(ReplayError::BlockOutOfRange { step: 0, .. })
     ));
 
     let mut padded = trace.clone();
     padded.accesses.push(*padded.accesses.last().unwrap());
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &padded,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        retime_one(&prepared, &padded, &machine, MemoryModel::Perfect),
         Err(ReplayError::TrailingEvents { accesses: 1, .. })
     ));
 }
@@ -160,13 +137,7 @@ fn empty_trace_is_rejected_as_missing_halt() {
     let (prepared, _, _) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
     let empty = Trace::default();
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &empty,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        retime_one(&prepared, &empty, &machine, MemoryModel::Perfect),
         Err(ReplayError::MissingHalt)
     ));
 }
@@ -208,13 +179,12 @@ fn slow_memory(machine: &MachineConfig) -> MachineConfig {
 }
 
 #[test]
-fn batched_replay_is_bit_identical_to_serial_on_the_full_matrix() {
-    // The tentpole contract: for every Table 2 preset and every kernel,
-    // retiming one trace against K variants in a single fused walk must
-    // produce exactly the RunStats that K serial replays produce.  The
-    // variant set mixes both memory models and a latency-shifted machine
-    // so the batch spans tag-equivalence classes (leaders) and pure
-    // latency followers.
+fn batched_replay_is_bit_identical_to_fresh_execution_on_the_full_matrix() {
+    // For every Table 2 preset and every kernel, retiming one trace against
+    // K variants in a single fused walk must produce exactly the RunStats
+    // that K fresh lowered executions produce.  The variant set mixes both
+    // memory models and a latency-shifted machine so the batch spans
+    // tag-equivalence classes (leaders) and pure latency followers.
     let configs = vmv::machine::all_configs();
     assert_eq!(configs.len(), 10, "Table 2 has ten configurations");
     for machine in &configs {
@@ -235,27 +205,37 @@ fn batched_replay_is_bit_identical_to_serial_on_the_full_matrix() {
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
             assert_eq!(batched.len(), plan.len());
             for ((m, model), got) in plan.iter().zip(&batched) {
-                let serial = replay(&prepared.lowered, &trace, m, *model, MAX_CYCLES)
+                let fresh = simulate_fresh(&prepared, m, *model)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
                 assert_eq!(
                     *got,
-                    serial,
-                    "batched replay diverged from serial: {} on {} under {:?} (mem_latency {})",
+                    fresh.stats,
+                    "batched replay diverged from execution: {} on {} under {:?} (mem_latency {})",
                     bench.name(),
                     machine.name,
                     model,
                     m.memory.mem_latency
                 );
             }
+            // A batch of one takes the walk compiled for width one.
+            let single = retime_one(&prepared, &trace, &slow, MemoryModel::Realistic)
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
+            assert_eq!(
+                single,
+                batched[2],
+                "batch of one diverged: {} on {}",
+                bench.name(),
+                machine.name
+            );
         }
     }
 }
 
 #[test]
-fn random_variant_subsets_match_serial_replay() {
+fn random_variant_subsets_match_fresh_execution() {
     // Property test: any subset of memory variants, in any order (with
     // repeats), batch-replays to exactly what each variant gets from a
-    // serial replay — including the degenerate batch of one.
+    // fresh lowered execution — including the degenerate batch of one.
     let machine = presets::vector2(4);
     let (prepared, _, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
     let analysis = ReplayAnalysis::build(&prepared.lowered);
@@ -276,10 +256,10 @@ fn random_variant_subsets_match_serial_replay() {
         }
     }
 
-    // Serial-replay oracle per pool entry, computed once.
-    let oracle: Vec<vmv::sim::RunStats> = pool
+    // Fresh-execution oracle per pool entry, computed once.
+    let oracle: Vec<RunStats> = pool
         .iter()
-        .map(|(m, model)| replay(&prepared.lowered, &trace, m, *model, MAX_CYCLES).unwrap())
+        .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
         .collect();
 
     let mut rng = SmallRng::seed_from_u64(0x5EED_BA7C);
