@@ -6,39 +6,22 @@
 //! between the two operations, derived from the HPL-PD latency descriptors
 //! of Fig. 3 and, for vector RAW dependences, from the chaining rule of
 //! §3.3.
-
-use std::hash::BuildHasherDefault;
+//!
+//! The bookkeeping tables are dense: the last writer of every register and
+//! the readers since that write are arrays indexed by the register
+//! numbering of [`crate::regalloc`], sized from the block's own registers
+//! (the public [`crate::list::schedule_block`] also takes unallocated code).
+//! The readers of a register form a linked list threaded through one flat
+//! array.  The finished graph keeps its edges in compressed sparse rows
+//! grouped by source operation, so an operation's successors are one slice.
 
 use vmv_isa::{Op, Reg, RegClass};
 use vmv_machine::MachineConfig;
 
-/// FNV-1a hasher for the small fixed-size `Reg` keys of the dependence
-/// bookkeeping maps — the default SipHash is a measurable share of schedule
-/// time on large blocks.
-#[derive(Default)]
-struct FnvHasher(u64);
+use crate::regalloc::RegNumbering;
 
-impl std::hash::Hasher for FnvHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xCBF2_9CE4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FnvMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+/// Marker for "no entry" in the bookkeeping tables.
+const NONE: u32 = u32::MAX;
 
 /// Why two operations are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +41,8 @@ pub enum DepKind {
 /// One dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepEdge {
-    pub from: usize,
-    pub to: usize,
+    pub from: u32,
+    pub to: u32,
     pub kind: DepKind,
     /// Minimum number of cycles between the issue of `from` and the issue of
     /// `to`.
@@ -70,65 +53,66 @@ pub struct DepEdge {
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     pub num_ops: usize,
-    pub edges: Vec<DepEdge>,
-    /// `preds[i]` lists the indices of edges ending at op `i`.
-    pub preds: Vec<Vec<usize>>,
-    /// `succs[i]` lists the indices of edges starting at op `i`.
-    pub succs: Vec<Vec<usize>>,
+    /// Every edge, grouped by source: op `i`'s successors are
+    /// `edges[succ_start[i]..succ_start[i + 1]]`.
+    edges: Vec<DepEdge>,
+    succ_start: Vec<u32>,
+    /// Number of edges ending at each op.
+    pred_counts: Vec<u32>,
 }
 
 impl DepGraph {
     /// Build the dependence graph of `ops` for the given machine.
     pub fn build(ops: &[Op], machine: &MachineConfig) -> Self {
-        let mut edges: Vec<DepEdge> = Vec::new();
+        let n = ops.len();
+        let mut edges: Vec<DepEdge> = Vec::with_capacity(4 * n);
 
         // For RAW edges we need, for every register, the index of the last
-        // writer; for WAR/WAW edges the last readers / writer as well.
-        let mut last_writer: FnvMap<Reg, usize> = FnvMap::default();
-        let mut last_readers: FnvMap<Reg, Vec<usize>> = FnvMap::default();
-        let mut last_store: Option<usize> = None;
-        let mut loads_since_store: Vec<usize> = Vec::new();
+        // writer; for WAR/WAW edges the readers since that write as well.
+        // `reader_head[r]` is the newest reader node of register `r`, and
+        // each node of `readers` is `(op, older node)`.
+        let regs = RegNumbering::of(ops);
+        let mut last_writer = vec![NONE; regs.len()];
+        let mut reader_head = vec![NONE; regs.len()];
+        let mut readers: Vec<(u32, u32)> = Vec::with_capacity(2 * n);
+        let mut last_store: Option<u32> = None;
+        let mut loads_since_store: Vec<u32> = Vec::new();
 
         for (i, op) in ops.iter().enumerate() {
-            let reads = op.reads();
-            let writes = op.writes();
+            let to = i as u32;
+            let mut edge = |from: u32, kind: DepKind, latency: u32| {
+                edges.push(DepEdge {
+                    from,
+                    to,
+                    kind,
+                    latency,
+                })
+            };
 
             // RAW: this op reads a register written earlier in the block.
-            for r in &reads {
-                if let Some(&w) = last_writer.get(r) {
-                    let producer = &ops[w];
-                    let latency = raw_latency(producer, op, *r, machine);
-                    edges.push(DepEdge {
-                        from: w,
-                        to: i,
-                        kind: DepKind::Raw,
-                        latency,
-                    });
+            for r in op.reads() {
+                let w = last_writer[regs.number(r)];
+                if w != NONE {
+                    edge(
+                        w,
+                        DepKind::Raw,
+                        raw_latency(&ops[w as usize], op, r, machine),
+                    );
                 }
             }
 
-            if let Some(dst) = writes {
+            if let Some(dst) = op.dst {
+                let d = regs.number(dst);
                 // WAW: ordered after the previous writer.
-                if let Some(&w) = last_writer.get(&dst) {
-                    edges.push(DepEdge {
-                        from: w,
-                        to: i,
-                        kind: DepKind::Waw,
-                        latency: 1,
-                    });
+                if last_writer[d] != NONE {
+                    edge(last_writer[d], DepKind::Waw, 1);
                 }
-                // WAR: ordered after previous readers.
-                if let Some(readers) = last_readers.get(&dst) {
-                    for &r in readers {
-                        if r != i {
-                            edges.push(DepEdge {
-                                from: r,
-                                to: i,
-                                kind: DepKind::War,
-                                latency: 0,
-                            });
-                        }
-                    }
+                // WAR: ordered after the readers since that write.
+                let mut node = reader_head[d];
+                while node != NONE {
+                    let (reader, older) = readers[node as usize];
+                    edge(reader, DepKind::War, 0);
+                    node = older;
                 }
             }
 
@@ -137,70 +121,69 @@ impl DepGraph {
             // keeping independent accesses in separate registers/blocks).
             if op.opcode.is_store() {
                 if let Some(s) = last_store {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 1,
-                    });
+                    edge(s, DepKind::Mem, 1);
                 }
                 for &l in &loads_since_store {
-                    edges.push(DepEdge {
-                        from: l,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 0,
-                    });
+                    edge(l, DepKind::Mem, 0);
                 }
-                last_store = Some(i);
+                last_store = Some(to);
                 loads_since_store.clear();
             } else if op.opcode.is_load() {
                 if let Some(s) = last_store {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 1,
-                    });
+                    edge(s, DepKind::Mem, 1);
                 }
-                loads_since_store.push(i);
+                loads_since_store.push(to);
             }
 
             // Control transfers stay at the end of the block: every earlier
             // operation must issue no later than the branch.
             if op.opcode.is_branch() || op.opcode == vmv_isa::Opcode::Halt {
-                for j in 0..i {
-                    edges.push(DepEdge {
-                        from: j,
-                        to: i,
-                        kind: DepKind::Control,
-                        latency: 0,
-                    });
+                for j in 0..to {
+                    edge(j, DepKind::Control, 0);
                 }
             }
 
             // Update bookkeeping.
-            for r in &reads {
-                last_readers.entry(*r).or_default().push(i);
+            for r in op.reads() {
+                let r = regs.number(r);
+                readers.push((to, reader_head[r]));
+                reader_head[r] = (readers.len() - 1) as u32;
             }
-            if let Some(dst) = writes {
-                last_writer.insert(dst, i);
-                last_readers.entry(dst).or_default().clear();
+            if let Some(dst) = op.dst {
+                let d = regs.number(dst);
+                last_writer[d] = to;
+                reader_head[d] = NONE;
             }
         }
 
-        let mut preds = vec![Vec::new(); ops.len()];
-        let mut succs = vec![Vec::new(); ops.len()];
-        for (idx, e) in edges.iter().enumerate() {
-            preds[e.to].push(idx);
-            succs[e.from].push(idx);
+        // Counting sort of the edges by source into compressed sparse rows.
+        let mut succ_start = vec![0u32; n + 1];
+        let mut pred_counts = vec![0u32; n];
+        for e in &edges {
+            succ_start[e.from as usize + 1] += 1;
+            pred_counts[e.to as usize] += 1;
+        }
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut next = succ_start.clone();
+        let mut rows = edges.clone(); // every entry is overwritten below
+        for e in edges {
+            let slot = &mut next[e.from as usize];
+            rows[*slot as usize] = e;
+            *slot += 1;
         }
         DepGraph {
-            num_ops: ops.len(),
-            edges,
-            preds,
-            succs,
+            num_ops: n,
+            edges: rows,
+            succ_start,
+            pred_counts,
         }
+    }
+
+    /// The edges starting at op `i`.
+    pub fn succs(&self, i: usize) -> &[DepEdge] {
+        &self.edges[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
     /// Critical-path height of every operation: the longest latency path
@@ -211,20 +194,20 @@ impl DepGraph {
         // Operations are in program order, so a reverse sweep sees all
         // successors (edges always point forward) before their predecessors.
         for i in (0..self.num_ops).rev() {
-            let mut h = 0;
-            for &eidx in &self.succs[i] {
-                let e = &self.edges[eidx];
-                h = h.max(e.latency + heights[e.to]);
-            }
-            heights[i] = h;
+            heights[i] = self
+                .succs(i)
+                .iter()
+                .map(|e| e.latency + heights[e.to as usize])
+                .max()
+                .unwrap_or(0);
         }
         heights
     }
 
-    /// Number of unscheduled predecessors of each op (used to seed the ready
-    /// list).
-    pub fn pred_counts(&self) -> Vec<usize> {
-        self.preds.iter().map(|p| p.len()).collect()
+    /// Number of predecessors (incoming edges) of each op, which seeds the
+    /// list scheduler's unplaced-predecessor counts.
+    pub fn pred_counts(&self) -> &[u32] {
+        &self.pred_counts
     }
 }
 
@@ -386,6 +369,35 @@ mod tests {
             .filter(|e| e.kind == DepKind::Control)
             .collect();
         assert_eq!(ctrl.len(), 2);
+    }
+
+    #[test]
+    fn vl_and_vs_reads_need_no_writer_in_the_block() {
+        let machine = presets::vector2(2);
+        let vload = Op::new(Opcode::VLoad)
+            .with_dst(Reg::vec(0))
+            .with_srcs(&[Reg::int(0)]);
+        let setvl = Op::new(Opcode::SetVL).with_dst(Reg::vl()).with_imm(8);
+        let vadd = Op::new(Opcode::VAdd(vmv_isa::Elem::H, vmv_isa::Sat::Wrap))
+            .with_dst(Reg::vec(1))
+            .with_srcs(&[Reg::vec(0), Reg::vec(0)]);
+        // The first load reads VL and VS that no op of the block writes.
+        let g = DepGraph::build(std::slice::from_ref(&vload), &machine);
+        assert!(g.edges.is_empty());
+        assert_eq!(g.pred_counts(), &[0]);
+
+        // A later SetVL is ordered after that implicit read (WAR) and
+        // before the vector op that reads the new length (RAW).
+        let g = DepGraph::build(&[vload, setvl, vadd], &machine);
+        assert!(g
+            .edges
+            .iter()
+            .any(|e| e.kind == DepKind::War && e.from == 0 && e.to == 1));
+        assert!(g
+            .edges
+            .iter()
+            .any(|e| e.kind == DepKind::Raw && e.from == 1 && e.to == 2));
+        assert_eq!(g.pred_counts()[0], 0);
     }
 
     #[test]

@@ -9,27 +9,37 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use vmv_isa::Op;
+use vmv_isa::{Op, Opcode};
 use vmv_machine::MachineConfig;
 
 use crate::ddg::DepGraph;
-use crate::restable::ReservationTable;
+use crate::restable::{unit_pool, ReservationTable};
 
 /// Schedule the operations of one basic block, returning one bundle (vector
 /// of operations) per issue cycle.  The relative order of memory operations
-/// and the block terminator is preserved by the dependence graph.
-pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
+/// and the block terminator is preserved by the dependence graph.  The
+/// operations are moved into their bundles, in placement order.
+pub fn schedule_block(mut ops: Vec<Op>, machine: &MachineConfig) -> Vec<Vec<Op>> {
     let n = ops.len();
     if n == 0 {
         return Vec::new();
     }
-    let graph = DepGraph::build(ops, machine);
+    let graph = DepGraph::build(&ops, machine);
     let heights = graph.heights();
-    let mut remaining_preds = graph.pred_counts();
+    let mut remaining_preds = graph.pred_counts().to_vec();
     let mut earliest = vec![0u32; n];
+    // Each operation's resource demand — its unit pool and the occupancy
+    // window of Fig. 3b — computed once, not at every placement attempt.
+    let demand: Vec<_> = ops
+        .iter()
+        .map(|op| {
+            let occupancy = machine.latency_descriptor(op).occupancy();
+            (unit_pool(op, machine), occupancy)
+        })
+        .collect();
     let mut table = ReservationTable::new(machine);
-    let mut bundles: Vec<Vec<Op>> = Vec::new();
-    let mut placed = 0usize;
+    // `(cycle, op)` of every placement, in placement order.
+    let mut placements: Vec<(u32, usize)> = Vec::with_capacity(n);
     let mut cycle: u32 = 0;
 
     // Generous safety bound: a block can never need more cycles than
@@ -57,7 +67,7 @@ pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
     // Telemetry is accumulated locally and folded into the recorder once
     // per block, keeping the cycle loop free of atomics.
     let mut ready_scans = 0u64;
-    while placed < n {
+    while placements.len() < n {
         ready_scans += 1;
         assert!(
             cycle < safety_limit,
@@ -96,26 +106,33 @@ pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
         // survivors: placement order matches the sorted priority, and ops
         // blocked on resources stay for the next cycle.
         ready.retain(|&i| {
-            if !table.can_place(&ops[i], cycle) {
+            let (pool, occupancy) = demand[i];
+            if !table.try_place(pool, occupancy, cycle) {
                 return true;
             }
-            table.place(&ops[i], cycle);
-            if bundles.len() <= cycle as usize {
-                bundles.resize(cycle as usize + 1, Vec::new());
-            }
-            bundles[cycle as usize].push(ops[i].clone());
-            placed += 1;
-            for &eidx in &graph.succs[i] {
-                let e = &graph.edges[eidx];
-                remaining_preds[e.to] -= 1;
-                earliest[e.to] = earliest[e.to].max(cycle + e.latency);
-                if remaining_preds[e.to] == 0 {
-                    pending.push(Reverse((earliest[e.to], e.to)));
+            placements.push((cycle, i));
+            for e in graph.succs(i) {
+                let to = e.to as usize;
+                remaining_preds[to] -= 1;
+                earliest[to] = earliest[to].max(cycle + e.latency);
+                if remaining_preds[to] == 0 {
+                    pending.push(Reverse((earliest[to], to)));
                 }
             }
             false
         });
         cycle += 1;
+    }
+
+    // Move every operation into its bundle; each bundle is allocated at its
+    // final size.
+    let mut sizes = vec![0usize; placements[n - 1].0 as usize + 1];
+    for &(c, _) in &placements {
+        sizes[c as usize] += 1;
+    }
+    let mut bundles: Vec<Vec<Op>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (c, i) in placements {
+        bundles[c as usize].push(std::mem::replace(&mut ops[i], Op::new(Opcode::Nop)));
     }
 
     if vmv_obs::enabled() {
@@ -149,7 +166,7 @@ mod tests {
     fn independent_ops_fill_the_issue_width() {
         let machine = presets::vliw(4);
         let ops: Vec<Op> = (0..8).map(|i| movi(i, i as i64)).collect();
-        let bundles = schedule_block(&ops, &machine);
+        let bundles = schedule_block(ops, &machine);
         assert_eq!(
             bundles.len(),
             2,
@@ -170,7 +187,7 @@ mod tests {
             add(2, 1, 0),
             add(3, 2, 0),
         ];
-        let bundles = schedule_block(&ops, &machine);
+        let bundles = schedule_block(ops, &machine);
         // mul at cycle 0, add at cycle 3, add at cycle 4 → 5 bundles.
         assert_eq!(bundles.len(), 5);
         assert!(bundles[1].is_empty() && bundles[2].is_empty());
@@ -181,8 +198,8 @@ mod tests {
         let wide = presets::vliw(8);
         let narrow = presets::vliw(2);
         let ops: Vec<Op> = (0..8).map(|i| movi(i, 1)).collect();
-        assert_eq!(schedule_block(&ops, &wide).len(), 1);
-        assert_eq!(schedule_block(&ops, &narrow).len(), 4);
+        assert_eq!(schedule_block(ops.clone(), &wide).len(), 1);
+        assert_eq!(schedule_block(ops, &narrow).len(), 4);
     }
 
     #[test]
@@ -196,7 +213,7 @@ mod tests {
                     .with_imm(4 * i as i64)
             })
             .collect();
-        let bundles = schedule_block(&ops, &machine);
+        let bundles = schedule_block(ops, &machine);
         assert_eq!(
             bundles.len(),
             4,
@@ -215,7 +232,7 @@ mod tests {
                 .with_srcs(&[Reg::int(2), Reg::int(0)])
                 .with_target("x"),
         ];
-        let bundles = schedule_block(&ops, &machine);
+        let bundles = schedule_block(ops, &machine);
         let last_nonempty = bundles.iter().rev().find(|b| !b.is_empty()).unwrap();
         assert!(last_nonempty.iter().any(|o| o.opcode.is_branch()));
         // and no op is scheduled after the branch's cycle
@@ -238,14 +255,14 @@ mod tests {
                     .with_srcs(&[Reg::simd(16 + i), Reg::simd(32 + i)])
             })
             .collect();
-        let usimd_bundles = schedule_block(&usimd_ops, &usimd_machine);
+        let usimd_bundles = schedule_block(usimd_ops, &usimd_machine);
 
         let vector_machine = presets::vector2(2);
         let mut vadd = Op::new(Opcode::VAdd(Elem::B, Sat::Wrap))
             .with_dst(Reg::vec(0))
             .with_srcs(&[Reg::vec(1), Reg::vec(2)]);
         vadd.vl_hint = Some(16);
-        let vector_bundles = schedule_block(&[vadd], &vector_machine);
+        let vector_bundles = schedule_block(vec![vadd], &vector_machine);
 
         assert!(vector_bundles.len() < usimd_bundles.len());
     }
@@ -253,15 +270,62 @@ mod tests {
     #[test]
     fn empty_block_schedules_to_nothing() {
         let machine = presets::vliw(2);
-        assert!(schedule_block(&[], &machine).is_empty());
+        assert!(schedule_block(Vec::new(), &machine).is_empty());
     }
 
     #[test]
     fn all_ops_appear_exactly_once() {
         let machine = presets::vliw(4);
         let ops: Vec<Op> = (0..6).map(|i| add(i + 10, i, i)).collect();
-        let bundles = schedule_block(&ops, &machine);
+        let bundles = schedule_block(ops.clone(), &machine);
         let total: usize = bundles.iter().map(|b| b.len()).sum();
         assert_eq!(total, ops.len());
+    }
+
+    /// Rename every non-control register of `ops` through `f`.
+    fn renamed(ops: &[Op], f: impl Fn(u32) -> u32) -> Vec<Op> {
+        let mut ops = ops.to_vec();
+        for op in &mut ops {
+            for r in op.dst.iter_mut().chain(&mut op.srcs) {
+                if r.class != vmv_isa::RegClass::Ctrl {
+                    r.index = f(r.index);
+                }
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn renaming_registers_far_beyond_the_file_keeps_the_schedule() {
+        // One block of every register class, with implicit VL/VS reads.
+        let mut b = vmv_isa::ProgramBuilder::new("mixed");
+        let base = b.imm(0x1000);
+        b.setvl(8);
+        b.setvs(8);
+        let (v1, v2, v3) = (b.rv(), b.rv(), b.rv());
+        b.vload(v1, base, 0);
+        b.vload(v2, base, 64);
+        b.vadd(Elem::H, Sat::Wrap, v3, v1, v2);
+        b.vstore(base, 128, v3);
+        let acc = b.ra();
+        b.acc_clear(acc);
+        b.vsad_acc(acc, v1, v2);
+        let sum = b.ri();
+        b.acc_reduce(sum, acc);
+        let t = b.ri();
+        b.addi(t, sum, 1);
+        b.st32(base, 256, t);
+        b.halt();
+        let ops: Vec<Op> = b.finish().blocks.into_iter().flat_map(|b| b.ops).collect();
+
+        // An injective, order-reversing renaming to indices no register
+        // file has; the tables are sized from the block's own registers.
+        let far = |i: u32| 200_000 - 7 * i;
+        let back = |i: u32| (200_000 - i) / 7;
+        let machine = presets::vector2(4);
+        let expected = schedule_block(ops.clone(), &machine);
+        let got = schedule_block(renamed(&ops, far), &machine);
+        let got: Vec<Vec<Op>> = got.iter().map(|bundle| renamed(bundle, back)).collect();
+        assert_eq!(got, expected);
     }
 }

@@ -12,7 +12,7 @@ use vmv_machine::MachineConfig;
 
 use crate::bundle::{ScheduledBlock, ScheduledProgram};
 use crate::list::schedule_block;
-use crate::regalloc::{allocate, Allocation, RegAllocError};
+use crate::regalloc::{allocate, RegAllocError};
 
 /// Errors produced by the compilation pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +49,6 @@ impl std::error::Error for CompileError {}
 #[derive(Debug, Clone)]
 pub struct Compiled {
     pub program: ScheduledProgram,
-    pub allocation: Allocation,
 }
 
 /// Compile `program` for `machine`.
@@ -71,23 +70,20 @@ pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, C
     }
 
     // 3. Register allocation.
-    let (allocated, allocation) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
+    let (allocated, _) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
 
-    // 4. Per-block list scheduling.
+    // 4. Per-block list scheduling; each allocated op moves into its bundle.
     let mut scheduled = ScheduledProgram::from_program_shell(program);
-    for block in &allocated.blocks {
-        let bundles = schedule_block(&block.ops, machine);
+    for block in allocated.blocks {
+        let bundles = schedule_block(block.ops, machine);
         scheduled.blocks.push(ScheduledBlock {
-            label: block.label.clone(),
+            label: block.label,
             region: block.region,
             bundles,
         });
     }
 
-    Ok(Compiled {
-        program: scheduled,
-        allocation,
-    })
+    Ok(Compiled { program: scheduled })
 }
 
 #[cfg(test)]

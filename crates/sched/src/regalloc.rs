@@ -7,17 +7,80 @@
 //! modeled machines, so spilling is not implemented; over-pressure is
 //! reported as a structured error naming the class and the demand, which the
 //! kernel test-suite turns into a hard failure.
+//!
+//! Every table is dense.  A [`RegNumbering`] gives each register of the
+//! program a number — class base plus register index, each class sized by
+//! the largest index the program uses, so builder code (which numbers every
+//! class from zero) leaves no gaps.  Liveness runs over one `u64` bitset row
+//! per block and set (uses, defs, live-in, live-out); live intervals and the
+//! rename table are `Vec`s indexed by register number.  Within a class,
+//! number order is index order, so the scan's `(start, number)` sort is the
+//! `(start, index)` order of the virtual registers.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
+use std::ops::Range;
 
-use vmv_isa::{Program, Reg, RegClass};
+use vmv_isa::{Op, Program, Reg, RegClass};
 use vmv_machine::MachineConfig;
+
+/// Register classes the allocator assigns, in numbering order.
+const ALLOCATABLE: [RegClass; 4] = [RegClass::Int, RegClass::Simd, RegClass::Vec, RegClass::Acc];
+
+/// Marker for "no entry" in the dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Direct-indexed numbering of the registers some code uses: register `i`
+/// of class `c` is number `base[c] + i`, each class sized by the largest
+/// index the code uses of it.  Code with sparse indices costs table space up
+/// to its largest index.  The two control registers always have numbers,
+/// because vector operations read them implicitly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RegNumbering {
+    /// First number of each class in `RegClass` order, then the total.
+    base: [usize; 6],
+}
+
+impl RegNumbering {
+    /// Number the registers `ops` name as destination or source.
+    pub(crate) fn of<'a>(ops: impl IntoIterator<Item = &'a Op>) -> Self {
+        let mut extent = [0usize; 5];
+        extent[RegClass::Ctrl as usize] = 2;
+        for op in ops {
+            for r in op.dst.iter().chain(&op.srcs) {
+                let e = &mut extent[r.class as usize];
+                *e = (*e).max(r.index as usize + 1);
+            }
+        }
+        let mut base = [0usize; 6];
+        for c in 0..5 {
+            base[c + 1] = base[c] + extent[c];
+        }
+        RegNumbering { base }
+    }
+
+    /// How many numbers there are (the length of a table indexed by them).
+    pub(crate) fn len(&self) -> usize {
+        self.base[5]
+    }
+
+    /// The number of `r`, which must be one of the numbered registers.
+    pub(crate) fn number(&self, r: Reg) -> usize {
+        self.base[r.class as usize] + r.index as usize
+    }
+
+    /// The numbers of `class`, in index order.
+    fn class_range(&self, class: RegClass) -> Range<usize> {
+        self.base[class as usize]..self.base[class as usize + 1]
+    }
+}
 
 /// Error returned when a program needs more registers of some class than the
 /// machine provides.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegAllocError {
     pub class: RegClass,
+    /// The class's peak demand: the largest number of its live intervals
+    /// that overlap at one position.
     pub required: usize,
     pub available: usize,
     pub program: String,
@@ -35,14 +98,36 @@ impl std::fmt::Display for RegAllocError {
 
 impl std::error::Error for RegAllocError {}
 
-/// Result of a successful allocation.
+/// Result of a successful allocation, in dense form.
 #[derive(Debug, Clone)]
 pub struct Allocation {
-    /// Virtual register → physical register.
-    pub mapping: HashMap<Reg, Reg>,
-    /// Peak number of simultaneously live registers per class
-    /// (int, simd, vec, acc) — reported in diagnostics and tests.
-    pub peak_pressure: HashMap<RegClass, usize>,
+    regs: RegNumbering,
+    /// Physical index per register number (`NONE` for control registers and
+    /// for numbers the program does not use).
+    physical: Vec<u32>,
+    /// Peak number of simultaneously live registers per allocatable class.
+    peak: [usize; 4],
+}
+
+impl Allocation {
+    /// The physical register virtual register `r` was renamed to; `None`
+    /// for control registers and for registers the program does not use.
+    pub fn physical(&self, r: Reg) -> Option<Reg> {
+        let n = self.regs.number(r);
+        if !self.regs.class_range(r.class).contains(&n) {
+            return None;
+        }
+        (self.physical[n] != NONE).then_some(Reg::new(r.class, self.physical[n]))
+    }
+
+    /// Peak number of simultaneously live `class` registers (0 for control
+    /// registers, which are never allocated).
+    pub fn peak(&self, class: RegClass) -> usize {
+        ALLOCATABLE
+            .iter()
+            .position(|&c| c == class)
+            .map_or(0, |c| self.peak[c])
+    }
 }
 
 /// Allocate the virtual registers of `program` onto the register files of
@@ -51,71 +136,62 @@ pub fn allocate(
     program: &Program,
     machine: &MachineConfig,
 ) -> Result<(Program, Allocation), RegAllocError> {
-    let intervals = live_intervals(program);
+    let regs = RegNumbering::of(program.blocks.iter().flat_map(|b| &b.ops));
+    let intervals = live_intervals(program, &regs);
+    let mut physical = vec![NONE; regs.len()];
+    let mut peak = [0usize; 4];
 
-    let mut mapping: HashMap<Reg, Reg> = HashMap::new();
-    let mut peak_pressure: HashMap<RegClass, usize> = HashMap::new();
-
-    for class in [RegClass::Int, RegClass::Simd, RegClass::Vec, RegClass::Acc] {
+    for (c, class) in ALLOCATABLE.into_iter().enumerate() {
         let available = machine.regs.count(class) as usize;
-        let mut class_intervals: Vec<(Reg, (usize, usize))> = intervals
-            .iter()
-            .filter(|(r, _)| r.class == class)
-            .map(|(r, iv)| (*r, *iv))
+        let mut order: Vec<usize> = regs
+            .class_range(class)
+            .filter(|&n| intervals[n].0 <= intervals[n].1)
             .collect();
-        class_intervals.sort_by_key(|(r, (start, _))| (*start, r.index));
+        order.sort_unstable_by_key(|&n| (intervals[n].0, n));
 
         // Linear scan.  The free list is a FIFO so that a just-released
         // physical register is not immediately reused: immediate reuse would
         // introduce tight WAR/WAW dependences that needlessly serialise the
         // schedule (the classic allocate-before-schedule phase-ordering
         // hazard); cycling round-robin through the large Table 2 register
-        // files keeps the reuse distance long.
-        let mut active: Vec<(usize, u32)> = Vec::new(); // (end, phys index)
-        let mut free: std::collections::VecDeque<u32> = (0..available as u32).collect();
-        let mut peak = 0usize;
-
-        for (vreg, (start, end)) in &class_intervals {
-            // Expire finished intervals.
+        // files keeps the reuse distance long.  Once the file is exhausted
+        // the scan keeps counting live intervals without assigning, so an
+        // over-pressure error reports the class's whole peak.
+        let mut active: Vec<(u32, u32)> = Vec::new(); // (end, phys index)
+        let mut free: VecDeque<u32> = (0..available as u32).collect();
+        for n in order {
+            let (start, end) = intervals[n];
             active.retain(|&(e, phys)| {
-                if e < *start {
-                    free.push_back(phys);
+                if e < start {
+                    if phys != NONE {
+                        free.push_back(phys);
+                    }
                     false
                 } else {
                     true
                 }
             });
-            let phys = match free.pop_front() {
-                Some(p) => p,
-                None => {
-                    return Err(RegAllocError {
-                        class,
-                        required: active.len() + 1,
-                        available,
-                        program: program.name.clone(),
-                    })
-                }
-            };
-            active.push((*end, phys));
-            peak = peak.max(active.len());
-            mapping.insert(*vreg, Reg::new(class, phys));
+            let phys = free.pop_front().unwrap_or(NONE);
+            active.push((end, phys));
+            peak[c] = peak[c].max(active.len());
+            physical[n] = phys;
         }
-        peak_pressure.insert(class, peak);
+        if peak[c] > available {
+            return Err(RegAllocError {
+                class,
+                required: peak[c],
+                available,
+                program: program.name.clone(),
+            });
+        }
     }
 
     // Rewrite the program with the mapping (control registers unchanged).
     let mut out = program.clone();
-    for block in &mut out.blocks {
-        for op in &mut block.ops {
-            if let Some(dst) = op.dst {
-                if dst.class != RegClass::Ctrl {
-                    op.dst = Some(mapping[&dst]);
-                }
-            }
-            for src in &mut op.srcs {
-                if src.class != RegClass::Ctrl {
-                    *src = mapping[src];
-                }
+    for op in out.blocks.iter_mut().flat_map(|b| &mut b.ops) {
+        for r in op.dst.iter_mut().chain(&mut op.srcs) {
+            if r.class != RegClass::Ctrl {
+                r.index = physical[regs.number(*r)];
             }
         }
     }
@@ -123,45 +199,85 @@ pub fn allocate(
     Ok((
         out,
         Allocation {
-            mapping,
-            peak_pressure,
+            regs,
+            physical,
+            peak,
         },
     ))
 }
 
+/// The allocatable registers `op` reads (its explicit sources; the implicit
+/// `VL`/`VS` reads are control registers).
+fn allocatable_reads(op: &Op) -> impl Iterator<Item = Reg> + '_ {
+    op.srcs
+        .iter()
+        .copied()
+        .filter(|r| r.class != RegClass::Ctrl)
+}
+
+/// The allocatable register `op` writes, if any.
+fn allocatable_write(op: &Op) -> Option<Reg> {
+    op.dst.filter(|r| r.class != RegClass::Ctrl)
+}
+
+fn set_bit(bits: &mut [u64], n: usize) {
+    bits[n / 64] |= 1 << (n % 64);
+}
+
+fn has_bit(bits: &[u64], n: usize) -> bool {
+    bits[n / 64] >> (n % 64) & 1 != 0
+}
+
+/// The numbers whose bits are set in `bits`, in increasing order.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 /// Compute a conservative live interval (over a linearisation of the blocks
-/// in program order) for every virtual register.
+/// in program order) for every numbered register, as `(start, end)`; a
+/// register the program never names keeps the empty `(NONE, 0)`.
 ///
 /// The interval of a register spans from its first definition/use to its last
 /// use, extended to cover every block in which the register is live-in or
 /// live-out (which correctly handles values that live around loop back
 /// edges).
-fn live_intervals(program: &Program) -> HashMap<Reg, (usize, usize)> {
+fn live_intervals(program: &Program, regs: &RegNumbering) -> Vec<(u32, u32)> {
     // Block boundaries in the linearisation.
     let mut block_start = Vec::with_capacity(program.blocks.len());
     let mut block_end = Vec::with_capacity(program.blocks.len());
-    let mut pos = 0usize;
+    let mut pos = 0u32;
     for block in &program.blocks {
         block_start.push(pos);
-        pos += block.ops.len().max(1);
+        pos += block.ops.len().max(1) as u32;
         block_end.push(pos - 1);
     }
 
-    // Per-block use/def sets (uses before defs).
+    // Per-block use/def rows (uses before defs), `words` u64s per block.
     let nblocks = program.blocks.len();
-    let mut uses: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
-    let mut defs: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
+    let words = regs.len().div_ceil(64);
+    let row = |b: usize| b * words..(b + 1) * words;
+    let mut uses = vec![0u64; nblocks * words];
+    let mut defs = vec![0u64; nblocks * words];
     for (b, block) in program.blocks.iter().enumerate() {
+        let (used, defined) = (&mut uses[row(b)], &mut defs[row(b)]);
         for op in &block.ops {
-            for r in op.reads() {
-                if r.class != RegClass::Ctrl && !defs[b].contains(&r) {
-                    uses[b].insert(r);
+            for r in allocatable_reads(op) {
+                let n = regs.number(r);
+                if !has_bit(defined, n) {
+                    set_bit(used, n);
                 }
             }
-            if let Some(d) = op.writes() {
-                if d.class != RegClass::Ctrl {
-                    defs[b].insert(d);
-                }
+            if let Some(d) = allocatable_write(op) {
+                set_bit(defined, regs.number(d));
             }
         }
     }
@@ -189,55 +305,50 @@ fn live_intervals(program: &Program) -> HashMap<Reg, (usize, usize)> {
     }
 
     // Iterative backward liveness.
-    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
-    let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
+    let mut live_in = vec![0u64; nblocks * words];
+    let mut live_out = vec![0u64; nblocks * words];
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for b in (0..nblocks).rev() {
-            let mut out: HashSet<Reg> = HashSet::new();
+            out.fill(0);
             for &s in &succs[b] {
-                out.extend(live_in[s].iter().copied());
+                for (o, &i) in out.iter_mut().zip(&live_in[row(s)]) {
+                    *o |= i;
+                }
             }
-            let mut inn: HashSet<Reg> = out.difference(&defs[b]).copied().collect();
-            inn.extend(uses[b].iter().copied());
-            if inn != live_in[b] || out != live_out[b] {
-                live_in[b] = inn;
-                live_out[b] = out;
-                changed = true;
+            for (w, &o) in out.iter().enumerate() {
+                let at = b * words + w;
+                let inn = (o & !defs[at]) | uses[at];
+                if inn != live_in[at] || o != live_out[at] {
+                    live_in[at] = inn;
+                    live_out[at] = o;
+                    changed = true;
+                }
             }
         }
     }
 
     // Build intervals.
-    let mut intervals: HashMap<Reg, (usize, usize)> = HashMap::new();
-    let touch = |r: Reg, at: usize, map: &mut HashMap<Reg, (usize, usize)>| {
-        map.entry(r)
-            .and_modify(|iv| {
-                iv.0 = iv.0.min(at);
-                iv.1 = iv.1.max(at);
-            })
-            .or_insert((at, at));
+    let mut intervals = vec![(NONE, 0u32); regs.len()];
+    let mut touch = |n: usize, at: u32| {
+        let iv = &mut intervals[n];
+        iv.0 = iv.0.min(at);
+        iv.1 = iv.1.max(at);
     };
     for (b, block) in program.blocks.iter().enumerate() {
         for (i, op) in block.ops.iter().enumerate() {
-            let at = block_start[b] + i;
-            for r in op.reads() {
-                if r.class != RegClass::Ctrl {
-                    touch(r, at, &mut intervals);
-                }
-            }
-            if let Some(d) = op.writes() {
-                if d.class != RegClass::Ctrl {
-                    touch(d, at, &mut intervals);
-                }
+            let at = block_start[b] + i as u32;
+            for r in allocatable_reads(op).chain(allocatable_write(op)) {
+                touch(regs.number(r), at);
             }
         }
-        for &r in &live_in[b] {
-            touch(r, block_start[b], &mut intervals);
+        for n in members(&live_in[row(b)]) {
+            touch(n, block_start[b]);
         }
-        for &r in &live_out[b] {
-            touch(r, block_end[b], &mut intervals);
+        for n in members(&live_out[row(b)]) {
+            touch(n, block_end[b]);
         }
     }
     intervals
@@ -268,7 +379,7 @@ mod tests {
                 }
             }
         }
-        assert!(alloc.peak_pressure[&RegClass::Int] <= 3);
+        assert!(alloc.peak(RegClass::Int) <= 3);
     }
 
     #[test]
@@ -285,7 +396,7 @@ mod tests {
         let p = b.finish();
         let machine = presets::vliw(2);
         let (_, alloc) = allocate(&p, &machine).expect("temporaries die immediately");
-        assert!(alloc.peak_pressure[&RegClass::Int] < 10);
+        assert!(alloc.peak(RegClass::Int) < 10);
     }
 
     #[test]
@@ -305,8 +416,8 @@ mod tests {
         let (alloc_p, alloc) = allocate(&p, &machine).unwrap();
         // acc and step must have distinct physical registers (both live
         // across the loop body).
-        let acc_phys = alloc.mapping[&acc];
-        let step_phys = alloc.mapping[&step];
+        let acc_phys = alloc.physical(acc).unwrap();
+        let step_phys = alloc.physical(step).unwrap();
         assert_ne!(acc_phys, step_phys);
         assert!(vmv_isa::verify_program(&alloc_p).is_empty());
     }
@@ -326,8 +437,16 @@ mod tests {
         let machine = presets::vliw(2);
         let err = allocate(&p, &machine).unwrap_err();
         assert_eq!(err.class, RegClass::Int);
-        assert!(err.required > 64);
+        // The 70 immediates and `sum` are all live where `sum` is defined.
+        assert_eq!(err.required, 71);
         assert_eq!(err.available, 64);
+
+        // The reported demand is the true peak: a file big enough for the
+        // program measures the same number.
+        let mut roomy = machine.clone();
+        roomy.regs.int = 512;
+        let (_, alloc) = allocate(&p, &roomy).unwrap();
+        assert_eq!(alloc.peak(RegClass::Int), err.required);
     }
 
     #[test]
@@ -351,7 +470,7 @@ mod tests {
         let p = b.finish();
         let machine = presets::vector1(2); // 20 vector registers
         let (_, alloc) = allocate(&p, &machine).unwrap();
-        assert!(alloc.peak_pressure[&RegClass::Vec] <= 20);
+        assert!(alloc.peak(RegClass::Vec) <= 20);
     }
 
     #[test]
@@ -365,12 +484,79 @@ mod tests {
         b.halt();
         let p = b.finish();
         let machine = presets::vector2(2);
-        let (alloc_p, _) = allocate(&p, &machine).unwrap();
+        let (alloc_p, alloc) = allocate(&p, &machine).unwrap();
         let setvl = alloc_p
             .iter_ops()
             .map(|(_, o)| o)
             .find(|o| o.opcode == vmv_isa::Opcode::SetVL)
             .unwrap();
         assert_eq!(setvl.dst, Some(Reg::vl()));
+        assert_eq!(alloc.physical(Reg::vl()), None);
+        assert_eq!(alloc.peak(RegClass::Ctrl), 0);
+    }
+
+    /// A straight-line program over hand-picked virtual registers.
+    fn sparse_program() -> Program {
+        let (a, b, c) = (Reg::int(7), Reg::int(70_000), Reg::int(1_000));
+        let mut p = Program::new("sparse");
+        let mut block = vmv_isa::BasicBlock::new("entry", vmv_isa::RegionId::SCALAR);
+        block.ops = vec![
+            Op::new(vmv_isa::Opcode::MovI).with_dst(a).with_imm(1),
+            Op::new(vmv_isa::Opcode::MovI).with_dst(b).with_imm(2),
+            Op::new(vmv_isa::Opcode::IAdd)
+                .with_dst(c)
+                .with_srcs(&[a, b]),
+            Op::new(vmv_isa::Opcode::Store(vmv_isa::MemWidth::B4))
+                .with_srcs(&[a, c])
+                .with_imm(0),
+            Op::new(vmv_isa::Opcode::Halt),
+        ];
+        p.blocks.push(block);
+        p
+    }
+
+    #[test]
+    fn sparse_virtual_indices_are_allocated() {
+        let p = sparse_program();
+        let machine = presets::vliw(2);
+        let (alloc_p, alloc) = allocate(&p, &machine).unwrap();
+        let (a, b, c) = (Reg::int(7), Reg::int(70_000), Reg::int(1_000));
+        // FIFO free list in (start, index) order: a, b, then c.
+        assert_eq!(alloc.physical(a), Some(Reg::int(0)));
+        assert_eq!(alloc.physical(b), Some(Reg::int(1)));
+        assert_eq!(alloc.physical(c), Some(Reg::int(2)));
+        // Unused indices between and beyond the used ones have no mapping.
+        assert_eq!(alloc.physical(Reg::int(8)), None);
+        assert_eq!(alloc.physical(Reg::int(70_001)), None);
+        assert_eq!(alloc.peak(RegClass::Int), 3);
+        let add = &alloc_p.blocks[0].ops[2];
+        assert_eq!(add.dst, Some(Reg::int(2)));
+        assert_eq!(add.srcs, vec![Reg::int(0), Reg::int(1)]);
+    }
+
+    #[test]
+    fn a_class_with_no_registers_is_handled() {
+        // The program names no µSIMD, vector or accumulator register.
+        let p = sparse_program();
+        let machine = presets::vliw(2);
+        assert_eq!(machine.regs.simd, 0);
+        let (_, alloc) = allocate(&p, &machine).unwrap();
+        for class in [RegClass::Simd, RegClass::Vec, RegClass::Acc] {
+            assert_eq!(alloc.peak(class), 0);
+            assert_eq!(alloc.physical(Reg::new(class, 0)), None);
+        }
+
+        // A program that does name one fails on a machine whose file for
+        // that class is empty.
+        let mut b = ProgramBuilder::new("simd_on_vliw");
+        let s = b.rs();
+        let base = b.imm(0x1000);
+        b.pload(s, base, 0);
+        b.halt();
+        let err = allocate(&b.finish(), &machine).unwrap_err();
+        assert_eq!(
+            (err.class, err.required, err.available),
+            (RegClass::Simd, 1, 0)
+        );
     }
 }

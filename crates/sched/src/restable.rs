@@ -26,17 +26,6 @@ pub enum Pool {
 
 const NUM_POOLS: usize = 6;
 
-fn pool_index(p: Pool) -> usize {
-    match p {
-        Pool::Issue => 0,
-        Pool::IntUnits => 1,
-        Pool::SimdUnits => 2,
-        Pool::VectorUnits => 3,
-        Pool::L1Ports => 4,
-        Pool::L2Ports => 5,
-    }
-}
-
 /// Resource pool an operation's functional-unit requirement maps to on a
 /// given machine.
 pub fn unit_pool(op: &Op, machine: &MachineConfig) -> Pool {
@@ -57,99 +46,53 @@ pub fn unit_pool(op: &Op, machine: &MachineConfig) -> Pool {
     }
 }
 
-/// Capacity of each pool on a machine.
-fn capacity(machine: &MachineConfig, pool: Pool) -> usize {
-    match pool {
-        Pool::Issue => machine.issue_width,
-        Pool::IntUnits => machine.int_units,
-        Pool::SimdUnits => machine.simd_units,
-        Pool::VectorUnits => machine.vector_units,
-        Pool::L1Ports => machine.l1_ports,
-        Pool::L2Ports => machine.l2_ports,
-    }
-}
-
 /// The reservation table: per-cycle usage counters for every pool.
 #[derive(Debug, Clone)]
-pub struct ReservationTable<'m> {
-    machine: &'m MachineConfig,
-    usage: Vec<[usize; NUM_POOLS]>,
+pub struct ReservationTable {
+    /// Capacity of each pool, indexed by `Pool as usize`.
+    capacity: [u32; NUM_POOLS],
+    usage: Vec<[u32; NUM_POOLS]>,
 }
 
-impl<'m> ReservationTable<'m> {
-    pub fn new(machine: &'m MachineConfig) -> Self {
+impl ReservationTable {
+    pub fn new(machine: &MachineConfig) -> Self {
+        let capacity = [
+            machine.issue_width,
+            machine.int_units,
+            machine.simd_units,
+            machine.vector_units,
+            machine.l1_ports,
+            machine.l2_ports,
+        ]
+        .map(|c| c as u32);
         ReservationTable {
-            machine,
+            capacity,
             usage: Vec::new(),
         }
     }
 
-    fn ensure(&mut self, cycle: usize) {
-        if self.usage.len() <= cycle {
-            self.usage.resize(cycle + 1, [0; NUM_POOLS]);
+    /// Issue an operation that needs `pool` for `occupancy` cycles (the
+    /// initiation occupancy of Fig. 3b, at least 1) at `cycle`, if that
+    /// oversubscribes nothing: an issue slot in the issue cycle and a unit
+    /// of `pool` in every cycle of the window.  Reserves them and returns
+    /// `true`, or changes nothing and returns `false`.
+    pub fn try_place(&mut self, pool: Pool, occupancy: u32, cycle: u32) -> bool {
+        let (first, end) = (cycle as usize, (cycle + occupancy) as usize);
+        if self.usage.len() < end {
+            self.usage.resize(end, [0; NUM_POOLS]);
         }
-    }
-
-    /// Number of cycles an operation keeps its functional unit / memory port
-    /// busy: the initiation occupancy of Fig. 3b.
-    pub fn occupancy(&self, op: &Op) -> u32 {
-        self.machine.latency_descriptor(op).occupancy()
-    }
-
-    /// Can `op` be issued at `cycle` without oversubscribing any resource?
-    pub fn can_place(&self, op: &Op, cycle: u32) -> bool {
-        let pool = unit_pool(op, self.machine);
-        let issue_cap = capacity(self.machine, Pool::Issue);
-        let unit_cap = capacity(self.machine, pool);
-        if unit_cap == 0 {
+        let (issue, unit) = (Pool::Issue as usize, pool as usize);
+        let window = &mut self.usage[first..end];
+        if window[0][issue] >= self.capacity[issue]
+            || window.iter().any(|u| u[unit] >= self.capacity[unit])
+        {
             return false;
         }
-        // Issue slot in the issue cycle.
-        let issue_used = self
-            .usage
-            .get(cycle as usize)
-            .map(|u| u[pool_index(Pool::Issue)])
-            .unwrap_or(0);
-        if issue_used >= issue_cap {
-            return false;
-        }
-        // Functional unit / port for the whole occupancy window.
-        let occ = self.occupancy(op);
-        for c in cycle..cycle + occ {
-            let used = self
-                .usage
-                .get(c as usize)
-                .map(|u| u[pool_index(pool)])
-                .unwrap_or(0);
-            if used >= unit_cap {
-                return false;
-            }
+        window[0][issue] += 1;
+        for u in window {
+            u[unit] += 1;
         }
         true
-    }
-
-    /// Reserve the resources for `op` issued at `cycle`.  Panics if the
-    /// placement is infeasible (callers check with [`Self::can_place`]).
-    pub fn place(&mut self, op: &Op, cycle: u32) {
-        assert!(
-            self.can_place(op, cycle),
-            "resource oversubscription placing {op}"
-        );
-        let pool = unit_pool(op, self.machine);
-        let occ = self.occupancy(op);
-        self.ensure((cycle + occ) as usize);
-        self.usage[cycle as usize][pool_index(Pool::Issue)] += 1;
-        for c in cycle..cycle + occ {
-            self.usage[c as usize][pool_index(pool)] += 1;
-        }
-    }
-
-    /// Number of operations issued in `cycle` (used by tests).
-    pub fn issued_in(&self, cycle: u32) -> usize {
-        self.usage
-            .get(cycle as usize)
-            .map(|u| u[pool_index(Pool::Issue)])
-            .unwrap_or(0)
     }
 }
 
@@ -173,26 +116,33 @@ mod tests {
         op
     }
 
+    /// `try_place` with the pool and occupancy the list scheduler derives.
+    fn place(t: &mut ReservationTable, machine: &MachineConfig, op: &Op, cycle: u32) -> bool {
+        let occupancy = machine.latency_descriptor(op).occupancy();
+        t.try_place(unit_pool(op, machine), occupancy, cycle)
+    }
+
     #[test]
     fn issue_width_limits_total_ops_per_cycle() {
         let machine = presets::vliw(2);
         let mut t = ReservationTable::new(&machine);
         let op = int_op();
-        assert!(t.can_place(&op, 0));
-        t.place(&op, 0);
-        assert!(t.can_place(&op, 0));
-        t.place(&op, 0);
+        assert!(place(&mut t, &machine, &op, 0));
+        assert!(place(&mut t, &machine, &op, 0));
         // issue width 2 reached even though the machine has 2 int units
-        assert!(!t.can_place(&op, 0));
-        assert!(t.can_place(&op, 1));
+        assert!(!place(&mut t, &machine, &op, 0));
+        assert!(place(&mut t, &machine, &op, 1));
     }
 
     #[test]
     fn unsupported_pool_is_rejected() {
         let machine = presets::vliw(4);
-        let t = ReservationTable::new(&machine);
+        let mut t = ReservationTable::new(&machine);
         let vop = vec_op(8);
-        assert!(!t.can_place(&vop, 0), "base VLIW has no vector units");
+        assert!(
+            !place(&mut t, &machine, &vop, 0),
+            "base VLIW has no vector units"
+        );
     }
 
     #[test]
@@ -200,20 +150,37 @@ mod tests {
         let machine = presets::vector1(2); // one vector unit, 4 lanes
         let mut t = ReservationTable::new(&machine);
         let vop = vec_op(16); // occupancy = 1 + 15/4 = 4 cycles
-        assert_eq!(t.occupancy(&vop), 4);
-        t.place(&vop, 0);
+        assert_eq!(machine.latency_descriptor(&vop).occupancy(), 4);
+        assert!(place(&mut t, &machine, &vop, 0));
         // The single vector unit is busy during cycles 0..4.
-        assert!(!t.can_place(&vec_op(16), 1));
-        assert!(!t.can_place(&vec_op(16), 3));
-        assert!(t.can_place(&vec_op(16), 4));
+        assert!(!place(&mut t, &machine, &vec_op(16), 1));
+        assert!(!place(&mut t, &machine, &vec_op(16), 3));
+        assert!(place(&mut t, &machine, &vec_op(16), 4));
+    }
+
+    #[test]
+    fn a_refused_placement_reserves_nothing() {
+        let machine = presets::vector1(2); // issue width 2, one vector unit
+        let mut t = ReservationTable::new(&machine);
+        assert!(place(&mut t, &machine, &vec_op(16), 0));
+        // Refused in cycles 2..6 because the unit is busy until cycle 4:
+        // neither the issue slot of cycle 2 nor the unit in cycles 4..6 may
+        // stay reserved.
+        assert!(!place(&mut t, &machine, &vec_op(16), 2));
+        assert!(place(&mut t, &machine, &int_op(), 2));
+        assert!(place(&mut t, &machine, &int_op(), 2));
+        assert!(place(&mut t, &machine, &vec_op(8), 4));
     }
 
     #[test]
     fn two_vector_units_allow_overlap() {
         let machine = presets::vector2(2); // two vector units
         let mut t = ReservationTable::new(&machine);
-        t.place(&vec_op(16), 0);
-        assert!(t.can_place(&vec_op(16), 1), "second vector unit is free");
+        assert!(place(&mut t, &machine, &vec_op(16), 0));
+        assert!(
+            place(&mut t, &machine, &vec_op(16), 1),
+            "second vector unit is free"
+        );
     }
 
     #[test]
@@ -235,11 +202,11 @@ mod tests {
             .with_dst(Reg::int(1))
             .with_srcs(&[Reg::int(0)])
             .with_imm(0);
-        t.place(&ld, 0);
+        assert!(place(&mut t, &machine, &ld, 0));
         assert!(
-            !t.can_place(&ld, 0),
+            !place(&mut t, &machine, &ld, 0),
             "only one L1 port on the 2-issue machine"
         );
-        assert!(t.can_place(&ld, 1));
+        assert!(place(&mut t, &machine, &ld, 1));
     }
 }

@@ -86,10 +86,10 @@ fn verify_block(
     let mut last_writer: HashMap<Reg, usize> = HashMap::new();
     let mut last_store: Option<usize> = None;
     for (i, &(c_i, op)) in flat.iter().enumerate() {
-        for r in &op.reads() {
-            if let Some(&w) = last_writer.get(r) {
+        for r in op.reads() {
+            if let Some(&w) = last_writer.get(&r) {
                 let (c_w, producer) = flat[w];
-                let need = raw_latency(producer, op, *r, machine);
+                let need = raw_latency(producer, op, r, machine);
                 let dist = (c_i - c_w) as u32;
                 if dist == 0 {
                     diags.push(Diagnostic::error(
