@@ -164,30 +164,25 @@ pub enum ServedBy {
 /// The timing-relevant *events* of one access, captured from the hierarchy
 /// that simulated it.  Tag behaviour depends only on the access stream and
 /// the cache geometry — never on the latency parameters — so any
-/// [`MemoryHierarchy::tag_equivalent`] hierarchy can price the echoed
-/// events against its own latencies ([`MemoryHierarchy::apply_echo`])
-/// without walking its own tags, and land on exactly the timing and
-/// [`MemStats`] the real access would have produced.
+/// [`tag_equivalent_configs`] configuration can price the echoed events
+/// against its own latencies ([`ClassPricer`]) without walking its own
+/// tags, and land on exactly the timing and [`MemStats`] the real access
+/// would have produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessEcho {
     Scalar {
-        kind: AccessKind,
         /// Serving level of the first (and, when the access straddles a
         /// line boundary, the second) L1 line.
         first: ServedBy,
         second: Option<ServedBy>,
     },
     Vector {
-        kind: AccessKind,
-        unit_stride: bool,
         elems: u32,
         /// L2-port transfer time (bank and port geometry, not latency).
         transfer_cycles: u32,
         /// Missed L2 lines refilled from the L3 / from main memory.
         l3_fetches: u32,
         mem_fetches: u32,
-        /// L1 lines invalidated for coherence.
-        invalidations: u64,
     },
 }
 
@@ -210,7 +205,7 @@ impl AccessEcho {
     /// reach at least the L2 (they bypass the L1 by construction).
     pub fn deepest(&self) -> ServedBy {
         match *self {
-            AccessEcho::Scalar { first, second, .. } => match second {
+            AccessEcho::Scalar { first, second } => match second {
                 Some(s) if s.depth() > first.depth() => s,
                 _ => first,
             },
@@ -323,7 +318,6 @@ impl MemoryHierarchy {
                     stall_cycles: 0,
                 },
                 AccessEcho::Scalar {
-                    kind,
                     first: ServedBy::L1,
                     second: None,
                 },
@@ -349,11 +343,7 @@ impl MemoryHierarchy {
                 latency,
                 stall_cycles: stall,
             },
-            AccessEcho::Scalar {
-                kind,
-                first,
-                second,
-            },
+            AccessEcho::Scalar { first, second },
         )
     }
 
@@ -459,22 +449,10 @@ impl MemoryHierarchy {
 
     /// [`Self::vector_access`] with an external memoized line-walk scratch,
     /// for stepping several hierarchies through the same access stream
-    /// (batched trace replay).  Timing and statistics are bit-identical to
-    /// `vector_access`; only the irregular-stride walk is shared.
-    pub fn vector_access_shared(
-        &mut self,
-        base: u64,
-        stride_bytes: i64,
-        elems: u32,
-        kind: AccessKind,
-        scratch: &mut SharedAccessScratch,
-    ) -> AccessTiming {
-        self.vector_access_impl(base, stride_bytes, elems, kind, Some(scratch))
-            .0
-    }
-
-    /// [`Self::vector_access_shared`], additionally capturing the access's
-    /// [`AccessEcho`] for replaying against tag-equivalent hierarchies.
+    /// (batched trace replay), additionally capturing the access's
+    /// [`AccessEcho`] for pricing tag-equivalent followers.  Timing and
+    /// statistics are bit-identical to `vector_access`; only the
+    /// irregular-stride walk is shared.
     pub fn vector_access_echoed(
         &mut self,
         base: u64,
@@ -525,13 +503,10 @@ impl MemoryHierarchy {
                     stall_cycles: stall,
                 },
                 AccessEcho::Vector {
-                    kind,
-                    unit_stride: stride_bytes == 8,
                     elems,
                     transfer_cycles: transfer,
                     l3_fetches: 0,
                     mem_fetches: 0,
-                    invalidations: 0,
                 },
             );
         }
@@ -548,7 +523,6 @@ impl MemoryHierarchy {
         let l1_line = self.params.l1_line as u64;
         let l2_line = self.params.l2_line as u64;
         let l1_mask = !(l1_line - 1);
-        let invals_before = self.stats.coherence_invalidations;
         let mut lines_touched = 0u32;
         let mut l3_fetches = 0u32;
         let mut mem_fetches = 0u32;
@@ -674,37 +648,12 @@ impl MemoryHierarchy {
                 stall_cycles: stall,
             },
             AccessEcho::Vector {
-                kind,
-                unit_stride,
                 elems,
                 transfer_cycles,
                 l3_fetches,
                 mem_fetches,
-                invalidations: self.stats.coherence_invalidations - invals_before,
             },
         )
-    }
-
-    /// True when `other` produces the *same tag behaviour* as `self` on
-    /// every access stream: same model, cache geometry and port width.
-    /// Latency parameters are free to differ — they only scale the pricing
-    /// — so an [`AccessEcho`] captured on one hierarchy can be
-    /// [`applied`](Self::apply_echo) to any tag-equivalent other.
-    pub fn tag_equivalent(&self, other: &Self) -> bool {
-        tag_equivalent_configs(
-            (self.model, &self.params, self.port_elems),
-            (other.model, &other.params, other.port_elems),
-        )
-    }
-
-    /// Price an echoed access against this hierarchy's latency parameters,
-    /// updating [`MemStats`] exactly as the real access would have.  The
-    /// echo must come from a [`tag_equivalent`](Self::tag_equivalent)
-    /// hierarchy stepped through the same access stream; this hierarchy's
-    /// own tags are *not* maintained, so after the first `apply_echo` it
-    /// must only ever be priced through further echoes.
-    pub fn apply_echo(&mut self, echo: &AccessEcho) -> AccessTiming {
-        price_echo(&self.params, self.port_elems, &mut self.stats, echo)
     }
 
     /// Statistics of the three cache levels (L1, L2, L3).
@@ -713,9 +662,12 @@ impl MemoryHierarchy {
     }
 }
 
-/// [`MemoryHierarchy::tag_equivalent`] over raw `(model, params, port)`
-/// configurations, for callers that classify variants *before* paying for
-/// hierarchy construction.
+/// True when two `(model, params, port width)` configurations produce the
+/// *same tag behaviour* on every access stream: same model, cache geometry
+/// and port width.  Latency parameters are free to differ — they only
+/// scale the pricing — so an [`AccessEcho`] captured on a hierarchy of one
+/// configuration prices exactly on the other ([`ClassPricer`]).  Callers
+/// classify variants with it *before* paying for hierarchy construction.
 pub fn tag_equivalent_configs(
     (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
     (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
@@ -734,131 +686,115 @@ pub fn tag_equivalent_configs(
         && a.l3_line == b.l3_line
 }
 
-/// A latency-parameters-only echo pricer: prices [`AccessEcho`]es exactly
-/// like [`MemoryHierarchy::apply_echo`] but carries **no tag state** — it
-/// costs nothing to construct, where a full hierarchy allocates and zeroes
-/// every cache level's tag arrays.  Batched trace replay builds one real
-/// hierarchy per tag-equivalence class and one pricer per follower.
+/// Prices one leader hierarchy's [`AccessEcho`]es for every *follower* of
+/// its tag-equivalence class at once.  A follower's tags would behave
+/// exactly like the leader's, so its [`MemStats`] equal the leader's in
+/// every counter but `total_stall_cycles`; the pricer therefore holds no
+/// tag state and no counters, only the followers' latency parameters as
+/// columns (struct-of-arrays) and one stall total each.  Batched trace
+/// replay builds one real hierarchy and one pricer per class.
 #[derive(Debug, Clone)]
-pub struct EchoPricer {
-    params: MemoryParams,
+pub struct ClassPricer {
     port_elems: u32,
-    pub stats: MemStats,
+    l1_latency: Vec<u32>,
+    l2_latency: Vec<u32>,
+    l3_latency: Vec<u32>,
+    mem_latency: Vec<u32>,
+    stall_cycles: Vec<u64>,
 }
 
-impl EchoPricer {
-    pub fn new(params: MemoryParams, l2_port_elems: u32) -> Self {
-        EchoPricer {
-            params,
+impl ClassPricer {
+    /// An empty class whose hierarchies have an `l2_port_elems`-wide port.
+    pub fn new(l2_port_elems: u32) -> Self {
+        ClassPricer {
             port_elems: l2_port_elems.max(1),
-            stats: MemStats::default(),
+            l1_latency: Vec::new(),
+            l2_latency: Vec::new(),
+            l3_latency: Vec::new(),
+            mem_latency: Vec::new(),
+            stall_cycles: Vec::new(),
         }
     }
 
-    /// Construct a pricer straight from a machine configuration.
-    pub fn for_machine(machine: &vmv_machine::MachineConfig) -> Self {
-        Self::new(machine.memory, machine.l2_port_elems)
+    /// Add a follower with latency parameters `params`; its geometry must
+    /// be [`tag_equivalent_configs`] with the leader's.
+    pub fn push(&mut self, params: &MemoryParams) {
+        self.l1_latency.push(params.l1_latency);
+        self.l2_latency.push(params.l2_latency);
+        self.l3_latency.push(params.l3_latency);
+        self.mem_latency.push(params.mem_latency);
+        self.stall_cycles.push(0);
     }
 
-    /// Price an echoed access; see [`MemoryHierarchy::apply_echo`].
-    pub fn apply_echo(&mut self, echo: &AccessEcho) -> AccessTiming {
-        price_echo(&self.params, self.port_elems, &mut self.stats, echo)
+    /// Number of followers.
+    pub fn len(&self) -> usize {
+        self.stall_cycles.len()
     }
-}
 
-/// The one shared echo-pricing rule behind [`MemoryHierarchy::apply_echo`]
-/// and [`EchoPricer::apply_echo`].
-fn price_echo(
-    params: &MemoryParams,
-    port_elems: u32,
-    stats: &mut MemStats,
-    echo: &AccessEcho,
-) -> AccessTiming {
-    match *echo {
-        AccessEcho::Scalar {
-            kind,
-            first,
-            second,
-        } => {
-            match kind {
-                AccessKind::Load => stats.scalar_loads += 1,
-                AccessKind::Store => stats.scalar_stores += 1,
+    pub fn is_empty(&self) -> bool {
+        self.stall_cycles.is_empty()
+    }
+
+    /// Price `echo` for every follower: `latencies[i]` receives follower
+    /// `i`'s latency and its stall total grows by the access's stall, both
+    /// exactly what a real access on its own hierarchy would produce.
+    /// `latencies` must hold at least [`Self::len`] entries.
+    pub fn price(&mut self, echo: &AccessEcho, latencies: &mut [u64]) {
+        let n = self.len();
+        let latencies = &mut latencies[..n];
+        match *echo {
+            AccessEcho::Scalar { first, second } => {
+                // Every line pays the L1 latency plus the latency of the
+                // level that served it; the access pays its worst line,
+                // and stalls for everything beyond the scheduled L1 hit.
+                let below_l1 = |served| match served {
+                    ServedBy::L1 => None,
+                    ServedBy::L2 => Some(&self.l2_latency),
+                    ServedBy::L3 => Some(&self.l3_latency),
+                    ServedBy::Mem => Some(&self.mem_latency),
+                };
+                let (a, b) = (below_l1(first), second.and_then(below_l1));
+                if a.is_none() && b.is_none() {
+                    // All-L1 hits, the common case: no stall.
+                    for (out, &l1) in latencies.iter_mut().zip(&self.l1_latency) {
+                        *out = l1 as u64;
+                    }
+                    return;
+                }
+                for i in 0..n {
+                    let stall = a.map_or(0, |c| c[i]).max(b.map_or(0, |c| c[i]));
+                    latencies[i] = (self.l1_latency[i] + stall) as u64;
+                    self.stall_cycles[i] += stall as u64;
+                }
             }
-            let mut latency = price_echo_line(params, stats, first);
-            if let Some(served) = second {
-                latency = latency.max(price_echo_line(params, stats, served));
-            }
-            let stall = latency.saturating_sub(params.l1_latency);
-            stats.total_stall_cycles += stall as u64;
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
-            }
-        }
-        AccessEcho::Vector {
-            kind,
-            unit_stride,
-            elems,
-            transfer_cycles,
-            l3_fetches,
-            mem_fetches,
-            invalidations,
-        } => {
-            match kind {
-                AccessKind::Load => stats.vector_loads += 1,
-                AccessKind::Store => stats.vector_stores += 1,
-            }
-            if unit_stride {
-                stats.unit_stride_vector_accesses += 1;
-            } else {
-                stats.strided_vector_accesses += 1;
-            }
-            stats.coherence_invalidations += invalidations;
-            if l3_fetches + mem_fetches > 0 {
-                stats.l2_misses += 1;
-            } else {
-                stats.l2_hits += 1;
-            }
-            stats.l3_hits += l3_fetches as u64;
-            stats.l3_misses += mem_fetches as u64;
-            let latency = params.l2_latency + transfer_cycles - 1
-                + l3_fetches * params.l3_latency
-                + mem_fetches * params.mem_latency;
-            // The compiler schedules vector accesses as stride-one L2 hits.
-            let scheduled = params.l2_latency + elems.div_ceil(port_elems.max(1)).saturating_sub(1);
-            let stall = latency.saturating_sub(scheduled);
-            stats.total_stall_cycles += stall as u64;
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
+            AccessEcho::Vector {
+                elems,
+                transfer_cycles,
+                l3_fetches,
+                mem_fetches,
+            } => {
+                // The compiler schedules vector accesses as stride-one L2
+                // hits.
+                let scheduled_tail = elems.div_ceil(self.port_elems).saturating_sub(1);
+                let columns = self.l2_latency.iter().zip(&self.l3_latency);
+                for ((out, stall), ((&l2, &l3), &mem)) in latencies
+                    .iter_mut()
+                    .zip(&mut self.stall_cycles)
+                    .zip(columns.zip(&self.mem_latency))
+                {
+                    let latency = l2 + transfer_cycles - 1 + l3_fetches * l3 + mem_fetches * mem;
+                    *out = latency as u64;
+                    *stall += latency.saturating_sub(l2 + scheduled_tail) as u64;
+                }
             }
         }
     }
-}
 
-/// Stats and latency of one echoed scalar-line lookup.
-fn price_echo_line(params: &MemoryParams, stats: &mut MemStats, served: ServedBy) -> u32 {
-    match served {
-        ServedBy::L1 => {
-            stats.l1_hits += 1;
-            params.l1_latency
-        }
-        ServedBy::L2 => {
-            stats.l1_misses += 1;
-            stats.l2_hits += 1;
-            params.l1_latency + params.l2_latency
-        }
-        ServedBy::L3 => {
-            stats.l1_misses += 1;
-            stats.l2_misses += 1;
-            stats.l3_hits += 1;
-            params.l1_latency + params.l3_latency
-        }
-        ServedBy::Mem => {
-            stats.l1_misses += 1;
-            stats.l2_misses += 1;
-            stats.l3_misses += 1;
-            params.l1_latency + params.mem_latency
+    /// Follower `i`'s statistics, given its leader's.
+    pub fn stats(&self, leader: &MemStats, i: usize) -> MemStats {
+        MemStats {
+            total_stall_cycles: self.stall_cycles[i],
+            ..*leader
         }
     }
 }
@@ -1021,7 +957,7 @@ mod tests {
             let mut memo = SharedAccessScratch::new();
             for &(base, stride, elems, kind) in &accesses {
                 let a = plain.vector_access(base, stride, elems, kind);
-                let b = shared.vector_access_shared(base, stride, elems, kind, &mut memo);
+                let (b, _) = shared.vector_access_echoed(base, stride, elems, kind, &mut memo);
                 assert_eq!(a, b, "{model:?} {base:#x} stride {stride}");
             }
             assert_eq!(plain.stats, shared.stats);
@@ -1031,7 +967,7 @@ mod tests {
 
     #[test]
     fn echo_pricing_matches_real_accesses_on_tag_equivalent_followers() {
-        // A follower differing ONLY in latency parameters must land on
+        // Followers differing ONLY in latency parameters must land on
         // exactly the timing and stats of a real access when priced through
         // the leader's echoes — for scalar and vector accesses, hits and
         // misses, straddles, coherence invalidations and irregular strides.
@@ -1042,12 +978,26 @@ mod tests {
             mem_latency: 900,
             ..MemoryParams::default()
         };
+        let fast = MemoryParams {
+            l3_latency: 7,
+            mem_latency: 30,
+            ..MemoryParams::default()
+        };
+        let followers = [slow, MemoryParams::default(), fast];
         for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
             let mut leader = MemoryHierarchy::new(model, MemoryParams::default(), 4);
-            let mut echoed = MemoryHierarchy::new(model, slow, 4);
-            let mut pricer = EchoPricer::new(slow, 4);
-            let mut real = echoed.clone();
-            assert!(leader.tag_equivalent(&echoed));
+            let mut pricer = ClassPricer::new(4);
+            let mut real: Vec<MemoryHierarchy> = Vec::new();
+            for params in &followers {
+                assert!(tag_equivalent_configs(
+                    (model, &MemoryParams::default(), 4),
+                    (model, params, 4)
+                ));
+                pricer.push(params);
+                real.push(MemoryHierarchy::new(model, *params, 4));
+            }
+            assert_eq!(pricer.len(), followers.len());
+            let mut latencies = [0u64; 3];
             let mut memo = SharedAccessScratch::new();
 
             // Scalar mix: cold miss, warm hit, line straddle, store.
@@ -1058,10 +1008,15 @@ mod tests {
                 (0x2000, 8, AccessKind::Store),
             ] {
                 let (_, echo) = leader.scalar_access_echoed(addr, size, kind);
-                let fast = echoed.apply_echo(&echo);
-                let slow = real.scalar_access(addr, size, kind);
-                assert_eq!(fast, slow, "{model:?} scalar {addr:#x}");
-                assert_eq!(pricer.apply_echo(&echo), slow);
+                pricer.price(&echo, &mut latencies);
+                for (i, real) in real.iter_mut().enumerate() {
+                    let slow = real.scalar_access(addr, size, kind);
+                    assert_eq!(
+                        latencies[i], slow.latency as u64,
+                        "{model:?} scalar {addr:#x} follower {i}"
+                    );
+                    assert_eq!(pricer.stats(&leader.stats, i), real.stats);
+                }
             }
             // Vector mix: cold, warm, strided, irregular, store over a
             // dirty scalar line (coherence).
@@ -1073,42 +1028,53 @@ mod tests {
                 (0x2000, 8, 8, AccessKind::Store),
             ] {
                 let (_, echo) = leader.vector_access_echoed(base, stride, elems, kind, &mut memo);
-                let fast = echoed.apply_echo(&echo);
-                let slow = real.vector_access(base, stride, elems, kind);
-                assert_eq!(fast, slow, "{model:?} vector {base:#x} stride {stride}");
-                assert_eq!(pricer.apply_echo(&echo), slow);
+                pricer.price(&echo, &mut latencies);
+                for (i, real) in real.iter_mut().enumerate() {
+                    let slow = real.vector_access(base, stride, elems, kind);
+                    assert_eq!(
+                        latencies[i], slow.latency as u64,
+                        "{model:?} vector {base:#x} stride {stride} follower {i}"
+                    );
+                    assert_eq!(pricer.stats(&leader.stats, i), real.stats);
+                }
             }
-            assert_eq!(echoed.stats, real.stats, "{model:?} stats must agree");
-            assert_eq!(
-                pricer.stats, real.stats,
-                "{model:?} pricer stats must agree"
-            );
+            for (i, real) in real.iter().enumerate() {
+                assert_eq!(
+                    pricer.stats(&leader.stats, i),
+                    real.stats,
+                    "{model:?} follower {i} stats must agree"
+                );
+            }
         }
     }
 
     #[test]
     fn tag_equivalence_requires_matching_geometry_and_model() {
-        let base = MemoryHierarchy::new(MemoryModel::Realistic, MemoryParams::default(), 4);
+        let base = (MemoryModel::Realistic, &MemoryParams::default(), 4);
         let slow = MemoryParams {
             mem_latency: 900,
             ..MemoryParams::default()
         };
-        assert!(base.tag_equivalent(&MemoryHierarchy::new(MemoryModel::Realistic, slow, 4)));
+        assert!(tag_equivalent_configs(
+            base,
+            (MemoryModel::Realistic, &slow, 4)
+        ));
         let big_l2 = MemoryParams {
             l2_size: MemoryParams::default().l2_size * 2,
             ..MemoryParams::default()
         };
-        assert!(!base.tag_equivalent(&MemoryHierarchy::new(MemoryModel::Realistic, big_l2, 4)));
-        assert!(!base.tag_equivalent(&MemoryHierarchy::new(
-            MemoryModel::Perfect,
-            MemoryParams::default(),
-            4
-        )));
-        assert!(!base.tag_equivalent(&MemoryHierarchy::new(
-            MemoryModel::Realistic,
-            MemoryParams::default(),
-            2
-        )));
+        assert!(!tag_equivalent_configs(
+            base,
+            (MemoryModel::Realistic, &big_l2, 4)
+        ));
+        assert!(!tag_equivalent_configs(
+            base,
+            (MemoryModel::Perfect, &MemoryParams::default(), 4)
+        ));
+        assert!(!tag_equivalent_configs(
+            base,
+            (MemoryModel::Realistic, &MemoryParams::default(), 2)
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod vector_cache;
 
 pub use cache::{Cache, CacheStats, FillOutcome, LookupResult};
 pub use hierarchy::{
-    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, EchoPricer, MemStats,
+    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassPricer, MemStats,
     MemoryHierarchy, MemoryModel, ServedBy, SharedAccessScratch,
 };
 pub use lines::LineWalk;

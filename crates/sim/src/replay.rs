@@ -5,8 +5,8 @@
 //! recorded block sequence of a [`Trace`] over the static
 //! [`LoweredProgram`] once and advances K independent timing states in
 //! lockstep — one [`VariantState`] (memory model + machine memory
-//! parameters) per variant, scoreboard and clocks in struct-of-arrays
-//! layout — re-deriving the scoreboard / stall / L2-port timing exactly as
+//! parameters) per variant, on one shared clock with a struct-of-arrays
+//! scoreboard — re-deriving the scoreboard / stall / L2-port timing exactly as
 //! [`crate::Simulator::run_lowered`] does, but feeding each hierarchy the
 //! *recorded* `MemAccess` stream instead of executing operations — no
 //! `exec_core`, no `RegFiles`, no `MemImage` allocation.  A memory-axis
@@ -47,12 +47,41 @@
 //! Because the trace is memory-model- and memory-geometry-independent, a
 //! memory-axis sweep executes each functional simulation **once** and
 //! retimes every other variant from its trace.
+//!
+//! # One shared clock for K variants
+//!
+//! Variants of one schedule issue the same bundles and differ only in
+//! where they stall, and they stall rarely: on the `memory` benchmark
+//! workload (seed 1), 8,398 of the 663,588 replayed segments (1.3 %)
+//! stall in any of a batch's 59 variants.  The walk therefore keeps one
+//! *shared* clock `base` and per variant only its accumulated stall
+//! `offset[k]`; variant `k`'s clock is `base + offset[k]`.  Beside each
+//! scoreboard row `ready[slot * K + k]` (absolute cycles) sits a scalar
+//! bound `bound[slot] = max_k(ready - offset[k])`, taken when the row is
+//! written (offsets only grow, so it stays an upper bound until the next
+//! write); the L2 vector port keeps the same pair.  A segment whose read
+//! bounds (and port bound) are at most its stall-free issue cycle cannot
+//! stall any variant, and advances all K with one scalar add.  Only writes
+//! (`ready = base + span - 1 + latency + offset[k]`), memory latencies and
+//! the segments whose bound fails (10,527, 1.6 %, on that workload) touch
+//! the K lanes, and a failing segment computes exactly the per-variant
+//! maximum the engine computes, over just the slots whose bound failed.
+//! Region cycles are the shared cycles plus each variant's stalls, and the
+//! cycle limit is one comparison against the batch-wide slack
+//! `min_k(max_cycles[k] - offset[k])`.
+//!
+//! Memory is priced per tag-equivalence class: one leader
+//! [`MemoryHierarchy`] walks the real tags, and one [`ClassPricer`] turns
+//! each of its access echoes into the latencies of all of the class's
+//! followers at once (their `MemStats` equal the leader's except for the
+//! stall total).  The walk lays its lanes out class by class, so every
+//! class prices into a contiguous run of lanes.
 
 use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{MemoryHierarchy, MemoryModel, SharedAccessScratch};
+use vmv_mem::{ClassPricer, MemoryHierarchy, MemoryModel, SharedAccessScratch};
 use vmv_sched::LoweredProgram;
 
 use crate::engine::Simulator;
@@ -386,11 +415,11 @@ impl std::error::Error for ReplayError {}
 
 /// The per-variant timing parameters of a batched replay: the memory model
 /// and machine fields the walk prices against.  Construction is free — the
-/// walk itself decides per variant whether it needs a full tag-simulating
-/// [`MemoryHierarchy`] (one per tag-equivalence class) or only a
-/// latency-arithmetic [`vmv_mem::EchoPricer`].  Everything else
-/// (scoreboard, clock, L2-port cursor) lives in the walk's
-/// struct-of-arrays scratch.
+/// walk itself decides per variant whether it leads a tag-equivalence class
+/// (a full tag-simulating [`MemoryHierarchy`]) or follows one (a latency
+/// column of the class's [`ClassPricer`]).  Everything else (scoreboard,
+/// stall offset, L2-port cursor) lives in the walk's struct-of-arrays
+/// scratch.
 pub struct VariantState {
     model: MemoryModel,
     memory: vmv_machine::MemoryParams,
@@ -422,39 +451,43 @@ impl VariantState {
     }
 }
 
-/// How one variant of a batch prices recorded accesses: class leaders walk
-/// real tags, followers replay the leader's echoes.
-// One entry per variant, K entries total — the size skew between a full
-// hierarchy and an echo pricer is irrelevant at batch widths, and an
-// indirection on the leader would cost a pointer chase per priced access.
-#[allow(clippy::large_enum_variant)]
-enum Pricer {
-    Leader(MemoryHierarchy),
-    Follower(vmv_mem::EchoPricer),
+/// One tag-equivalence class of a batch: the leader walks real tags and
+/// the followers are priced from its echoes.  A class owns the contiguous
+/// lanes `lane ..= lane + followers.len()`, leader first.
+struct TagClass {
+    lane: usize,
+    leader: MemoryHierarchy,
+    followers: ClassPricer,
 }
 
-impl Pricer {
-    fn stats(&self) -> vmv_mem::MemStats {
-        match self {
-            Pricer::Leader(h) => h.stats,
-            Pricer::Follower(p) => p.stats,
-        }
+/// Record a write to `slot` that completes at shared cycle `done` in every
+/// lane: the bound is exact, and each lane's ready cycle adds its offset.
+#[inline(always)]
+fn write_shared(ready: &mut [u64], bound: &mut [u64], offset: &[u64], slot: u16, done: u64) {
+    let k = offset.len();
+    bound[slot as usize] = done;
+    for (r, &o) in ready[slot as usize * k..][..k].iter_mut().zip(offset) {
+        *r = done + o;
     }
 }
 
 /// Replay `trace` once, retiming K independent memory variants in
 /// lockstep.  The decoded trace — block sequence, access stream, `setvl`
-/// values, collapsed timing-inert segments — is walked a single time; only
-/// the timing state (scoreboard, clock, L2-port cursor, hierarchy) is
-/// per-variant, held in struct-of-arrays layout so the inner loops are
-/// tight passes over K contiguous values.  `out[k]` is bit-identical to a
-/// fresh lowered execution of variant `k`; the differential and property
-/// suites (`tests/lowered_differential.rs`, `tests/trace_replay.rs`)
-/// enforce exactly that.
+/// values, collapsed timing-inert segments — is walked a single time, on
+/// one shared clock: a variant's clock is the shared clock plus its own
+/// accumulated stall.  A segment whose per-slot ready bounds (module docs)
+/// clear its issue cycle advances all K variants with one scalar add; only
+/// writes, memory latencies and the rare stalling segment touch the K
+/// per-variant lanes.  `out[k]` is bit-identical to a fresh lowered
+/// execution of variant `k`; the differential and property suites
+/// (`tests/lowered_differential.rs`, `tests/trace_replay.rs`) enforce
+/// exactly that.
 ///
-/// Errors that depend on the variant (`CycleLimit`) fail the whole batch;
-/// callers wanting per-variant error isolation retry each variant as a
-/// batch of one.  An empty `variants` slice returns an empty vector.
+/// Errors that depend on the variant (`CycleLimit`) fail the whole batch,
+/// naming the cap of the first variant in batch order to overrun its own
+/// `max_cycles` at the earliest segment any variant does; callers wanting
+/// per-variant error isolation retry each variant as a batch of one.  An
+/// empty `variants` slice returns an empty vector.
 pub fn replay_batch(
     trace: &Trace,
     analysis: &ReplayAnalysis,
@@ -513,58 +546,85 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
 
-    // Struct-of-arrays timing state.  The scoreboard is slot-major
-    // (`ready[slot * k + variant]`) so the per-read-slot inner loop walks
-    // K contiguous words.
-    let mut ready: Vec<u64> = vec![0; analysis.total_slots() * k];
-    let mut clock: Vec<u64> = vec![0; k];
-    let mut l2_port_free: Vec<u64> = vec![0; k];
-    let mut issue: Vec<u64> = vec![0; k];
-    let mut block_start: Vec<u64> = vec![0; k];
-    let mut block_stalls: Vec<u64> = vec![0; k];
-    let mut lat: Vec<u64> = vec![0; k];
-    let mut line_memo = SharedAccessScratch::new();
-    // Per-variant wait-level causes for one memory access, broadcast from
-    // each class leader's echo (followers share the leader's hit/miss
-    // pattern by construction of the tag-equivalence classes).
-    let mut cause_k: Vec<Cause> = vec![Cause::RawStall; if BP::ENABLED { k } else { 0 }];
-
     // Partition the variants into tag-equivalence classes: configurations
     // sharing model, geometry and port width produce identical hit/miss
-    // behaviour, so one *leader* per class walks the real tags and every
-    // follower is priced from the leader's access echo — pure latency
-    // arithmetic, no tag simulation, and no tag arrays to allocate.  A
+    // behaviour, so one *leader* per class walks the real tags and the
+    // class pricer turns each leader echo into every follower's latency —
+    // pure arithmetic over latency columns, no tag arrays.  A
     // memory-latency sweep collapses to one class; a geometry sweep
-    // degrades gracefully to K singleton leaders.
-    let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
+    // degrades gracefully to K singleton leaders.  Lanes are laid out
+    // class by class (classes in order of first appearance, members in
+    // batch order), so each class prices into a contiguous run of lanes;
+    // `lane_variant` maps a lane back to its batch position.
+    let mut members: Vec<Vec<usize>> = Vec::new();
     for (i, v) in variants.iter().enumerate() {
-        match classes.iter_mut().find(|(leader, _)| {
-            let l = &variants[*leader];
+        match members.iter_mut().find(|m| {
+            let l = &variants[m[0]];
             vmv_mem::tag_equivalent_configs(
                 (l.model, &l.memory, l.port_elems),
                 (v.model, &v.memory, v.port_elems),
             )
         }) {
-            Some((_, followers)) => followers.push(i),
-            None => classes.push((i, Vec::new())),
+            Some(m) => m.push(i),
+            None => members.push(vec![i]),
         }
     }
-    let mut pricers: Vec<Pricer> = variants
-        .iter()
-        .map(|v| Pricer::Follower(vmv_mem::EchoPricer::new(v.memory, v.port_elems)))
-        .collect();
-    for (leader, _) in &classes {
-        let v = &variants[*leader];
-        pricers[*leader] = Pricer::Leader(MemoryHierarchy::new(v.model, v.memory, v.port_elems));
+    let mut classes: Vec<TagClass> = Vec::with_capacity(members.len());
+    let mut lane = 0;
+    for m in &members {
+        let l = &variants[m[0]];
+        let mut followers = ClassPricer::new(l.port_elems);
+        for &f in &m[1..] {
+            followers.push(&variants[f].memory);
+        }
+        classes.push(TagClass {
+            lane,
+            leader: MemoryHierarchy::new(l.model, l.memory, l.port_elems),
+            followers,
+        });
+        lane += m.len();
     }
+    let lane_variant: Vec<usize> = members.concat();
+    let port_elems: Vec<u32> = lane_variant
+        .iter()
+        .map(|&v| variants[v].port_elems)
+        .collect();
+    let max_cycles: Vec<u64> = lane_variant
+        .iter()
+        .map(|&v| variants[v].max_cycles)
+        .collect();
+
+    // The shared clock.  Lane `l`'s clock is `base + offset[l]`, where
+    // `offset[l]` is the stall that lane has accumulated so far.  The
+    // scoreboard keeps absolute ready cycles, slot-major
+    // (`ready[slot * k + lane]`), and beside each row a scalar bound
+    // `bound[slot] >= max_l(ready - offset[l])`, exact when written;
+    // offsets only grow, so a bound stays valid until its slot is written
+    // again.  The L2 port keeps the same pair.  `slack` is
+    // `min_l(max_cycles[l] - offset[l])`: no lane has overrun its own cap
+    // while `base <= slack`.
+    let mut base = 0u64;
+    let mut offset: Vec<u64> = vec![0; k];
+    let mut ready: Vec<u64> = vec![0; analysis.total_slots() * k];
+    let mut bound: Vec<u64> = vec![0; analysis.total_slots()];
+    let mut port_free: Vec<u64> = vec![0; k];
+    let mut port_bound = 0u64;
+    let mut slack = max_cycles.iter().copied().min().unwrap_or(u64::MAX);
+    let mut issue: Vec<u64> = vec![0; k];
+    let mut lat: Vec<u64> = vec![0; k];
+    let mut line_memo = SharedAccessScratch::new();
+    // Per-variant wait-level causes for one memory access (batch order),
+    // broadcast from each class leader's echo (followers share the
+    // leader's hit/miss pattern by construction of the classes).
+    let mut cause_k: Vec<Cause> = vec![Cause::RawStall; if BP::ENABLED { k } else { 0 }];
 
     // Region accumulation: functional totals (instructions, operations,
-    // micro-ops) are identical across variants and accumulate once;
-    // cycles and stalls are per-variant.
+    // micro-operations) and the shared clock's cycles are identical across
+    // variants and accumulate once; stalls are per lane, and a lane's
+    // region cycles are the shared cycles plus its stalls.
     struct RegionAcc {
         id: vmv_isa::RegionId,
         shared: crate::stats::RegionStats,
-        cycles: Vec<u64>,
         stalls: Vec<u64>,
     }
     let mut region_acc: Vec<RegionAcc> = Vec::new();
@@ -589,9 +649,20 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     step,
                     block: block_id,
                 })?;
-        let region = block.region;
-        block_start.copy_from_slice(&clock);
-        block_stalls.iter_mut().for_each(|s| *s = 0);
+        if region_idx >= region_acc.len() || region_acc[region_idx].id != block.region {
+            region_idx = match region_acc.iter().position(|acc| acc.id == block.region) {
+                Some(i) => i,
+                None => {
+                    region_acc.push(RegionAcc {
+                        id: block.region,
+                        shared: crate::stats::RegionStats::default(),
+                        stalls: vec![0; k],
+                    });
+                    region_acc.len() - 1
+                }
+            };
+        }
+        let block_base = base;
         let mut ops_executed = 0u64;
         let mut micro_ops = 0u64;
         bp.begin_block(block_id);
@@ -600,23 +671,32 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
         for seg in
             &analysis.segs[block.first_seg as usize..(block.first_seg + block.seg_count) as usize]
         {
-            let span = (seg.span - 1) as u64;
-            for kk in 0..k {
-                issue[kk] = clock[kk] + span;
-            }
-            for &slot in &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
-                let row = &ready[slot as usize * k..slot as usize * k + k];
-                for kk in 0..k {
-                    issue[kk] = issue[kk].max(row[kk]);
+            // Stall-free issue cycle of the segment's final bundle, on the
+            // shared clock.
+            let at = base + (seg.span - 1) as u64;
+            let reads = &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize];
+            let port_binds = seg.vecmem && port_bound > at;
+            let stalls = port_binds || reads.iter().any(|&slot| bound[slot as usize] > at);
+            if stalls {
+                // Some bound failed: price the issue cycle exactly per
+                // lane, over only the slots (and port) whose bound failed —
+                // the others cannot delay any lane.
+                for l in 0..k {
+                    issue[l] = at + offset[l];
                 }
-            }
-            if seg.vecmem {
-                for kk in 0..k {
-                    issue[kk] = issue[kk].max(l2_port_free[kk]);
+                for &slot in reads {
+                    if bound[slot as usize] > at {
+                        let row = &ready[slot as usize * k..slot as usize * k + k];
+                        for l in 0..k {
+                            issue[l] = issue[l].max(row[l]);
+                        }
+                    }
                 }
-            }
-            for kk in 0..k {
-                block_stalls[kk] += issue[kk] - (clock[kk] + span);
+                if port_binds {
+                    for l in 0..k {
+                        issue[l] = issue[l].max(port_free[l]);
+                    }
+                }
             }
 
             if BP::ENABLED {
@@ -627,43 +707,55 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                 // read slot busy at the issue cycle (untracked slots are
                 // provably never the binder), found by a strided
                 // scoreboard scan, else the L2 port.
-                for kk in 0..k {
+                for l in 0..k {
+                    let v = lane_variant[l];
+                    let clock = base + offset[l];
                     for i in 0..seg.span - 1 {
-                        bp.bundle(
-                            kk,
-                            bundle_cursor + i,
-                            clock[kk] + i as u64,
-                            0,
-                            Binding::None,
-                        );
+                        bp.bundle(v, bundle_cursor + i, clock + i as u64, 0, Binding::None);
                     }
-                    let base = clock[kk] + span;
-                    let stall = issue[kk] - base;
+                    let stall_free = at + offset[l];
+                    let stall = if stalls { issue[l] - stall_free } else { 0 };
                     let binding = if stall == 0 {
                         Binding::None
                     } else {
                         let mut found = Binding::Port;
-                        for &slot in &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
-                            if ready[slot as usize * k + kk] == issue[kk] {
+                        for &slot in reads {
+                            if ready[slot as usize * k + l] == issue[l] {
                                 found = Binding::Slot(slot);
                                 break;
                             }
                         }
                         found
                     };
-                    bp.bundle(kk, bundle_cursor + seg.span - 1, base, stall, binding);
+                    bp.bundle(v, bundle_cursor + seg.span - 1, stall_free, stall, binding);
                 }
                 bundle_cursor += seg.span;
             }
 
-            for (wi, &(slot, lat)) in analysis.writes[seg.writes.0 as usize..seg.writes.1 as usize]
+            if stalls {
+                let region_stalls = &mut region_acc[region_idx].stalls;
+                for l in 0..k {
+                    let stall = issue[l] - (at + offset[l]);
+                    if stall > 0 {
+                        offset[l] += stall;
+                        region_stalls[l] += stall;
+                        slack = slack.min(max_cycles[l].saturating_sub(offset[l]));
+                    }
+                }
+            }
+
+            for (wi, &(slot, latency)) in analysis.writes
+                [seg.writes.0 as usize..seg.writes.1 as usize]
                 .iter()
                 .enumerate()
             {
-                let row = &mut ready[slot as usize * k..slot as usize * k + k];
-                for kk in 0..k {
-                    row[kk] = issue[kk] + lat as u64;
-                }
+                write_shared(
+                    &mut ready,
+                    &mut bound,
+                    &offset[..k],
+                    slot,
+                    at + latency as u64,
+                );
                 if BP::ENABLED {
                     bp.write_all(
                         analysis.write_ops[seg.writes.0 as usize + wi],
@@ -691,50 +783,52 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                         .ok_or(ReplayError::TruncatedAccesses { consumed: ai })?;
                     ai += 1;
                     if access.is_vector {
-                        for (kk, v) in variants.iter().enumerate() {
+                        let mut longest = 0;
+                        for l in 0..k {
                             let occupancy = if access.stride == 8 {
-                                access.elems.div_ceil(v.port_elems)
+                                access.elems.div_ceil(port_elems[l])
                             } else {
                                 access.elems
                             };
-                            l2_port_free[kk] = issue[kk] + occupancy.max(1) as u64;
+                            let occupancy = occupancy.max(1) as u64;
+                            port_free[l] = at + offset[l] + occupancy;
+                            longest = longest.max(occupancy);
                         }
+                        port_bound = at + longest;
                         if BP::ENABLED {
                             bp.vec_port_all(op_idx);
                         }
                     }
-                    // Memory latency is the one per-variant quantity: the
-                    // class leader walks its real tags (irregular line
-                    // walks memoized once across classes), and followers
-                    // are priced from the echo.
-                    for (leader, followers) in &classes {
-                        let Pricer::Leader(hierarchy) = &mut pricers[*leader] else {
-                            unreachable!("class leaders carry a full hierarchy")
-                        };
-                        let (leader_lat, echo) =
-                            Simulator::memory_latency_echo(hierarchy, access, &mut line_memo);
-                        lat[*leader] = leader_lat as u64;
-                        if BP::ENABLED {
-                            // Followers share the leader's hit/miss pattern,
-                            // so the wait level broadcasts across the class.
-                            let cause = Cause::wait_for_echo(&echo);
-                            cause_k[*leader] = cause;
-                            for &f in followers {
-                                cause_k[f] = cause;
-                            }
+                    // Memory latency is the one per-variant quantity: each
+                    // class leader walks its real tags (irregular line walks
+                    // memoized once across classes), and its pricer prices
+                    // the echo for all of the class's followers at once.
+                    for class in &mut classes {
+                        let (leader_lat, echo) = Simulator::memory_latency_echo(
+                            &mut class.leader,
+                            access,
+                            &mut line_memo,
+                        );
+                        lat[class.lane] = leader_lat as u64;
+                        if !class.followers.is_empty() {
+                            class.followers.price(&echo, &mut lat[class.lane + 1..]);
                         }
-                        for &f in followers {
-                            let Pricer::Follower(pricer) = &mut pricers[f] else {
-                                unreachable!("class followers carry an echo pricer")
-                            };
-                            lat[f] = pricer.apply_echo(&echo).latency as u64;
+                        if BP::ENABLED {
+                            let cause = Cause::wait_for_echo(&echo);
+                            for l in class.lane..=class.lane + class.followers.len() {
+                                cause_k[lane_variant[l]] = cause;
+                            }
                         }
                     }
                     if op.dst_slot != NO_SLOT {
-                        let row_at = op.dst_slot as usize * k;
-                        for kk in 0..k {
-                            ready[row_at + kk] = issue[kk] + lat[kk];
+                        let row =
+                            &mut ready[op.dst_slot as usize * k..op.dst_slot as usize * k + k];
+                        let mut longest = 0;
+                        for l in 0..k {
+                            row[l] = at + offset[l] + lat[l];
+                            longest = longest.max(lat[l]);
                         }
+                        bound[op.dst_slot as usize] = at + longest;
                         if BP::ENABLED {
                             bp.write_k(op_idx, op.dst_slot, &cause_k);
                         }
@@ -762,10 +856,13 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                         op.flow as u64
                     };
                     if op.dst_slot != NO_SLOT {
-                        let row_at = op.dst_slot as usize * k;
-                        for kk in 0..k {
-                            ready[row_at + kk] = issue[kk] + latency;
-                        }
+                        write_shared(
+                            &mut ready,
+                            &mut bound,
+                            &offset[..k],
+                            op.dst_slot,
+                            at + latency,
+                        );
                         if BP::ENABLED {
                             bp.write_all(op_idx, op.dst_slot, Cause::RawStall);
                         }
@@ -781,39 +878,25 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                 halted |= op.flags & F_HALT != 0;
             }
 
-            for (kk, v) in variants.iter().enumerate() {
-                clock[kk] = issue[kk] + 1;
-                if clock[kk] - block_start[kk] > v.max_cycles || clock[kk] > v.max_cycles {
-                    return Err(ReplayError::CycleLimit(v.max_cycles));
-                }
+            base = at + 1;
+            if base > slack {
+                // Some lane's clock passed its own cap: name the first
+                // such variant in batch order.
+                let over = (0..k)
+                    .filter(|&l| base + offset[l] > max_cycles[l])
+                    .min_by_key(|&l| lane_variant[l])
+                    .expect("the slack is some lane's headroom");
+                return Err(ReplayError::CycleLimit(max_cycles[over]));
             }
         }
 
+        // Even an empty block consumes a fetch cycle.
         if block.bundle_count == 0 {
-            for c in clock.iter_mut() {
-                *c += 1;
-            }
+            base += 1;
         }
 
-        if region_idx >= region_acc.len() || region_acc[region_idx].id != region {
-            region_idx = match region_acc.iter().position(|acc| acc.id == region) {
-                Some(i) => i,
-                None => {
-                    region_acc.push(RegionAcc {
-                        id: region,
-                        shared: crate::stats::RegionStats::default(),
-                        cycles: vec![0; k],
-                        stalls: vec![0; k],
-                    });
-                    region_acc.len() - 1
-                }
-            };
-        }
         let acc = &mut region_acc[region_idx];
-        for kk in 0..k {
-            acc.cycles[kk] += clock[kk] - block_start[kk];
-            acc.stalls[kk] += block_stalls[kk];
-        }
+        acc.shared.cycles += base - block_base;
         acc.shared.instructions += (block.bundle_count as u64).max(1);
         acc.shared.operations += ops_executed;
         acc.shared.micro_ops += micro_ops;
@@ -829,22 +912,27 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
         });
     }
 
-    let mut out = Vec::with_capacity(k);
-    for (kk, pricer) in pricers.iter().enumerate() {
-        let mut stats = RunStats::default();
-        for &id in &analysis.regions {
-            stats.region_mut(id);
+    let mut out = vec![RunStats::default(); k];
+    for class in &classes {
+        for i in 0..=class.followers.len() {
+            let l = class.lane + i;
+            let stats = &mut out[lane_variant[l]];
+            for &id in &analysis.regions {
+                stats.region_mut(id);
+            }
+            for acc in &region_acc {
+                let mut r = acc.shared;
+                r.cycles += acc.stalls[l];
+                r.stall_cycles = acc.stalls[l];
+                stats.region_mut(acc.id).add(&r);
+            }
+            stats.memory = match i {
+                0 => class.leader.stats,
+                _ => class.followers.stats(&class.leader.stats, i - 1),
+            };
+            stats.memory.record_obs();
+            vmv_obs::incr(vmv_obs::Counter::TraceReplays);
         }
-        for acc in &region_acc {
-            let mut r = acc.shared;
-            r.cycles = acc.cycles[kk];
-            r.stall_cycles = acc.stalls[kk];
-            stats.region_mut(acc.id).add(&r);
-        }
-        stats.memory = pricer.stats();
-        stats.memory.record_obs();
-        vmv_obs::incr(vmv_obs::Counter::TraceReplays);
-        out.push(stats);
     }
     vmv_obs::incr(vmv_obs::Counter::ReplayBatches);
     vmv_obs::record_value(vmv_obs::ValueHist::ReplayBatchWidth, k as u64);

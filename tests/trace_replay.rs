@@ -11,29 +11,40 @@ use vmv::kernels::Benchmark;
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sim::{
-    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimOptions, Simulator, Trace, VariantState,
+    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimError, SimOptions, Simulator, Trace,
+    VariantState,
 };
 
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-fn record(
-    bench: Benchmark,
-    machine: &vmv::machine::MachineConfig,
+/// A simulator loaded with `prepared`'s initial memory image.
+fn simulator(
+    prepared: &vmv::core::Prepared,
+    machine: &MachineConfig,
     model: MemoryModel,
-) -> (vmv::core::Prepared, vmv::sim::RunStats, Trace) {
-    let prepared = prepare(bench, machine).expect("prepares");
+    max_cycles: u64,
+) -> Simulator {
     let mut sim = Simulator::new(
         machine,
         SimOptions {
             memory_model: model,
             mem_size: prepared.build.mem_size.max(1 << 20),
-            max_cycles: MAX_CYCLES,
+            max_cycles,
         },
     );
     for (addr, bytes) in &prepared.build.init {
         sim.mem.write_bytes(*addr, bytes);
     }
-    let (stats, trace) = sim
+    sim
+}
+
+fn record(
+    bench: Benchmark,
+    machine: &MachineConfig,
+    model: MemoryModel,
+) -> (vmv::core::Prepared, vmv::sim::RunStats, Trace) {
+    let prepared = prepare(bench, machine).expect("prepares");
+    let (stats, trace) = simulator(&prepared, machine, model, MAX_CYCLES)
         .run_lowered_recording(&prepared.lowered)
         .expect("recording run");
     (prepared, stats, trace)
@@ -235,24 +246,29 @@ fn batched_replay_is_bit_identical_to_fresh_execution_on_the_full_matrix() {
 fn random_variant_subsets_match_fresh_execution() {
     // Property test: any subset of memory variants, in any order (with
     // repeats), batch-replays to exactly what each variant gets from a
-    // fresh lowered execution — including the degenerate batch of one.
+    // fresh lowered execution — from the degenerate batch of one up to
+    // sweep-sized batches with many tag classes, long follower columns and
+    // stalls confined to a few lanes.
     let machine = presets::vector2(4);
-    let (prepared, _, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
+    let (prepared, _, trace) = record(Benchmark::JpegEnc, &machine, MemoryModel::Perfect);
     let analysis = ReplayAnalysis::build(&prepared.lowered);
 
-    // A pool of candidate variants: both models crossed with latency and
-    // geometry perturbations (the geometry change forces extra
-    // tag-equivalence classes inside a batch).
+    // A pool of candidate variants: both models × four L2 geometries × four
+    // latency points.  Each geometry is its own tag-equivalence class and
+    // the latency points are its followers; the three 8 KiB geometries are
+    // small enough to change this kernel's hit/miss behaviour.
+    let geometries = [(8 << 10, 1), (8 << 10, 2), (8 << 10, 4), (256 << 10, 4)];
     let mut pool: Vec<(MachineConfig, MemoryModel)> = Vec::new();
     for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
-        for (l2_lat, mem_lat, l2_size_shift) in
-            [(8, 100, 0), (8, 400, 0), (12, 100, 0), (8, 100, 1)]
-        {
-            let mut m = machine.clone();
-            m.memory.l2_latency = l2_lat;
-            m.memory.mem_latency = mem_lat;
-            m.memory.l2_size >>= l2_size_shift;
-            pool.push((m, model));
+        for (l2_size, l2_assoc) in geometries {
+            for (l2_lat, mem_lat) in [(8, 100), (8, 400), (12, 100), (5, 900)] {
+                let mut m = machine.clone();
+                m.memory.l2_size = l2_size;
+                m.memory.l2_assoc = l2_assoc;
+                m.memory.l2_latency = l2_lat;
+                m.memory.mem_latency = mem_lat;
+                pool.push((m, model));
+            }
         }
     }
 
@@ -261,15 +277,27 @@ fn random_variant_subsets_match_fresh_execution() {
         .iter()
         .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
         .collect();
+    // Test premise: under the realistic model, every geometry misses
+    // differently (same latency point, distinct L2 miss counts).
+    let realistic = &oracle[geometries.len() * 4..];
+    let mut l2_misses: Vec<u64> = realistic
+        .iter()
+        .step_by(4)
+        .map(|s| s.memory.l2_misses)
+        .collect();
+    l2_misses.sort_unstable();
+    l2_misses.dedup();
+    assert_eq!(l2_misses.len(), geometries.len(), "{l2_misses:?}");
 
     let mut rng = SmallRng::seed_from_u64(0x5EED_BA7C);
-    for round in 0..12 {
-        // Round 0 pins the batch-of-one case; later rounds draw 1..=6
-        // variants with replacement, in random order.
-        let width = if round == 0 {
-            1
-        } else {
-            rng.gen_range_i64(1, 6) as usize
+    for round in 0..16 {
+        // Round 0 pins the batch-of-one case, rounds 1–11 draw 1..=6
+        // variants and rounds 12–15 sweep-sized batches of 7..=64, with
+        // replacement, in random order.
+        let width = match round {
+            0 => 1,
+            1..=11 => rng.gen_range_i64(1, 6) as usize,
+            _ => rng.gen_range_i64(7, 64) as usize,
         };
         let picks: Vec<usize> = (0..width)
             .map(|_| rng.gen_range_i64(0, pool.len() as i64 - 1) as usize)
@@ -286,6 +314,94 @@ fn random_variant_subsets_match_fresh_execution() {
                 "round {round}: batch slot {slot} (pool entry {i}) diverged"
             );
         }
+    }
+}
+
+#[test]
+fn batch_cycle_limit_names_the_first_variant_in_batch_order_to_overrun() {
+    // Every variant of a batch carries its own cycle cap: above, exactly
+    // at or below its fresh cycle count, in mixed positions and tag
+    // classes.  The batch fails with the cap of the first variant in batch
+    // order that overruns — the error a fresh execution under that cap
+    // reports — and returns the fresh stats once no cap is below its run.
+    let machine = presets::vector2(4);
+    let (prepared, _, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let mut small_l2 = machine.clone();
+    small_l2.memory.l2_size = 8 * 1024;
+    small_l2.memory.l2_assoc = 1;
+    let configs: Vec<(MachineConfig, MemoryModel)> = vec![
+        (machine.clone(), MemoryModel::Realistic),
+        (slow_memory(&machine), MemoryModel::Realistic),
+        (machine.clone(), MemoryModel::Perfect),
+        (small_l2.clone(), MemoryModel::Realistic),
+        (slow_memory(&small_l2), MemoryModel::Realistic),
+    ];
+    let fresh: Vec<RunStats> = configs
+        .iter()
+        .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
+        .collect();
+    let cycles: Vec<u64> = fresh.iter().map(RunStats::cycles).collect();
+
+    // A capped fresh execution agrees on where each cap lies.
+    let capped = |c: usize, cap: u64| {
+        simulator(&prepared, &configs[c].0, configs[c].1, cap).run_lowered(&prepared.lowered)
+    };
+    for c in 0..configs.len() {
+        assert_eq!(
+            capped(c, cycles[c]).unwrap(),
+            fresh[c],
+            "config {c} at its cap"
+        );
+        assert_eq!(
+            capped(c, cycles[c] - 1),
+            Err(SimError::CycleLimit(cycles[c] - 1)),
+            "config {c} one cycle short"
+        );
+    }
+
+    let run = |plan: &[(usize, u64)]| {
+        let mut variants: Vec<VariantState> = plan
+            .iter()
+            .map(|&(c, cap)| VariantState::new(&analysis, &configs[c].0, configs[c].1, cap))
+            .collect();
+        replay_batch(&trace, &analysis, &mut variants)
+    };
+
+    // Variant 2 overruns half-way through; variants 4 and 6 only at the
+    // final segment.  Variant 2 comes first in batch order.
+    let half = cycles[1] / 2;
+    let plan = [
+        (0, cycles[0] + 1000),
+        (2, cycles[2]),
+        (1, half),
+        (3, cycles[3]),
+        (4, cycles[4] - 1),
+        (0, cycles[0]),
+        (2, cycles[2] - 1),
+    ];
+    assert_eq!(run(&plan), Err(ReplayError::CycleLimit(half)));
+    assert_eq!(capped(1, half), Err(SimError::CycleLimit(half)));
+
+    // Without it, two variants of different classes overrun at the same
+    // (final) segment: the earlier in batch order is named.
+    assert_ne!(cycles[4], cycles[2], "test premise: distinct caps");
+    let late: Vec<(usize, u64)> = plan.iter().copied().filter(|&(c, _)| c != 1).collect();
+    assert_eq!(run(&late), Err(ReplayError::CycleLimit(cycles[4] - 1)));
+
+    // Every cap at or above its run's cycles: the fresh stats, in order.
+    let fits = [
+        (0, cycles[0] + 1000),
+        (2, cycles[2]),
+        (1, cycles[1]),
+        (3, cycles[3]),
+        (4, cycles[4]),
+        (0, cycles[0]),
+        (2, cycles[2] + 1),
+    ];
+    let out = run(&fits).expect("no variant overruns");
+    for (slot, &(c, _)) in fits.iter().enumerate() {
+        assert_eq!(out[slot], fresh[c], "batch slot {slot} (config {c})");
     }
 }
 
