@@ -17,6 +17,9 @@
 //! first run of a [`Prepared`] executes and records a timing trace, and
 //! every other memory variant is retimed from that trace in one batched
 //! walk (`vmv_sim::replay_batch`); [`simulate`] is its one-variant case.
+//! A run that nothing will retime uses [`simulate_fresh`], which executes
+//! without recording: [`run_one`] (and so [`Suite`] and `repro`) and the
+//! sweep's one-job groups.
 
 use std::sync::{Arc, OnceLock};
 
@@ -84,7 +87,8 @@ pub fn variant_from_name(name: &str) -> Option<IsaVariant> {
 /// executable form, and the initial memory image and output checks.
 /// Immutable once built, so it can be shared (e.g. behind an `Arc`) and
 /// re-simulated under many memory models without rescheduling *or*
-/// re-lowering — the sweep crate's compile cache holds exactly this.
+/// re-lowering — the sweep executor builds one per schedule-key group and
+/// drops it when the group finishes.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub benchmark: Benchmark,
@@ -99,9 +103,9 @@ pub struct Prepared {
     /// successful [`simulate_batch`] call and retimed by every later one.
     /// The trace is memory-model- and memory-geometry-independent
     /// (functional values never change with timing), so clones and
-    /// `Arc`-shared copies of a `Prepared` — e.g. in the sweep compile
-    /// cache — execute each program once and retime it for every memory
-    /// variant.
+    /// `Arc`-shared copies of a `Prepared` execute each program once and
+    /// retime it for every memory variant.  [`simulate_fresh`] neither
+    /// reads nor fills it.
     trace: OnceLock<Arc<Recorded>>,
     /// Cycle-attribution statics (bundle issue classes, op names, lanes),
     /// built on first profiled simulate.  Like the lowered program they
@@ -279,8 +283,8 @@ fn simulate_group(
         // The slot analysis is built on the first retime only, so a program
         // recorded and never retimed pays nothing for it.  A call that
         // recorded the trace keeps its analysis local: a sweep retimes each
-        // schedule key in that one call, and holding an analysis per key
-        // until the sweep ends would only raise its peak memory.  Calls
+        // schedule key in that one call, and holding the analysis for as
+        // long as the `Prepared` lives would only raise peak memory.  Calls
         // retiming an earlier trace (e.g. one `simulate` per variant)
         // share the one memoized next to it.
         let local;
@@ -325,8 +329,10 @@ fn simulate_group(
 }
 
 /// Simulate by full functional execution, never recording or replaying a
-/// trace.  Results are identical to [`simulate`]; this entry point exists
-/// for callers that specifically measure the execution engine (`bench`).
+/// trace.  Results are identical to [`simulate`]; this is the entry point
+/// for runs that nothing will retime ([`run_one`], the sweep's one-job
+/// groups), which skips the recording cost, and for callers that
+/// specifically measure the execution engine (`bench`).
 pub fn simulate_fresh(
     prepared: &Prepared,
     machine: &MachineConfig,
@@ -365,14 +371,15 @@ fn simulator_for(prepared: &Prepared, machine: &MachineConfig, model: MemoryMode
     sim
 }
 
-/// Compile and simulate one benchmark on one machine configuration.
+/// Compile and simulate one benchmark on one machine configuration.  The
+/// program is used once, so it executes without recording a trace.
 pub fn run_one(
     benchmark: Benchmark,
     machine: &MachineConfig,
     model: MemoryModel,
 ) -> Result<RunOutcome, ExperimentError> {
     let prepared = prepare(benchmark, machine)?;
-    simulate(&prepared, machine, model)
+    simulate_fresh(&prepared, machine, model)
 }
 
 /// The complete measurement matrix for one memory model: every benchmark on

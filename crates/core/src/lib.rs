@@ -63,6 +63,33 @@ mod tests {
     }
 
     #[test]
+    fn memory_variants_share_one_trace() {
+        let machine = presets::vector2(2);
+        let prepared = prepare(Benchmark::GsmDec, &machine).unwrap();
+        assert!(
+            !prepared.has_trace(),
+            "nothing recorded before the first run"
+        );
+        // A fresh execution neither reads nor fills the memo.
+        let executed = simulate_fresh(&prepared, &machine, MemoryModel::Realistic).unwrap();
+        assert!(!prepared.has_trace());
+
+        // The first `simulate` executes and records; the second memory
+        // variant replays the same trace and must agree bit-for-bit with a
+        // fresh execution.
+        let perfect = simulate(&prepared, &machine, MemoryModel::Perfect).unwrap();
+        assert!(prepared.has_trace(), "first run records the trace");
+        let replayed = simulate(&prepared, &machine, MemoryModel::Realistic).unwrap();
+        assert_eq!(replayed.stats, executed.stats);
+        assert_eq!(replayed.check_failures, executed.check_failures);
+        assert_ne!(
+            perfect.stats.cycles(),
+            replayed.stats.cycles(),
+            "the memory model must still matter under replay"
+        );
+    }
+
+    #[test]
     fn variant_names_round_trip_through_the_decoder() {
         use vmv_kernels::IsaVariant;
         for v in IsaVariant::ALL {

@@ -20,9 +20,9 @@ use crate::snapshot::{Snapshot, WorkerSnapshot};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Compile-cache lookups served from an already-compiled entry.
+    /// Sweep jobs served by their group's schedule (K − 1 per group of K).
     CacheHits,
-    /// Compile-cache lookups that ran the scheduler.
+    /// Schedules a sweep ran: one per schedule-key group.
     CacheMisses,
     /// Basic blocks list-scheduled.
     SchedBlocks,
@@ -181,8 +181,8 @@ impl Counter {
 pub enum SpanKind {
     /// Time a sweep job waited between job-list creation and pickup.
     JobQueueWait,
-    /// Time a sweep job spent in `get_or_compile` (schedule + lower on a
-    /// miss, lock handoff on a hit).
+    /// Time a sweep group spent compiling its one program (build,
+    /// schedule, lower, and certify when enabled): one span per group.
     JobCompile,
     /// Time a sweep job spent simulating.
     JobSimulate,

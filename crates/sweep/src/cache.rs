@@ -1,21 +1,18 @@
-//! Compile memoization: each benchmark program is scheduled **once** per
-//! unique `(benchmark, ISA variant, schedule-relevant machine fields)` and
-//! the resulting [`Prepared`] (static schedule + memory image + checks) is
-//! shared across every run that only varies memory-system parameters or the
-//! memory model.
+//! Schedule keys: each benchmark program is scheduled **once** per unique
+//! `(benchmark, ISA variant, schedule-relevant machine fields)`, and the
+//! resulting [`Prepared`] (static schedule + memory image + checks) serves
+//! every run of that key, which may vary only memory-system parameters or
+//! the memory model.
 //!
 //! A sweep over cache geometries or memory latencies therefore pays the
 //! scheduler exactly once per architecture point, no matter how many memory
 //! variants it simulates.
 //!
-//! The shared [`Prepared`] also memoizes the **execution trace**: the first
-//! run of a cached entry executes and records, and every later memory
-//! variant is retimed from that trace by the batched replay walk (see
-//! `vmv_sim::replay_batch`), skipping functional execution entirely.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+//! Nothing is memoized here: neither programs nor traces.  The executor
+//! groups a sweep's jobs by [`CompileCache::key_for`], compiles each
+//! group's program when the group starts and drops it, with any trace it
+//! recorded, when the group finishes; the hit/miss counters are derived
+//! from the group sizes.
 
 use vmv_core::{prepare, ExperimentError, Prepared};
 use vmv_kernels::{Benchmark, IsaVariant};
@@ -27,54 +24,23 @@ use crate::fingerprint::schedule_fingerprint;
 /// schedule-relevant machine fields.
 pub type CacheKey = (Benchmark, IsaVariant, String);
 
-/// One cache slot.  The per-slot mutex serialises compilation of the *same*
-/// key (so a key is scheduled exactly once even under contention) while
-/// distinct keys compile fully in parallel.
-type Slot = Arc<Mutex<Option<Result<Arc<Prepared>, String>>>>;
+/// The schedule-key namespace (the name predates group-scoped programs,
+/// when it also held every compiled program until the sweep returned).
+pub struct CompileCache;
 
-/// Thread-safe compile cache.
-pub struct CompileCache {
-    slots: Mutex<HashMap<CacheKey, Slot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Certify each freshly compiled schedule with the static verifier
-    /// (`vmv_verify::verify_compiled`) before caching it.
-    verify: bool,
-}
-
-impl Default for CompileCache {
-    fn default() -> Self {
-        CompileCache {
-            slots: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            // Every dev/test sweep certifies its schedules for free; release
-            // sweeps opt in via `sweep --verify`.
-            verify: cfg!(debug_assertions),
-        }
-    }
-}
-
-/// Counters exposed for reporting and for the exactly-one-schedule tests.
+/// Schedule counters of one sweep, derived from its groups: each group of
+/// K jobs is one miss (its one schedule) and K − 1 hits, whether or not it
+/// compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups served from an already-compiled entry.
+    /// Jobs served by their group's schedule.
     pub hits: u64,
-    /// Lookups that had to run the scheduler (== number of schedules).
+    /// Schedules attempted (one per group).
     pub misses: u64,
 }
 
 impl CompileCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Force schedule certification on (or off) regardless of build profile.
-    pub fn set_verify(&mut self, on: bool) {
-        self.verify = on;
-    }
-
-    /// The key this cache files `(benchmark, machine)` under.
+    /// The key `(benchmark, machine)` is scheduled under.
     pub fn key_for(benchmark: Benchmark, machine: &MachineConfig) -> CacheKey {
         (
             benchmark,
@@ -82,158 +48,109 @@ impl CompileCache {
             schedule_fingerprint(machine),
         )
     }
+}
 
-    /// Fetch the compiled program for `(benchmark, machine)`, scheduling it
-    /// on a miss.  Concurrent requests for the same key block until the
-    /// first finishes; errors are cached too (a machine that cannot compile
-    /// a benchmark fails fast on every retry).
-    pub fn get_or_compile(
-        &self,
-        benchmark: Benchmark,
-        machine: &MachineConfig,
-    ) -> Result<Arc<Prepared>, ExperimentError> {
-        let key = Self::key_for(benchmark, machine);
-        let slot: Slot = {
-            let mut slots = self.slots.lock().unwrap();
-            slots.entry(key).or_default().clone()
-        };
-        let mut guard = slot.lock().unwrap();
-        match &*guard {
-            Some(Ok(prepared)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                vmv_obs::incr(vmv_obs::Counter::CacheHits);
-                Ok(Arc::clone(prepared))
-            }
-            Some(Err(msg)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                vmv_obs::incr(vmv_obs::Counter::CacheHits);
-                Err(ExperimentError::Compile(msg.clone()))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                vmv_obs::incr(vmv_obs::Counter::CacheMisses);
-                let result = prepare(benchmark, machine).map(Arc::new).and_then(|p| {
-                    if self.verify {
-                        let diags =
-                            vmv_verify::verify_compiled(&p.compiled.program, &p.lowered, machine);
-                        if vmv_verify::has_errors(&diags) {
-                            let joined = diags
-                                .iter()
-                                .map(|d| d.to_string())
-                                .collect::<Vec<_>>()
-                                .join("; ");
-                            return Err(ExperimentError::Compile(format!(
-                                "schedule failed static verification: {joined}"
-                            )));
-                        }
-                    }
-                    Ok(p)
-                });
-                *guard = Some(match &result {
-                    Ok(prepared) => Ok(Arc::clone(prepared)),
-                    Err(e) => Err(e.to_string()),
-                });
-                result
-            }
+/// Compile `benchmark` for `machine` and, when `certify` is set, certify
+/// the schedule with the static verifier (`vmv_verify::verify_compiled`):
+/// a schedule with error diagnostics is a compile error.
+pub(crate) fn compile(
+    benchmark: Benchmark,
+    machine: &MachineConfig,
+    certify: bool,
+) -> Result<Prepared, ExperimentError> {
+    let prepared = prepare(benchmark, machine)?;
+    if certify {
+        let diags =
+            vmv_verify::verify_compiled(&prepared.compiled.program, &prepared.lowered, machine);
+        if vmv_verify::has_errors(&diags) {
+            let joined = diags
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join("; ");
+            return Err(ExperimentError::Compile(format!(
+                "schedule failed static verification: {joined}"
+            )));
         }
     }
-
-    /// Current hit/miss counters.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct keys ever compiled (or attempted).
-    pub fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    Ok(prepared)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{run_sweep, ExecOptions};
+    use crate::spec::{Axis, SweepSpec};
     use vmv_machine::presets;
+
+    /// One GSM_DEC sweep at `workers`, asserting the derived counters:
+    /// one miss per distinct schedule key, and every other job a hit.
+    fn assert_one_schedule_per_key(points: &[crate::spec::SweepPoint], workers: usize) {
+        let opts = ExecOptions {
+            benchmarks: vec![Benchmark::GsmDec],
+            workers,
+            ..ExecOptions::default()
+        };
+        let report = run_sweep(points, &opts, None).unwrap();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        let keys: std::collections::HashSet<_> = points
+            .iter()
+            .map(|p| CompileCache::key_for(Benchmark::GsmDec, &p.machine))
+            .collect();
+        assert_eq!(report.cache.misses, keys.len() as u64, "workers {workers}");
+        assert_eq!(
+            report.cache.hits,
+            (points.len() - keys.len()) as u64,
+            "workers {workers}"
+        );
+    }
 
     #[test]
     fn memory_variants_share_one_schedule() {
-        let cache = CompileCache::new();
+        // Four memory variants of one machine: one schedule, three hits.
+        let points = SweepSpec::new()
+            .axis(Axis::l2_size(&[64 * 1024, 256 * 1024]))
+            .axis(Axis::mem_latency(&[100, 500]))
+            .expand()
+            .points;
+        assert_eq!(points.len(), 4);
+        for workers in [1, 2] {
+            assert_one_schedule_per_key(&points, workers);
+        }
+    }
+
+    #[test]
+    fn schedule_relevant_changes_recompile() {
         let base = presets::vector2(2);
         let mut big_l2 = base.clone();
         big_l2.memory.l2_size *= 4;
         let mut slow_dram = base.clone();
         slow_dram.memory.mem_latency = 100;
-
-        for machine in [&base, &big_l2, &slow_dram, &base] {
-            cache.get_or_compile(Benchmark::GsmDec, machine).unwrap();
-        }
-        let c = cache.counters();
-        assert_eq!(c.misses, 1, "one schedule for four memory-variant lookups");
-        assert_eq!(c.hits, 3);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn memory_variants_share_one_trace() {
-        use vmv_mem::MemoryModel;
-        let cache = CompileCache::new();
-        let machine = presets::vector2(2);
-        let prepared = cache.get_or_compile(Benchmark::GsmDec, &machine).unwrap();
-        assert!(
-            !prepared.has_trace(),
-            "nothing recorded before the first run"
-        );
-
-        // First run executes and records; the second memory variant replays
-        // the same trace and must agree bit-for-bit with a fresh execution.
-        let perfect = vmv_core::simulate(&prepared, &machine, MemoryModel::Perfect).unwrap();
-        assert!(prepared.has_trace(), "first run records the trace");
-        let replayed = vmv_core::simulate(&prepared, &machine, MemoryModel::Realistic).unwrap();
-        let executed =
-            vmv_core::simulate_fresh(&prepared, &machine, MemoryModel::Realistic).unwrap();
-        assert_eq!(replayed.stats, executed.stats);
-        assert_ne!(
-            perfect.stats.cycles(),
-            replayed.stats.cycles(),
-            "the memory model must still matter under replay"
-        );
-
-        // The cache hands out the same Arc, so the trace rides along.
-        let again = cache.get_or_compile(Benchmark::GsmDec, &machine).unwrap();
-        assert!(again.has_trace());
-    }
-
-    #[test]
-    fn schedule_relevant_changes_recompile() {
-        let cache = CompileCache::new();
-        let base = presets::vector2(2);
         let mut wide = base.clone();
         wide.vector_lanes = 8;
-        cache.get_or_compile(Benchmark::GsmDec, &base).unwrap();
-        cache.get_or_compile(Benchmark::GsmDec, &wide).unwrap();
-        cache.get_or_compile(Benchmark::GsmEnc, &base).unwrap();
-        assert_eq!(cache.counters().misses, 3);
+        let key = |b, m: &MachineConfig| CompileCache::key_for(b, m);
+
+        // Memory-only changes share a key ...
+        let base_key = key(Benchmark::GsmDec, &base);
+        assert_eq!(key(Benchmark::GsmDec, &big_l2), base_key);
+        assert_eq!(key(Benchmark::GsmDec, &slow_dram), base_key);
+        // ... lane-count and benchmark changes do not.
+        assert_ne!(key(Benchmark::GsmDec, &wide), base_key);
+        assert_ne!(key(Benchmark::GsmEnc, &base), base_key);
     }
 
     #[test]
     fn concurrent_lookups_schedule_exactly_once() {
-        let cache = CompileCache::new();
-        let machine = presets::usimd(2);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    cache.get_or_compile(Benchmark::GsmDec, &machine).unwrap();
-                });
-            }
-        });
-        let c = cache.counters();
-        assert_eq!(c.misses, 1, "eight concurrent lookups, one schedule");
-        assert_eq!(c.hits, 7);
+        // Two lane counts with four memory variants each: two schedules
+        // however the workers race for the groups.
+        let points = SweepSpec::new()
+            .axis(Axis::vector_lanes(&[2, 4]))
+            .axis(Axis::mem_latency(&[100, 200, 300, 400]))
+            .expand()
+            .points;
+        assert_eq!(points.len(), 8);
+        for workers in [1, 2] {
+            assert_one_schedule_per_key(&points, workers);
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use vmv_verify::{has_errors, Check, Diagnostic};
 
-use crate::cache::CompileCache;
+use crate::cache::{compile, CompileCache};
 use crate::specfile::SpecFile;
 
 /// Outcome of [`check_spec`].
@@ -115,7 +115,7 @@ pub fn lint(spec: &SpecFile) -> Vec<Diagnostic> {
 /// Lint a spec, then compile and certify every distinct schedule it can
 /// reach — one compile per `(benchmark, ISA variant, schedule fingerprint)`
 /// key, shared across all memory-only variants, exactly as a real sweep
-/// would share them.
+/// would share them.  Each program is dropped as soon as it is certified.
 pub fn check_spec(spec: &SpecFile) -> SpecCheck {
     let mut diagnostics = lint(spec);
     let mut points = 0;
@@ -124,15 +124,13 @@ pub fn check_spec(spec: &SpecFile) -> SpecCheck {
         if let Ok(lowered) = spec.lower() {
             let expansion = lowered.spec.expand();
             points = expansion.points.len();
-            let mut cache = CompileCache::new();
-            cache.set_verify(true);
             let mut seen = HashSet::new();
             for point in &expansion.points {
                 for &benchmark in &lowered.benchmarks {
                     if !seen.insert(CompileCache::key_for(benchmark, &point.machine)) {
                         continue;
                     }
-                    if let Err(e) = cache.get_or_compile(benchmark, &point.machine) {
+                    if let Err(e) = compile(benchmark, &point.machine, true) {
                         diagnostics.push(Diagnostic::error(
                             Check::Spec,
                             format!("point '{}', benchmark {}", point.name, benchmark.name()),
@@ -141,7 +139,7 @@ pub fn check_spec(spec: &SpecFile) -> SpecCheck {
                     }
                 }
             }
-            schedules = cache.counters().misses as usize;
+            schedules = seen.len();
         }
     }
     SpecCheck {

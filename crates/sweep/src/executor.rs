@@ -1,14 +1,20 @@
 //! The parallel sweep executor: runs every `(design point, benchmark)` job
-//! on a pool of `std::thread::scope` workers, sharing one [`CompileCache`]
-//! so each program is scheduled once per unique schedule key, and skipping
-//! jobs whose run keys are already in the result store.
+//! on a pool of `std::thread::scope` workers, scheduling each program once
+//! per unique schedule key, and skipping jobs whose run keys are already in
+//! the result store.
 //!
-//! Jobs are dispatched in *groups*: every job sharing one compile-cache key
-//! also shares one lowered program and one recorded trace, so a group is
-//! one call of [`vmv_core::simulate_batch`] — the first run executes and
-//! records, and every remaining memory variant is retimed by one batched
-//! trace walk.  A call that fails or panics is retried job by job, each as
-//! a group of one, preserving per-job error isolation.
+//! Jobs are dispatched in *groups*: every job sharing one schedule key
+//! ([`CompileCache::key_for`]) shares one lowered program, and the group is
+//! that program's whole lifetime.  A worker compiles it when it picks the
+//! group up and drops it, with any trace it recorded, as soon as the
+//! group's results are handed to the committer, so a sweep holds at most
+//! one program per worker.  A group of one executes without recording
+//! ([`vmv_core::simulate_fresh`]); a larger group is one call of
+//! [`vmv_core::simulate_batch`], whose first run executes and records and
+//! whose remaining memory variants are retimed by one batched trace walk.
+//! A call that fails or panics is retried job by job, each as a group of
+//! one, preserving per-job error isolation.  Profiled sweeps run every
+//! group through [`vmv_core::simulate_batch_profiled`].
 //!
 //! There is one executor loop for every worker count: the calling thread
 //! works through groups like every helper thread and also commits results
@@ -21,11 +27,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use vmv_core::{simulate_batch, simulate_batch_profiled, Prepared};
+use vmv_core::{simulate_batch, simulate_batch_profiled, simulate_fresh, Prepared};
 use vmv_kernels::Benchmark;
 use vmv_obs::{Counter, SpanKind};
 
-use crate::cache::{CacheCounters, CompileCache};
+use crate::cache::{compile, CacheCounters, CompileCache};
 use crate::profiles::{write_profile, ProfileMeta};
 use crate::spec::SweepPoint;
 use crate::store::{run_key, ResultStore, RunRecord};
@@ -90,11 +96,13 @@ pub struct SweepReport {
     /// Failed jobs as `(job description, error)` — a failing extreme point
     /// does not abort the rest of the sweep.
     pub errors: Vec<(String, String)>,
-    /// Compile-cache counters (misses == schedules performed).
+    /// Schedule counters (misses == schedules performed), derived from the
+    /// group sizes.
     pub cache: CacheCounters,
-    /// Jobs served by trace replay instead of full execution: their shared
-    /// [`vmv_core::Prepared`] already held a recorded trace, so only the
-    /// memory hierarchy was re-timed.
+    /// Jobs served by trace replay instead of full execution: another job
+    /// of their group recorded the program's trace, so only the memory
+    /// hierarchy was re-timed.  Groups of one never record, so a sweep of
+    /// one-job groups reports 0.
     pub replays: usize,
     /// Batched replay walks performed (each retimes one or more variants in
     /// a single pass over the shared trace).
@@ -104,11 +112,13 @@ pub struct SweepReport {
 }
 
 /// The `--progress` heartbeat: at most one line per second on stderr with
-/// runs done/total, throughput, compile-cache hit rate and an ETA.
+/// runs done/total, throughput, the sweep's schedule hit rate and an ETA.
 struct Progress {
     on: bool,
     total: usize,
     skipped: usize,
+    /// Share of jobs served by their group's schedule, percent.
+    hit_pct: f64,
     start: Instant,
     last: Instant,
     /// Recent `(instant, done)` samples.  The rate (and so the ETA) is
@@ -123,21 +133,27 @@ struct Progress {
 const RATE_WINDOW_S: f64 = 10.0;
 
 impl Progress {
-    fn new(on: bool, total: usize, skipped: usize) -> Progress {
+    fn new(on: bool, total: usize, skipped: usize, cache: CacheCounters) -> Progress {
         let now = Instant::now();
         let mut window = VecDeque::new();
         window.push_back((now, 0));
+        let lookups = cache.hits + cache.misses;
         Progress {
             on,
             total,
             skipped,
+            hit_pct: if lookups == 0 {
+                0.0
+            } else {
+                100.0 * cache.hits as f64 / lookups as f64
+            },
             start: now,
             last: now,
             window,
         }
     }
 
-    fn tick(&mut self, done: usize, cache: &CompileCache, force: bool) {
+    fn tick(&mut self, done: usize, force: bool) {
         if !self.on {
             return;
         }
@@ -168,16 +184,9 @@ impl Progress {
         } else {
             "?".to_string()
         };
-        let c = cache.counters();
-        let lookups = c.hits + c.misses;
-        let hit_pct = if lookups == 0 {
-            0.0
-        } else {
-            100.0 * c.hits as f64 / lookups as f64
-        };
         eprintln!(
-            "sweep: {done}/{} runs ({} skipped) | {rate:.1} runs/s | cache hits {hit_pct:.0}% | eta {eta}",
-            self.total, self.skipped
+            "sweep: {done}/{} runs ({} skipped) | {rate:.1} runs/s | cache hits {:.0}% | eta {eta}",
+            self.total, self.skipped, self.hit_pct
         );
     }
 }
@@ -198,11 +207,9 @@ pub fn run_sweep(
     opts: &ExecOptions,
     store: Option<&ResultStore>,
 ) -> std::io::Result<SweepReport> {
-    let mut cache = CompileCache::new();
-    if opts.verify {
-        cache.set_verify(true);
-    }
-    let cache = cache;
+    // Every dev/test sweep certifies its schedules for free; release sweeps
+    // opt in via `sweep --verify`.
+    let certify = opts.verify || cfg!(debug_assertions);
     let done = match store {
         Some(s) => s.completed_keys()?,
         None => Default::default(),
@@ -234,8 +241,8 @@ pub fn run_sweep(
 
     vmv_obs::add(Counter::SweepJobsSkipped, skipped as u64);
 
-    // Group jobs by compile-cache key: one group = one lowered program =
-    // one trace, executed as a record-then-batch-replay unit.  Groups keep
+    // Group jobs by schedule key: one group = one lowered program, compiled
+    // when the group starts and dropped when it ends.  Groups keep
     // first-seen order and ascending job indices, so the committed prefix
     // of the point-major job list still drains in order.
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -265,19 +272,30 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // One group call (`vmv_core::simulate_batch`): the first job of a key
-    // without a trace executes and records, every other job is retimed in
-    // one batched walk.  A panic is caught and returned as the call's error.
+    // One group call.  Unprofiled, a group of one executes without
+    // recording (`simulate_fresh`); a larger group is one `simulate_batch`,
+    // whose first job executes and records and whose other jobs are retimed
+    // in one batched walk.  A panic is caught and returned as the call's
+    // error.
     let simulate_jobs = |prepared: &Prepared, group: &[usize]| -> Result<Vec<RunRecord>, String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _simulate = vmv_obs::span(SpanKind::JobSimulate);
-            // Classify before the call, which records the trace if missing.
-            let retimed = group.len() - usize::from(!prepared.has_trace());
             let variants: Vec<_> = group
                 .iter()
                 .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
                 .collect();
+            let fresh = opts.profile_dir.is_none() && group.len() == 1;
+            // Classify before the call, which records the trace if missing.
+            let retimed = if fresh {
+                0
+            } else {
+                group.len() - usize::from(!prepared.has_trace())
+            };
             let outcomes = match &opts.profile_dir {
+                None if fresh => {
+                    let (machine, model) = variants[0];
+                    vec![simulate_fresh(prepared, machine, model).map_err(|e| e.to_string())?]
+                }
                 Some(dir) => {
                     let (outcomes, profiles) =
                         simulate_batch_profiled(prepared, &variants).map_err(|e| e.to_string())?;
@@ -310,8 +328,9 @@ pub fn run_sweep(
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     };
 
-    // One group, start to finish.  Returns one result per job of the
-    // group, in group (= job) order.
+    // One group, start to finish: compile its program, simulate, and drop
+    // the program (and any trace) on return.  Returns one result per job of
+    // the group, in group (= job) order.
     let run_group = |group: &[usize]| -> Vec<JobResult> {
         for _ in group {
             vmv_obs::record_ns(
@@ -319,26 +338,18 @@ pub fn run_sweep(
                 queued_at.elapsed().as_nanos() as u64,
             );
         }
-        // One cache lookup per job (not per group) keeps the hit/miss
-        // accounting identical to per-job dispatch: the first lookup of a
-        // key is the miss that schedules, every other job is a hit.
-        let mut prepared: Option<std::sync::Arc<Prepared>> = None;
-        let mut compile_err: Option<String> = None;
-        for &i in group {
-            let job = &jobs[i];
-            let looked_up = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _compile = vmv_obs::span(SpanKind::JobCompile);
-                cache.get_or_compile(job.benchmark, &job.point.machine)
-            }));
-            match looked_up {
-                Ok(Ok(p)) => prepared = Some(p),
-                Ok(Err(e)) => compile_err = Some(e.to_string()),
-                Err(panic) => compile_err = Some(panic_message(&panic)),
-            }
-        }
-
-        let results: Vec<JobResult> = match (prepared, compile_err) {
-            (Some(prepared), _) => match simulate_jobs(&prepared, group) {
+        // The group's one schedule is its miss; its other jobs are hits.
+        vmv_obs::incr(Counter::CacheMisses);
+        vmv_obs::add(Counter::CacheHits, group.len() as u64 - 1);
+        let first = &jobs[group[0]];
+        let compiled = std::panic::catch_unwind(|| {
+            let _compile = vmv_obs::span(SpanKind::JobCompile);
+            compile(first.benchmark, &first.point.machine, certify)
+        })
+        .map_err(|panic| panic_message(&panic))
+        .and_then(|compiled| compiled.map_err(|e| e.to_string()));
+        let results: Vec<JobResult> = match compiled {
+            Ok(prepared) => match simulate_jobs(&prepared, group) {
                 Ok(records) => group
                     .iter()
                     .copied()
@@ -353,8 +364,7 @@ pub fn run_sweep(
                     .map(|&i| (i, simulate_jobs(&prepared, &[i]).map(|mut r| r.remove(0))))
                     .collect(),
             },
-            (None, Some(e)) => group.iter().map(|&i| (i, Err(e.clone()))).collect(),
-            (None, None) => unreachable!("non-empty group yields a compile result"),
+            Err(e) => group.iter().map(|&i| (i, Err(e.clone()))).collect(),
         };
         for (_, r) in &results {
             vmv_obs::incr(if r.is_ok() {
@@ -405,7 +415,11 @@ pub fn run_sweep(
         appended: 0,
         store,
     };
-    let mut progress = Progress::new(opts.progress, jobs.len(), skipped);
+    let cache = CacheCounters {
+        hits: (jobs.len() - groups.len()) as u64,
+        misses: groups.len() as u64,
+    };
+    let mut progress = Progress::new(opts.progress, jobs.len(), skipped, cache);
     let mut append_error: Option<std::io::Error> = None;
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -430,7 +444,7 @@ pub fn run_sweep(
             // The heartbeat reads the completed-runs counter, not the
             // committed prefix, so progress keeps moving even while an
             // interleaved group holds the prefix back.
-            progress.tick(done_runs.load(Ordering::Relaxed), &cache, false);
+            progress.tick(done_runs.load(Ordering::Relaxed), false);
             if append_error.is_none() {
                 // Stream completed records in small batches so an
                 // interrupted sweep keeps (almost) everything, without one
@@ -451,7 +465,7 @@ pub fn run_sweep(
         return Err(e);
     }
     commit.append(1)?;
-    progress.tick(done_runs.load(Ordering::Relaxed), &cache, true);
+    progress.tick(done_runs.load(Ordering::Relaxed), true);
     let errors = commit
         .failed
         .into_iter()
@@ -465,7 +479,7 @@ pub fn run_sweep(
         records: commit.records,
         skipped,
         errors,
-        cache: cache.counters(),
+        cache,
         replays: replays.load(Ordering::Relaxed),
         replay_batches: replay_batches.load(Ordering::Relaxed),
         wall_seconds: start.elapsed().as_secs_f64(),
@@ -685,10 +699,57 @@ mod tests {
             assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
             assert!(report.errors[0].0.contains("l1:48K"), "{:?}", report.errors);
             assert_eq!(report.records, clean.records, "workers {workers}");
-            // The failed call kept no trace: the 16 KB retry records it
-            // again, and 32 KB is retimed as a batch of one.
-            assert_eq!(report.replays, 1);
-            assert_eq!(report.replay_batches, 1);
+            // Every retry is a group of one, which executes without
+            // recording: nothing is retimed.
+            assert_eq!(report.replays, 0);
+            assert_eq!(report.replay_batches, 0);
+        }
+    }
+
+    #[test]
+    fn one_job_groups_match_the_recording_path() {
+        // ISA x issue width gives six one-job groups; two DRAM latencies of
+        // the default machine (vector, 2-wide) add one two-job group that
+        // records and retimes.  Every record must equal a recording
+        // `simulate` of its job on a fresh `Prepared`.
+        let mut points = SweepSpec::new()
+            .axis(Axis::isa(&[
+                vmv_machine::IsaSupport::Vliw,
+                vmv_machine::IsaSupport::Usimd,
+                vmv_machine::IsaSupport::Vector,
+            ]))
+            .axis(Axis::issue_width(&[4, 8]))
+            .expand()
+            .points;
+        points.extend(
+            SweepSpec::new()
+                .axis(Axis::mem_latency(&[150, 250]))
+                .expand()
+                .points,
+        );
+        let benchmark = Benchmark::GsmDec;
+        let expected: Vec<RunRecord> = points
+            .iter()
+            .map(|point| {
+                let prepared = vmv_core::prepare(benchmark, &point.machine).unwrap();
+                let outcome = vmv_core::simulate(&prepared, &point.machine, point.model).unwrap();
+                assert!(prepared.has_trace(), "simulate records");
+                let variant = vmv_core::variant_for(&point.machine);
+                let key = run_key(benchmark, variant, &point.machine, point.model);
+                record_of(key, point, benchmark, &outcome)
+            })
+            .collect();
+        for workers in [1, 2] {
+            let opts = ExecOptions {
+                benchmarks: vec![benchmark],
+                workers,
+                ..ExecOptions::default()
+            };
+            let report = run_sweep(&points, &opts, None).unwrap();
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            assert_eq!(report.records, expected, "workers {workers}");
+            assert_eq!(report.cache.misses, 7, "six one-job keys and one pair");
+            assert_eq!((report.replays, report.replay_batches), (1, 1));
         }
     }
 

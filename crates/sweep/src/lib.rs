@@ -18,9 +18,10 @@
 //!   spec-driven result store opens with a [`StoreHeader`] line naming the
 //!   spec that produced it;
 //! * [`run_sweep`] executes `points × benchmarks` on a work-stealing thread
-//!   pool, with a [`CompileCache`] keyed by `(benchmark, ISA variant,
-//!   schedule-relevant machine fields)` so each program is **scheduled once**
-//!   and re-simulated across every memory variation;
+//!   pool, grouping jobs by schedule key ([`CompileCache::key_for`]:
+//!   benchmark, ISA variant, schedule-relevant machine fields) so each
+//!   program is **scheduled once**, re-simulated across every memory
+//!   variation of its group, and freed when the group finishes;
 //! * [`ResultStore`] streams each run as a JSON Line with a stable
 //!   content-derived [`run_key`], so re-invocations **skip completed runs**
 //!   and extend the same file; shard files from distributed sweeps union by

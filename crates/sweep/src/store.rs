@@ -435,6 +435,14 @@ impl ResultStore {
             .create(true)
             .append(true)
             .open(&self.path)?;
+        let torn = !ends_with_newline(&file)?;
+        if torn && is_lone_unreadable_line(&file)? {
+            // The file is nothing but a torn first line no reader accepts
+            // (a crash while the first line, usually the header, was being
+            // written): it is an empty store, so start it over and stamp
+            // the header first.
+            file.set_len(0)?;
+        }
         let mut buf = String::new();
         if file.metadata()?.len() == 0 {
             // First write into this file: stamp the spec header line.
@@ -442,7 +450,7 @@ impl ResultStore {
                 buf.push_str(&h.to_json().render());
                 buf.push('\n');
             }
-        } else if !ends_with_newline(&file)? {
+        } else if torn {
             // A torn final line (interrupted earlier run) must not swallow
             // the first new record: re-open on a fresh line.
             buf.push('\n');
@@ -456,6 +464,21 @@ impl ResultStore {
         vmv_obs::add(vmv_obs::Counter::StoreRecordsAppended, records.len() as u64);
         Ok(())
     }
+}
+
+/// Whether the file holds one unterminated line that neither
+/// [`ResultStore::load`] nor [`ResultStore::read_header`] accepts.
+fn is_lone_unreadable_line(file: &std::fs::File) -> std::io::Result<bool> {
+    use std::io::{Seek, SeekFrom};
+    let mut f = file;
+    f.seek(SeekFrom::Start(0))?;
+    let mut first = Vec::new();
+    std::io::BufReader::new(f).read_until(b'\n', &mut first)?;
+    Ok(first.last() != Some(&b'\n')
+        && !matches!(
+            classify_store_line(&String::from_utf8_lossy(&first)),
+            StoreLine::Record(_) | StoreLine::Header(_)
+        ))
 }
 
 /// Whether the file is empty or its last byte is `\n`.
@@ -846,6 +869,75 @@ mod tests {
             classify_store_line("{\"key\":\"aaaa000011112222\"}"),
             StoreLine::Unrecognized(_)
         ));
+    }
+
+    #[test]
+    fn a_store_torn_at_any_byte_loads_complete_records_and_resumes_cleanly() {
+        use crate::executor::{run_sweep, ExecOptions};
+        use crate::specfile::SpecFile;
+        let spec = SpecFile::parse(
+            r#"{"name": "torn", "axes": [
+                {"axis": "mem_latency", "values": [100, 200, 300]},
+                {"axis": "benchmarks", "values": ["GSM_DEC"]}]}"#,
+        )
+        .unwrap();
+        let lowered = spec.lower().unwrap();
+        let points = lowered.spec.expand().points;
+        let opts = ExecOptions::for_spec(&lowered, 1);
+        let path = temp_path("crash");
+        let sweep = || {
+            let store = ResultStore::with_header(&path, spec.store_header());
+            run_sweep(&points, &opts, Some(&store)).unwrap();
+            store
+        };
+
+        let clean_store = sweep();
+        let clean = std::fs::read(&path).unwrap();
+        let clean_records = clean_store.load().unwrap();
+        assert_eq!(clean_records.len(), 3);
+        clean_store.compact().unwrap();
+        let compacted = std::fs::read(&path).unwrap();
+        // `(start, end)` of every line, newline excluded; line 0 is the
+        // header.
+        let mut lines = Vec::new();
+        let mut start = 0;
+        for (i, _) in clean.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+            lines.push((start, i));
+            start = i + 1;
+        }
+        assert_eq!(lines.len(), 4);
+
+        let store = ResultStore::open(&path);
+        for cut in 0..=clean.len() {
+            std::fs::write(&path, &clean[..cut]).unwrap();
+            let complete = lines[1..].iter().filter(|&&(_, end)| end <= cut).count();
+            assert_eq!(
+                store.load().unwrap(),
+                clean_records[..complete],
+                "cut at byte {cut}"
+            );
+        }
+
+        let cuts = lines
+            .iter()
+            .flat_map(|&(start, end)| [start, (start + end) / 2])
+            .chain([clean.len()]);
+        for cut in cuts {
+            std::fs::write(&path, &clean[..cut]).unwrap();
+            let store = sweep();
+            let records = store.load().unwrap();
+            assert_eq!(records, clean_records, "rerun after a cut at byte {cut}");
+            let keys: HashSet<&str> = records.iter().map(|r| r.key.as_str()).collect();
+            assert_eq!(keys.len(), records.len(), "duplicate keys, cut {cut}");
+            assert_eq!(
+                store.read_header().unwrap(),
+                Some(spec.store_header()),
+                "cut at byte {cut}"
+            );
+            store.compact().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), compacted, "cut {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
