@@ -16,20 +16,20 @@
 //!   Realistic model), re-simulated from one compile per schedule key the
 //!   same way the sweep executor does.
 //!
-//! A third **replay** stage runs the committed `latency_tolerance` memory-
-//! axis sweep twice — once re-executing every run, once record-once/replay-
-//! the-rest the way `vmv_core::simulate` does behind the sweep cache —
-//! asserts the two strategies agree bit-for-bit, and records the speedup
-//! (`--min-replay-speedup` gates it in CI).
+//! One replay pass then walks the committed `latency_tolerance` memory-axis
+//! sweep one schedule key at a time, directly on the engine
+//! (`vmv_core::sim`): it executes every run fresh, records the key's first
+//! run together with its slot analysis, retimes the other memory variants
+//! by one single-variant walk each and then by one fused walk, and asserts
+//! that every leg is bit-identical to fresh execution.  The pass reports
+//! two stages:
 //!
-//! A fourth **replay_batch** stage retimes the same sweep's memory variants
-//! twice more — once by one single-variant `vmv_core::simulate` per variant
-//! (a batch-of-1 walk each), once by one fused `vmv_core::simulate_batch`
-//! walk per schedule key — asserts bit-identical statistics, and records
-//! the per-retimed-variant speedup of the fused walk over the single-variant
-//! calls (`--min-batch-speedup` gates it in CI).  The slot analysis that
-//! `vmv_core` memoizes beside each trace is built by the first
-//! single-variant call, so the fused leg reuses it.
+//! * **replay** — re-executing every run vs record-once/replay-the-rest
+//!   (the recordings plus the single-variant walks); `--min-replay-speedup`
+//!   gates the speedup in CI;
+//! * **replay_batch** — the single-variant walks vs the fused walks, per
+//!   retimed variant; `--min-batch-speedup` gates it in CI.  Both legs time
+//!   walks only, since the slot analysis is built with the recording.
 //!
 //! Reports simulated-cycles-per-second per stage-adjusted workload and
 //! **appends** a host- and commit-stamped entry to the `BENCH_sim.json`
@@ -40,13 +40,16 @@
 //! process exits non-zero when the synthetic-sweep simulation throughput
 //! falls below the floor.
 
+use std::collections::HashMap;
+use std::io::Write;
 use std::time::Instant;
 
-use vmv_core::{prepare, simulate, simulate_fresh, variant_for};
+use vmv_core::sim::{replay_batch, ReplayAnalysis, RunStats, SimOptions, VariantState};
+use vmv_core::{prepare, simulate, variant_for, Prepared};
 use vmv_kernels::Benchmark;
 use vmv_machine::all_configs;
 use vmv_mem::MemoryModel;
-use vmv_sweep::{schedule_fingerprint, Json, SpecFile};
+use vmv_sweep::{CompileCache, Json, SpecFile};
 
 /// The committed memory-axis sweep the replay stage measures (chaining ×
 /// L2 latency × memory latency on the GSM pair).
@@ -66,8 +69,7 @@ fn usage() {
          \x20               re-execution is below X\n\
          --min-batch-speedup X\n\
          \x20               exit non-zero when the replay_batch stage's speedup\n\
-         \x20               over one single-variant simulate per variant is\n\
-         \x20               below X\n\
+         \x20               over one single-variant walk per variant is below X\n\
          --repeat N      run each whole workload N times (default 1); the\n\
          \x20               trajectory entry carries the median run plus\n\
          \x20               min/median/max wall seconds per stage"
@@ -128,17 +130,46 @@ fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Append `entry` to the JSON-array trajectory at `path`.  A legacy
-/// single-object file (the pre-trajectory format) becomes the first entry;
-/// an unreadable or unparsable file starts a fresh trajectory.
-fn append_to_trajectory(path: &str, entry: Json) -> Vec<Json> {
-    let mut entries = match std::fs::read_to_string(path).map(|text| Json::parse(&text)) {
-        Ok(Ok(Json::Arr(entries))) => entries,
-        Ok(Ok(legacy @ Json::Obj(_))) => vec![legacy],
-        _ => Vec::new(),
+/// The trajectory entries stored at `path`.  A missing file starts a fresh
+/// trajectory and a legacy single-object file (the pre-trajectory format)
+/// becomes the first entry; any other file that is not a JSON array (a
+/// torn write, a stray byte) is an error, so its history is never lost.
+fn load_trajectory(path: &str) -> Result<Vec<Json>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
     };
+    match Json::parse(&text) {
+        Ok(Json::Arr(entries)) => Ok(entries),
+        Ok(legacy @ Json::Obj(_)) => Ok(vec![legacy]),
+        Ok(_) => Err(format!("{path} is not a JSON array of trajectory entries")),
+        Err(e) => Err(format!(
+            "{path} is not a JSON array of trajectory entries: {e}"
+        )),
+    }
+}
+
+/// Append `entry` to the trajectory at `path` and return the new entry
+/// count.  The file is replaced through a sibling temp file and `rename`,
+/// so an interrupted write leaves the old trajectory intact; on error the
+/// file is left untouched.
+fn append_to_trajectory(path: &str, entry: Json) -> Result<usize, String> {
+    let mut entries = load_trajectory(path)?;
     entries.push(entry);
-    entries
+    // One entry per line between the array brackets: appends produce
+    // one-line diffs, and the history stays greppable.
+    let lines: Vec<String> = entries.iter().map(Json::render).collect();
+    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
+    let tmp = format!("{path}.tmp");
+    std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(rendered.as_bytes())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(entries.len())
 }
 
 struct StageTotals {
@@ -164,11 +195,7 @@ impl StageTotals {
 
     /// Simulated cycles per second of *simulation* wall time.
     fn scps(&self) -> f64 {
-        if self.simulate_s > 0.0 {
-            self.simulated_cycles as f64 / self.simulate_s
-        } else {
-            0.0
-        }
+        ratio(self.simulated_cycles as f64, self.simulate_s)
     }
 
     fn report(&self, name: &str) {
@@ -226,12 +253,17 @@ fn walls(runs: &[(StageTotals, f64)]) -> Vec<f64> {
     runs.iter().map(|(_, w)| *w).collect()
 }
 
-/// The run with the median simulate time: the representative whose stage
-/// totals become the trajectory entry's headline numbers.
-fn median_run(runs: &[(StageTotals, f64)]) -> &StageTotals {
+/// The repeat with the median `key`: the representative whose totals
+/// become the trajectory entry's headline numbers.
+fn median_by<T>(runs: &[T], key: impl Fn(&T) -> f64) -> &T {
     let mut idx: Vec<usize> = (0..runs.len()).collect();
-    idx.sort_by(|&a, &b| runs[a].0.simulate_s.total_cmp(&runs[b].0.simulate_s));
-    &runs[idx[(runs.len() - 1) / 2]].0
+    idx.sort_by(|&a, &b| key(&runs[a]).total_cmp(&key(&runs[b])));
+    &runs[idx[(runs.len() - 1) / 2]]
+}
+
+/// The workload repeat with the median simulate time.
+fn median_run(runs: &[(StageTotals, f64)]) -> &StageTotals {
+    &median_by(runs, |(t, _)| t.simulate_s).0
 }
 
 /// The representative run's totals plus min/median/max wall seconds per
@@ -276,12 +308,12 @@ fn bench_table2() -> StageTotals {
             t.schedule_s += schedule_s;
             t.lower_s += lower_s;
             t.schedules += 1;
-            let prepared = vmv_core::Prepared::new(bench, variant, build, compiled, lowered);
+            let prepared = Prepared::new(bench, variant, build, compiled, lowered);
             for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
-                // simulate_fresh: this workload measures the execution
-                // engine itself; the replay stage measures the trace cache.
+                // A lone `simulate` executes without recording: this
+                // workload measures the execution engine itself.
                 let (outcome, sim_s) =
-                    timed(|| simulate_fresh(&prepared, machine, model).expect("simulates"));
+                    timed(|| simulate(&prepared, machine, model).expect("simulates"));
                 assert!(
                     outcome.check_failures.is_empty(),
                     "{} on {}: {:?}",
@@ -300,40 +332,30 @@ fn bench_table2() -> StageTotals {
 
 /// The synthetic sweep: the `sweep --demo` design points on the GSM pair,
 /// Realistic model, one compile per distinct schedule key (exactly what the
-/// sweep executor's compile cache achieves), re-simulated at every point.
+/// sweep executor's grouping achieves), re-simulated at every point.
 fn bench_synthetic() -> StageTotals {
     let lowered = SpecFile::demo().lower().expect("demo spec lowers");
     let points = lowered.spec.expand().points;
     let mut t = StageTotals::new();
-    let mut cache: std::collections::HashMap<String, std::sync::Arc<vmv_core::Prepared>> =
-        std::collections::HashMap::new();
+    let mut cache: HashMap<_, Prepared> = HashMap::new();
     for bench in lowered.benchmarks {
         for point in &points {
-            let key = format!("{}|{}", bench.name(), schedule_fingerprint(&point.machine));
-            let prepared = match cache.get(&key) {
-                Some(p) => p.clone(),
-                None => {
-                    let variant = variant_for(&point.machine);
-                    let build = bench.build(variant);
-                    let (compiled, schedule_s) = timed(|| {
-                        vmv_sched::compile(&build.program, &point.machine).expect("schedules")
-                    });
-                    let (lowered, lower_s) = timed(|| {
-                        vmv_sched::lower(&compiled.program, &point.machine).expect("lowers")
-                    });
-                    t.schedule_s += schedule_s;
-                    t.lower_s += lower_s;
-                    t.schedules += 1;
-                    let p = std::sync::Arc::new(vmv_core::Prepared::new(
-                        bench, variant, build, compiled, lowered,
-                    ));
-                    cache.insert(key, p.clone());
-                    p
-                }
-            };
+            let key = CompileCache::key_for(bench, &point.machine);
+            let prepared = cache.entry(key).or_insert_with(|| {
+                let variant = variant_for(&point.machine);
+                let build = bench.build(variant);
+                let (compiled, schedule_s) = timed(|| {
+                    vmv_sched::compile(&build.program, &point.machine).expect("schedules")
+                });
+                let (lowered, lower_s) =
+                    timed(|| vmv_sched::lower(&compiled.program, &point.machine).expect("lowers"));
+                t.schedule_s += schedule_s;
+                t.lower_s += lower_s;
+                t.schedules += 1;
+                Prepared::new(bench, variant, build, compiled, lowered)
+            });
             let (outcome, sim_s) = timed(|| {
-                simulate_fresh(&prepared, &point.machine, MemoryModel::Realistic)
-                    .expect("simulates")
+                simulate(prepared, &point.machine, MemoryModel::Realistic).expect("simulates")
             });
             assert!(outcome.check_failures.is_empty());
             t.simulate_s += sim_s;
@@ -344,41 +366,61 @@ fn bench_synthetic() -> StageTotals {
     t
 }
 
-/// Totals of the replay stage: the same memory-axis sweep priced by full
-/// re-execution and by record-once/replay-the-rest.
+/// `a / b`, or 0 when `b` is not positive.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        0.0
+    }
+}
+
+/// Totals of the replay pass over the `latency_tolerance` sweep.
+#[derive(Default)]
 struct ReplayTotals {
+    /// Fresh execution of every run.
     execute_s: f64,
-    replay_s: f64,
-    /// The `execute_s` / `replay_s` shares spent on runs the adaptive
-    /// strategy served by replay (the recording runs cost the same either
-    /// way, so this pair isolates the per-variant win).
-    execute_replayed_s: f64,
-    replay_replayed_s: f64,
+    /// The share of `execute_s` spent on the runs the pass retimes (the
+    /// recording runs cost the same either way, so this isolates the
+    /// per-variant win).
+    execute_retimed_s: f64,
+    /// Recording each key's first run and building its slot analysis.
+    record_s: f64,
+    /// One single-variant walk per retimed run.
+    serial_s: f64,
+    /// One fused walk per schedule key over all of its retimed runs.
+    batch_s: f64,
     runs: u64,
     recorded: u64,
-    replayed: u64,
+    retimed: u64,
+    batches: u64,
     simulated_cycles: u64,
 }
 
 impl ReplayTotals {
-    /// Simulate-stage speedup of the replay strategy over re-execution,
-    /// over the whole sweep (recording runs included).
-    fn speedup(&self) -> f64 {
-        if self.replay_s > 0.0 {
-            self.execute_s / self.replay_s
-        } else {
-            0.0
-        }
+    /// Record-once/replay-the-rest: the recordings plus one single-variant
+    /// walk per other run.
+    fn replay_s(&self) -> f64 {
+        self.record_s + self.serial_s
     }
 
-    /// Per-replayed-run speedup: replay vs re-execution on just the runs
-    /// that were actually replayed.
+    /// Speedup of record-once/replay-the-rest over re-executing every run,
+    /// over the whole sweep (recording runs included).
+    fn replay_speedup(&self) -> f64 {
+        ratio(self.execute_s, self.replay_s())
+    }
+
+    /// Per-replayed-run speedup: a single-variant walk vs re-execution on
+    /// just the retimed runs.
     fn marginal_speedup(&self) -> f64 {
-        if self.replay_replayed_s > 0.0 {
-            self.execute_replayed_s / self.replay_replayed_s
-        } else {
-            0.0
-        }
+        ratio(self.execute_retimed_s, self.serial_s)
+    }
+
+    /// Per-retimed-variant speedup of the fused walk over single-variant
+    /// walks (both legs cover exactly the retimed runs, so the totals ratio
+    /// *is* the per-variant ratio).
+    fn batch_speedup(&self) -> f64 {
+        ratio(self.serial_s, self.batch_s)
     }
 
     fn report(&self) {
@@ -389,11 +431,24 @@ impl ReplayTotals {
         println!(
             "  execute {:.3}s | record+replay {:.3}s ({} recorded, {} replayed) | {:.2}x speedup ({:.2}x per replayed run)",
             self.execute_s,
-            self.replay_s,
+            self.replay_s(),
             self.recorded,
-            self.replayed,
-            self.speedup(),
+            self.retimed,
+            self.replay_speedup(),
             self.marginal_speedup()
+        );
+    }
+
+    fn report_batch(&self) {
+        println!(
+            "replay_batch stage (latency_tolerance sweep): {} recorded, {} retimed in {} batches",
+            self.recorded, self.retimed, self.batches
+        );
+        println!(
+            "  single-variant walks {:.3}s | batched replay {:.3}s | {:.2}x speedup per retimed variant",
+            self.serial_s,
+            self.batch_s,
+            self.batch_speedup()
         );
     }
 
@@ -402,121 +457,19 @@ impl ReplayTotals {
             ("name".into(), Json::str("replay")),
             ("runs".into(), Json::u64(self.runs)),
             ("recorded_runs".into(), Json::u64(self.recorded)),
-            ("replayed_runs".into(), Json::u64(self.replayed)),
+            ("replayed_runs".into(), Json::u64(self.retimed)),
             ("simulated_cycles".into(), Json::u64(self.simulated_cycles)),
             ("execute_seconds".into(), Json::Num(self.execute_s)),
-            ("replay_seconds".into(), Json::Num(self.replay_s)),
-            ("speedup".into(), Json::Num(self.speedup())),
+            ("replay_seconds".into(), Json::Num(self.replay_s())),
+            ("speedup".into(), Json::Num(self.replay_speedup())),
             (
                 "marginal_speedup".into(),
                 Json::Num(self.marginal_speedup()),
             ),
         ])
     }
-}
 
-/// The replay stage: run the committed `latency_tolerance` memory-axis
-/// sweep both ways — every run fully executed vs each schedule key executed
-/// once and replayed for the other memory variants — and verify the two
-/// strategies produce bit-identical statistics while measuring the win.
-fn bench_replay() -> ReplayTotals {
-    let spec = SpecFile::parse(LATENCY_TOLERANCE_SPEC)
-        .expect("committed spec parses")
-        .lower()
-        .expect("committed spec lowers");
-    let points = spec.spec.expand().points;
-    let mut t = ReplayTotals {
-        execute_s: 0.0,
-        replay_s: 0.0,
-        execute_replayed_s: 0.0,
-        replay_replayed_s: 0.0,
-        runs: 0,
-        recorded: 0,
-        replayed: 0,
-        simulated_cycles: 0,
-    };
-    let mut cache: std::collections::HashMap<String, std::sync::Arc<vmv_core::Prepared>> =
-        std::collections::HashMap::new();
-    for bench in spec.benchmarks {
-        for point in &points {
-            let key = format!("{}|{}", bench.name(), schedule_fingerprint(&point.machine));
-            let prepared = cache
-                .entry(key)
-                .or_insert_with(|| {
-                    std::sync::Arc::new(prepare(bench, &point.machine).expect("prepares"))
-                })
-                .clone();
-            // Strategy A: full functional execution (what every memory
-            // variant cost before the trace cache).
-            let (executed, execute_s) = timed(|| {
-                simulate_fresh(&prepared, &point.machine, point.model).expect("simulates")
-            });
-            // Strategy B: execute-and-record on first sight of the key,
-            // replay for every other variant (what `simulate` does now).
-            let replaying = prepared.has_trace();
-            let (adaptive, replay_s) =
-                timed(|| simulate(&prepared, &point.machine, point.model).expect("simulates"));
-            assert_eq!(
-                executed.stats,
-                adaptive.stats,
-                "replay must be bit-identical to execution ({} on {})",
-                bench.name(),
-                point.name
-            );
-            t.execute_s += execute_s;
-            t.replay_s += replay_s;
-            if replaying {
-                t.replayed += 1;
-                t.execute_replayed_s += execute_s;
-                t.replay_replayed_s += replay_s;
-            } else {
-                t.recorded += 1;
-            }
-            t.runs += 1;
-            t.simulated_cycles += executed.stats.cycles();
-        }
-    }
-    t
-}
-
-/// Totals of the replay_batch stage: the same retimed variants priced by one
-/// single-variant `simulate` per variant and by one fused batched walk per
-/// schedule key.
-struct BatchTotals {
-    serial_s: f64,
-    batch_s: f64,
-    batches: u64,
-    recorded: u64,
-    retimed: u64,
-    simulated_cycles: u64,
-}
-
-impl BatchTotals {
-    /// Per-retimed-variant speedup of the fused walk over single-variant
-    /// calls (both sides cover exactly the retimed variants, so the totals
-    /// ratio *is* the per-variant ratio).
-    fn speedup(&self) -> f64 {
-        if self.batch_s > 0.0 {
-            self.serial_s / self.batch_s
-        } else {
-            0.0
-        }
-    }
-
-    fn report(&self) {
-        println!(
-            "replay_batch stage (latency_tolerance sweep): {} recorded, {} retimed in {} batches",
-            self.recorded, self.retimed, self.batches
-        );
-        println!(
-            "  single-variant simulate {:.3}s | batched replay {:.3}s | {:.2}x speedup per retimed variant",
-            self.serial_s,
-            self.batch_s,
-            self.speedup()
-        );
-    }
-
-    fn json(&self) -> Json {
+    fn batch_json(&self) -> Json {
         Json::Obj(vec![
             ("name".into(), Json::str("replay_batch")),
             ("batches".into(), Json::u64(self.batches)),
@@ -525,81 +478,100 @@ impl BatchTotals {
             ("simulated_cycles".into(), Json::u64(self.simulated_cycles)),
             ("serial_replay_seconds".into(), Json::Num(self.serial_s)),
             ("batch_replay_seconds".into(), Json::Num(self.batch_s)),
-            ("speedup".into(), Json::Num(self.speedup())),
+            ("speedup".into(), Json::Num(self.batch_speedup())),
         ])
     }
 }
 
-/// The replay_batch stage: group the committed `latency_tolerance` sweep by
-/// schedule key, execute-and-record each key once, then retime the
-/// remaining memory variants twice — one single-variant `simulate` per
-/// variant and one fused `simulate_batch` walk — verifying the two agree
-/// bit-for-bit while measuring the batching win.
-fn bench_replay_batch() -> BatchTotals {
+/// The replay pass over the committed `latency_tolerance` memory-axis
+/// sweep, one schedule key at a time: execute every run fresh, record the
+/// first run with its slot analysis, retime the other runs by one
+/// single-variant walk each and then by one fused walk, and assert that
+/// every leg is bit-identical to fresh execution.
+fn bench_replay() -> ReplayTotals {
     let spec = SpecFile::parse(LATENCY_TOLERANCE_SPEC)
         .expect("committed spec parses")
         .lower()
         .expect("committed spec lowers");
     let points = spec.spec.expand().points;
-    let mut t = BatchTotals {
-        serial_s: 0.0,
-        batch_s: 0.0,
-        batches: 0,
-        recorded: 0,
-        retimed: 0,
-        simulated_cycles: 0,
-    };
     // Group point indices by schedule key, preserving first-seen order.
-    let mut groups: Vec<(std::sync::Arc<vmv_core::Prepared>, Vec<usize>)> = Vec::new();
-    let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    let mut groups: Vec<(Benchmark, Vec<usize>)> = Vec::new();
+    let mut index: HashMap<_, usize> = HashMap::new();
     for bench in spec.benchmarks {
         for (i, point) in points.iter().enumerate() {
-            let key = format!("{}|{}", bench.name(), schedule_fingerprint(&point.machine));
+            let key = CompileCache::key_for(bench, &point.machine);
             match index.get(&key) {
                 Some(&g) => groups[g].1.push(i),
                 None => {
                     index.insert(key, groups.len());
-                    let prepared =
-                        std::sync::Arc::new(prepare(bench, &point.machine).expect("prepares"));
-                    groups.push((prepared, vec![i]));
+                    groups.push((bench, vec![i]));
                 }
             }
         }
     }
-    for (prepared, group) in &groups {
-        // Execute-and-record the first variant (cost identical for both
-        // strategies, so it stays outside the timed sections).
+    let max_cycles = SimOptions::default().max_cycles;
+    let mut t = ReplayTotals::default();
+    for (bench, group) in groups {
         let first = &points[group[0]];
-        let recorded = simulate(prepared, &first.machine, first.model).expect("records");
-        assert!(prepared.has_trace());
+        let prepared = prepare(bench, &first.machine).expect("prepares");
+        // Fresh execution of every run: what each memory variant costs
+        // without a trace.
+        let mut executed: Vec<RunStats> = Vec::with_capacity(group.len());
+        for (n, &i) in group.iter().enumerate() {
+            let (outcome, execute_s) = timed(|| {
+                simulate(&prepared, &points[i].machine, points[i].model).expect("simulates")
+            });
+            t.execute_s += execute_s;
+            if n > 0 {
+                t.execute_retimed_s += execute_s;
+            }
+            t.simulated_cycles += outcome.stats.cycles();
+            executed.push(outcome.stats);
+        }
+        // Record the first run and build the slot analysis every walk reads.
+        let ((recorded, trace, analysis), record_s) = timed(|| {
+            let (stats, trace) = prepared
+                .simulator(&first.machine, first.model)
+                .run_lowered_recording(&prepared.lowered)
+                .expect("records");
+            (stats, trace, ReplayAnalysis::build(&prepared.lowered))
+        });
+        assert_eq!(
+            recorded,
+            executed[0],
+            "recording must not change the run ({} on {})",
+            bench.name(),
+            first.name
+        );
+        t.record_s += record_s;
         t.recorded += 1;
-        t.simulated_cycles += recorded.stats.cycles();
+        t.runs += group.len() as u64;
         let rest = &group[1..];
         if rest.is_empty() {
             continue;
         }
-        // Strategy A: one single-variant `simulate` per variant, each a
-        // batch-of-1 trace walk.
+        let state = |i: usize| {
+            VariantState::new(&analysis, &points[i].machine, points[i].model, max_cycles)
+        };
         let (serial, serial_s) = timed(|| {
             rest.iter()
-                .map(|&i| simulate(prepared, &points[i].machine, points[i].model).expect("replays"))
+                .map(|&i| {
+                    replay_batch(&trace, &analysis, &mut [state(i)])
+                        .expect("replays")
+                        .remove(0)
+                })
                 .collect::<Vec<_>>()
         });
-        // Strategy B: one fused walk retiming every variant together.
         let (batched, batch_s) = timed(|| {
-            let variants: Vec<_> = rest
-                .iter()
-                .map(|&i| (&points[i].machine, points[i].model))
-                .collect();
-            vmv_core::simulate_batch(prepared, &variants).expect("batch replays")
+            let mut states: Vec<_> = rest.iter().map(|&i| state(i)).collect();
+            replay_batch(&trace, &analysis, &mut states).expect("batch replays")
         });
-        for ((serial_run, batch_run), &i) in serial.iter().zip(&batched).zip(rest) {
-            assert_eq!(
-                serial_run.stats, batch_run.stats,
-                "batched replay must be bit-identical to single-variant simulate ({})",
-                points[i].name
-            );
-            t.simulated_cycles += serial_run.stats.cycles();
+        for (((executed, serial), batched), &i) in
+            executed[1..].iter().zip(&serial).zip(&batched).zip(rest)
+        {
+            let run = || format!("{} on {}", bench.name(), points[i].name);
+            assert_eq!(serial, executed, "single-variant walk ({})", run());
+            assert_eq!(batched, executed, "fused walk ({})", run());
         }
         t.serial_s += serial_s;
         t.batch_s += batch_s;
@@ -629,7 +601,7 @@ fn main() {
             "--min-batch-speedup" => {
                 min_batch_speedup = Some(args.parsed(
                     "--min-batch-speedup",
-                    "a speedup floor over single-variant simulate",
+                    "a speedup floor over single-variant walks",
                 ))
             }
             "--repeat" => {
@@ -658,7 +630,6 @@ fn main() {
     let mut table2_runs: Vec<(StageTotals, f64)> = Vec::new();
     let mut synthetic_runs: Vec<(StageTotals, f64)> = Vec::new();
     let mut replay_runs: Vec<ReplayTotals> = Vec::new();
-    let mut batch_runs: Vec<BatchTotals> = Vec::new();
     for i in 0..repeat {
         if repeat > 1 {
             println!("repeat {}/{repeat}", i + 1);
@@ -666,26 +637,17 @@ fn main() {
         table2_runs.push(timed(bench_table2));
         synthetic_runs.push(timed(bench_synthetic));
         replay_runs.push(bench_replay());
-        batch_runs.push(bench_replay_batch());
     }
     let table2 = median_run(&table2_runs);
     let synthetic = median_run(&synthetic_runs);
-    // Median replay repeat by its record+replay wall time.
-    let replay = {
-        let mut idx: Vec<usize> = (0..replay_runs.len()).collect();
-        idx.sort_by(|&a, &b| replay_runs[a].replay_s.total_cmp(&replay_runs[b].replay_s));
-        &replay_runs[idx[(replay_runs.len() - 1) / 2]]
-    };
-    // Median batch repeat by its batched-replay wall time.
-    let batch = {
-        let mut idx: Vec<usize> = (0..batch_runs.len()).collect();
-        idx.sort_by(|&a, &b| batch_runs[a].batch_s.total_cmp(&batch_runs[b].batch_s));
-        &batch_runs[idx[(batch_runs.len() - 1) / 2]]
-    };
+    // The replay stage reports its median repeat by record+replay wall
+    // time, the replay_batch stage its median repeat by batched wall time.
+    let replay = median_by(&replay_runs, ReplayTotals::replay_s);
+    let batch = median_by(&replay_runs, |t| t.batch_s);
     table2.report("table2 suite (10 configs x 6 benchmarks x 2 memory models)");
     synthetic.report("synthetic sweep (demo points, GSM pair, realistic model)");
     replay.report();
-    batch.report();
+    batch.report_batch();
     let table2_wall = median(&walls(&table2_runs));
     let synthetic_wall = median(&walls(&synthetic_runs));
 
@@ -708,22 +670,14 @@ fn main() {
             workload_json("synthetic", &synthetic_runs),
         ),
         ("replay".into(), replay.json()),
-        ("replay_batch".into(), batch.json()),
+        ("replay_batch".into(), batch.batch_json()),
         ("metrics".into(), vmv_obs::snapshot().to_json_compact()),
     ]);
-    let trajectory = append_to_trajectory(&json_path, entry);
-    // One entry per line between the array brackets: appends produce
-    // one-line diffs, and the history stays greppable.
-    let lines: Vec<String> = trajectory.iter().map(Json::render).collect();
-    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
-    if let Err(e) = std::fs::write(&json_path, rendered) {
-        eprintln!("cannot write {json_path}: {e}");
+    let entries = append_to_trajectory(&json_path, entry).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(1);
-    }
-    println!(
-        "\nappended trajectory entry {} to {json_path}",
-        trajectory.len()
-    );
+    });
+    println!("\nappended trajectory entry {entries} to {json_path}");
 
     if let Some(floor) = min_scps {
         let scps = synthetic.scps();
@@ -737,7 +691,7 @@ fn main() {
         println!("throughput floor ok: {scps:.0} >= {floor:.0} simulated-cycles-per-second");
     }
     if let Some(floor) = min_replay_speedup {
-        let speedup = replay.speedup();
+        let speedup = replay.replay_speedup();
         if speedup < floor {
             eprintln!("FAIL: replay-stage speedup {speedup:.2}x < floor {floor:.2}x");
             std::process::exit(1);
@@ -745,11 +699,69 @@ fn main() {
         println!("replay floor ok: {speedup:.2}x >= {floor:.2}x over re-execution");
     }
     if let Some(floor) = min_batch_speedup {
-        let speedup = batch.speedup();
+        let speedup = batch.batch_speedup();
         if speedup < floor {
             eprintln!("FAIL: replay_batch-stage speedup {speedup:.2}x < floor {floor:.2}x");
             std::process::exit(1);
         }
-        println!("batch floor ok: {speedup:.2}x >= {floor:.2}x over single-variant simulate");
+        println!("batch floor ok: {speedup:.2}x >= {floor:.2}x over single-variant walks");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A path in the temp dir unique to this process and test.
+    fn temp_path(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("vmv_bench_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
+    }
+
+    fn entry(n: u64) -> Json {
+        Json::Obj(vec![("n".into(), Json::u64(n))])
+    }
+
+    #[test]
+    fn a_missing_trajectory_starts_fresh() {
+        let path = temp_path("missing.json");
+        assert_eq!(append_to_trajectory(&path, entry(1)), Ok(1));
+        assert_eq!(load_trajectory(&path).unwrap(), vec![entry(1)]);
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_legacy_object_becomes_the_first_entry() {
+        let path = temp_path("legacy.json");
+        std::fs::write(&path, entry(0).render()).unwrap();
+        assert_eq!(append_to_trajectory(&path, entry(1)), Ok(2));
+        assert_eq!(load_trajectory(&path).unwrap(), vec![entry(0), entry(1)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_array_is_an_error_and_left_untouched() {
+        let path = temp_path("truncated.json");
+        append_to_trajectory(&path, entry(1)).unwrap();
+        append_to_trajectory(&path, entry(2)).unwrap();
+        let whole = std::fs::read_to_string(&path).unwrap();
+        let torn = &whole[..whole.len() - 4];
+        std::fs::write(&path, torn).unwrap();
+        let err = append_to_trajectory(&path, entry(3)).unwrap_err();
+        assert!(err.contains(&path), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_non_array_value_is_an_error_and_left_untouched() {
+        let path = temp_path("scalar.json");
+        std::fs::write(&path, "42\n").unwrap();
+        let err = append_to_trajectory(&path, entry(1)).unwrap_err();
+        assert!(err.contains(&path), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "42\n");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -6,15 +6,6 @@
 pub mod args;
 
 use vmv_core::Suite;
-use vmv_mem::MemoryModel;
-
-/// Run the complete ten-configuration measurement matrix for both memory
-/// models and return (perfect, realistic).
-pub fn run_both_suites() -> (Suite, Suite) {
-    let perfect = Suite::run_all_configs(MemoryModel::Perfect).expect("perfect-memory suite");
-    let realistic = Suite::run_all_configs(MemoryModel::Realistic).expect("realistic-memory suite");
-    (perfect, realistic)
-}
 
 /// Render every table and figure of the paper from the two suites.
 pub fn render_everything(perfect: &Suite, realistic: &Suite) -> String {
@@ -56,4 +47,36 @@ pub fn render_everything(perfect: &Suite, realistic: &Suite) -> String {
 
     out.push_str(&vmv_core::render_table3(&vmv_core::table3(realistic)));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vmv_mem::MemoryModel;
+
+    /// Every table and figure of the paper, as `repro all` prints them, must
+    /// match the committed golden byte for byte.  Regenerate after an
+    /// intentional change with `UPDATE_GOLDENS=1 cargo test -p vmv-bench
+    /// --lib`.
+    #[test]
+    fn paper_output_matches_golden() {
+        let perfect = Suite::run_all_configs(MemoryModel::Perfect).expect("perfect-memory suite");
+        let realistic =
+            Suite::run_all_configs(MemoryModel::Realistic).expect("realistic-memory suite");
+        let actual = render_everything(&perfect, &realistic);
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/repro_all.txt");
+        if std::env::var_os("UPDATE_GOLDENS").is_some() {
+            std::fs::write(&path, &actual).expect("write golden");
+            return;
+        }
+        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden repro_all.txt ({e}) — run with UPDATE_GOLDENS=1")
+        });
+        assert!(
+            actual == expected,
+            "the paper output drifted from tests/golden/repro_all.txt — if the change is \
+             intentional, regenerate with `UPDATE_GOLDENS=1 cargo test -p vmv-bench --lib`"
+        );
+    }
 }

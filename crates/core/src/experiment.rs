@@ -13,21 +13,23 @@
 //! and [`simulate_batch`]): the static schedule depends only on the
 //! schedule-relevant machine parameters, so a design-space sweep (the
 //! `vmv-sweep` crate) can schedule a program once and re-simulate it across
-//! many memory-system variations.  Simulation is one group operation: the
-//! first run of a [`Prepared`] executes and records a timing trace, and
-//! every other memory variant is retimed from that trace in one batched
-//! walk (`vmv_sim::replay_batch`); [`simulate`] is its one-variant case.
-//! A run that nothing will retime uses [`simulate_fresh`], which executes
-//! without recording: [`run_one`] (and so [`Suite`] and `repro`) and the
-//! sweep's one-job groups.
+//! many memory-system variations.  Simulation is one group operation that
+//! decides from the group it is handed: a lone unprofiled variant executes
+//! without recording; otherwise the first variant executes and records a
+//! timing trace, and every other memory variant is retimed from that trace
+//! in one batched walk (`vmv_sim::replay_batch`).  The trace lives only as
+//! long as the call, and [`Prepared`] is plain data.  [`simulate`] is the
+//! one-variant case, so [`run_one`] (and so [`Suite`] and `repro`) executes
+//! without recording.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
 use vmv_sim::{
-    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimOptions, Simulator, Trace, VariantState,
+    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimError, SimOptions, Simulator,
+    VariantState,
 };
 
 /// Hard cap on simulated (or replayed) cycles per run.
@@ -84,11 +86,10 @@ pub fn variant_from_name(name: &str) -> Option<IsaVariant> {
 }
 
 /// A benchmark compiled for one machine: the static schedule, its lowered
-/// executable form, and the initial memory image and output checks.
-/// Immutable once built, so it can be shared (e.g. behind an `Arc`) and
-/// re-simulated under many memory models without rescheduling *or*
-/// re-lowering — the sweep executor builds one per schedule-key group and
-/// drops it when the group finishes.
+/// executable form, and the initial memory image and output checks.  Plain
+/// immutable data, so it can be shared and re-simulated under many memory
+/// models without rescheduling *or* re-lowering — the sweep executor builds
+/// one per schedule-key group and drops it when the group finishes.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub benchmark: Benchmark,
@@ -99,30 +100,6 @@ pub struct Prepared {
     /// Lowering depends only on schedule-relevant machine fields, so one
     /// lowered program serves every memory-system variant.
     pub lowered: vmv_sched::LoweredProgram,
-    /// Timing trace of one functional execution, filled by the first
-    /// successful [`simulate_batch`] call and retimed by every later one.
-    /// The trace is memory-model- and memory-geometry-independent
-    /// (functional values never change with timing), so clones and
-    /// `Arc`-shared copies of a `Prepared` execute each program once and
-    /// retime it for every memory variant.  [`simulate_fresh`] neither
-    /// reads nor fills it.
-    trace: OnceLock<Arc<Recorded>>,
-    /// Cycle-attribution statics (bundle issue classes, op names, lanes),
-    /// built on first profiled simulate.  Like the lowered program they
-    /// depend only on schedule-relevant machine fields, so one table serves
-    /// every memory variant.
-    profile_statics: OnceLock<Arc<ProfileStatics>>,
-}
-
-/// What one execute-and-record run leaves behind: the timing trace plus the
-/// output-check verdict (functional, hence identical for every variant).
-#[derive(Debug)]
-struct Recorded {
-    trace: Trace,
-    check_failures: Vec<String>,
-    /// Slot analysis of the program for retiming the trace, memoized by the
-    /// first call that retimes this trace after it was recorded.
-    analysis: OnceLock<ReplayAnalysis>,
 }
 
 impl Prepared {
@@ -139,25 +116,33 @@ impl Prepared {
             build,
             compiled,
             lowered,
-            trace: OnceLock::new(),
-            profile_statics: OnceLock::new(),
         }
     }
 
-    /// Whether a recorded trace is available (later [`simulate_batch`] calls
-    /// retime every variant instead of executing the first).
-    pub fn has_trace(&self) -> bool {
-        self.trace.get().is_some()
+    /// The cycle-attribution statics for this program (bundle issue
+    /// classes, op names, lanes).  Like the lowered program they depend only
+    /// on schedule-relevant machine fields, so one table serves every memory
+    /// variant of a call.  `machine` must be schedule-compatible with the
+    /// preparing configuration (the same contract as [`simulate_batch`]).
+    pub fn profile_statics(&self, machine: &MachineConfig) -> Arc<ProfileStatics> {
+        Arc::new(ProfileStatics::build(&self.lowered, machine))
     }
 
-    /// The cycle-attribution statics for this program, built once per
-    /// `Prepared` and shared across every profiled run.  `machine` must be
-    /// schedule-compatible with the preparing configuration (the same
-    /// contract as [`simulate_batch`]).
-    pub fn profile_statics(&self, machine: &MachineConfig) -> Arc<ProfileStatics> {
-        self.profile_statics
-            .get_or_init(|| Arc::new(ProfileStatics::build(&self.lowered, machine)))
-            .clone()
+    /// A simulator for `machine` under `model` with the benchmark's initial
+    /// memory image written in.
+    pub fn simulator(&self, machine: &MachineConfig, model: MemoryModel) -> Simulator {
+        let mut sim = Simulator::new(
+            machine,
+            SimOptions {
+                memory_model: model,
+                mem_size: self.build.mem_size.max(1 << 20),
+                max_cycles: MAX_RUN_CYCLES,
+            },
+        );
+        for (addr, bytes) in &self.build.init {
+            sim.mem.write_bytes(*addr, bytes);
+        }
+        sim
     }
 }
 
@@ -174,14 +159,11 @@ pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared
 }
 
 /// Simulate an already-compiled benchmark on `machine` under `model`: a
-/// [`simulate_batch`] of one variant.
+/// [`simulate_batch`] of one variant, which executes without recording.
 ///
 /// `machine` must agree with the configuration the program was scheduled
 /// for in every schedule-relevant parameter; the memory-hierarchy
 /// parameters (`machine.memory`) and the memory `model` are free to vary.
-/// The first call on a `Prepared` executes the program and records its
-/// trace; every later call retimes that trace.  Callers that want to
-/// benchmark raw execution use [`simulate_fresh`].
 pub fn simulate(
     prepared: &Prepared,
     machine: &MachineConfig,
@@ -196,17 +178,14 @@ pub fn simulate(
 /// machine must agree with the scheduled configuration in all
 /// schedule-relevant parameters.
 ///
-/// When `prepared` holds no trace yet, `variants[0]` is executed
-/// functionally and its timing trace recorded; every remaining variant is
-/// retimed from the trace in one batched walk.  Calls that retime a trace
-/// recorded earlier share one slot analysis, memoized beside the trace.
-/// `outcomes[i]` is bit-identical to a fresh execution of `variants[i]`
-/// (`tests/lowered_differential.rs`).
+/// A lone variant executes without recording.  Otherwise `variants[0]` is
+/// executed functionally and its timing trace recorded, and every remaining
+/// variant is retimed from the trace in one batched walk; the trace and its
+/// slot analysis live only for the call.  `outcomes[i]` is bit-identical to
+/// a fresh execution of `variants[i]` (`tests/lowered_differential.rs`).
 ///
-/// Any failure (e.g. a cycle limit in one variant) fails the whole call and
-/// leaves `prepared` as it found it: no trace is kept from a failed call,
-/// so callers wanting per-variant isolation retry each variant on its own
-/// from the same starting state.
+/// Any failure (e.g. a cycle limit in one variant) fails the whole call, so
+/// callers wanting per-variant isolation retry each variant on its own.
 pub fn simulate_batch(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
@@ -216,10 +195,10 @@ pub fn simulate_batch(
 
 /// [`simulate_batch`] with cycle attribution: `profiles[i]` explains every
 /// simulated cycle of `outcomes[i]` and satisfies the sum-exactly contract
-/// `profiles[i].check_against(&outcomes[i].stats)`.  The recording run is
-/// profiled in the same execution, and the batched walk carries one extra
-/// profiling pass (not K); the outcomes are bit-identical to the
-/// unprofiled call.
+/// `profiles[i].check_against(&outcomes[i].stats)`.  The first variant is
+/// profiled in its recording execution (a lone variant records too), and
+/// the batched walk carries one extra profiling pass (not K); the outcomes
+/// are bit-identical to the unprofiled call.
 pub fn simulate_batch_profiled(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
@@ -228,18 +207,19 @@ pub fn simulate_batch_profiled(
 }
 
 /// The one group operation behind [`simulate`], [`simulate_batch`] and
-/// [`simulate_batch_profiled`]: execute and record on first sight of the
-/// program, retime everything else in one batched walk.  Profiles are
+/// [`simulate_batch_profiled`], deciding from the group it is handed: a
+/// lone unprofiled variant executes without recording; otherwise the first
+/// variant executes and records (profiled when asked) and the rest are
+/// retimed from the call-local trace in one batched walk.  Profiles are
 /// returned only when `profile` is set.
 fn simulate_group(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
     profile: bool,
 ) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
-    let Some(&(first, first_model)) = variants.first() else {
+    let Some((&(first, first_model), rest)) = variants.split_first() else {
         return Ok((Vec::new(), Vec::new()));
     };
-    let statics = profile.then(|| prepared.profile_statics(first));
     let outcome = |machine: &MachineConfig, model, stats, check_failures| RunOutcome {
         config: machine.name.clone(),
         benchmark: prepared.benchmark,
@@ -248,127 +228,61 @@ fn simulate_group(
         stats,
         check_failures,
     };
-    let mut outcomes = Vec::with_capacity(variants.len());
-    let mut profiles = Vec::new();
-
-    let (recorded, rest) = match prepared.trace.get() {
-        Some(recorded) => (recorded.clone(), variants),
-        None => {
-            let mut sim = simulator_for(prepared, first, first_model);
-            let run = match &statics {
-                Some(statics) => sim
-                    .run_lowered_recording_profiled(&prepared.lowered, statics)
-                    .map(|(stats, trace, p)| {
-                        profiles.push(p);
-                        (stats, trace)
-                    }),
-                None => sim.run_lowered_recording(&prepared.lowered),
-            };
-            let (stats, trace) =
-                run.map_err(|e| ExperimentError::Simulation(format!("{}: {e}", first.name)))?;
-            let check_failures = prepared
-                .build
-                .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-            outcomes.push(outcome(first, first_model, stats, check_failures.clone()));
-            let recorded = Arc::new(Recorded {
-                trace,
-                check_failures,
-                analysis: OnceLock::new(),
-            });
-            (recorded, &variants[1..])
-        }
-    };
-
-    if !rest.is_empty() {
-        // The slot analysis is built on the first retime only, so a program
-        // recorded and never retimed pays nothing for it.  A call that
-        // recorded the trace keeps its analysis local: a sweep retimes each
-        // schedule key in that one call, and holding the analysis for as
-        // long as the `Prepared` lives would only raise peak memory.  Calls
-        // retiming an earlier trace (e.g. one `simulate` per variant)
-        // share the one memoized next to it.
-        let local;
-        let analysis = if rest.len() < variants.len() {
-            local = ReplayAnalysis::build(&prepared.lowered);
-            &local
-        } else {
-            recorded
-                .analysis
-                .get_or_init(|| ReplayAnalysis::build(&prepared.lowered))
-        };
-        let mut states: Vec<VariantState> = rest
-            .iter()
-            .map(|&(machine, model)| VariantState::new(analysis, machine, model, MAX_RUN_CYCLES))
-            .collect();
-        let retimed = match &statics {
-            Some(statics) => {
-                vmv_sim::replay_batch_profiled(&recorded.trace, analysis, &mut states, statics).map(
-                    |(stats, p)| {
-                        profiles.extend(p);
-                        stats
-                    },
-                )
-            }
-            None => vmv_sim::replay_batch(&recorded.trace, analysis, &mut states),
-        }
-        .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
-        for (stats, &(machine, model)) in retimed.into_iter().zip(rest) {
-            outcomes.push(outcome(
-                machine,
-                model,
-                stats,
-                recorded.check_failures.clone(),
-            ));
-        }
+    let failed = |e: SimError| ExperimentError::Simulation(format!("{}: {e}", first.name));
+    let mut sim = prepared.simulator(first, first_model);
+    if rest.is_empty() && !profile {
+        let stats = sim.run_lowered(&prepared.lowered).map_err(failed)?;
+        let check_failures = prepared
+            .build
+            .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
+        return Ok((
+            vec![outcome(first, first_model, stats, check_failures)],
+            Vec::new(),
+        ));
     }
-    // Publish the trace only now that the whole call succeeded.  A
-    // concurrent first call may have won the race; either trace is
-    // equivalent (functional state does not depend on memory timing).
-    let _ = prepared.trace.set(recorded);
-    Ok((outcomes, profiles))
-}
 
-/// Simulate by full functional execution, never recording or replaying a
-/// trace.  Results are identical to [`simulate`]; this is the entry point
-/// for runs that nothing will retime ([`run_one`], the sweep's one-job
-/// groups), which skips the recording cost, and for callers that
-/// specifically measure the execution engine (`bench`).
-pub fn simulate_fresh(
-    prepared: &Prepared,
-    machine: &MachineConfig,
-    model: MemoryModel,
-) -> Result<RunOutcome, ExperimentError> {
-    let mut sim = simulator_for(prepared, machine, model);
-    let stats = sim
-        .run_lowered(&prepared.lowered)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
+    let statics = profile.then(|| prepared.profile_statics(first));
+    let mut profiles = Vec::new();
+    let (stats, trace) = match &statics {
+        Some(statics) => sim
+            .run_lowered_recording_profiled(&prepared.lowered, statics)
+            .map(|(stats, trace, p)| {
+                profiles.push(p);
+                (stats, trace)
+            }),
+        None => sim.run_lowered_recording(&prepared.lowered),
+    }
+    .map_err(failed)?;
+    // The output checks are functional, hence the same for every variant.
     let check_failures = prepared
         .build
         .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    Ok(RunOutcome {
-        config: machine.name.clone(),
-        benchmark: prepared.benchmark,
-        variant: prepared.variant,
-        memory_model: model,
-        stats,
-        check_failures,
-    })
-}
-
-/// A simulator with the benchmark's initial memory image written in.
-fn simulator_for(prepared: &Prepared, machine: &MachineConfig, model: MemoryModel) -> Simulator {
-    let mut sim = Simulator::new(
-        machine,
-        SimOptions {
-            memory_model: model,
-            mem_size: prepared.build.mem_size.max(1 << 20),
-            max_cycles: MAX_RUN_CYCLES,
-        },
-    );
-    for (addr, bytes) in &prepared.build.init {
-        sim.mem.write_bytes(*addr, bytes);
+    // Free the memory image and hierarchy before the batched walk.
+    drop(sim);
+    let mut outcomes = Vec::with_capacity(variants.len());
+    outcomes.push(outcome(first, first_model, stats, check_failures.clone()));
+    if rest.is_empty() {
+        return Ok((outcomes, profiles));
     }
-    sim
+
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let mut states: Vec<VariantState> = rest
+        .iter()
+        .map(|&(machine, model)| VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES))
+        .collect();
+    let retimed = match &statics {
+        Some(statics) => vmv_sim::replay_batch_profiled(&trace, &analysis, &mut states, statics)
+            .map(|(stats, p)| {
+                profiles.extend(p);
+                stats
+            }),
+        None => vmv_sim::replay_batch(&trace, &analysis, &mut states),
+    }
+    .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
+    for (stats, &(machine, model)) in retimed.into_iter().zip(rest) {
+        outcomes.push(outcome(machine, model, stats, check_failures.clone()));
+    }
+    Ok((outcomes, profiles))
 }
 
 /// Compile and simulate one benchmark on one machine configuration.  The
@@ -379,7 +293,7 @@ pub fn run_one(
     model: MemoryModel,
 ) -> Result<RunOutcome, ExperimentError> {
     let prepared = prepare(benchmark, machine)?;
-    simulate_fresh(&prepared, machine, model)
+    simulate(&prepared, machine, model)
 }
 
 /// The complete measurement matrix for one memory model: every benchmark on

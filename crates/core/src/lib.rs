@@ -14,16 +14,20 @@
 pub mod experiment;
 pub mod figures;
 
+/// The earlier name of [`simulate`], kept for callers that pin it.
+pub use experiment::simulate as simulate_fresh;
 pub use experiment::{
     default_workers, prepare, run_one, simulate, simulate_batch, simulate_batch_profiled,
-    simulate_fresh, variant_for, variant_from_name, workers_capped, ExperimentError, Prepared,
-    RunOutcome, Suite,
+    variant_for, variant_from_name, workers_capped, ExperimentError, Prepared, RunOutcome, Suite,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,
     render_fig7, render_table1, render_table3, table1, table3, Fig1Series, Fig1Summary, Fig7Row,
     Fig7Summary, SpeedupChart, Table1Row, Table3Row,
 };
+/// The simulator crate: [`Prepared`] and [`RunOutcome`] carry its types, and
+/// [`Prepared::simulator`] hands out its engine.
+pub use vmv_sim as sim;
 
 #[cfg(test)]
 mod tests {
@@ -64,27 +68,22 @@ mod tests {
 
     #[test]
     fn memory_variants_share_one_trace() {
+        // A two-variant batch executes and records the first variant and
+        // retimes the second from that trace; each must agree bit-for-bit
+        // with a lone (non-recording) execution of the same variant.
         let machine = presets::vector2(2);
         let prepared = prepare(Benchmark::GsmDec, &machine).unwrap();
-        assert!(
-            !prepared.has_trace(),
-            "nothing recorded before the first run"
-        );
-        // A fresh execution neither reads nor fills the memo.
-        let executed = simulate_fresh(&prepared, &machine, MemoryModel::Realistic).unwrap();
-        assert!(!prepared.has_trace());
-
-        // The first `simulate` executes and records; the second memory
-        // variant replays the same trace and must agree bit-for-bit with a
-        // fresh execution.
-        let perfect = simulate(&prepared, &machine, MemoryModel::Perfect).unwrap();
-        assert!(prepared.has_trace(), "first run records the trace");
-        let replayed = simulate(&prepared, &machine, MemoryModel::Realistic).unwrap();
-        assert_eq!(replayed.stats, executed.stats);
-        assert_eq!(replayed.check_failures, executed.check_failures);
+        let models = [MemoryModel::Perfect, MemoryModel::Realistic];
+        let variants: Vec<_> = models.iter().map(|&model| (&machine, model)).collect();
+        let batch = simulate_batch(&prepared, &variants).unwrap();
+        for (outcome, model) in batch.iter().zip(models) {
+            let alone = simulate(&prepared, &machine, model).unwrap();
+            assert_eq!(outcome.stats, alone.stats, "{model:?}");
+            assert_eq!(outcome.check_failures, alone.check_failures, "{model:?}");
+        }
         assert_ne!(
-            perfect.stats.cycles(),
-            replayed.stats.cycles(),
+            batch[0].stats.cycles(),
+            batch[1].stats.cycles(),
             "the memory model must still matter under replay"
         );
     }

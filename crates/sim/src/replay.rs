@@ -152,8 +152,8 @@ struct RBlock {
 /// many times (loops), so the walk is the hot loop; the slot-tracking
 /// analysis (module docs) collapses everything provably stall-free into
 /// segment-level counters.  Built in O(static ops), once per program, and
-/// shared across every variant of a batch; `vmv_core` memoizes it beside a
-/// trace that is retimed by more than one call.
+/// shared across every variant of a batch; `vmv_core` builds it once per
+/// group call that retimes.
 #[derive(Debug)]
 pub struct ReplayAnalysis {
     blocks: Vec<RBlock>,
@@ -493,7 +493,7 @@ pub fn replay_batch(
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
 ) -> Result<Vec<RunStats>, ReplayError> {
-    // A single variant (every `vmv_core::simulate` retime) gets the walk
+    // A single variant (a group call retiming one variant) gets the walk
     // compiled for a width of exactly one: the per-variant loops collapse
     // to straight-line code, as fast as a dedicated single-variant walk.
     if variants.len() == 1 {

@@ -6,15 +6,15 @@
 //! Jobs are dispatched in *groups*: every job sharing one schedule key
 //! ([`CompileCache::key_for`]) shares one lowered program, and the group is
 //! that program's whole lifetime.  A worker compiles it when it picks the
-//! group up and drops it, with any trace it recorded, as soon as the
-//! group's results are handed to the committer, so a sweep holds at most
-//! one program per worker.  A group of one executes without recording
-//! ([`vmv_core::simulate_fresh`]); a larger group is one call of
-//! [`vmv_core::simulate_batch`], whose first run executes and records and
-//! whose remaining memory variants are retimed by one batched trace walk.
-//! A call that fails or panics is retried job by job, each as a group of
-//! one, preserving per-job error isolation.  Profiled sweeps run every
-//! group through [`vmv_core::simulate_batch_profiled`].
+//! group up and drops it as soon as the group's results are handed to the
+//! committer, so a sweep holds at most one program per worker.  Each group
+//! is one call of [`vmv_core::simulate_batch`] (of
+//! [`vmv_core::simulate_batch_profiled`] in profiled sweeps), which decides
+//! from the group whether to record: a group of one executes without
+//! recording, and a larger group executes and records its first run and
+//! retimes its remaining memory variants by one batched trace walk.  A call
+//! that fails or panics is retried job by job, each as a group of one,
+//! preserving per-job error isolation.
 //!
 //! There is one executor loop for every worker count: the calling thread
 //! works through groups like every helper thread and also commits results
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use vmv_core::{simulate_batch, simulate_batch_profiled, simulate_fresh, Prepared};
+use vmv_core::{simulate_batch, simulate_batch_profiled, Prepared};
 use vmv_kernels::Benchmark;
 use vmv_obs::{Counter, SpanKind};
 
@@ -99,10 +99,10 @@ pub struct SweepReport {
     /// Schedule counters (misses == schedules performed), derived from the
     /// group sizes.
     pub cache: CacheCounters,
-    /// Jobs served by trace replay instead of full execution: another job
-    /// of their group recorded the program's trace, so only the memory
-    /// hierarchy was re-timed.  Groups of one never record, so a sweep of
-    /// one-job groups reports 0.
+    /// Jobs served by trace replay instead of full execution: the first
+    /// job of their group recorded the program's trace, so only the memory
+    /// hierarchy was re-timed.  Groups of one are never retimed, so a sweep
+    /// of one-job groups reports 0.
     pub replays: usize,
     /// Batched replay walks performed (each retimes one or more variants in
     /// a single pass over the shared trace).
@@ -272,11 +272,10 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // One group call.  Unprofiled, a group of one executes without
-    // recording (`simulate_fresh`); a larger group is one `simulate_batch`,
-    // whose first job executes and records and whose other jobs are retimed
-    // in one batched walk.  A panic is caught and returned as the call's
-    // error.
+    // One group call, which decides from the group whether to record: a
+    // group of one executes, a larger group executes and records its first
+    // job and retimes the others in one batched walk.  A panic is caught
+    // and returned as the call's error.
     let simulate_jobs = |prepared: &Prepared, group: &[usize]| -> Result<Vec<RunRecord>, String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _simulate = vmv_obs::span(SpanKind::JobSimulate);
@@ -284,18 +283,8 @@ pub fn run_sweep(
                 .iter()
                 .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
                 .collect();
-            let fresh = opts.profile_dir.is_none() && group.len() == 1;
-            // Classify before the call, which records the trace if missing.
-            let retimed = if fresh {
-                0
-            } else {
-                group.len() - usize::from(!prepared.has_trace())
-            };
             let outcomes = match &opts.profile_dir {
-                None if fresh => {
-                    let (machine, model) = variants[0];
-                    vec![simulate_fresh(prepared, machine, model).map_err(|e| e.to_string())?]
-                }
+                None => simulate_batch(prepared, &variants).map_err(|e| e.to_string())?,
                 Some(dir) => {
                     let (outcomes, profiles) =
                         simulate_batch_profiled(prepared, &variants).map_err(|e| e.to_string())?;
@@ -310,10 +299,9 @@ pub fn run_sweep(
                     }
                     outcomes
                 }
-                None => simulate_batch(prepared, &variants).map_err(|e| e.to_string())?,
             };
-            if retimed > 0 {
-                replays.fetch_add(retimed, Ordering::Relaxed);
+            if group.len() > 1 {
+                replays.fetch_add(group.len() - 1, Ordering::Relaxed);
                 replay_batches.fetch_add(1, Ordering::Relaxed);
             }
             Ok(group
@@ -329,8 +317,8 @@ pub fn run_sweep(
     };
 
     // One group, start to finish: compile its program, simulate, and drop
-    // the program (and any trace) on return.  Returns one result per job of
-    // the group, in group (= job) order.
+    // the program on return.  Returns one result per job of the group, in
+    // group (= job) order.
     let run_group = |group: &[usize]| -> Vec<JobResult> {
         for _ in group {
             vmv_obs::record_ns(
@@ -356,9 +344,8 @@ pub fn run_sweep(
                     .zip(records.into_iter().map(Ok))
                     .collect(),
                 Err(e) if group.len() == 1 => vec![(group[0], Err(e))],
-                // A failed call leaves `prepared` as it found it: re-run
-                // each job as a group of one, so only the jobs that fail
-                // on their own are reported.
+                // Re-run each job of a failed call as a group of one, so
+                // only the jobs that fail on their own are reported.
                 Err(_) => group
                     .iter()
                     .map(|&i| (i, simulate_jobs(&prepared, &[i]).map(|mut r| r.remove(0))))
@@ -710,8 +697,8 @@ mod tests {
     fn one_job_groups_match_the_recording_path() {
         // ISA x issue width gives six one-job groups; two DRAM latencies of
         // the default machine (vector, 2-wide) add one two-job group that
-        // records and retimes.  Every record must equal a recording
-        // `simulate` of its job on a fresh `Prepared`.
+        // records and retimes.  Every record must equal the recording
+        // execution of its job: the first outcome of a two-variant batch.
         let mut points = SweepSpec::new()
             .axis(Axis::isa(&[
                 vmv_machine::IsaSupport::Vliw,
@@ -732,8 +719,8 @@ mod tests {
             .iter()
             .map(|point| {
                 let prepared = vmv_core::prepare(benchmark, &point.machine).unwrap();
-                let outcome = vmv_core::simulate(&prepared, &point.machine, point.model).unwrap();
-                assert!(prepared.has_trace(), "simulate records");
+                let job = (&point.machine, point.model);
+                let outcome = simulate_batch(&prepared, &[job, job]).unwrap().remove(0);
                 let variant = vmv_core::variant_for(&point.machine);
                 let key = run_key(benchmark, variant, &point.machine, point.model);
                 record_of(key, point, benchmark, &outcome)

@@ -1,11 +1,11 @@
 //! Trace-replay behaviour beyond the three-engine differential: the batched
 //! walk is deterministic and bit-identical to fresh execution for any
-//! variant subset (a batch of one included), the adaptive `simulate` path
-//! agrees with fresh execution on a shared `Prepared`, and malformed traces
-//! are rejected with typed errors instead of garbage statistics.
+//! variant subset (a batch of one included), `simulate_batch`'s record-and-
+//! retime call agrees with fresh execution, and malformed traces are
+//! rejected with typed errors instead of garbage statistics.
 
 use vector_usimd_vliw as vmv;
-use vmv::core::{prepare, simulate, simulate_fresh};
+use vmv::core::{prepare, simulate_batch, simulate_fresh};
 use vmv::kernels::rng::SmallRng;
 use vmv::kernels::Benchmark;
 use vmv::machine::{presets, MachineConfig};
@@ -76,19 +76,19 @@ fn replaying_the_same_trace_twice_is_deterministic() {
 
 #[test]
 fn adaptive_simulate_matches_fresh_execution_across_models() {
-    // The first `simulate` on a shared `Prepared` executes and records;
-    // every later call replays.  Both strategies must agree bit-for-bit,
-    // for every memory model, on the same entry.
+    // One batch over both models executes and records the first and
+    // replays the second.  Both must agree bit-for-bit with a fresh
+    // execution of the same model.
     let machine = presets::vector2(2);
-    let prepared = std::sync::Arc::new(prepare(Benchmark::JpegEnc, &machine).unwrap());
-    assert!(!prepared.has_trace());
-    for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
-        let adaptive = simulate(&prepared, &machine, model).unwrap();
+    let prepared = prepare(Benchmark::JpegEnc, &machine).unwrap();
+    let models = [MemoryModel::Perfect, MemoryModel::Realistic];
+    let variants: Vec<_> = models.iter().map(|&model| (&machine, model)).collect();
+    let adaptive = simulate_batch(&prepared, &variants).unwrap();
+    for (adaptive, model) in adaptive.iter().zip(models) {
         let fresh = simulate_fresh(&prepared, &machine, model).unwrap();
         assert_eq!(adaptive.stats, fresh.stats, "{model:?}");
-        assert_eq!(adaptive.check_failures, fresh.check_failures);
+        assert_eq!(adaptive.check_failures, fresh.check_failures, "{model:?}");
     }
-    assert!(prepared.has_trace(), "the first simulate recorded a trace");
 }
 
 #[test]
