@@ -5,22 +5,34 @@
 //! Each configuration executes the benchmark version written for its ISA
 //! (§4.1): the plain-VLIW configurations run the scalar code, the
 //! µSIMD-VLIW configurations the µSIMD code and the Vector-µSIMD-VLIW
-//! configurations the Vector-µSIMD code.  Every run is checked against the
-//! golden reference outputs, so a timing result is only reported for a
-//! functionally correct execution.
+//! configurations the Vector-µSIMD code.  Every run reports the golden
+//! reference checks of the execution it was timed from, so a timing result
+//! is only reported for a functionally correct program.
 //!
 //! Compilation and simulation are exposed as *separate* steps ([`prepare`]
 //! and [`simulate_batch`]): the static schedule depends only on the
 //! schedule-relevant machine parameters, so a design-space sweep (the
 //! `vmv-sweep` crate) can schedule a program once and re-simulate it across
-//! many memory-system variations.  Simulation is one group operation that
-//! decides from the group it is handed: a lone unprofiled variant executes
-//! without recording; otherwise the first variant executes and records a
-//! timing trace, and every other memory variant is retimed from that trace
-//! in one batched walk (`vmv_sim::replay_batch`).  The trace lives only as
-//! long as the call, and [`Prepared`] is plain data.  [`simulate`] is the
-//! one-variant case, so [`run_one`] (and so [`Suite`] and `repro`) executes
-//! without recording.
+//! many memory-system variations.  And every machine of one ISA runs the
+//! same *program* — `(benchmark, ISA variant)` — so its schedules differ in
+//! timing but never in the values they compute: one execution's timing
+//! trace retimes every schedule of the program (`vmv_sim::trace`).
+//!
+//! Simulation is one group operation, [`simulate_schedule`], over the
+//! variants of one [`Schedule`]: either the first variant executes (and
+//! records a trace when other variants follow, or when the caller asks for
+//! the [`Recording`] to retime the program's other schedules) and the rest
+//! are retimed from it in one batched walk (`vmv_sim::replay_batch`), or
+//! every variant is retimed from a recording another schedule of the
+//! program made.  [`simulate_batch`] is its one-schedule case, with the trace living
+//! only as long as the call, and [`simulate`] the one-variant case, so
+//! [`run_one`] (and so [`Suite`] and `repro`) executes without recording.
+//!
+//! Trust: a variant retimed from another schedule's recording reports that
+//! recording's output checks.  That the two schedules compute the same
+//! values is certified per schedule by `vmv_verify::verify_compiled` (debug
+//! builds and `sweep --verify`), pinned by `tests/trace_replay.rs`, and
+//! sampled by the benchmark's fresh re-executions.
 
 use std::sync::Arc;
 
@@ -28,8 +40,7 @@ use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
 use vmv_sim::{
-    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimError, SimOptions, Simulator,
-    VariantState,
+    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimOptions, Simulator, Trace, VariantState,
 };
 
 /// Hard cap on simulated (or replayed) cycles per run.
@@ -119,13 +130,46 @@ impl Prepared {
         }
     }
 
-    /// The cycle-attribution statics for this program (bundle issue
+    /// The schedule this prepared program runs, as the group calls see it.
+    pub fn schedule(&self) -> Schedule<'_> {
+        Schedule {
+            benchmark: self.benchmark,
+            variant: self.variant,
+            build: &self.build,
+            lowered: &self.lowered,
+        }
+    }
+
+    /// See [`Schedule::profile_statics`].
+    pub fn profile_statics(&self, machine: &MachineConfig) -> Arc<ProfileStatics> {
+        self.schedule().profile_statics(machine)
+    }
+
+    /// See [`Schedule::simulator`].
+    pub fn simulator(&self, machine: &MachineConfig, model: MemoryModel) -> Simulator {
+        self.schedule().simulator(machine, model)
+    }
+}
+
+/// One schedule of a program as the group call sees it: the program's
+/// build, which every schedule of the program shares, and this schedule's
+/// lowered form.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule<'a> {
+    pub benchmark: Benchmark,
+    pub variant: IsaVariant,
+    pub build: &'a BenchmarkBuild,
+    pub lowered: &'a vmv_sched::LoweredProgram,
+}
+
+impl Schedule<'_> {
+    /// The cycle-attribution statics for this schedule (bundle issue
     /// classes, op names, lanes).  Like the lowered program they depend only
     /// on schedule-relevant machine fields, so one table serves every memory
     /// variant of a call.  `machine` must be schedule-compatible with the
-    /// preparing configuration (the same contract as [`simulate_batch`]).
+    /// scheduling configuration (the same contract as [`simulate_batch`]).
     pub fn profile_statics(&self, machine: &MachineConfig) -> Arc<ProfileStatics> {
-        Arc::new(ProfileStatics::build(&self.lowered, machine))
+        Arc::new(ProfileStatics::build(self.lowered, machine))
     }
 
     /// A simulator for `machine` under `model` with the benchmark's initial
@@ -144,6 +188,23 @@ impl Prepared {
         }
         sim
     }
+
+    fn outcome(
+        &self,
+        machine: &MachineConfig,
+        model: MemoryModel,
+        stats: RunStats,
+        check_failures: Vec<String>,
+    ) -> RunOutcome {
+        RunOutcome {
+            config: machine.name.clone(),
+            benchmark: self.benchmark,
+            variant: self.variant,
+            memory_model: model,
+            stats,
+            check_failures,
+        }
+    }
 }
 
 /// Build the benchmark program, compile (schedule) it for `machine`, and
@@ -151,11 +212,22 @@ impl Prepared {
 pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared, ExperimentError> {
     let variant = variant_for(machine);
     let build = benchmark.build(variant);
-    let compiled = vmv_sched::compile(&build.program, machine)
-        .map_err(|e| ExperimentError::Compile(format!("{}: {e}", machine.name)))?;
-    let lowered = vmv_sched::lower(&compiled.program, machine)
-        .map_err(|e| ExperimentError::Compile(format!("{}: {e}", machine.name)))?;
+    let (compiled, lowered) = compile_and_lower(&build, machine)?;
     Ok(Prepared::new(benchmark, variant, build, compiled, lowered))
+}
+
+/// Compile (schedule) a built program for `machine` and lower the schedule:
+/// the per-schedule half of [`prepare`], for callers that share one build
+/// across the schedules of a program.
+pub fn compile_and_lower(
+    build: &BenchmarkBuild,
+    machine: &MachineConfig,
+) -> Result<(vmv_sched::Compiled, vmv_sched::LoweredProgram), ExperimentError> {
+    let failed =
+        |e: &dyn std::fmt::Display| ExperimentError::Compile(format!("{}: {e}", machine.name));
+    let compiled = vmv_sched::compile(&build.program, machine).map_err(|e| failed(&e))?;
+    let lowered = vmv_sched::lower(&compiled.program, machine).map_err(|e| failed(&e))?;
+    Ok((compiled, lowered))
 }
 
 /// Simulate an already-compiled benchmark on `machine` under `model`: a
@@ -178,11 +250,12 @@ pub fn simulate(
 /// machine must agree with the scheduled configuration in all
 /// schedule-relevant parameters.
 ///
-/// A lone variant executes without recording.  Otherwise `variants[0]` is
-/// executed functionally and its timing trace recorded, and every remaining
-/// variant is retimed from the trace in one batched walk; the trace and its
-/// slot analysis live only for the call.  `outcomes[i]` is bit-identical to
-/// a fresh execution of `variants[i]` (`tests/lowered_differential.rs`).
+/// The one-schedule case of [`simulate_schedule`]: a lone variant executes
+/// without recording.  Otherwise `variants[0]` is executed functionally
+/// and its timing trace recorded, and every remaining variant is retimed
+/// from the trace in one batched walk; the trace and its slot analysis live
+/// only for the call.  `outcomes[i]` is bit-identical to a fresh execution
+/// of `variants[i]` (`tests/lowered_differential.rs`).
 ///
 /// Any failure (e.g. a cycle limit in one variant) fails the whole call, so
 /// callers wanting per-variant isolation retry each variant on its own.
@@ -190,7 +263,8 @@ pub fn simulate_batch(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
 ) -> Result<Vec<RunOutcome>, ExperimentError> {
-    simulate_group(prepared, variants, false).map(|(outcomes, _)| outcomes)
+    simulate_schedule(prepared.schedule(), variants, TraceFrom::FirstRun, false)
+        .map(|run| run.outcomes)
 }
 
 /// [`simulate_batch`] with cycle attribution: `profiles[i]` explains every
@@ -203,86 +277,133 @@ pub fn simulate_batch_profiled(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
 ) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
-    simulate_group(prepared, variants, true)
+    simulate_schedule(prepared.schedule(), variants, TraceFrom::FirstRun, true)
+        .map(|run| (run.outcomes, run.profiles))
 }
 
-/// The one group operation behind [`simulate`], [`simulate_batch`] and
-/// [`simulate_batch_profiled`], deciding from the group it is handed: a
-/// lone unprofiled variant executes without recording; otherwise the first
-/// variant executes and records (profiled when asked) and the rest are
-/// retimed from the call-local trace in one batched walk.  Profiles are
-/// returned only when `profile` is set.
-fn simulate_group(
-    prepared: &Prepared,
+/// What one execution of a program leaves for its other runs: the timing
+/// trace, which retimes every schedule of the program, and the output
+/// checks, which depend only on the values the program computes.
+#[derive(Debug)]
+pub struct Recording {
+    trace: Trace,
+    check_failures: Vec<String>,
+}
+
+/// Where a [`simulate_schedule`] call gets its program's timing trace.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceFrom<'a> {
+    /// From executing the first variant, which records only when other
+    /// variants follow (or when profiling).
+    FirstRun,
+    /// From executing the first variant, which always records: the call
+    /// returns the [`Recording`] for the program's other schedules.
+    FirstRunRecorded,
+    /// From a recording of the same program, made on any of its schedules:
+    /// nothing executes, every variant is retimed.
+    Recording(&'a Recording),
+}
+
+/// The results of one [`simulate_schedule`] call.
+#[derive(Debug, Default)]
+pub struct ScheduleRun {
+    /// One outcome per variant, in order.
+    pub outcomes: Vec<RunOutcome>,
+    /// One profile per variant when profiling, else empty.
+    pub profiles: Vec<Profile>,
+    /// The recording the call made, if it executed and recorded (always
+    /// for [`TraceFrom::FirstRunRecorded`]).
+    pub recording: Option<Recording>,
+}
+
+/// The one group operation: run `variants` of one schedule, taking the
+/// program's timing trace from `trace`.  Either the first variant executes
+/// (and records when the trace is needed) and the rest are retimed from its
+/// trace in one batched walk, or every variant is retimed from a recording
+/// another schedule of the program made.  With `profile`, `profiles[i]`
+/// explains every simulated cycle of `outcomes[i]`.  Every machine must
+/// agree with the scheduled configuration in all schedule-relevant
+/// parameters, and every outcome is bit-identical to a fresh execution of
+/// its variant on this schedule (`tests/trace_replay.rs`).  Any failure
+/// fails the whole call.
+pub fn simulate_schedule(
+    schedule: Schedule<'_>,
     variants: &[(&MachineConfig, MemoryModel)],
+    trace: TraceFrom<'_>,
     profile: bool,
-) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
-    let Some((&(first, first_model), rest)) = variants.split_first() else {
-        return Ok((Vec::new(), Vec::new()));
+) -> Result<ScheduleRun, ExperimentError> {
+    let mut run = ScheduleRun::default();
+    let Some(&(first, first_model)) = variants.first() else {
+        return Ok(run);
     };
-    let outcome = |machine: &MachineConfig, model, stats, check_failures| RunOutcome {
-        config: machine.name.clone(),
-        benchmark: prepared.benchmark,
-        variant: prepared.variant,
-        memory_model: model,
-        stats,
-        check_failures,
+    let statics = profile.then(|| schedule.profile_statics(first));
+    let mut made = None;
+    let (recording, rest) = match trace {
+        TraceFrom::Recording(recording) => (recording, variants),
+        TraceFrom::FirstRun | TraceFrom::FirstRunRecorded => {
+            let rest = &variants[1..];
+            let record =
+                profile || !rest.is_empty() || matches!(trace, TraceFrom::FirstRunRecorded);
+            let failed = |e| ExperimentError::Simulation(format!("{}: {e}", first.name));
+            let mut sim = schedule.simulator(first, first_model);
+            let (stats, trace) = match (&statics, record) {
+                (_, false) => sim.run_lowered(schedule.lowered).map(|stats| (stats, None)),
+                (None, true) => sim
+                    .run_lowered_recording(schedule.lowered)
+                    .map(|(stats, trace)| (stats, Some(trace))),
+                (Some(statics), true) => sim
+                    .run_lowered_recording_profiled(schedule.lowered, statics)
+                    .map(|(stats, trace, p)| {
+                        run.profiles.push(p);
+                        (stats, Some(trace))
+                    }),
+            }
+            .map_err(failed)?;
+            let check_failures = schedule
+                .build
+                .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
+            // Free the memory image and hierarchy before the batched walk.
+            drop(sim);
+            run.outcomes
+                .push(schedule.outcome(first, first_model, stats, check_failures.clone()));
+            let Some(trace) = trace else {
+                return Ok(run);
+            };
+            (
+                &*made.insert(Recording {
+                    trace,
+                    check_failures,
+                }),
+                rest,
+            )
+        }
     };
-    let failed = |e: SimError| ExperimentError::Simulation(format!("{}: {e}", first.name));
-    let mut sim = prepared.simulator(first, first_model);
-    if rest.is_empty() && !profile {
-        let stats = sim.run_lowered(&prepared.lowered).map_err(failed)?;
-        let check_failures = prepared
-            .build
-            .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-        return Ok((
-            vec![outcome(first, first_model, stats, check_failures)],
-            Vec::new(),
-        ));
-    }
 
-    let statics = profile.then(|| prepared.profile_statics(first));
-    let mut profiles = Vec::new();
-    let (stats, trace) = match &statics {
-        Some(statics) => sim
-            .run_lowered_recording_profiled(&prepared.lowered, statics)
-            .map(|(stats, trace, p)| {
-                profiles.push(p);
-                (stats, trace)
-            }),
-        None => sim.run_lowered_recording(&prepared.lowered),
+    if !rest.is_empty() {
+        let analysis = ReplayAnalysis::build(schedule.lowered);
+        let mut states: Vec<VariantState> = rest
+            .iter()
+            .map(|&(machine, model)| VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES))
+            .collect();
+        let retimed = match &statics {
+            Some(statics) => {
+                vmv_sim::replay_batch_profiled(&recording.trace, &analysis, &mut states, statics)
+                    .map(|(stats, p)| {
+                        run.profiles.extend(p);
+                        stats
+                    })
+            }
+            None => vmv_sim::replay_batch(&recording.trace, &analysis, &mut states),
+        }
+        .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
+        for (stats, &(machine, model)) in retimed.into_iter().zip(rest) {
+            let checks = recording.check_failures.clone();
+            run.outcomes
+                .push(schedule.outcome(machine, model, stats, checks));
+        }
     }
-    .map_err(failed)?;
-    // The output checks are functional, hence the same for every variant.
-    let check_failures = prepared
-        .build
-        .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    // Free the memory image and hierarchy before the batched walk.
-    drop(sim);
-    let mut outcomes = Vec::with_capacity(variants.len());
-    outcomes.push(outcome(first, first_model, stats, check_failures.clone()));
-    if rest.is_empty() {
-        return Ok((outcomes, profiles));
-    }
-
-    let analysis = ReplayAnalysis::build(&prepared.lowered);
-    let mut states: Vec<VariantState> = rest
-        .iter()
-        .map(|&(machine, model)| VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES))
-        .collect();
-    let retimed = match &statics {
-        Some(statics) => vmv_sim::replay_batch_profiled(&trace, &analysis, &mut states, statics)
-            .map(|(stats, p)| {
-                profiles.extend(p);
-                stats
-            }),
-        None => vmv_sim::replay_batch(&trace, &analysis, &mut states),
-    }
-    .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
-    for (stats, &(machine, model)) in retimed.into_iter().zip(rest) {
-        outcomes.push(outcome(machine, model, stats, check_failures.clone()));
-    }
-    Ok((outcomes, profiles))
+    run.recording = made;
+    Ok(run)
 }
 
 /// Compile and simulate one benchmark on one machine configuration.  The

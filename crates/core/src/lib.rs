@@ -17,14 +17,18 @@ pub mod figures;
 /// The earlier name of [`simulate`], kept for callers that pin it.
 pub use experiment::simulate as simulate_fresh;
 pub use experiment::{
-    default_workers, prepare, run_one, simulate, simulate_batch, simulate_batch_profiled,
-    variant_for, variant_from_name, workers_capped, ExperimentError, Prepared, RunOutcome, Suite,
+    compile_and_lower, default_workers, prepare, run_one, simulate, simulate_batch,
+    simulate_batch_profiled, simulate_schedule, variant_for, variant_from_name, workers_capped,
+    ExperimentError, Prepared, Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,
     render_fig7, render_table1, render_table3, table1, table3, Fig1Series, Fig1Summary, Fig7Row,
     Fig7Summary, SpeedupChart, Table1Row, Table3Row,
 };
+/// The scheduler crate: [`Prepared`] and [`Schedule`] carry its compiled and
+/// lowered programs.
+pub use vmv_sched as sched;
 /// The simulator crate: [`Prepared`] and [`RunOutcome`] carry its types, and
 /// [`Prepared::simulator`] hands out its engine.
 pub use vmv_sim as sim;

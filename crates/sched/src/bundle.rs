@@ -27,6 +27,13 @@ pub struct ScheduledBlock {
     pub region: RegionId,
     /// `bundles[c]` holds the operations issued in cycle `c` of the block.
     pub bundles: Vec<Vec<Op>>,
+    /// The source position (index in the allocated block) of every
+    /// operation, in traversal order: bundle by bundle, each in its bundle's
+    /// order.  A permutation of `0..n`.  Every schedule of one program
+    /// shares its source blocks, so a position names the same operation in
+    /// all of them — the address a timing trace files dynamic values under.
+    /// Lowering copies each into its operation ([`crate::LoweredOp::pos`]).
+    pub positions: Vec<u32>,
 }
 
 impl ScheduledBlock {
@@ -138,6 +145,7 @@ mod tests {
             label: "b".into(),
             region: RegionId::SCALAR,
             bundles,
+            positions: (0..ops_per_cycle.iter().sum::<usize>() as u32).collect(),
         }
     }
 
@@ -150,6 +158,7 @@ mod tests {
             label: "e".into(),
             region: RegionId::SCALAR,
             bundles: vec![],
+            positions: vec![],
         };
         assert_eq!(empty.length(), 1);
     }

@@ -16,13 +16,15 @@ use crate::ddg::DepGraph;
 use crate::restable::{unit_pool, ReservationTable};
 
 /// Schedule the operations of one basic block, returning one bundle (vector
-/// of operations) per issue cycle.  The relative order of memory operations
-/// and the block terminator is preserved by the dependence graph.  The
-/// operations are moved into their bundles, in placement order.
-pub fn schedule_block(mut ops: Vec<Op>, machine: &MachineConfig) -> Vec<Vec<Op>> {
+/// of operations) per issue cycle, and the source position (index in `ops`)
+/// of every placed operation in traversal order — bundle by bundle, each in
+/// its bundle's order.  The relative order of memory operations and the
+/// block terminator is preserved by the dependence graph.  The operations
+/// are moved into their bundles, in placement order.
+pub fn schedule_block(mut ops: Vec<Op>, machine: &MachineConfig) -> (Vec<Vec<Op>>, Vec<u32>) {
     let n = ops.len();
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), Vec::new());
     }
     let graph = DepGraph::build(&ops, machine);
     let heights = graph.heights();
@@ -125,14 +127,17 @@ pub fn schedule_block(mut ops: Vec<Op>, machine: &MachineConfig) -> Vec<Vec<Op>>
     }
 
     // Move every operation into its bundle; each bundle is allocated at its
-    // final size.
+    // final size.  Placements run in nondecreasing cycle order, so their
+    // order is the traversal order.
     let mut sizes = vec![0usize; placements[n - 1].0 as usize + 1];
     for &(c, _) in &placements {
         sizes[c as usize] += 1;
     }
     let mut bundles: Vec<Vec<Op>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    let mut positions = Vec::with_capacity(n);
     for (c, i) in placements {
         bundles[c as usize].push(std::mem::replace(&mut ops[i], Op::new(Opcode::Nop)));
+        positions.push(i as u32);
     }
 
     if vmv_obs::enabled() {
@@ -143,7 +148,7 @@ pub fn schedule_block(mut ops: Vec<Op>, machine: &MachineConfig) -> Vec<Vec<Op>>
         vmv_obs::add(Counter::SchedCyclesScheduled, bundles.len() as u64);
     }
 
-    bundles
+    (bundles, positions)
 }
 
 #[cfg(test)]
@@ -166,7 +171,7 @@ mod tests {
     fn independent_ops_fill_the_issue_width() {
         let machine = presets::vliw(4);
         let ops: Vec<Op> = (0..8).map(|i| movi(i, i as i64)).collect();
-        let bundles = schedule_block(ops, &machine);
+        let (bundles, _) = schedule_block(ops, &machine);
         assert_eq!(
             bundles.len(),
             2,
@@ -187,7 +192,7 @@ mod tests {
             add(2, 1, 0),
             add(3, 2, 0),
         ];
-        let bundles = schedule_block(ops, &machine);
+        let (bundles, _) = schedule_block(ops, &machine);
         // mul at cycle 0, add at cycle 3, add at cycle 4 → 5 bundles.
         assert_eq!(bundles.len(), 5);
         assert!(bundles[1].is_empty() && bundles[2].is_empty());
@@ -198,8 +203,8 @@ mod tests {
         let wide = presets::vliw(8);
         let narrow = presets::vliw(2);
         let ops: Vec<Op> = (0..8).map(|i| movi(i, 1)).collect();
-        assert_eq!(schedule_block(ops.clone(), &wide).len(), 1);
-        assert_eq!(schedule_block(ops, &narrow).len(), 4);
+        assert_eq!(schedule_block(ops.clone(), &wide).0.len(), 1);
+        assert_eq!(schedule_block(ops, &narrow).0.len(), 4);
     }
 
     #[test]
@@ -213,7 +218,7 @@ mod tests {
                     .with_imm(4 * i as i64)
             })
             .collect();
-        let bundles = schedule_block(ops, &machine);
+        let (bundles, _) = schedule_block(ops, &machine);
         assert_eq!(
             bundles.len(),
             4,
@@ -232,7 +237,7 @@ mod tests {
                 .with_srcs(&[Reg::int(2), Reg::int(0)])
                 .with_target("x"),
         ];
-        let bundles = schedule_block(ops, &machine);
+        let (bundles, _) = schedule_block(ops, &machine);
         let last_nonempty = bundles.iter().rev().find(|b| !b.is_empty()).unwrap();
         assert!(last_nonempty.iter().any(|o| o.opcode.is_branch()));
         // and no op is scheduled after the branch's cycle
@@ -255,14 +260,14 @@ mod tests {
                     .with_srcs(&[Reg::simd(16 + i), Reg::simd(32 + i)])
             })
             .collect();
-        let usimd_bundles = schedule_block(usimd_ops, &usimd_machine);
+        let (usimd_bundles, _) = schedule_block(usimd_ops, &usimd_machine);
 
         let vector_machine = presets::vector2(2);
         let mut vadd = Op::new(Opcode::VAdd(Elem::B, Sat::Wrap))
             .with_dst(Reg::vec(0))
             .with_srcs(&[Reg::vec(1), Reg::vec(2)]);
         vadd.vl_hint = Some(16);
-        let vector_bundles = schedule_block(vec![vadd], &vector_machine);
+        let (vector_bundles, _) = schedule_block(vec![vadd], &vector_machine);
 
         assert!(vector_bundles.len() < usimd_bundles.len());
     }
@@ -270,16 +275,27 @@ mod tests {
     #[test]
     fn empty_block_schedules_to_nothing() {
         let machine = presets::vliw(2);
-        assert!(schedule_block(Vec::new(), &machine).is_empty());
+        assert_eq!(
+            schedule_block(Vec::new(), &machine),
+            (Vec::new(), Vec::new())
+        );
     }
 
     #[test]
     fn all_ops_appear_exactly_once() {
         let machine = presets::vliw(4);
         let ops: Vec<Op> = (0..6).map(|i| add(i + 10, i, i)).collect();
-        let bundles = schedule_block(ops.clone(), &machine);
+        let (bundles, positions) = schedule_block(ops.clone(), &machine);
         let total: usize = bundles.iter().map(|b| b.len()).sum();
         assert_eq!(total, ops.len());
+        // Every op carries its own source position, each exactly once.
+        let flat: Vec<&Op> = bundles.iter().flatten().collect();
+        for (op, &pos) in flat.iter().zip(&positions) {
+            assert_eq!(**op, ops[pos as usize]);
+        }
+        let mut sorted = positions.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..ops.len() as u32).collect::<Vec<_>>());
     }
 
     /// Rename every non-control register of `ops` through `f`.
@@ -323,8 +339,8 @@ mod tests {
         let far = |i: u32| 200_000 - 7 * i;
         let back = |i: u32| (200_000 - i) / 7;
         let machine = presets::vector2(4);
-        let expected = schedule_block(ops.clone(), &machine);
-        let got = schedule_block(renamed(&ops, far), &machine);
+        let (expected, _) = schedule_block(ops.clone(), &machine);
+        let (got, _) = schedule_block(renamed(&ops, far), &machine);
         let got: Vec<Vec<Op>> = got.iter().map(|bundle| renamed(bundle, back)).collect();
         assert_eq!(got, expected);
     }

@@ -17,7 +17,10 @@
 //! * flow latency, effective lane count and the vector-memory flag are baked
 //!   in, so the engine never consults opcode tables in its inner loop;
 //! * bundles are flattened into one contiguous operation array with bundle
-//!   boundary offsets, giving the fetch loop linear memory traffic.
+//!   boundary offsets, giving the fetch loop linear memory traffic;
+//! * each operation keeps its source position in its block (checked to be
+//!   a permutation of the block's operations), so a timing trace can
+//!   address dynamic values the same way in every schedule of one program.
 //!
 //! Lowering depends only on schedule-relevant machine fields (register file
 //! sizes, latency table, lane/port widths) — exactly the fields of the sweep
@@ -50,6 +53,8 @@ pub enum LowerError {
     SlotOutOfRange { block: String, op: String, reg: Reg },
     /// An operation carries more explicit sources than any opcode defines.
     TooManySources { block: String, op: String },
+    /// A block's source positions are not a permutation of its operations.
+    BadPositions { block: String },
     /// A machine parameter exceeds the range of the lowered operation's
     /// packed metadata fields (latencies are stored as `u16`, lane counts
     /// as `u8`) — silently saturating would diverge from the reference
@@ -78,6 +83,10 @@ impl std::fmt::Display for LowerError {
             LowerError::TooManySources { block, op } => {
                 write!(f, "block '{block}': operation '{op}' has too many sources")
             }
+            LowerError::BadPositions { block } => write!(
+                f,
+                "block '{block}': source positions are not a permutation of its operations"
+            ),
             LowerError::MachineOutOfRange { what, value, max } => write!(
                 f,
                 "machine parameter {what} = {value} exceeds the lowered \
@@ -122,6 +131,9 @@ pub struct LoweredOp {
     /// at most 8); the dynamic count is `micro_ops_unit * VL` for
     /// VL-dependent operations and `micro_ops_unit` otherwise.
     pub micro_ops_unit: u16,
+    /// Source position within the block (see
+    /// [`crate::ScheduledBlock::positions`]).
+    pub pos: u32,
 }
 
 impl LoweredOp {
@@ -244,11 +256,27 @@ pub fn lower(
 
     for block in &program.blocks {
         let first_bundle = (bundle_bounds.len() - 1) as u32;
+        let first_op = ops.len();
         for bundle in &block.bundles {
             for op in bundle {
                 ops.push(lower_op(op, &block.label, &labels, &layout, machine)?);
             }
             bundle_bounds.push(ops.len() as u32);
+        }
+        let n = ops.len() - first_op;
+        let mut seen = vec![false; n];
+        let permutation = block.positions.len() == n
+            && block
+                .positions
+                .iter()
+                .all(|&p| (p as usize) < n && !std::mem::replace(&mut seen[p as usize], true));
+        if !permutation {
+            return Err(LowerError::BadPositions {
+                block: block.label.clone(),
+            });
+        }
+        for (op, &pos) in ops[first_op..].iter_mut().zip(&block.positions) {
+            op.pos = pos;
         }
         blocks.push(LoweredBlock {
             region: block.region,
@@ -342,6 +370,8 @@ fn lower_op(
         reads_vl: op.opcode.reads_vl(),
         is_vector_memory: op.opcode.is_vector_memory(),
         micro_ops_unit: op.opcode.micro_ops(1) as u16,
+        // Set by `lower` once the block's positions are checked.
+        pos: 0,
     })
 }
 
@@ -370,11 +400,13 @@ mod tests {
                 label: "entry".into(),
                 region: RegionId::SCALAR,
                 bundles: vec![vec![Op::new(Opcode::Jump).with_target("exit")]],
+                positions: vec![0],
             },
             ScheduledBlock {
                 label: "exit".into(),
                 region: RegionId::SCALAR,
                 bundles: vec![vec![Op::new(Opcode::Halt)]],
+                positions: vec![0],
             },
         ]);
         let low = lower(&p, &machine()).unwrap();
@@ -389,6 +421,7 @@ mod tests {
             label: "entry".into(),
             region: RegionId::SCALAR,
             bundles: vec![vec![Op::new(Opcode::Jump).with_target("nowhere")]],
+            positions: vec![0],
         }]);
         let err = lower(&p, &machine()).unwrap_err();
         assert!(matches!(err, LowerError::UnknownLabel { ref label, .. } if label == "nowhere"));
@@ -400,6 +433,7 @@ mod tests {
             label: "entry".into(),
             region: RegionId::SCALAR,
             bundles: vec![vec![Op::new(Opcode::Jump)]],
+            positions: vec![0],
         }]);
         assert!(matches!(
             lower(&p, &machine()).unwrap_err(),
@@ -415,6 +449,7 @@ mod tests {
             label: "entry".into(),
             region: RegionId::SCALAR,
             bundles: vec![vec![Op::new(Opcode::MovI).with_dst(bad).with_imm(1)]],
+            positions: vec![0],
         }]);
         let err = lower(&p, &m).unwrap_err();
         assert!(matches!(err, LowerError::SlotOutOfRange { reg, .. } if reg == bad));
@@ -429,6 +464,7 @@ mod tests {
             label: "entry".into(),
             region: RegionId::SCALAR,
             bundles: vec![vec![Op::new(Opcode::Halt)]],
+            positions: vec![0],
         }]);
         let mut m = machine();
         m.latencies.vec_mem = 100_000;
@@ -459,6 +495,7 @@ mod tests {
             bundles: vec![vec![Op::new(Opcode::VLoad)
                 .with_dst(Reg::vec(0))
                 .with_srcs(&[Reg::int(3)])]],
+            positions: vec![0],
         }]);
         let low = lower(&p, &m).unwrap();
         let op = &low.ops[0];
@@ -486,6 +523,7 @@ mod tests {
             label: "b".into(),
             region: RegionId::SCALAR,
             bundles: vec![mk(2), mk(0), mk(1)],
+            positions: vec![0, 1, 2],
         }]);
         let low = lower(&p, &machine()).unwrap();
         assert_eq!(low.blocks[0].bundle_count, 3);
@@ -494,5 +532,31 @@ mod tests {
         assert_eq!(low.bundle_ops(1).len(), 0);
         assert_eq!(low.bundle_ops(2).len(), 1);
         assert_eq!(low.ops.len(), 3);
+        let positions: Vec<u32> = low.ops.iter().map(|op| op.pos).collect();
+        assert_eq!(positions, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn positions_must_permute_each_block() {
+        let block = |positions: Vec<u32>| {
+            shell(vec![ScheduledBlock {
+                label: "b".into(),
+                region: RegionId::SCALAR,
+                bundles: vec![vec![
+                    Op::new(Opcode::MovI).with_dst(Reg::int(1)).with_imm(0),
+                    Op::new(Opcode::Halt),
+                ]],
+                positions,
+            }])
+        };
+        let low = lower(&block(vec![1, 0]), &machine()).unwrap();
+        assert_eq!((low.ops[0].pos, low.ops[1].pos), (1, 0));
+        for bad in [vec![0, 0], vec![0], vec![0, 2], vec![0, 1, 2]] {
+            assert_eq!(
+                lower(&block(bad.clone()), &machine()).unwrap_err(),
+                LowerError::BadPositions { block: "b".into() },
+                "{bad:?}"
+            );
+        }
     }
 }

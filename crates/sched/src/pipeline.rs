@@ -72,14 +72,16 @@ pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, C
     // 3. Register allocation.
     let (allocated, _) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
 
-    // 4. Per-block list scheduling; each allocated op moves into its bundle.
+    // 4. Per-block list scheduling; each allocated op moves into its bundle
+    //    and keeps its source position.
     let mut scheduled = ScheduledProgram::from_program_shell(program);
     for block in allocated.blocks {
-        let bundles = schedule_block(block.ops, machine);
+        let (bundles, positions) = schedule_block(block.ops, machine);
         scheduled.blocks.push(ScheduledBlock {
             label: block.label,
             region: block.region,
             bundles,
+            positions,
         });
     }
 

@@ -157,12 +157,13 @@ impl Simulator {
 
     /// Run a lowered program to completion *and* record its timing trace
     /// (block sequence, memory accesses, VL updates) for later retiming
-    /// with [`crate::replay::replay_batch`].
+    /// with [`crate::replay::replay_batch`] — of this schedule or of any
+    /// other schedule of the same program.
     pub fn run_lowered_recording(
         &mut self,
         program: &LoweredProgram,
     ) -> Result<(RunStats, Trace), SimError> {
-        let mut recorder = TraceRecorder::new(self.regs.vl);
+        let mut recorder = TraceRecorder::new(program, self.regs.vl);
         let stats = self.run_lowered_with(program, &mut recorder, &mut NoProfile)?;
         vmv_obs::incr(vmv_obs::Counter::TraceRecords);
         Ok((stats, recorder.finish()))
@@ -178,7 +179,7 @@ impl Simulator {
         program: &LoweredProgram,
         statics: &Arc<ProfileStatics>,
     ) -> Result<(RunStats, Trace, Profile), SimError> {
-        let mut recorder = TraceRecorder::new(self.regs.vl);
+        let mut recorder = TraceRecorder::new(program, self.regs.vl);
         let mut rec = ProfileRecorder::new(statics.clone());
         let stats = self.run_lowered_with(program, &mut recorder, &mut rec)?;
         vmv_obs::incr(vmv_obs::Counter::TraceRecords);
@@ -824,6 +825,7 @@ mod tests {
                 bundles: vec![vec![
                     vmv_isa::Op::new(vmv_isa::Opcode::Jump).with_target("nowhere")
                 ]],
+                positions: vec![0],
             }],
             regions: vec![],
         };

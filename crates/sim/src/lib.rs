@@ -14,7 +14,9 @@
 //! interpreter (`Simulator::run_reference`), the lowered hot path
 //! (`Simulator::run_lowered*`, which can also record a [`Trace`]), and the
 //! batched trace retimer ([`replay_batch`]), which prices K memory
-//! variants of one recorded execution in a single walk.
+//! variants of one recorded execution in a single walk — on the schedule
+//! it was recorded on or on any other schedule of the same program, since
+//! a trace files its values by source position.
 
 #![forbid(unsafe_code)]
 

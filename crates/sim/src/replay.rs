@@ -8,15 +8,26 @@
 //! parameters) per variant, on one shared clock with a struct-of-arrays
 //! scoreboard — re-deriving the scoreboard / stall / L2-port timing exactly as
 //! [`crate::Simulator::run_lowered`] does, but feeding each hierarchy the
-//! *recorded* `MemAccess` stream instead of executing operations — no
-//! `exec_core`, no `RegFiles`, no `MemImage` allocation.  A memory-axis
-//! sweep therefore pays for trace decoding, segment skipping and dispatch
-//! once per *schedule*, not once per *variant*; a single variant is simply
-//! a batch of one.  The differential suite
-//! (`tests/lowered_differential.rs`) proves every returned [`RunStats`]
-//! bit-identical to the reference and lowered engines on every Table 2
-//! preset × kernel × memory model, including retiming a trace recorded
-//! under one model against the other.
+//! *recorded* accesses instead of executing operations — no `exec_core`,
+//! no `RegFiles`, no `MemImage` allocation.  A memory-axis sweep therefore
+//! pays for trace decoding, segment skipping and dispatch once per
+//! *schedule*, not once per *variant*; a single variant is simply a batch
+//! of one.  The differential suite (`tests/lowered_differential.rs`)
+//! proves every returned [`RunStats`] bit-identical to the reference and
+//! lowered engines on every Table 2 preset × kernel × memory model,
+//! including retiming a trace recorded under one model against the other.
+//!
+//! The walk reads a trace by source position (see [`crate::trace`]): each
+//! block instance claims its run of access and VL entries on entry, and
+//! each dynamic operation reads its own entry, wherever this schedule
+//! issues it.  So the program handed in may be any schedule of the program
+//! the trace was recorded from (`tests/trace_replay.rs` retimes every
+//! preset and committed-study schedule of each program from one
+//! recording).  A trace of another program is rejected by its fingerprint,
+//! and a corrupted one with a typed [`ReplayError`]: runs that overrun or
+//! underrun the streams, and accesses no execution could have made (an
+//! element count outside `1..=MAX_VL`, bytes beyond the largest possible
+//! memory image).
 //!
 //! # Why replay can skip most of the scoreboard
 //!
@@ -44,9 +55,10 @@
 //! is the empirical check that this analysis is conservative, and
 //! `vmv-verify` proves it statically.
 //!
-//! Because the trace is memory-model- and memory-geometry-independent, a
-//! memory-axis sweep executes each functional simulation **once** and
-//! retimes every other variant from its trace.
+//! Because the trace is independent of the memory model, the memory
+//! geometry and the schedule, a sweep executes each program **once** and
+//! retimes every other run of it — every memory variant of every schedule
+//! key — from that trace.
 //!
 //! # One shared clock for K variants
 //!
@@ -85,17 +97,24 @@ use vmv_mem::{ClassPricer, MemoryHierarchy, MemoryModel, SharedAccessScratch};
 use vmv_sched::LoweredProgram;
 
 use crate::engine::Simulator;
+use crate::exec::MemAccess;
 use crate::profile::{
     BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, Profile, ProfileStatics,
 };
 use crate::stats::RunStats;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceLayout};
 
 /// Flag bits of [`DynOp::flags`].
 const F_MEM: u8 = 1 << 0;
 const F_SETVL: u8 = 1 << 1;
 const F_HALT: u8 = 1 << 2;
 const F_READS_VL: u8 = 1 << 3;
+const F_STORE: u8 = 1 << 4;
+const F_VECTOR: u8 = 1 << 5;
+
+/// One past the largest byte address an execution can touch: a memory
+/// image is one `Vec<u8>`, which never exceeds `isize::MAX` bytes.
+const ADDRESS_LIMIT: u64 = 1 << 63;
 
 /// One *dynamic* operation of the compact timing view — an operation whose
 /// per-issue behaviour depends on the trace (memory accesses, `setvl`,
@@ -107,9 +126,43 @@ struct DynOp {
     flags: u8,
     /// Effective lane count for the VL-dependent latency tail.
     lanes: u8,
+    /// Bytes per element of a memory access.
+    bytes: u8,
     flow: u16,
     dst_slot: u16,
     micro_ops_unit: u16,
+    /// The operation's entry within its block instance's run of trace
+    /// accesses (memory operations) or VL values (`setvl`).
+    entry: u32,
+}
+
+impl DynOp {
+    /// The access this memory operation made, from its trace entries
+    /// (`run` starts at the operation's entry), or `None` when the entries
+    /// describe an access no execution could make.
+    #[inline]
+    fn access(&self, run: &[u64]) -> Option<MemAccess> {
+        let base = run[0];
+        let bytes = self.bytes as usize;
+        let (stride, elems, end) = if self.flags & F_VECTOR != 0 {
+            let (stride, elems) = (run[1] as i64, run[2]);
+            if !(1..=MAX_VL as u64).contains(&elems) {
+                return None;
+            }
+            let (_, hi) = vmv_mem::lines::span(base, stride, elems as u32)?;
+            (stride, elems as u32, hi)
+        } else {
+            (0, 1, base.checked_add(bytes as u64 - 1)?)
+        };
+        (end < ADDRESS_LIMIT).then_some(MemAccess {
+            base,
+            stride,
+            elems,
+            bytes,
+            is_store: self.flags & F_STORE != 0,
+            is_vector: self.flags & F_VECTOR != 0,
+        })
+    }
 }
 
 /// One segment of the compact timing view: a (possibly empty) run of
@@ -144,6 +197,9 @@ struct RBlock {
     /// Global index of the block's first bundle — the profiled walk maps
     /// segments back to the bundle indices the engine reports.
     first_bundle: u32,
+    /// Trace access and VL entries one instance of the block claims.
+    accesses: u32,
+    vl_sets: u32,
 }
 
 /// The precompiled slot analysis for replay: the compact timing view of one
@@ -151,7 +207,7 @@ struct RBlock {
 /// timing walk consumes.  A recorded trace re-executes each static block
 /// many times (loops), so the walk is the hot loop; the slot-tracking
 /// analysis (module docs) collapses everything provably stall-free into
-/// segment-level counters.  Built in O(static ops), once per program, and
+/// segment-level counters.  Built in O(static ops), once per schedule, and
 /// shared across every variant of a batch; `vmv_core` builds it once per
 /// group call that retimes.
 #[derive(Debug)]
@@ -170,6 +226,9 @@ pub struct ReplayAnalysis {
     tracked: Vec<bool>,
     /// Every region the program declares, listed in each run's stats.
     regions: Vec<vmv_isa::RegionId>,
+    /// The fingerprint of the program (every schedule of it shares one),
+    /// matched against [`Trace::program`].
+    program: u64,
 }
 
 /// Dynamic-behaviour flag bits of one lowered operation.
@@ -177,6 +236,12 @@ fn flags_of(op: &vmv_sched::LoweredOp) -> u8 {
     let mut flags = 0u8;
     if op.opcode.is_memory() {
         flags |= F_MEM;
+        if op.opcode.is_store() {
+            flags |= F_STORE;
+        }
+        if op.is_vector_memory {
+            flags |= F_VECTOR;
+        }
     }
     if op.opcode == Opcode::SetVL {
         flags |= F_SETVL;
@@ -190,8 +255,17 @@ fn flags_of(op: &vmv_sched::LoweredOp) -> u8 {
     flags
 }
 
+/// Bytes per element a memory operation accesses (as `exec` records them).
+fn access_bytes(opcode: Opcode) -> u8 {
+    match opcode {
+        Opcode::Load(width, _) | Opcode::Store(width) => width.bytes() as u8,
+        _ => 8,
+    }
+}
+
 impl ReplayAnalysis {
     pub fn build(program: &LoweredProgram) -> ReplayAnalysis {
+        let layout = TraceLayout::of(program);
         // Two same-cycle writes to one slot must apply in program order;
         // splitting them between the static and dynamic paths would
         // reorder them, so such bundles go fully dynamic.
@@ -235,7 +309,7 @@ impl ReplayAnalysis {
         let mut dynamics = Vec::new();
         let mut write_ops = Vec::new();
         let mut dyn_ops = Vec::new();
-        for block in &program.blocks {
+        for (block, &(block_accesses, block_vl_sets)) in program.blocks.iter().zip(&layout.window) {
             let first_seg = segs.len() as u32;
             let (mut pend_span, mut pend_ops, mut pend_micro) = (0u32, 0u32, 0u64);
             for b in block.first_bundle..block.first_bundle + block.bundle_count {
@@ -270,9 +344,11 @@ impl ReplayAnalysis {
                         dynamics.push(DynOp {
                             flags,
                             lanes: op.lanes.max(1),
+                            bytes: access_bytes(op.opcode),
                             flow: op.flow,
                             dst_slot: op.dst_slot,
                             micro_ops_unit: op.micro_ops_unit,
+                            entry: layout.entry[op_idx as usize],
                         });
                         dyn_ops.push(op_idx);
                     }
@@ -316,6 +392,8 @@ impl ReplayAnalysis {
                 seg_count: segs.len() as u32 - first_seg,
                 bundle_count: block.bundle_count,
                 first_bundle: block.first_bundle,
+                accesses: block_accesses,
+                vl_sets: block_vl_sets,
             });
         }
         ReplayAnalysis {
@@ -328,6 +406,7 @@ impl ReplayAnalysis {
             dyn_ops,
             tracked,
             regions: program.regions.iter().map(|r| r.id).collect(),
+            program: layout.program,
         }
     }
 
@@ -350,12 +429,20 @@ impl ReplayAnalysis {
 /// truncated/corrupted in between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
+    /// The trace was recorded from another program (its fingerprint
+    /// differs from every schedule of this one).
+    ProgramMismatch { trace: u64, program: u64 },
     /// The trace names a block the program does not have.
     BlockOutOfRange { step: usize, block: u32 },
-    /// A memory operation had no recorded access left to consume.
+    /// A block instance's run of access entries overran the stream, which
+    /// holds `consumed` entries.
     TruncatedAccesses { consumed: usize },
-    /// A `setvl` had no recorded VL value left to consume.
+    /// A block instance's run of VL values overran the stream, which holds
+    /// `consumed` values.
     TruncatedVlSets { consumed: usize },
+    /// The access entries starting at `entry` describe an access no
+    /// execution could make.
+    MalformedAccess { entry: usize },
     /// The trace ended without reaching a halting block.
     MissingHalt,
     /// The trace continues past the block that executed `halt`.
@@ -378,17 +465,27 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ReplayError::ProgramMismatch { trace, program } => write!(
+                f,
+                "trace of program {trace:016x} replayed against program {program:016x}"
+            ),
             ReplayError::BlockOutOfRange { step, block } => {
                 write!(f, "trace step {step} names out-of-range block {block}")
             }
             ReplayError::TruncatedAccesses { consumed } => {
                 write!(
                     f,
-                    "trace truncated: only {consumed} memory accesses recorded"
+                    "trace truncated: only {consumed} memory access entries recorded"
                 )
             }
             ReplayError::TruncatedVlSets { consumed } => {
                 write!(f, "trace truncated: only {consumed} setvl values recorded")
+            }
+            ReplayError::MalformedAccess { entry } => {
+                write!(
+                    f,
+                    "trace access entry {entry} describes an impossible access"
+                )
             }
             ReplayError::MissingHalt => write!(f, "trace ends without a halting block"),
             ReplayError::BlocksAfterHalt { step } => {
@@ -544,6 +641,13 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
             });
         }
     }
+    // An empty trace recorded no program at all: it misses its halt.
+    if !trace.blocks.is_empty() && trace.program != analysis.program {
+        return Err(ReplayError::ProgramMismatch {
+            trace: trace.program,
+            program: analysis.program,
+        });
+    }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
 
     // Partition the variants into tag-equivalence classes: configurations
@@ -631,7 +735,8 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     let mut region_idx = 0usize;
 
     // Shared functional state, reconstructed from the trace: the VL
-    // register from the recorded `setvl` stream, plus the event cursors.
+    // register from the recorded `setvl` stream, plus the event cursors —
+    // the end of the runs claimed so far.
     let mut vl: u32 = trace.initial_vl;
     let mut evl: u64 = vl.clamp(1, MAX_VL) as u64;
     let (mut ai, mut vi) = (0usize, 0usize);
@@ -661,6 +766,21 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     region_acc.len() - 1
                 }
             };
+        }
+        // Claim the block instance's runs of trace entries; its dynamic
+        // operations read them by their source-order entries.
+        let (access_run, vl_run) = (ai, vi);
+        ai += block.accesses as usize;
+        if ai > trace.accesses.len() {
+            return Err(ReplayError::TruncatedAccesses {
+                consumed: trace.accesses.len(),
+            });
+        }
+        vi += block.vl_sets as usize;
+        if vi > trace.vl_sets.len() {
+            return Err(ReplayError::TruncatedVlSets {
+                consumed: trace.vl_sets.len(),
+            });
         }
         let block_base = base;
         let mut ops_executed = 0u64;
@@ -777,11 +897,10 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     0
                 };
                 if op.flags & F_MEM != 0 {
-                    let access = trace
-                        .accesses
-                        .get(ai)
-                        .ok_or(ReplayError::TruncatedAccesses { consumed: ai })?;
-                    ai += 1;
+                    let entry = access_run + op.entry as usize;
+                    let access = &op
+                        .access(&trace.accesses[entry..])
+                        .ok_or(ReplayError::MalformedAccess { entry })?;
                     if access.is_vector {
                         let mut longest = 0;
                         for l in 0..k {
@@ -835,11 +954,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     }
                 } else {
                     if op.flags & F_SETVL != 0 {
-                        vl = *trace
-                            .vl_sets
-                            .get(vi)
-                            .ok_or(ReplayError::TruncatedVlSets { consumed: vi })?;
-                        vi += 1;
+                        vl = trace.vl_sets[vl_run + op.entry as usize];
                         evl = vl.clamp(1, MAX_VL) as u64;
                     }
                     // Non-memory latency depends only on shared state (VL,

@@ -10,12 +10,12 @@
 //!
 //! Nothing is memoized here: neither programs nor traces.  The executor
 //! groups a sweep's jobs by [`CompileCache::key_for`], compiles each
-//! group's program when the group starts and drops it, with any trace it
-//! recorded, when the group finishes; the hit/miss counters are derived
-//! from the group sizes.
+//! group's schedule when the group starts and drops it when the group
+//! finishes; the hit/miss counters are derived from the group sizes.
 
-use vmv_core::{prepare, ExperimentError, Prepared};
-use vmv_kernels::{Benchmark, IsaVariant};
+use vmv_core::sched::LoweredProgram;
+use vmv_core::{compile_and_lower, ExperimentError};
+use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::MachineConfig;
 
 use crate::fingerprint::schedule_fingerprint;
@@ -50,18 +50,19 @@ impl CompileCache {
     }
 }
 
-/// Compile `benchmark` for `machine` and, when `certify` is set, certify
-/// the schedule with the static verifier (`vmv_verify::verify_compiled`):
-/// a schedule with error diagnostics is a compile error.
+/// Compile a built program for `machine`, lower the schedule and, when
+/// `certify` is set, certify it with the static verifier
+/// (`vmv_verify::verify_compiled`): a schedule with error diagnostics is a
+/// compile error.  Only the lowered program is returned; the compiled form
+/// is dropped here, before anything simulates.
 pub(crate) fn compile(
-    benchmark: Benchmark,
+    build: &BenchmarkBuild,
     machine: &MachineConfig,
     certify: bool,
-) -> Result<Prepared, ExperimentError> {
-    let prepared = prepare(benchmark, machine)?;
+) -> Result<LoweredProgram, ExperimentError> {
+    let (compiled, lowered) = compile_and_lower(build, machine)?;
     if certify {
-        let diags =
-            vmv_verify::verify_compiled(&prepared.compiled.program, &prepared.lowered, machine);
+        let diags = vmv_verify::verify_compiled(&compiled.program, &lowered, machine);
         if vmv_verify::has_errors(&diags) {
             let joined = diags
                 .iter()
@@ -73,7 +74,7 @@ pub(crate) fn compile(
             )));
         }
     }
-    Ok(prepared)
+    Ok(lowered)
 }
 
 #[cfg(test)]

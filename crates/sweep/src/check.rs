@@ -130,7 +130,8 @@ pub fn check_spec(spec: &SpecFile) -> SpecCheck {
                     if !seen.insert(CompileCache::key_for(benchmark, &point.machine)) {
                         continue;
                     }
-                    if let Err(e) = compile(benchmark, &point.machine, true) {
+                    let build = benchmark.build(vmv_core::variant_for(&point.machine));
+                    if let Err(e) = compile(&build, &point.machine, true) {
                         diagnostics.push(Diagnostic::error(
                             Check::Spec,
                             format!("point '{}', benchmark {}", point.name, benchmark.name()),

@@ -1,34 +1,43 @@
 //! The parallel sweep executor: runs every `(design point, benchmark)` job
-//! on a pool of `std::thread::scope` workers, scheduling each program once
-//! per unique schedule key, and skipping jobs whose run keys are already in
-//! the result store.
+//! on a pool of `std::thread::scope` workers, executing each program once,
+//! scheduling it once per unique schedule key, and skipping jobs whose run
+//! keys are already in the result store.
 //!
 //! Jobs are dispatched in *groups*: every job sharing one schedule key
-//! ([`CompileCache::key_for`]) shares one lowered program, and the group is
-//! that program's whole lifetime.  A worker compiles it when it picks the
+//! ([`CompileCache::key_for`]) shares one lowered schedule, and the group is
+//! that schedule's whole lifetime.  A worker compiles it when it picks the
 //! group up and drops it as soon as the group's results are handed to the
-//! committer, so a sweep holds at most one program per worker.  Each group
-//! is one call of [`vmv_core::simulate_batch`] (of
-//! [`vmv_core::simulate_batch_profiled`] in profiled sweeps), which decides
-//! from the group whether to record: a group of one executes without
-//! recording, and a larger group executes and records its first run and
-//! retimes its remaining memory variants by one batched trace walk.  A call
-//! that fails or panics is retried job by job, each as a group of one,
-//! preserving per-job error isolation.
+//! committer.  Groups run in *program-major* order — all schedule keys of
+//! one program `(benchmark, ISA variant)` in a row — and the groups of a
+//! program share one slot: the program's build, made once, and the
+//! [`Recording`] of its one execution.  The program's first group executes
+//! its first job, recording the trace when the program has other jobs, and
+//! shares the recording at once; every other job of the program, in any of
+//! its groups, is retimed from it by one batched trace walk per group
+//! ([`vmv_core::simulate_schedule`]).  Later groups compile their schedule
+//! and then block on a condition variable until the recording is settled;
+//! the slot is freed with the program's last group.  A program with one job
+//! executes without recording.  A call that fails or panics is retried job
+//! by job, preserving per-job error isolation; when the program's execution
+//! itself fails, each of its groups executes on its own.
 //!
 //! There is one executor loop for every worker count: the calling thread
 //! works through groups like every helper thread and also commits results
 //! in job order, so the report and the store content are deterministic
 //! (point-major, benchmark-minor) regardless of the worker count or
-//! scheduling jitter.
+//! scheduling jitter.  Program-major order means the committed prefix of
+//! the job list drains later than the groups finish — a one-worker sweep
+//! appends most records while its last program runs — but what is appended
+//! is still exactly the completed prefix, so an interrupted sweep keeps a
+//! consistent store.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use vmv_core::{simulate_batch, simulate_batch_profiled, Prepared};
-use vmv_kernels::Benchmark;
+use vmv_core::{simulate_schedule, Recording, Schedule, TraceFrom};
+use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_obs::{Counter, SpanKind};
 
 use crate::cache::{compile, CacheCounters, CompileCache};
@@ -99,13 +108,13 @@ pub struct SweepReport {
     /// Schedule counters (misses == schedules performed), derived from the
     /// group sizes.
     pub cache: CacheCounters,
-    /// Jobs served by trace replay instead of full execution: the first
-    /// job of their group recorded the program's trace, so only the memory
-    /// hierarchy was re-timed.  Groups of one are never retimed, so a sweep
-    /// of one-job groups reports 0.
+    /// Jobs served by trace replay instead of full execution: their
+    /// program's first job recorded its trace, so only the timing was
+    /// re-derived.  Every job but one per program is retimed; a program
+    /// with a single job executes.
     pub replays: usize,
-    /// Batched replay walks performed (each retimes one or more variants in
-    /// a single pass over the shared trace).
+    /// Batched replay walks performed (one per group that retimes any job,
+    /// each a single pass over the program's trace).
     pub replay_batches: usize,
     /// Wall-clock seconds of the parallel phase.
     pub wall_seconds: f64,
@@ -241,22 +250,41 @@ pub fn run_sweep(
 
     vmv_obs::add(Counter::SweepJobsSkipped, skipped as u64);
 
-    // Group jobs by schedule key: one group = one lowered program, compiled
-    // when the group starts and dropped when it ends.  Groups keep
-    // first-seen order and ascending job indices, so the committed prefix
-    // of the point-major job list still drains in order.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Group jobs by schedule key: one group = one lowered schedule, compiled
+    // when the group starts and dropped when it ends.  Groups are ordered
+    // program-major (programs in first-seen order, a program's groups in
+    // first-seen order) and keep ascending job indices.
+    let mut groups: Vec<Group> = Vec::new();
+    let mut slots: Vec<ProgramSlot> = Vec::new();
     {
         let mut index: HashMap<crate::cache::CacheKey, usize> = HashMap::new();
+        let mut programs: HashMap<(Benchmark, IsaVariant), usize> = HashMap::new();
         for (i, job) in jobs.iter().enumerate() {
             let key = CompileCache::key_for(job.benchmark, &job.point.machine);
+            let program = (key.0, key.1);
             match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(i),
+                std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].jobs.push(i),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(groups.len());
-                    groups.push(vec![i]);
+                    let next = programs.len();
+                    let program = *programs.entry(program).or_insert(next);
+                    if program == slots.len() {
+                        slots.push(ProgramSlot::default());
+                    }
+                    groups.push(Group {
+                        program,
+                        first: false,
+                        jobs: vec![i],
+                    });
                 }
             }
+        }
+        groups.sort_by_key(|g| g.program);
+        for group in &mut groups {
+            let slot = &mut slots[group.program];
+            group.first = slot.jobs == 0;
+            slot.jobs += group.jobs.len();
+            slot.state.get_mut().unwrap().unfinished += 1;
         }
     }
 
@@ -272,55 +300,82 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // One group call, which decides from the group whether to record: a
-    // group of one executes, a larger group executes and records its first
-    // job and retimes the others in one batched walk.  A panic is caught
-    // and returned as the call's error.
-    let simulate_jobs = |prepared: &Prepared, group: &[usize]| -> Result<Vec<RunRecord>, String> {
+    // One group call over `group` (job indices of one schedule), taking the
+    // program's trace from `trace`; returns one record per job and the
+    // recording the call made, if any.  A panic is caught and returned as
+    // the call's error.
+    let simulate_jobs = |schedule: Schedule<'_>,
+                         group: &[usize],
+                         trace: TraceFrom<'_>|
+     -> Result<(Vec<RunRecord>, Option<Recording>), String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _simulate = vmv_obs::span(SpanKind::JobSimulate);
             let variants: Vec<_> = group
                 .iter()
                 .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
                 .collect();
-            let outcomes = match &opts.profile_dir {
-                None => simulate_batch(prepared, &variants).map_err(|e| e.to_string())?,
-                Some(dir) => {
-                    let (outcomes, profiles) =
-                        simulate_batch_profiled(prepared, &variants).map_err(|e| e.to_string())?;
-                    for ((&i, outcome), profile) in group.iter().zip(&outcomes).zip(&profiles) {
-                        let job = &jobs[i];
-                        write_profile(
-                            dir,
-                            &meta_of(&job.key, job.point, job.benchmark, outcome),
-                            profile,
-                        )
-                        .map_err(|e| format!("profile write: {e}"))?;
-                    }
-                    outcomes
+            let profile = opts.profile_dir.is_some();
+            let run = simulate_schedule(schedule, &variants, trace, profile)
+                .map_err(|e| e.to_string())?;
+            if let Some(dir) = &opts.profile_dir {
+                for ((&i, outcome), profile) in group.iter().zip(&run.outcomes).zip(&run.profiles) {
+                    let job = &jobs[i];
+                    write_profile(
+                        dir,
+                        &meta_of(&job.key, job.point, job.benchmark, outcome),
+                        profile,
+                    )
+                    .map_err(|e| format!("profile write: {e}"))?;
                 }
-            };
-            if group.len() > 1 {
-                replays.fetch_add(group.len() - 1, Ordering::Relaxed);
+            }
+            let executed = !matches!(trace, TraceFrom::Recording(_));
+            let retimed = group.len() - usize::from(executed);
+            if retimed > 0 {
+                replays.fetch_add(retimed, Ordering::Relaxed);
                 replay_batches.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(group
+            let records = group
                 .iter()
-                .zip(&outcomes)
+                .zip(&run.outcomes)
                 .map(|(&i, outcome)| {
                     let job = &jobs[i];
                     record_of(job.key.clone(), job.point, job.benchmark, outcome)
                 })
-                .collect())
+                .collect();
+            Ok((records, run.recording))
         }))
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     };
 
-    // One group, start to finish: compile its program, simulate, and drop
-    // the program on return.  Returns one result per job of the group, in
-    // group (= job) order.
-    let run_group = |group: &[usize]| -> Vec<JobResult> {
-        for _ in group {
+    // Jobs of one schedule as one call; a failed call is re-run job by job,
+    // so only the jobs that fail on their own are reported.
+    let run_jobs = |schedule: Schedule<'_>, group: &[usize], trace: TraceFrom<'_>| {
+        if group.is_empty() {
+            return Vec::new();
+        }
+        match simulate_jobs(schedule, group, trace) {
+            Ok((records, _)) => group
+                .iter()
+                .copied()
+                .zip(records.into_iter().map(Ok))
+                .collect(),
+            Err(e) if group.len() == 1 => vec![(group[0], Err(e))],
+            Err(_) => group
+                .iter()
+                .map(|&i| {
+                    let one = simulate_jobs(schedule, &[i], trace);
+                    (i, one.map(|(mut records, _)| records.remove(0)))
+                })
+                .collect(),
+        }
+    };
+
+    // One group, start to finish: compile its schedule from the program's
+    // build, simulate, and drop the schedule on return — and the program's
+    // slot with the program's last group.  Returns one result per job of
+    // the group, in group (= job) order.
+    let run_group = |group: &Group| -> Vec<JobResult> {
+        for _ in &group.jobs {
             vmv_obs::record_ns(
                 SpanKind::JobQueueWait,
                 queued_at.elapsed().as_nanos() as u64,
@@ -328,31 +383,60 @@ pub fn run_sweep(
         }
         // The group's one schedule is its miss; its other jobs are hits.
         vmv_obs::incr(Counter::CacheMisses);
-        vmv_obs::add(Counter::CacheHits, group.len() as u64 - 1);
-        let first = &jobs[group[0]];
+        vmv_obs::add(Counter::CacheHits, group.jobs.len() as u64 - 1);
+        let slot = &slots[group.program];
+        let first = &jobs[group.jobs[0]];
+        let variant = vmv_core::variant_for(&first.point.machine);
         let compiled = std::panic::catch_unwind(|| {
             let _compile = vmv_obs::span(SpanKind::JobCompile);
-            compile(first.benchmark, &first.point.machine, certify)
+            let build = slot.build(first.benchmark, variant);
+            compile(&build, &first.point.machine, certify).map(|lowered| (build, lowered))
         })
         .map_err(|panic| panic_message(&panic))
         .and_then(|compiled| compiled.map_err(|e| e.to_string()));
         let results: Vec<JobResult> = match compiled {
-            Ok(prepared) => match simulate_jobs(&prepared, group) {
-                Ok(records) => group
-                    .iter()
-                    .copied()
-                    .zip(records.into_iter().map(Ok))
-                    .collect(),
-                Err(e) if group.len() == 1 => vec![(group[0], Err(e))],
-                // Re-run each job of a failed call as a group of one, so
-                // only the jobs that fail on their own are reported.
-                Err(_) => group
-                    .iter()
-                    .map(|&i| (i, simulate_jobs(&prepared, &[i]).map(|mut r| r.remove(0))))
-                    .collect(),
-            },
-            Err(e) => group.iter().map(|&i| (i, Err(e.clone()))).collect(),
+            Ok((build, lowered)) => {
+                let schedule = Schedule {
+                    benchmark: first.benchmark,
+                    variant,
+                    build: &build,
+                    lowered: &lowered,
+                };
+                // The program's first group makes its one execution,
+                // recording when any other job of the program will retime
+                // from it, and shares the recording before retiming its own
+                // other jobs; every other group waits for that recording.
+                let mut results = Vec::with_capacity(group.jobs.len());
+                let recording = if group.first {
+                    let trace = if slot.jobs > 1 {
+                        TraceFrom::FirstRunRecorded
+                    } else {
+                        TraceFrom::FirstRun
+                    };
+                    let (head, recording) = match simulate_jobs(schedule, &group.jobs[..1], trace) {
+                        Ok((mut records, recording)) => (Ok(records.remove(0)), recording),
+                        Err(e) => (Err(e), None),
+                    };
+                    results.push((group.jobs[0], head));
+                    slot.settle(recording)
+                } else {
+                    slot.recording()
+                };
+                let trace = match &recording {
+                    Some(recording) => TraceFrom::Recording(recording),
+                    None => TraceFrom::FirstRun,
+                };
+                results.extend(run_jobs(schedule, &group.jobs[results.len()..], trace));
+                results
+            }
+            Err(e) => {
+                if group.first {
+                    slot.settle(None);
+                }
+                group.jobs.iter().map(|&i| (i, Err(e.clone()))).collect()
+            }
         };
+        slot.finish();
         for (_, r) in &results {
             vmv_obs::incr(if r.is_ok() {
                 Counter::SweepJobsCompleted
@@ -388,7 +472,7 @@ pub fn run_sweep(
             if let Some(t) = group_start {
                 busy_ns += t.elapsed().as_nanos() as u64;
             }
-            worker_jobs += group.len() as u64;
+            worker_jobs += group.jobs.len() as u64;
             deliver(results);
         }
         (worker_jobs, busy_ns)
@@ -475,6 +559,98 @@ pub fn run_sweep(
 
 /// Records drained per store append while a sweep runs.
 const BATCH: usize = 16;
+
+/// The jobs of one schedule key.
+struct Group {
+    /// Index of the group's program in the sweep's program slots.
+    program: usize,
+    /// Whether this is the program's first group, which executes it.
+    first: bool,
+    /// Job indices, ascending.
+    jobs: Vec<usize>,
+}
+
+/// What the groups of one program share while any of them runs: the
+/// program's build, made by the first group to need it, and the recording
+/// its first group settles.  Both are dropped with the program's last group.
+#[derive(Default)]
+struct ProgramSlot {
+    /// The program's jobs over all of its groups.
+    jobs: usize,
+    state: Mutex<SlotState>,
+    /// Signalled when the first group settles the recording.
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    build: Option<Arc<BenchmarkBuild>>,
+    recording: Shared,
+    /// Groups of the program not finished yet.
+    unfinished: usize,
+}
+
+/// The recording a program's first group leaves for the others.
+#[derive(Default)]
+enum Shared {
+    /// The first group has not executed yet.
+    #[default]
+    Pending,
+    /// Every other job of the program retimes from it.
+    Ready(Arc<Recording>),
+    /// None was made (the execution failed, or the program has one job):
+    /// every other group executes its own first job.
+    Absent,
+}
+
+impl ProgramSlot {
+    /// A poisoned lock only means a build panicked; the state stays valid.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The program's build, made on first use.
+    fn build(&self, benchmark: Benchmark, variant: IsaVariant) -> Arc<BenchmarkBuild> {
+        self.lock()
+            .build
+            .get_or_insert_with(|| Arc::new(benchmark.build(variant)))
+            .clone()
+    }
+
+    /// Publish the first group's recording (or its absence) and wake the
+    /// groups waiting for it.
+    fn settle(&self, recording: Option<Recording>) -> Option<Arc<Recording>> {
+        let recording = recording.map(Arc::new);
+        self.lock().recording = match &recording {
+            Some(r) => Shared::Ready(r.clone()),
+            None => Shared::Absent,
+        };
+        self.settled.notify_all();
+        recording
+    }
+
+    /// The program's recording, once the first group has settled it.
+    fn recording(&self) -> Option<Arc<Recording>> {
+        let state = self
+            .settled
+            .wait_while(self.lock(), |s| matches!(s.recording, Shared::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match &state.recording {
+            Shared::Ready(r) => Some(r.clone()),
+            _ => None,
+        }
+    }
+
+    /// One group of the program finished; the last one frees the slot.
+    fn finish(&self) {
+        let mut state = self.lock();
+        state.unfinished -= 1;
+        if state.unfinished == 0 {
+            state.build = None;
+            state.recording = Shared::Absent;
+        }
+    }
+}
 
 /// One job's result, tagged with its index in the job list.
 type JobResult = (usize, Result<RunRecord, String>);
@@ -609,12 +785,12 @@ mod tests {
         assert!(a.errors.is_empty(), "{:?}", a.errors);
         assert!(a.records.iter().all(|r| r.check_ok));
         // Group dispatch makes replay accounting deterministic at any
-        // worker count: each of the 3 schedule keys records once and
-        // retimes its second memory variant in one batch — and replayed
-        // runs still match fully executed ones bit-for-bit (that is what
-        // the records equality above proves).
+        // worker count: the one program (GSM_DEC, vector ISA) executes once,
+        // and its 3 schedule keys retime the other 5 runs in one batched
+        // walk each — and replayed runs still match fully executed ones
+        // bit-for-bit (that is what the records equality above proves).
         for r in &reports {
-            assert_eq!(r.replays, 3, "one replay per re-timed memory variant");
+            assert_eq!(r.replays, 5, "every run but the program's first is retimed");
             assert_eq!(r.replay_batches, 3, "one batched walk per schedule key");
         }
     }
@@ -668,8 +844,8 @@ mod tests {
     fn a_failing_group_call_is_retried_job_by_job() {
         // One schedule key, three L1 sizes: 16 KB executes and records,
         // then 48 KB (384 sets) panics the cache model inside the batched
-        // walk.  The retry re-runs each job as a group of one, so only the
-        // 48 KB job fails and the others match a clean sweep.
+        // walk.  The retry re-runs each remaining job on its own, so only
+        // the 48 KB job fails and the others match a clean sweep.
         let sweep = |sizes: &[usize], workers: usize| {
             let points = SweepSpec::new().axis(Axis::l1_size(sizes)).expand().points;
             let opts = ExecOptions {
@@ -686,19 +862,21 @@ mod tests {
             assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
             assert!(report.errors[0].0.contains("l1:48K"), "{:?}", report.errors);
             assert_eq!(report.records, clean.records, "workers {workers}");
-            // Every retry is a group of one, which executes without
-            // recording: nothing is retimed.
-            assert_eq!(report.replays, 0);
-            assert_eq!(report.replay_batches, 0);
+            // Each retry retimes its job alone from the recording: only
+            // the 32 KB retry succeeds, as a walk of width one.
+            assert_eq!(report.replays, 1);
+            assert_eq!(report.replay_batches, 1);
         }
     }
 
     #[test]
     fn one_job_groups_match_the_recording_path() {
-        // ISA x issue width gives six one-job groups; two DRAM latencies of
-        // the default machine (vector, 2-wide) add one two-job group that
-        // records and retimes.  Every record must equal the recording
-        // execution of its job: the first outcome of a two-variant batch.
+        // ISA x issue width gives six one-job groups, two per program; two
+        // DRAM latencies of the default machine (vector, 2-wide) add one
+        // two-job group to the vector program.  Each program executes its
+        // first job once and retimes the rest, across schedule keys.  Every
+        // record must equal the recording execution of its job: the first
+        // outcome of a two-variant batch on its own schedule.
         let mut points = SweepSpec::new()
             .axis(Axis::isa(&[
                 vmv_machine::IsaSupport::Vliw,
@@ -720,7 +898,9 @@ mod tests {
             .map(|point| {
                 let prepared = vmv_core::prepare(benchmark, &point.machine).unwrap();
                 let job = (&point.machine, point.model);
-                let outcome = simulate_batch(&prepared, &[job, job]).unwrap().remove(0);
+                let outcome = vmv_core::simulate_batch(&prepared, &[job, job])
+                    .unwrap()
+                    .remove(0);
                 let variant = vmv_core::variant_for(&point.machine);
                 let key = run_key(benchmark, variant, &point.machine, point.model);
                 record_of(key, point, benchmark, &outcome)
@@ -736,7 +916,9 @@ mod tests {
             assert!(report.errors.is_empty(), "{:?}", report.errors);
             assert_eq!(report.records, expected, "workers {workers}");
             assert_eq!(report.cache.misses, 7, "six one-job keys and one pair");
-            assert_eq!((report.replays, report.replay_batches), (1, 1));
+            // Scalar and µSIMD retime one run each; the vector program
+            // retimes its second one-job key and the pair, in two walks.
+            assert_eq!((report.replays, report.replay_batches), (5, 4));
         }
     }
 
@@ -762,9 +944,9 @@ mod tests {
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(report.records.len(), 8);
         assert_eq!(report.cache.misses, 1, "one schedule for all geometries");
-        // The whole key is one dispatch group: the first point executes
-        // and records, the other seven retime the trace in a single
-        // batched walk.
+        // The whole key is one dispatch group of the program's only key:
+        // the first point executes and records, the other seven retime the
+        // trace in a single batched walk.
         assert_eq!(report.replays, points.len() - 1);
         assert_eq!(report.replay_batches, 1, "one fused walk for the group");
         assert!(report.records.iter().all(|r| r.check_ok));

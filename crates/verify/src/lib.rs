@@ -27,6 +27,11 @@
 //!   stay on the replay scoreboard from first principles and proves it is
 //!   a subset of what [`vmv_sim::ReplayAnalysis`] tracks — turning the
 //!   replay engine's trust-the-scheduler shortcut into a checked theorem.
+//! - [`verify_positions`] proves each block's source positions are a
+//!   permutation that keeps every source-order conflict (register RAW,
+//!   WAR and WAW, store against any memory access) in order — the
+//!   obligation behind retiming one schedule from another schedule's
+//!   trace.
 //!
 //! Soundness note: the schedule checker derives dependences from the
 //! flattened bundle-major traversal order — the order the engines
@@ -36,7 +41,9 @@
 //! only released once its predecessor is placed, and lands no earlier
 //! than the next cycle), so a legal schedule never false-positives, while
 //! any reordering that changes observable dataflow shows up as a hazard,
-//! latency, or duplicate-write diagnostic.
+//! latency, or duplicate-write diagnostic.  What the traversal order alone
+//! cannot show — that it is a legal reordering *of the source block* — is
+//! [`verify_positions`]' job.
 //!
 //! Everything funnels through [`verify_compiled`], which the compile
 //! cache calls under `debug_assertions` (or `--verify`) so every cached
@@ -47,11 +54,13 @@
 
 pub mod diag;
 pub mod lowered;
+pub mod positions;
 pub mod replay;
 pub mod schedule;
 
 pub use diag::{has_errors, Check, Diagnostic, Severity};
 pub use lowered::verify_lowered;
+pub use positions::verify_positions;
 pub use replay::{must_track, verify_replay_subset};
 pub use schedule::verify_schedule;
 
@@ -59,15 +68,17 @@ use vmv_machine::MachineConfig;
 use vmv_sched::{LoweredProgram, ScheduledProgram};
 
 /// Run every static check over one compiled program: the schedule-level
-/// hazard/latency/resource proofs, the lowered-level layout/metadata/CFG
-/// checks, and the replay slot-analysis subset proof.  Returns every
-/// diagnostic found (empty means the program is certified).
+/// hazard/latency/resource proofs, the source-position certification, the
+/// lowered-level layout/metadata/CFG checks, and the replay slot-analysis
+/// subset proof.  Returns every diagnostic found (empty means the program
+/// is certified).
 pub fn verify_compiled(
     schedule: &ScheduledProgram,
     lowered: &LoweredProgram,
     machine: &MachineConfig,
 ) -> Vec<Diagnostic> {
     let mut diags = verify_schedule(schedule, machine);
+    diags.extend(verify_positions(schedule, lowered));
     diags.extend(verify_lowered(lowered, machine));
     let analysis = vmv_sim::ReplayAnalysis::build(lowered);
     diags.extend(verify_replay_subset(lowered, analysis.tracked_slots()));

@@ -280,6 +280,7 @@ fn lowering_errors_surface_before_execution() {
         blocks: vec![ScheduledBlock {
             label: "entry".into(),
             region: RegionId::SCALAR,
+            positions: (0..ops.len() as u32).collect(),
             bundles: vec![ops],
         }],
         regions: vec![],

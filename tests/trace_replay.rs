@@ -1,19 +1,25 @@
 //! Trace-replay behaviour beyond the three-engine differential: the batched
 //! walk is deterministic and bit-identical to fresh execution for any
 //! variant subset (a batch of one included), `simulate_batch`'s record-and-
-//! retime call agrees with fresh execution, and malformed traces are
-//! rejected with typed errors instead of garbage statistics.
+//! retime call agrees with fresh execution, one program's trace is the same
+//! on every schedule and retimes all of them exactly, and malformed or
+//! foreign traces are rejected with typed errors instead of garbage
+//! statistics — also under seeded random corruption.
 
 use vector_usimd_vliw as vmv;
-use vmv::core::{prepare, simulate_batch, simulate_fresh};
+use vmv::core::{
+    prepare, simulate_batch, simulate_batch_profiled, simulate_fresh, simulate_schedule,
+    variant_for, TraceFrom,
+};
 use vmv::kernels::rng::SmallRng;
-use vmv::kernels::Benchmark;
+use vmv::kernels::{Benchmark, IsaVariant};
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sim::{
     replay_batch, ReplayAnalysis, ReplayError, RunStats, SimError, SimOptions, Simulator, Trace,
     VariantState,
 };
+use vmv::sweep::{CompileCache, SpecFile};
 
 const MAX_CYCLES: u64 = 2_000_000_000;
 
@@ -158,6 +164,11 @@ fn replay_errors_render_as_text() {
     // The sweep surfaces these through `e.to_string()` — make sure every
     // variant has a stable human-readable rendering.
     let errors: Vec<ReplayError> = vec![
+        ReplayError::ProgramMismatch {
+            trace: 0x1234,
+            program: 0x5678,
+        },
+        ReplayError::MalformedAccess { entry: 7 },
         ReplayError::BlockOutOfRange { step: 3, block: 9 },
         ReplayError::TruncatedAccesses { consumed: 12 },
         ReplayError::TruncatedVlSets { consumed: 0 },
@@ -440,4 +451,329 @@ fn empty_batch_and_foreign_variants_are_rejected_cleanly() {
         }
         other => panic!("expected VariantSlotMismatch, got {other:?}"),
     }
+}
+
+/// Every program `(benchmark, ISA variant)` the ten Table 2 presets and the
+/// committed `latency_tolerance` and `wider_issue` studies run, with one
+/// machine per distinct schedule key of it — the presets first.
+fn program_schedules() -> Vec<((Benchmark, IsaVariant), Vec<MachineConfig>)> {
+    let mut runs: Vec<(Benchmark, MachineConfig)> = Vec::new();
+    for machine in vmv::machine::all_configs() {
+        for bench in Benchmark::ALL {
+            runs.push((bench, machine.clone()));
+        }
+    }
+    for spec in [
+        include_str!("../examples/specs/latency_tolerance.json"),
+        include_str!("../examples/specs/wider_issue.json"),
+    ] {
+        let lowered = SpecFile::parse(spec).unwrap().lower().unwrap();
+        for point in lowered.spec.expand().points {
+            for &bench in &lowered.benchmarks {
+                runs.push((bench, point.machine.clone()));
+            }
+        }
+    }
+    let mut seen = std::collections::HashSet::new();
+    let mut programs: Vec<((Benchmark, IsaVariant), Vec<MachineConfig>)> = Vec::new();
+    for (bench, machine) in runs {
+        if !seen.insert(CompileCache::key_for(bench, &machine)) {
+            continue;
+        }
+        let program = (bench, variant_for(&machine));
+        match programs.iter_mut().find(|(p, _)| *p == program) {
+            Some((_, machines)) => machines.push(machine),
+            None => programs.push((program, vec![machine])),
+        }
+    }
+    programs
+}
+
+#[test]
+fn every_schedule_of_a_program_records_the_same_trace() {
+    // Retiming one schedule from another schedule's trace is exact only if
+    // the trace does not depend on the schedule: the block sequence, every
+    // access entry and every VL value, filed by source position, must be
+    // identical on every schedule of a program.  A scheduler or allocator
+    // change that alters dataflow fails here.
+    let programs = program_schedules();
+    assert_eq!(programs.len(), 18, "six kernels in three ISA variants");
+    let mut schedules = 0;
+    for ((bench, variant), machines) in &programs {
+        let mut first: Option<(String, Trace)> = None;
+        for machine in machines {
+            let (_, _, trace) = record(*bench, machine, MemoryModel::Perfect);
+            schedules += 1;
+            let Some((first_name, expected)) = &first else {
+                first = Some((machine.name.clone(), trace));
+                continue;
+            };
+            let what = format!(
+                "{} {variant:?}: {} vs {first_name}",
+                bench.name(),
+                machine.name
+            );
+            assert_eq!(trace.program, expected.program, "{what}: fingerprint");
+            assert_eq!(trace.initial_vl, expected.initial_vl, "{what}: initial VL");
+            assert!(trace.blocks == expected.blocks, "{what}: block sequence");
+            assert!(
+                trace.accesses == expected.accesses,
+                "{what}: access entries"
+            );
+            assert!(trace.vl_sets == expected.vl_sets, "{what}: VL values");
+        }
+    }
+    assert!(schedules > 60, "presets plus study schedules: {schedules}");
+}
+
+#[test]
+fn one_recording_retimes_every_schedule_of_its_program_exactly() {
+    // Record each program once, on its first preset, and retime every
+    // other preset and study schedule of it under both memory models,
+    // plain and profiled.  Each outcome must equal a fresh lowered
+    // execution of that schedule bit for bit, and each profile must equal
+    // the profiled execution's and sum exactly to its stats.
+    for ((bench, _), machines) in program_schedules() {
+        let (first, others) = machines.split_first().unwrap();
+        let recorder = prepare(bench, first).unwrap();
+        let recording = simulate_schedule(
+            recorder.schedule(),
+            &[(first, MemoryModel::Perfect)],
+            TraceFrom::FirstRunRecorded,
+            false,
+        )
+        .unwrap()
+        .recording
+        .expect("a kept first run records");
+        for machine in others {
+            let prepared = prepare(bench, machine).unwrap();
+            let variants = [
+                (machine, MemoryModel::Perfect),
+                (machine, MemoryModel::Realistic),
+            ];
+            let what = |model| format!("{} on {} under {model:?}", bench.name(), machine.name);
+            let plain = simulate_schedule(
+                prepared.schedule(),
+                &variants,
+                TraceFrom::Recording(&recording),
+                false,
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", what(MemoryModel::Perfect)));
+            let profiled = simulate_schedule(
+                prepared.schedule(),
+                &variants,
+                TraceFrom::Recording(&recording),
+                true,
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", what(MemoryModel::Perfect)));
+            assert!(plain.recording.is_none() && plain.profiles.is_empty());
+            for (i, &(_, model)) in variants.iter().enumerate() {
+                let (mut fresh, mut fresh_profile) =
+                    simulate_batch_profiled(&prepared, &variants[i..=i]).unwrap();
+                let (fresh, fresh_profile) = (fresh.remove(0), fresh_profile.remove(0));
+                assert!(fresh.check_failures.is_empty(), "{}", what(model));
+                assert_eq!(plain.outcomes[i].stats, fresh.stats, "{}", what(model));
+                assert_eq!(profiled.outcomes[i].stats, fresh.stats, "{}", what(model));
+                assert_eq!(
+                    plain.outcomes[i].check_failures,
+                    fresh.check_failures,
+                    "{}",
+                    what(model)
+                );
+                let profile = &profiled.profiles[i];
+                profile
+                    .check_against(&fresh.stats)
+                    .unwrap_or_else(|e| panic!("{}: {e}", what(model)));
+                assert!(*profile == fresh_profile, "{}: profile", what(model));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_trace_of_another_program_is_rejected() {
+    // Same kernel, other ISA variant; and same ISA, other kernel.
+    let vector = presets::vector2(2);
+    let (prepared, _, trace) = record(Benchmark::GsmDec, &vector, MemoryModel::Perfect);
+    for (bench, machine) in [
+        (Benchmark::GsmDec, presets::usimd(2)),
+        (Benchmark::GsmEnc, vector.clone()),
+    ] {
+        let other = prepare(bench, &machine).unwrap();
+        match retime_one(&other, &trace, &machine, MemoryModel::Perfect) {
+            Err(ReplayError::ProgramMismatch { trace: t, .. }) => assert_eq!(t, trace.program),
+            other => panic!("expected ProgramMismatch, got {other:?}"),
+        }
+    }
+    // The recording program itself still retimes.
+    assert!(retime_one(&prepared, &trace, &vector, MemoryModel::Perfect).is_ok());
+}
+
+/// The role of every access entry of `trace`, recorded on `program`:
+/// 0 an address, 1 a vector stride, 2 a vector element count.
+fn entry_roles(program: &vmv::sched::LoweredProgram, trace: &Trace) -> Vec<u8> {
+    let per_block: Vec<Vec<u8>> = program
+        .blocks
+        .iter()
+        .map(|b| {
+            let op_at = |bundle: u32| program.bundle_bounds[bundle as usize] as usize;
+            let mut order: Vec<usize> =
+                (op_at(b.first_bundle)..op_at(b.first_bundle + b.bundle_count)).collect();
+            order.sort_by_key(|&i| program.ops[i].pos);
+            order
+                .into_iter()
+                .map(|i| &program.ops[i])
+                .filter(|op| op.opcode.is_memory())
+                .flat_map(|op| {
+                    if op.is_vector_memory {
+                        &[0, 1, 2][..]
+                    } else {
+                        &[0][..]
+                    }
+                })
+                .copied()
+                .collect()
+        })
+        .collect();
+    let roles: Vec<u8> = trace
+        .blocks
+        .iter()
+        .flat_map(|&b| per_block[b as usize].iter().copied())
+        .collect();
+    assert_eq!(roles.len(), trace.accesses.len(), "one role per entry");
+    roles
+}
+
+#[test]
+fn corrupted_traces_fail_typed_and_never_panic() {
+    // Seeded mutation fuzzing of the trace boundary: truncation and
+    // extension of every stream, flipped block ids, corrupted vector
+    // strides and element counts (and addresses), dropped or duplicated VL
+    // values, and traces of other programs.  Every replay must return Ok
+    // or a typed ReplayError, promptly.
+    let machine = presets::vector2(4);
+    let mut small_l2 = machine.clone();
+    small_l2.memory.l2_size = 8 * 1024;
+    small_l2.memory.l2_assoc = 1;
+    let cases: Vec<_> = [Benchmark::JpegEnc, Benchmark::Mpeg2Dec, Benchmark::GsmEnc]
+        .into_iter()
+        .map(|bench| {
+            let (prepared, _, trace) = record(bench, &machine, MemoryModel::Perfect);
+            let roles = entry_roles(&prepared.lowered, &trace);
+            (prepared, trace, roles)
+        })
+        .collect();
+    let extremes = [
+        0,
+        1,
+        7,
+        8,
+        16,
+        17,
+        u32::MAX as u64,
+        i64::MAX as u64,
+        i64::MIN as u64,
+        u64::MAX,
+        (-8i64) as u64,
+        1 << 62,
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xF022_7ACE);
+    let mut pick = |n: usize| rng.gen_range_i64(0, n.max(1) as i64 - 1) as usize;
+    let (mut ok, mut typed) = (0, 0);
+    for round in 0..240 {
+        let c = round % cases.len();
+        let (prepared, trace, roles) = &cases[c];
+        let mut t = trace.clone();
+        let blocks = prepared.lowered.blocks.len();
+        let mutation = round / cases.len() % 8;
+        match mutation {
+            0 => {
+                let n = pick(t.accesses.len());
+                t.accesses.truncate(n);
+            }
+            1 => {
+                let n = pick(t.blocks.len());
+                t.blocks.truncate(n);
+                let m = pick(t.vl_sets.len() + 1);
+                t.vl_sets.truncate(m);
+            }
+            2 => {
+                let extra = 1 + pick(8);
+                for _ in 0..extra {
+                    let v = extremes[pick(extremes.len())];
+                    t.accesses.push(v);
+                }
+                let b = t.blocks[pick(t.blocks.len())];
+                t.blocks.push(b);
+            }
+            3 => {
+                for _ in 0..1 + pick(4) {
+                    let i = pick(t.blocks.len());
+                    t.blocks[i] = pick(blocks + 2) as u32;
+                }
+            }
+            4 | 5 => {
+                // Strides and element counts (mutation 4), then anything
+                // including addresses (mutation 5).
+                let targets: Vec<usize> = (0..roles.len())
+                    .filter(|&i| mutation == 5 || roles[i] != 0)
+                    .collect();
+                assert!(!targets.is_empty(), "vector program has vector entries");
+                for _ in 0..1 + pick(6) {
+                    let i = targets[pick(targets.len())];
+                    t.accesses[i] = if pick(2) == 0 {
+                        extremes[pick(extremes.len())]
+                    } else {
+                        t.accesses[i] ^ (1 << pick(64))
+                    };
+                }
+            }
+            6 => {
+                assert!(!t.vl_sets.is_empty(), "vector kernels set VL");
+                let i = pick(t.vl_sets.len());
+                if pick(2) == 0 {
+                    t.vl_sets.remove(i);
+                } else {
+                    let v = t.vl_sets[i];
+                    t.vl_sets.insert(i, v);
+                }
+            }
+            _ => {
+                // Replay another case's trace: a foreign program.
+                t = cases[(c + 1) % cases.len()].1.clone();
+            }
+        }
+        let analysis = ReplayAnalysis::build(&prepared.lowered);
+        let mut variants: Vec<VariantState> = [
+            (&machine, MemoryModel::Perfect),
+            (&machine, MemoryModel::Realistic),
+            (&small_l2, MemoryModel::Realistic),
+        ]
+        .iter()
+        .map(|&(m, model)| VariantState::new(&analysis, m, model, MAX_CYCLES))
+        .collect();
+        let start = std::time::Instant::now();
+        match replay_batch(&t, &analysis, &mut variants) {
+            Ok(out) => {
+                assert_eq!(out.len(), 3);
+                ok += 1;
+            }
+            Err(e) => {
+                if mutation == 7 {
+                    assert!(matches!(e, ReplayError::ProgramMismatch { .. }), "{e:?}");
+                }
+                assert!(!e.to_string().is_empty());
+                typed += 1;
+            }
+        }
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(20),
+            "round {round} (mutation {mutation}) took {:?}",
+            start.elapsed()
+        );
+    }
+    assert!(
+        typed > 120,
+        "most corruptions are caught: {typed} typed, {ok} ok"
+    );
 }

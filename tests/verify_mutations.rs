@@ -74,6 +74,7 @@ fn baseline() -> (ScheduledProgram, MachineConfig) {
                 vec![iadd(3, 2, 1)],
                 vec![Op::new(Opcode::Halt)],
             ],
+            positions: vec![0, 1, 2, 3, 4],
         }],
         regions: vec![RegionInfo {
             id: RegionId::SCALAR,
@@ -304,6 +305,7 @@ fn lowered_mutations_are_rejected() {
             label: "entry".to_string(),
             region: RegionId::SCALAR,
             bundles: vec![vec![movi(0, 1)]],
+            positions: vec![0],
         }],
         regions: vec![RegionInfo {
             id: RegionId::SCALAR,
