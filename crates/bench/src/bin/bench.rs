@@ -21,8 +21,10 @@
 //! (`vmv_core::sim`): it executes every run fresh, records the key's first
 //! run together with its slot analysis, retimes the other memory variants
 //! by one single-variant walk each and then by one fused walk, and asserts
-//! that every leg is bit-identical to fresh execution.  The pass reports
-//! two stages:
+//! that every leg is bit-identical to fresh execution.  Each key runs its
+//! legs in three interleaved rounds and the pass reports per-round mean
+//! seconds, so host drift hits both sides of each ratio alike.  The pass
+//! reports two stages:
 //!
 //! * **replay** — re-executing every run vs record-once/replay-the-rest
 //!   (the recordings plus the single-variant walks); `--min-replay-speedup`
@@ -375,7 +377,8 @@ fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Totals of the replay pass over the `latency_tolerance` sweep.
+/// Totals of the replay pass over the `latency_tolerance` sweep: counts of
+/// one round, seconds as per-round means.
 #[derive(Default)]
 struct ReplayTotals {
     /// Fresh execution of every run.
@@ -483,11 +486,16 @@ impl ReplayTotals {
     }
 }
 
+/// Rounds per schedule key in the replay pass.  Each round runs the key's
+/// legs back to back, so host drift hits them alike, and the reported
+/// seconds are per-round means.
+const REPLAY_ROUNDS: u32 = 3;
+
 /// The replay pass over the committed `latency_tolerance` memory-axis
-/// sweep, one schedule key at a time: execute every run fresh, record the
-/// first run with its slot analysis, retime the other runs by one
-/// single-variant walk each and then by one fused walk, and assert that
-/// every leg is bit-identical to fresh execution.
+/// sweep, one schedule key at a time, in [`REPLAY_ROUNDS`] interleaved
+/// rounds: execute every run fresh, record the first run with its slot
+/// analysis and retime the other runs by one single-variant walk each, then
+/// by one fused walk; every leg must be bit-identical to fresh execution.
 fn bench_replay() -> ReplayTotals {
     let spec = SpecFile::parse(LATENCY_TOLERANCE_SPEC)
         .expect("committed spec parses")
@@ -514,69 +522,85 @@ fn bench_replay() -> ReplayTotals {
     for (bench, group) in groups {
         let first = &points[group[0]];
         let prepared = prepare(bench, &first.machine).expect("prepares");
-        // Fresh execution of every run: what each memory variant costs
-        // without a trace.
-        let mut executed: Vec<RunStats> = Vec::with_capacity(group.len());
-        for (n, &i) in group.iter().enumerate() {
-            let (outcome, execute_s) = timed(|| {
-                simulate(&prepared, &points[i].machine, points[i].model).expect("simulates")
-            });
-            t.execute_s += execute_s;
-            if n > 0 {
-                t.execute_retimed_s += execute_s;
-            }
-            t.simulated_cycles += outcome.stats.cycles();
-            executed.push(outcome.stats);
-        }
-        // Record the first run and build the slot analysis every walk reads.
-        let ((recorded, trace, analysis), record_s) = timed(|| {
-            let (stats, trace) = prepared
-                .simulator(&first.machine, first.model)
-                .run_lowered_recording(&prepared.lowered)
-                .expect("records");
-            (stats, trace, ReplayAnalysis::build(&prepared.lowered))
-        });
-        assert_eq!(
-            recorded,
-            executed[0],
-            "recording must not change the run ({} on {})",
-            bench.name(),
-            first.name
-        );
-        t.record_s += record_s;
-        t.recorded += 1;
-        t.runs += group.len() as u64;
         let rest = &group[1..];
-        if rest.is_empty() {
-            continue;
+        let mut executed: Vec<RunStats> = Vec::with_capacity(group.len());
+        for _ in 0..REPLAY_ROUNDS {
+            // Fresh execution of every run: what each memory variant costs
+            // without a trace.
+            executed.clear();
+            for (n, &i) in group.iter().enumerate() {
+                let (outcome, execute_s) = timed(|| {
+                    simulate(&prepared, &points[i].machine, points[i].model).expect("simulates")
+                });
+                t.execute_s += execute_s;
+                if n > 0 {
+                    t.execute_retimed_s += execute_s;
+                }
+                executed.push(outcome.stats);
+            }
+            // Record the first run and build the slot analysis every walk
+            // reads.
+            let ((recorded, trace, analysis), record_s) = timed(|| {
+                let (stats, trace) = prepared
+                    .simulator(&first.machine, first.model)
+                    .run_lowered_recording(&prepared.lowered)
+                    .expect("records");
+                (stats, trace, ReplayAnalysis::build(&prepared.lowered))
+            });
+            assert_eq!(
+                recorded,
+                executed[0],
+                "recording must not change the run ({} on {})",
+                bench.name(),
+                first.name
+            );
+            t.record_s += record_s;
+            if rest.is_empty() {
+                continue;
+            }
+            let state = |i: usize| {
+                VariantState::new(&analysis, &points[i].machine, points[i].model, max_cycles)
+            };
+            let (serial, serial_s) = timed(|| {
+                rest.iter()
+                    .map(|&i| {
+                        replay_batch(&trace, &analysis, &mut [state(i)])
+                            .expect("replays")
+                            .remove(0)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let (batched, batch_s) = timed(|| {
+                let mut states: Vec<_> = rest.iter().map(|&i| state(i)).collect();
+                replay_batch(&trace, &analysis, &mut states).expect("batch replays")
+            });
+            for (((executed, serial), batched), &i) in
+                executed[1..].iter().zip(&serial).zip(&batched).zip(rest)
+            {
+                let run = || format!("{} on {}", bench.name(), points[i].name);
+                assert_eq!(serial, executed, "single-variant walk ({})", run());
+                assert_eq!(batched, executed, "fused walk ({})", run());
+            }
+            t.serial_s += serial_s;
+            t.batch_s += batch_s;
         }
-        let state = |i: usize| {
-            VariantState::new(&analysis, &points[i].machine, points[i].model, max_cycles)
-        };
-        let (serial, serial_s) = timed(|| {
-            rest.iter()
-                .map(|&i| {
-                    replay_batch(&trace, &analysis, &mut [state(i)])
-                        .expect("replays")
-                        .remove(0)
-                })
-                .collect::<Vec<_>>()
-        });
-        let (batched, batch_s) = timed(|| {
-            let mut states: Vec<_> = rest.iter().map(|&i| state(i)).collect();
-            replay_batch(&trace, &analysis, &mut states).expect("batch replays")
-        });
-        for (((executed, serial), batched), &i) in
-            executed[1..].iter().zip(&serial).zip(&batched).zip(rest)
-        {
-            let run = || format!("{} on {}", bench.name(), points[i].name);
-            assert_eq!(serial, executed, "single-variant walk ({})", run());
-            assert_eq!(batched, executed, "fused walk ({})", run());
+        t.simulated_cycles += executed.iter().map(RunStats::cycles).sum::<u64>();
+        t.runs += group.len() as u64;
+        t.recorded += 1;
+        if !rest.is_empty() {
+            t.batches += 1;
+            t.retimed += rest.len() as u64;
         }
-        t.serial_s += serial_s;
-        t.batch_s += batch_s;
-        t.batches += 1;
-        t.retimed += rest.len() as u64;
+    }
+    let rounds = f64::from(REPLAY_ROUNDS);
+    for seconds in [
+        &mut t.execute_s,
+        &mut t.execute_retimed_s,
+        &mut t.record_s,
+        &mut t.serial_s,
+        &mut t.batch_s,
+    ] {
+        *seconds /= rounds;
     }
     t
 }

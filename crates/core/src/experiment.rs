@@ -26,14 +26,20 @@
 //! every variant is retimed from a recording another schedule of the
 //! program made.  [`simulate_batch`] is its one-schedule case, with the trace living
 //! only as long as the call, and [`simulate`] the one-variant case, so
-//! [`run_one`] (and so [`Suite`] and `repro`) executes without recording.
+//! [`run_one`] executes without recording.  [`Suite`] (and so `repro`) runs
+//! by program: each `(benchmark, ISA variant)` executes and records on its
+//! first machine, and every other machine of its ISA is retimed from that
+//! recording.
 //!
 //! Trust: a variant retimed from another schedule's recording reports that
 //! recording's output checks.  That the two schedules compute the same
 //! values is certified per schedule by `vmv_verify::verify_compiled` (debug
-//! builds and `sweep --verify`), pinned by `tests/trace_replay.rs`, and
-//! sampled by the benchmark's fresh re-executions.
+//! builds and `sweep --verify`), pinned by `tests/trace_replay.rs` (and,
+//! for the Table 2 matrix, by the `Suite` records golden in
+//! `tests/records_golden.rs`), and sampled by the benchmark's fresh
+//! re-executions.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
@@ -417,6 +423,56 @@ pub fn run_one(
     simulate(&prepared, machine, model)
 }
 
+/// One program of a [`Suite`] call, `(benchmark, variant_for(machine))`,
+/// with its jobs: (index in the outcome order, machine), in input order.
+struct Program<'m> {
+    benchmark: Benchmark,
+    variant: IsaVariant,
+    jobs: Vec<(usize, &'m MachineConfig)>,
+}
+
+impl Program<'_> {
+    /// Run the program on each of its jobs' machines, pushing `(job,
+    /// outcome)` pairs: build it once, then for each machine schedule and
+    /// lower it, free the compiled form, and simulate.  The first machine
+    /// that runs executes, recording its trace when a later machine will use
+    /// it; every later machine is retimed from that recording.  A failure
+    /// fails only its own job, and until a recording exists each machine
+    /// executes.
+    fn run(
+        &self,
+        model: MemoryModel,
+        done: &mut Vec<(usize, Result<RunOutcome, ExperimentError>)>,
+    ) {
+        let build = self.benchmark.build(self.variant);
+        let mut recording = None;
+        for (n, &(job, machine)) in self.jobs.iter().enumerate() {
+            let run = compile_and_lower(&build, machine).and_then(|(compiled, lowered)| {
+                drop(compiled);
+                let trace = match &recording {
+                    Some(recording) => TraceFrom::Recording(recording),
+                    None if n + 1 < self.jobs.len() => TraceFrom::FirstRunRecorded,
+                    None => TraceFrom::FirstRun,
+                };
+                let schedule = Schedule {
+                    benchmark: self.benchmark,
+                    variant: self.variant,
+                    build: &build,
+                    lowered: &lowered,
+                };
+                simulate_schedule(schedule, &[(machine, model)], trace, false)
+            });
+            let outcome = run.map(|mut run| {
+                if run.recording.is_some() {
+                    recording = run.recording;
+                }
+                run.outcomes.pop().expect("one outcome per variant")
+            });
+            done.push((job, outcome));
+        }
+    }
+}
+
 /// The complete measurement matrix for one memory model: every benchmark on
 /// every configuration in `machines`.
 #[derive(Debug, Clone)]
@@ -432,8 +488,14 @@ impl Suite {
         Suite::run_with_threads(machines, model, default_workers())
     }
 
-    /// Run all benchmarks on all configurations, distributing the runs over
-    /// `workers` threads (the simulator is single-threaded per run).
+    /// Run all benchmarks on all configurations, distributing the programs
+    /// over `workers` threads (the simulator is single-threaded per run).
+    ///
+    /// The unit of work is a program, `(benchmark, variant_for(machine))`:
+    /// it is built once, executed and recorded on its first machine, and
+    /// retimed on every other machine of its ISA from that recording (a
+    /// Table 2 call runs 18 programs for its 60 jobs).  A failed job fails
+    /// only itself, and the first error in outcome order is returned.
     ///
     /// The outcome order is deterministic and independent of the worker
     /// count: benchmark-major, then by position in `machines` (i.e. by
@@ -444,42 +506,51 @@ impl Suite {
         model: MemoryModel,
         workers: usize,
     ) -> Result<Suite, ExperimentError> {
-        let mut jobs: Vec<(Benchmark, &MachineConfig)> = Vec::new();
-        for &bench in &Benchmark::ALL {
-            for m in machines {
-                jobs.push((bench, m));
+        // Programs in first-seen job order.
+        let mut programs: Vec<Program> = Vec::new();
+        for (b, &benchmark) in Benchmark::ALL.iter().enumerate() {
+            let first = programs.len();
+            for (m, machine) in machines.iter().enumerate() {
+                let job = (b * machines.len() + m, machine);
+                let variant = variant_for(machine);
+                match programs[first..].iter_mut().find(|p| p.variant == variant) {
+                    Some(program) => program.jobs.push(job),
+                    None => programs.push(Program {
+                        benchmark,
+                        variant,
+                        jobs: vec![job],
+                    }),
+                }
             }
         }
-        // One pre-assigned slot per job: the collected results are ordered
-        // by construction, no post-hoc sort needed.
-        let slots: Vec<std::sync::Mutex<Option<Result<RunOutcome, ExperimentError>>>> =
-            jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = workers.max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (bench, machine) = jobs[i];
-                    *slots[i].lock().unwrap() = Some(run_one(bench, machine, model));
-                });
+        // Each index is claimed by exactly one `fetch_add` whatever the
+        // ordering; the results reach the caller through the joins.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            while let Some(program) = programs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                program.run(model, &mut done);
             }
-        });
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for slot in slots {
-            match slot
-                .into_inner()
-                .unwrap()
-                .expect("every job slot is filled")
-            {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Suite { model, outcomes })
+            done
+        };
+        let workers = workers.min(programs.len());
+        let mut done = if workers <= 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("a suite worker panicked"))
+                    .collect()
+            })
+        };
+        done.sort_unstable_by_key(|&(job, _)| job);
+        let outcomes = done.into_iter().map(|(_, outcome)| outcome);
+        Ok(Suite {
+            model,
+            outcomes: outcomes.collect::<Result<_, _>>()?,
+        })
     }
 
     /// Run the full ten-configuration matrix of Table 2.
@@ -513,8 +584,8 @@ pub fn workers_capped(cap: usize) -> usize {
 }
 
 /// Worker-thread count used by [`Suite::run`]: the available parallelism,
-/// capped at 8 (the matrix has at most 60 jobs; more threads only add
-/// contention).
+/// capped at 8 (a Table 2 call has 18 programs to share out; more threads
+/// only add contention).
 pub fn default_workers() -> usize {
     workers_capped(8)
 }

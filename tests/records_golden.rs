@@ -1,21 +1,26 @@
-//! Simulated results of the committed sweeps: every record the demo spec
-//! and the three committed studies produce must match the committed digests,
-//! at one and two workers.
+//! Simulated results of the committed sweeps and of the paper's matrix:
+//! every record the demo spec, the three committed studies and both memory
+//! models' Table 2 `Suite`s produce must match the committed digests, at one
+//! and two workers.
 //!
-//! One FNV-1a digest per spec over its records in job order, one rendered
-//! store record per line — the store's content without its header, so any
-//! change to a statistic, an output check or the commit order shows up.
-//! Schedules of one program are retimed from one recording, so this is the
-//! tier-1 proof that the retiming changed no record.
+//! One FNV-1a digest per spec (and one for the paper matrix) over its
+//! records in job order, one rendered store record per line — the store's
+//! content without its header, so any change to a statistic, an output
+//! check or the commit order shows up.  Schedules of one program are
+//! retimed from one recording, so this is the tier-1 proof that the
+//! retiming changed no record.
 //!
 //! Regenerate after an intentional change to simulated results with
 //! `UPDATE_GOLDENS=1 cargo test --test records_golden`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use vector_usimd_vliw as vmv;
 
-use vmv::sweep::{fnv1a64, run_sweep, ExecOptions, RunRecord, SpecFile};
+use vmv::core::Suite;
+use vmv::kernels::Benchmark;
+use vmv::mem::MemoryModel;
+use vmv::sweep::{fnv1a64, run_key, run_sweep, ExecOptions, RunRecord, SpecFile};
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -46,6 +51,28 @@ fn spec_line(spec: &SpecFile, workers: usize) -> String {
     format!("{} {}", spec.name, digest(&report.records))
 }
 
+/// Compare `actual` (the text at `workers` threads) with the golden file at
+/// `path`, or rewrite it under `UPDATE_GOLDENS`; `true` when rewritten.
+fn check_golden(path: &Path, actual: &str, workers: usize) -> bool {
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(path, actual).expect("write golden");
+        return true;
+    }
+    let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}) — run with UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "records at {workers} worker(s) differ from {}",
+        path.display()
+    );
+    false
+}
+
 #[test]
 fn committed_specs_match_the_golden_records() {
     let mut specs = vec![SpecFile::demo()];
@@ -64,16 +91,49 @@ fn committed_specs_match_the_golden_records() {
             .iter()
             .map(|spec| spec_line(spec, workers) + "\n")
             .collect();
-        if std::env::var_os("UPDATE_GOLDENS").is_some() {
-            std::fs::write(&path, &actual).expect("write golden");
+        if check_golden(&path, &actual, workers) {
             return;
         }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden spec_records.txt ({e}) — run with UPDATE_GOLDENS=1")
-        });
-        assert_eq!(
-            actual, expected,
-            "records at {workers} worker(s) differ from tests/golden/spec_records.txt"
-        );
+    }
+}
+
+/// Both memory models' `Suite`s over the ten Table 2 machines, as `repro`
+/// runs them: one digest over every outcome in outcome order (model, then
+/// benchmark-major, then Table 2 machine order), each rendered as the store
+/// record a sweep would keep for it.
+#[test]
+fn paper_matrix_matches_the_golden_records() {
+    let machines = vmv::machine::all_configs();
+    let path = repo_path("tests/golden/suite_records.txt");
+    for workers in [1, 2] {
+        let mut records = Vec::new();
+        for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
+            let suite = Suite::run_with_threads(&machines, model, workers)
+                .unwrap_or_else(|e| panic!("{model:?} suite: {e}"));
+            let jobs = Benchmark::ALL
+                .iter()
+                .flat_map(|&b| machines.iter().map(move |m| (b, m)));
+            assert_eq!(suite.outcomes.len(), jobs.clone().count());
+            for ((benchmark, machine), o) in jobs.zip(&suite.outcomes) {
+                assert_eq!((o.benchmark, &o.config), (benchmark, &machine.name));
+                records.push(RunRecord {
+                    key: run_key(benchmark, o.variant, machine, model),
+                    config: o.config.clone(),
+                    benchmark: benchmark.name().to_string(),
+                    variant: o.variant.name().to_string(),
+                    model: format!("{model:?}"),
+                    cycles: o.stats.cycles(),
+                    stall_cycles: o.stats.total().stall_cycles,
+                    operations: o.stats.total().operations,
+                    micro_ops: o.stats.total().micro_ops,
+                    vector_cycles: o.stats.vector().cycles,
+                    check_ok: o.check_failures.is_empty(),
+                });
+            }
+        }
+        let actual = format!("table2 {}\n", digest(&records));
+        if check_golden(&path, &actual, workers) {
+            return;
+        }
     }
 }

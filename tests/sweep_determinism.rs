@@ -10,38 +10,44 @@ use vmv::machine::presets;
 use vmv::mem::MemoryModel;
 use vmv::sweep::{run_sweep, ExecOptions, ResultStore, SpecFile};
 
-/// Reduced Table 2 matrix at 1 and N worker threads: the outcome *order*
-/// (benchmark-major, then Table 2 machine index) and every statistic must
-/// match exactly.
+/// Reduced Table 2 matrices at 1 and N worker threads: the outcome *order*
+/// (benchmark-major, then Table 2 machine index), every statistic and every
+/// output check must match exactly.  The second matrix gives every ISA two
+/// machines, placed apart, so each program executes on one machine and is
+/// retimed on the other.
 #[test]
 fn suite_run_is_deterministic_across_thread_counts() {
     // Deliberately ordered so that name-ordering would differ from machine
     // indexing ("8w VLIW" sorts before "2w +uSIMD" by neither criterion).
-    let machines = vec![presets::usimd(2), presets::vliw(8), presets::vector2(2)];
-    let one = Suite::run_with_threads(&machines, MemoryModel::Perfect, 1).unwrap();
-    let many = Suite::run_with_threads(&machines, MemoryModel::Perfect, 4).unwrap();
+    let one_per_isa = vec![presets::usimd(2), presets::vliw(8), presets::vector2(2)];
+    let mut two_per_isa = one_per_isa.clone();
+    two_per_isa.extend([presets::vliw(2), presets::usimd(8), presets::vector1(4)]);
+    for machines in [one_per_isa, two_per_isa] {
+        let one = Suite::run_with_threads(&machines, MemoryModel::Perfect, 1).unwrap();
+        let many = Suite::run_with_threads(&machines, MemoryModel::Perfect, 4).unwrap();
 
-    assert_eq!(one.outcomes.len(), 3 * Benchmark::ALL.len());
-    assert_eq!(one.outcomes.len(), many.outcomes.len());
-    for (a, b) in one.outcomes.iter().zip(&many.outcomes) {
-        assert_eq!(a.config, b.config);
-        assert_eq!(a.benchmark, b.benchmark);
-        assert_eq!(a.stats.cycles(), b.stats.cycles());
-        assert_eq!(a.stats.total().operations, b.stats.total().operations);
-        assert_eq!(a.check_failures, b.check_failures);
+        assert_eq!(one.outcomes.len(), machines.len() * Benchmark::ALL.len());
+        assert_eq!(one.outcomes.len(), many.outcomes.len());
+        for (a, b) in one.outcomes.iter().zip(&many.outcomes) {
+            assert_eq!(a.config, b.config);
+            assert_eq!(a.benchmark, b.benchmark);
+            assert_eq!(a.stats, b.stats, "{} on {}", a.benchmark.name(), a.config);
+            assert_eq!(a.check_failures, b.check_failures);
+        }
+
+        // Ordering contract: benchmark-major, machines in input (Table 2)
+        // order.
+        let expected: Vec<(Benchmark, String)> = Benchmark::ALL
+            .iter()
+            .flat_map(|&bench| machines.iter().map(move |m| (bench, m.name.clone())))
+            .collect();
+        let actual: Vec<(Benchmark, String)> = one
+            .outcomes
+            .iter()
+            .map(|o| (o.benchmark, o.config.clone()))
+            .collect();
+        assert_eq!(actual, expected);
     }
-
-    // Ordering contract: benchmark-major, machines in input (Table 2) order.
-    let expected: Vec<(Benchmark, String)> = Benchmark::ALL
-        .iter()
-        .flat_map(|&bench| machines.iter().map(move |m| (bench, m.name.clone())))
-        .collect();
-    let actual: Vec<(Benchmark, String)> = one
-        .outcomes
-        .iter()
-        .map(|o| (o.benchmark, o.config.clone()))
-        .collect();
-    assert_eq!(actual, expected);
 }
 
 /// The same outcomes must come out of the suite regardless of the memory
