@@ -541,9 +541,9 @@ fn bench_replay() -> ReplayTotals {
             // Record the first run and build the slot analysis every walk
             // reads.
             let ((recorded, trace, analysis), record_s) = timed(|| {
-                let (stats, trace) = prepared
+                let (stats, trace, _) = prepared
                     .simulator(&first.machine, first.model)
-                    .run_lowered_recording(&prepared.lowered)
+                    .run_lowered_recording(&prepared.lowered, None)
                     .expect("records");
                 (stats, trace, ReplayAnalysis::build(&prepared.lowered))
             });

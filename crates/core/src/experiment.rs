@@ -273,20 +273,6 @@ pub fn simulate_batch(
         .map(|run| run.outcomes)
 }
 
-/// [`simulate_batch`] with cycle attribution: `profiles[i]` explains every
-/// simulated cycle of `outcomes[i]` and satisfies the sum-exactly contract
-/// `profiles[i].check_against(&outcomes[i].stats)`.  The first variant is
-/// profiled in its recording execution (a lone variant records too), and
-/// the batched walk carries one extra profiling pass (not K); the outcomes
-/// are bit-identical to the unprofiled call.
-pub fn simulate_batch_profiled(
-    prepared: &Prepared,
-    variants: &[(&MachineConfig, MemoryModel)],
-) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
-    simulate_schedule(prepared.schedule(), variants, TraceFrom::FirstRun, true)
-        .map(|run| (run.outcomes, run.profiles))
-}
-
 /// What one execution of a program leaves for its other runs: the timing
 /// trace, which retimes every schedule of the program, and the output
 /// checks, which depend only on the values the program computes.
@@ -352,19 +338,15 @@ pub fn simulate_schedule(
                 profile || !rest.is_empty() || matches!(trace, TraceFrom::FirstRunRecorded);
             let failed = |e| ExperimentError::Simulation(format!("{}: {e}", first.name));
             let mut sim = schedule.simulator(first, first_model);
-            let (stats, trace) = match (&statics, record) {
-                (_, false) => sim.run_lowered(schedule.lowered).map(|stats| (stats, None)),
-                (None, true) => sim
-                    .run_lowered_recording(schedule.lowered)
-                    .map(|(stats, trace)| (stats, Some(trace))),
-                (Some(statics), true) => sim
-                    .run_lowered_recording_profiled(schedule.lowered, statics)
-                    .map(|(stats, trace, p)| {
-                        run.profiles.push(p);
-                        (stats, Some(trace))
-                    }),
-            }
-            .map_err(failed)?;
+            let (stats, trace) = if record {
+                let (stats, trace, profile) = sim
+                    .run_lowered_recording(schedule.lowered, statics.as_ref())
+                    .map_err(failed)?;
+                run.profiles.extend(profile);
+                (stats, Some(trace))
+            } else {
+                (sim.run_lowered(schedule.lowered).map_err(failed)?, None)
+            };
             let check_failures = schedule
                 .build
                 .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));

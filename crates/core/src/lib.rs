@@ -18,8 +18,8 @@ pub mod figures;
 pub use experiment::simulate as simulate_fresh;
 pub use experiment::{
     compile_and_lower, default_workers, prepare, run_one, simulate, simulate_batch,
-    simulate_batch_profiled, simulate_schedule, variant_for, variant_from_name, workers_capped,
-    ExperimentError, Prepared, Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
+    simulate_schedule, variant_for, variant_from_name, workers_capped, ExperimentError, Prepared,
+    Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,

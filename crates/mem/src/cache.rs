@@ -80,24 +80,35 @@ impl CacheStats {
     }
 }
 
+/// Why a cache of `size_bytes` capacity, `assoc` ways and `line_bytes`
+/// lines cannot be built, or `None` when it can: the line size must be a
+/// power of two, the capacity a whole number of sets, and the set count a
+/// power of two.  [`Cache::new`] panics exactly when this is `Some`.
+pub fn geometry_error(size_bytes: usize, assoc: usize, line_bytes: usize) -> Option<&'static str> {
+    if !line_bytes.is_power_of_two() {
+        return Some("line size must be a power of two");
+    }
+    if assoc == 0 {
+        return Some("associativity must be at least 1");
+    }
+    match assoc.checked_mul(line_bytes) {
+        Some(set_bytes) if size_bytes.is_multiple_of(set_bytes) => {
+            let sets = size_bytes / set_bytes;
+            (!sets.is_power_of_two()).then_some("number of sets must be a power of two")
+        }
+        // A set wider than the address space divides no capacity.
+        _ => Some("capacity is not a whole number of sets"),
+    }
+}
+
 impl Cache {
     /// Create a cache of `size_bytes` capacity with the given associativity
-    /// and line size.  Panics if the geometry is inconsistent.
+    /// and line size.  Panics if [`geometry_error`] rejects the geometry.
     pub fn new(name: &'static str, size_bytes: usize, assoc: usize, line_bytes: usize) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(assoc >= 1);
-        assert!(
-            size_bytes.is_multiple_of(assoc * line_bytes),
-            "inconsistent cache geometry"
-        );
+        if let Some(why) = geometry_error(size_bytes, assoc, line_bytes) {
+            panic!("{name} cache ({size_bytes} B, {assoc}-way, {line_bytes} B lines): {why}");
+        }
         let num_sets = size_bytes / (assoc * line_bytes);
-        assert!(
-            num_sets.is_power_of_two(),
-            "number of sets must be a power of two"
-        );
         let line_shift = line_bytes.trailing_zeros();
         let total = num_sets * assoc;
         Cache {
@@ -378,5 +389,19 @@ mod tests {
     #[should_panic]
     fn bad_geometry_is_rejected() {
         Cache::new("bad", 100, 3, 24);
+    }
+
+    #[test]
+    fn geometry_rule_names_each_fault() {
+        assert_eq!(geometry_error(16 * 1024, 4, 32), None);
+        assert_eq!(geometry_error(1024, 1, 1024), None);
+        let why = |size, ways, line| geometry_error(size, ways, line).unwrap();
+        assert!(why(16 * 1024, 4, 96).contains("line size"));
+        assert!(why(16 * 1024, 0, 32).contains("associativity"));
+        assert!(why(100, 1, 32).contains("whole number of sets"));
+        // 48 KB of 4-way 32-byte lines is 384 sets.
+        assert!(why(48 * 1024, 4, 32).contains("number of sets"));
+        assert!(why(0, 4, 32).contains("number of sets"));
+        assert!(why(usize::MAX, usize::MAX, 2).contains("whole number of sets"));
     }
 }

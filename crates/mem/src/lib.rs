@@ -15,7 +15,7 @@ pub mod hierarchy;
 pub mod lines;
 pub mod vector_cache;
 
-pub use cache::{Cache, CacheStats, FillOutcome, LookupResult};
+pub use cache::{geometry_error, Cache, CacheStats, FillOutcome, LookupResult};
 pub use hierarchy::{
     tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassPricer, MemStats,
     MemoryHierarchy, MemoryModel, ServedBy, SharedAccessScratch,

@@ -413,12 +413,14 @@ mod tests {
         use vmv_sweep::profiles::{profile_json, ProfileMeta};
         let machine = vmv_machine::presets::vector2(2);
         let prepared = vmv_core::prepare(vmv_kernels::Benchmark::GsmDec, &machine).unwrap();
-        let (outcomes, profiles) = vmv_core::simulate_batch_profiled(
-            &prepared,
+        let run = vmv_core::simulate_schedule(
+            prepared.schedule(),
             &[(&machine, vmv_mem::MemoryModel::Realistic)],
+            vmv_core::TraceFrom::FirstRun,
+            true,
         )
         .unwrap();
-        let (outcome, profile) = (&outcomes[0], &profiles[0]);
+        let (outcome, profile) = (&run.outcomes[0], &run.profiles[0]);
         let meta = ProfileMeta {
             key: "00deadbeef00cafe".to_string(),
             config: machine.name.clone(),

@@ -158,33 +158,30 @@ impl Simulator {
     /// Run a lowered program to completion *and* record its timing trace
     /// (block sequence, memory accesses, VL updates) for later retiming
     /// with [`crate::replay::replay_batch`] — of this schedule or of any
-    /// other schedule of the same program.
+    /// other schedule of the same program.  With `statics`, also attribute
+    /// every simulated cycle to a [`Cause`]: the [`RunStats`] stay
+    /// bit-identical to [`Simulator::run_lowered`], and the profile sums
+    /// exactly to them (see [`Profile::check_against`]).
     pub fn run_lowered_recording(
         &mut self,
         program: &LoweredProgram,
-    ) -> Result<(RunStats, Trace), SimError> {
+        statics: Option<&Arc<ProfileStatics>>,
+    ) -> Result<(RunStats, Trace, Option<Profile>), SimError> {
         let mut recorder = TraceRecorder::new(program, self.regs.vl);
-        let stats = self.run_lowered_with(program, &mut recorder, &mut NoProfile)?;
+        let (stats, profile) = match statics {
+            None => (
+                self.run_lowered_with(program, &mut recorder, &mut NoProfile)?,
+                None,
+            ),
+            Some(statics) => {
+                let mut rec = ProfileRecorder::new(statics.clone());
+                let stats = self.run_lowered_with(program, &mut recorder, &mut rec)?;
+                let profile = rec.finish();
+                profile.record_obs();
+                (stats, Some(profile))
+            }
+        };
         vmv_obs::incr(vmv_obs::Counter::TraceRecords);
-        Ok((stats, recorder.finish()))
-    }
-
-    /// [`Simulator::run_lowered_recording`] with cycle attribution: record
-    /// the timing trace *and* attribute every simulated cycle to a
-    /// [`Cause`].  The returned [`RunStats`] are bit-identical to
-    /// [`Simulator::run_lowered`]; the profile sums exactly to them (see
-    /// [`Profile::check_against`]).
-    pub fn run_lowered_recording_profiled(
-        &mut self,
-        program: &LoweredProgram,
-        statics: &Arc<ProfileStatics>,
-    ) -> Result<(RunStats, Trace, Profile), SimError> {
-        let mut recorder = TraceRecorder::new(program, self.regs.vl);
-        let mut rec = ProfileRecorder::new(statics.clone());
-        let stats = self.run_lowered_with(program, &mut recorder, &mut rec)?;
-        vmv_obs::incr(vmv_obs::Counter::TraceRecords);
-        let profile = rec.finish();
-        profile.record_obs();
         Ok((stats, recorder.finish(), profile))
     }
 

@@ -81,7 +81,8 @@ pub(crate) fn compile(
 mod tests {
     use super::*;
     use crate::executor::{run_sweep, ExecOptions};
-    use crate::spec::{Axis, SweepSpec};
+    use crate::spec::expand_axes;
+    use crate::specfile::AxisSpec;
     use vmv_machine::presets;
 
     /// One GSM_DEC sweep at `workers`, asserting the derived counters:
@@ -109,11 +110,11 @@ mod tests {
     #[test]
     fn memory_variants_share_one_schedule() {
         // Four memory variants of one machine: one schedule, three hits.
-        let points = SweepSpec::new()
-            .axis(Axis::l2_size(&[64 * 1024, 256 * 1024]))
-            .axis(Axis::mem_latency(&[100, 500]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![
+            AxisSpec::L2Size(vec![64 * 1024, 256 * 1024]),
+            AxisSpec::MemLatency(vec![100, 500]),
+        ])
+        .points;
         assert_eq!(points.len(), 4);
         for workers in [1, 2] {
             assert_one_schedule_per_key(&points, workers);
@@ -144,11 +145,11 @@ mod tests {
     fn concurrent_lookups_schedule_exactly_once() {
         // Two lane counts with four memory variants each: two schedules
         // however the workers race for the groups.
-        let points = SweepSpec::new()
-            .axis(Axis::vector_lanes(&[2, 4]))
-            .axis(Axis::mem_latency(&[100, 200, 300, 400]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![
+            AxisSpec::VectorLanes(vec![2, 4]),
+            AxisSpec::MemLatency(vec![100, 200, 300, 400]),
+        ])
+        .points;
         assert_eq!(points.len(), 8);
         for workers in [1, 2] {
             assert_one_schedule_per_key(&points, workers);

@@ -2,19 +2,22 @@
 //! parse + expand + compile + certify, without executing a single cycle.
 //!
 //! The lint pass reports spec mistakes the parser cannot see — constraint
-//! sets that reject every design point, axis values that survive no
-//! constraint (dead weight in the file), and expansions that collapse onto
-//! duplicate machines.  The check pass then compiles every distinct
+//! sets that reject every design point, cache geometries the memory model
+//! cannot build, axis values that survive no constraint (dead weight in the
+//! file), and expansions that collapse onto duplicate machines.  The check
+//! pass then compiles every distinct
 //! schedule the spec can reach and certifies each with the static verifier
 //! (`vmv_verify::verify_compiled`), so a checked-in spec is known to
 //! execute before any sweep time is spent on it.
 
 use std::collections::HashSet;
 
+use vmv_mem::geometry_error;
 use vmv_verify::{has_errors, Check, Diagnostic};
 
 use crate::cache::{compile, CompileCache};
-use crate::specfile::SpecFile;
+use crate::spec::SweepPoint;
+use crate::specfile::{AxisSpec, SpecFile};
 
 /// Outcome of [`check_spec`].
 pub struct SpecCheck {
@@ -26,8 +29,10 @@ pub struct SpecCheck {
     pub schedules: usize,
 }
 
-/// Lint a spec file without compiling anything.  The spec is expanded
-/// twice — once as declared and once with the constraints stripped — and
+/// Lint a spec file without compiling anything.  Every cache geometry a
+/// design point would build must pass [`geometry_error`]: each distinct
+/// rejected geometry is one error naming the first point that uses it.
+/// The spec is expanded twice — once as declared and once with the constraints stripped — and
 /// every declared axis value is checked for *liveness*: a value that
 /// survives in no design point is either **dead** (the constraints reject
 /// every point using it) or **redundant** (every point using it collapses
@@ -57,6 +62,7 @@ pub fn lint(spec: &SpecFile) -> Vec<Diagnostic> {
         ));
         return diags;
     }
+    diags.extend(geometry_errors(&expansion.points));
 
     // Labels that survive in the constrained expansion, and in the
     // constraint-free universe (to tell "dead" apart from "redundant").
@@ -80,26 +86,26 @@ pub fn lint(spec: &SpecFile) -> Vec<Diagnostic> {
         .flat_map(|p| p.labels.iter())
         .collect();
 
-    for (k, axis_spec) in spec.axes.iter().enumerate() {
-        let Some(axis) = axis_spec.lower() else {
+    for (k, axis) in spec.axes.iter().enumerate() {
+        if let AxisSpec::Benchmarks(_) = axis {
             continue; // the benchmarks pseudo-axis selects jobs, not machines
-        };
-        for value in &axis.values {
-            let key = (axis.name.clone(), value.label.clone());
+        }
+        let name = axis.name();
+        for label in axis.labels() {
+            let key = (name.to_string(), label);
             if live.contains(&key) {
                 continue;
             }
+            let label = &key.1;
             let message = if universe_live.contains(&key) {
                 format!(
-                    "value '{}' of axis '{}' is dead: every design point \
-                     using it is rejected by the constraints",
-                    value.label, axis.name
+                    "value '{label}' of axis '{name}' is dead: every design point \
+                     using it is rejected by the constraints"
                 )
             } else {
                 format!(
-                    "value '{}' of axis '{}' is redundant: every design point \
-                     using it duplicates a point of an earlier value",
-                    value.label, axis.name
+                    "value '{label}' of axis '{name}' is redundant: every design point \
+                     using it duplicates a point of an earlier value"
                 )
             };
             diags.push(Diagnostic::warning(
@@ -112,18 +118,50 @@ pub fn lint(spec: &SpecFile) -> Vec<Diagnostic> {
     diags
 }
 
-/// Lint a spec, then compile and certify every distinct schedule it can
-/// reach — one compile per `(benchmark, ISA variant, schedule fingerprint)`
-/// key, shared across all memory-only variants, exactly as a real sweep
-/// would share them.  Each program is dropped as soon as it is certified.
+/// One error per distinct `(level, size, ways, line)` cache geometry that
+/// `points` would build and the cache model rejects, naming the first point
+/// that uses it.
+fn geometry_errors(points: &[SweepPoint]) -> Vec<Diagnostic> {
+    let mut seen = HashSet::new();
+    let mut diags = Vec::new();
+    for point in points {
+        let m = &point.machine.memory;
+        for (level, size, ways, line) in [
+            ("L1", m.l1_size, m.l1_assoc, m.l1_line),
+            ("L2", m.l2_size, m.l2_assoc, m.l2_line),
+            ("L3", m.l3_size, m.l3_assoc, m.l3_line),
+        ] {
+            let Some(why) = geometry_error(size, ways, line) else {
+                continue;
+            };
+            if seen.insert((level, size, ways, line)) {
+                diags.push(Diagnostic::error(
+                    Check::Spec,
+                    format!("point '{}'", point.name),
+                    format!(
+                        "the {level} cache ({size} B, {ways}-way, {line} B lines) \
+                         cannot be built: {why}"
+                    ),
+                ));
+            }
+        }
+    }
+    diags
+}
+
+/// Lint a spec, then, unless the lint found an error, compile and certify
+/// every distinct schedule it can reach — one compile per `(benchmark, ISA
+/// variant, schedule fingerprint)` key, shared across all memory-only
+/// variants, exactly as a real sweep would share them.  Each program is
+/// dropped as soon as it is certified.
 pub fn check_spec(spec: &SpecFile) -> SpecCheck {
     let mut diagnostics = lint(spec);
     let mut points = 0;
     let mut schedules = 0;
-    if !has_errors(&diagnostics) {
-        if let Ok(lowered) = spec.lower() {
-            let expansion = lowered.spec.expand();
-            points = expansion.points.len();
+    if let Ok(lowered) = spec.lower() {
+        let expansion = lowered.spec.expand();
+        points = expansion.points.len();
+        if !has_errors(&diagnostics) {
             let mut seen = HashSet::new();
             for point in &expansion.points {
                 for &benchmark in &lowered.benchmarks {
@@ -153,7 +191,8 @@ pub fn check_spec(spec: &SpecFile) -> SpecCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::specfile::{AxisSpec, ConstraintSpec};
+    use crate::specfile::ConstraintSpec;
+    use vmv_kernels::Benchmark;
     use vmv_verify::Severity;
 
     #[test]
@@ -241,5 +280,41 @@ mod tests {
         };
         let diags = lint(&spec);
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn unbuildable_cache_geometries_are_errors() {
+        // 48 KB of 4-way 32-byte lines is 384 sets, and 96-byte L2 lines
+        // are not a power of two: three of the four points would panic the
+        // cache model.  Each bad geometry is named once, at its first point.
+        let spec = SpecFile {
+            name: "geometry".into(),
+            axes: vec![
+                AxisSpec::L1Size(vec![16 * 1024, 48 * 1024]),
+                AxisSpec::L2Line(vec![64, 96]),
+                AxisSpec::Benchmarks(vec![Benchmark::GsmDec]),
+            ],
+            constraints: vec![],
+            defaults: Default::default(),
+        };
+        let check = check_spec(&spec);
+        let errors: Vec<_> = check
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert_eq!(errors.len(), 2, "one error per geometry: {errors:?}");
+        assert_eq!(errors[0].location, "point 'l1:16K/l2ln96'");
+        assert!(errors[0].message.contains("L2 cache"), "{}", errors[0]);
+        assert!(errors[0].message.contains("line size"), "{}", errors[0]);
+        assert_eq!(errors[1].location, "point 'l1:48K/l2ln64'");
+        assert!(errors[1].message.contains("L1 cache"), "{}", errors[1]);
+        assert!(
+            errors[1].message.contains("number of sets"),
+            "{}",
+            errors[1]
+        );
+        assert_eq!(check.points, 4);
+        assert_eq!(check.schedules, 0, "a spec with errors compiles nothing");
     }
 }

@@ -751,14 +751,15 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Axis, SweepSpec};
+    use crate::spec::expand_axes;
+    use crate::specfile::AxisSpec;
 
     fn small_points() -> Vec<SweepPoint> {
-        SweepSpec::new()
-            .axis(Axis::vector_lanes(&[1, 2, 4]))
-            .axis(Axis::mem_latency(&[100, 500]))
-            .expand()
-            .points
+        expand_axes(vec![
+            AxisSpec::VectorLanes(vec![1, 2, 4]),
+            AxisSpec::MemLatency(vec![100, 500]),
+        ])
+        .points
     }
 
     #[test]
@@ -819,10 +820,7 @@ mod tests {
     fn panicking_points_are_reported_not_fatal() {
         // 48 KB with the default 4-way/32-byte geometry gives 384 sets —
         // not a power of two, so the cache model panics on construction.
-        let points = SweepSpec::new()
-            .axis(Axis::l1_size(&[48 * 1024, 16 * 1024]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![AxisSpec::L1Size(vec![48 * 1024, 16 * 1024])]).points;
         let opts = ExecOptions {
             benchmarks: vec![Benchmark::GsmDec],
             workers: 2,
@@ -847,7 +845,7 @@ mod tests {
         // walk.  The retry re-runs each remaining job on its own, so only
         // the 48 KB job fails and the others match a clean sweep.
         let sweep = |sizes: &[usize], workers: usize| {
-            let points = SweepSpec::new().axis(Axis::l1_size(sizes)).expand().points;
+            let points = expand_axes(vec![AxisSpec::L1Size(sizes.to_vec())]).points;
             let opts = ExecOptions {
                 benchmarks: vec![Benchmark::GsmDec],
                 workers,
@@ -877,21 +875,16 @@ mod tests {
         // first job once and retimes the rest, across schedule keys.  Every
         // record must equal the recording execution of its job: the first
         // outcome of a two-variant batch on its own schedule.
-        let mut points = SweepSpec::new()
-            .axis(Axis::isa(&[
+        let mut points = expand_axes(vec![
+            AxisSpec::Isa(vec![
                 vmv_machine::IsaSupport::Vliw,
                 vmv_machine::IsaSupport::Usimd,
                 vmv_machine::IsaSupport::Vector,
-            ]))
-            .axis(Axis::issue_width(&[4, 8]))
-            .expand()
-            .points;
-        points.extend(
-            SweepSpec::new()
-                .axis(Axis::mem_latency(&[150, 250]))
-                .expand()
-                .points,
-        );
+            ]),
+            AxisSpec::IssueWidth(vec![4, 8]),
+        ])
+        .points;
+        points.extend(expand_axes(vec![AxisSpec::MemLatency(vec![150, 250])]).points);
         let benchmark = Benchmark::GsmDec;
         let expected: Vec<RunRecord> = points
             .iter()
@@ -926,12 +919,12 @@ mod tests {
     fn cache_geometry_sweep_runs_and_shares_one_schedule() {
         // Geometry variations (associativity, line size, bank count) are
         // memory-only: every point re-simulates the same single schedule.
-        let points = SweepSpec::new()
-            .axis(Axis::l2_assoc(&[4, 8]))
-            .axis(Axis::l2_line(&[64, 128]))
-            .axis(Axis::l2_banks(&[2, 4]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![
+            AxisSpec::L2Assoc(vec![4, 8]),
+            AxisSpec::L2Line(vec![64, 128]),
+            AxisSpec::L2Banks(vec![2, 4]),
+        ])
+        .points;
         assert_eq!(points.len(), 8);
         let opts = ExecOptions {
             benchmarks: vec![Benchmark::GsmDec],

@@ -3,20 +3,22 @@
 //! The paper evaluates ten hand-picked configurations (Table 2).  This
 //! crate turns the reproduction into an exploration engine:
 //!
-//! * [`SweepSpec`] declares parameter **axes** over
-//!   [`vmv_machine::MachineConfig`] (issue width, vector units, lanes, port
-//!   widths, cache geometry, latencies, chaining, memory model) plus
-//!   constraint predicates, and expands the cartesian product into named,
-//!   deduplicated design points — structural axes go through the Table 2
-//!   scaling rules of `vmv_machine::gen`, so every point is a plausible
-//!   machine;
-//! * [`SpecFile`] is the **declarative** form of the same thing: axes
-//!   ([`AxisSpec`]) and constraints ([`ConstraintSpec`]) as serializable
-//!   values, parsed from (and canonically re-emitted to) JSON, content-
-//!   hashed ([`SpecFile::fingerprint`]) and lowered onto the closure
-//!   machinery — an experiment is a checked-in `.json` file, and every
-//!   spec-driven result store opens with a [`StoreHeader`] line naming the
-//!   spec that produced it;
+//! * [`SpecFile`] declares an experiment as data: parameter **axes**
+//!   ([`AxisSpec`]) over [`vmv_machine::MachineConfig`] (ISA, issue width,
+//!   vector units, lanes, port widths, cache geometry, latencies, chaining,
+//!   memory model) plus named constraints ([`ConstraintSpec`]), parsed from
+//!   (and canonically re-emitted to) JSON and content-hashed
+//!   ([`SpecFile::fingerprint`]) — an experiment is a checked-in `.json`
+//!   file, and every spec-driven result store opens with a [`StoreHeader`]
+//!   line naming the spec that produced it;
+//! * [`SpecFile::lower`] splits a validated spec into the benchmark subset
+//!   and a [`SweepSpec`], whose [`SweepSpec::expand`] turns the cartesian
+//!   product into named, deduplicated, constraint-filtered design points —
+//!   structural axes go through the Table 2 scaling rules of
+//!   `vmv_machine::gen`, so every point is a plausible machine;
+//! * [`check_spec`] lints a spec (unsatisfiable constraints, dead or
+//!   redundant values, cache geometries that cannot be built) and certifies
+//!   every schedule it reaches without executing a cycle;
 //! * [`run_sweep`] executes `points × benchmarks` on a work-stealing thread
 //!   pool, grouping jobs by schedule key ([`CompileCache::key_for`]:
 //!   benchmark, ISA variant, schedule-relevant machine fields) so each
@@ -31,17 +33,23 @@
 //!   [`sensitivity`] (per-axis performance swing) summarise the result set.
 //!
 //! ```no_run
-//! use vmv_sweep::{Axis, ExecOptions, ResultStore, SweepSpec};
+//! use vmv_sweep::{AxisSpec, ConstraintSpec, ExecOptions, ResultStore, SpecFile};
 //!
-//! let expansion = SweepSpec::new()
-//!     .axis(Axis::issue_width(&[2, 4]))
-//!     .axis(Axis::vector_lanes(&[2, 4, 8]))
-//!     .axis(Axis::mem_latency(&[100, 500]))
-//!     .constraint("lanes fit the port", |m, _| m.vector_lanes >= m.l2_port_elems / 2)
-//!     .expand();
+//! let spec = SpecFile {
+//!     name: "lanes".to_string(),
+//!     axes: vec![
+//!         AxisSpec::IssueWidth(vec![2, 4]),
+//!         AxisSpec::VectorLanes(vec![2, 4, 8]),
+//!         AxisSpec::MemLatency(vec![100, 500]),
+//!     ],
+//!     constraints: vec![ConstraintSpec::LaneBudget { max: 16 }],
+//!     defaults: Default::default(),
+//! };
+//! let lowered = spec.lower().unwrap();
+//! let expansion = lowered.spec.expand();
 //! let store = ResultStore::open("sweep_results.jsonl");
-//! let report =
-//!     vmv_sweep::run_sweep(&expansion.points, &ExecOptions::default(), Some(&store)).unwrap();
+//! let opts = ExecOptions::for_spec(&lowered, 0);
+//! let report = vmv_sweep::run_sweep(&expansion.points, &opts, Some(&store)).unwrap();
 //! println!("{} runs, {} schedules", report.records.len(), report.cache.misses);
 //! ```
 
@@ -72,9 +80,7 @@ pub use profiles::{
     ProfileMeta, PROFILE_SCHEMA,
 };
 pub use sensitivity::{render_sensitivity, sensitivity, AxisSensitivity};
-pub use spec::{
-    parse_shard, shard_points, Axis, AxisValue, Draft, Expansion, SweepPoint, SweepSpec,
-};
+pub use spec::{parse_shard, shard_points, Expansion, SweepPoint, SweepSpec};
 pub use specfile::{AxisSpec, ConstraintSpec, LoweredSpec, SpecDefaults, SpecError, SpecFile};
 pub use store::{
     classify_store_line, matched_records, point_key_index, run_key, CompactStats, MergeStats,

@@ -196,14 +196,12 @@ mod tests {
 
     #[test]
     fn report_aggregates_and_sorts_by_cost() {
-        use crate::spec::{Axis, SweepSpec};
+        use crate::spec::expand_axes;
+        use crate::specfile::AxisSpec;
         use crate::store::run_key;
         use vmv_kernels::Benchmark;
 
-        let points = SweepSpec::new()
-            .axis(Axis::vector_units(&[1, 2]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![AxisSpec::VectorUnits(vec![1, 2])]).points;
         let mut records = Vec::new();
         for (i, p) in points.iter().enumerate() {
             for bench in [Benchmark::GsmDec, Benchmark::GsmEnc] {

@@ -380,9 +380,17 @@ mod tests {
     fn demo_profile() -> (ProfileMeta, Profile) {
         let machine = presets::vector2(2);
         let prepared = vmv_core::prepare(Benchmark::GsmDec, &machine).unwrap();
-        let (outcomes, mut profiles) =
-            vmv_core::simulate_batch_profiled(&prepared, &[(&machine, MemoryModel::Realistic)])
-                .unwrap();
+        let vmv_core::ScheduleRun {
+            outcomes,
+            mut profiles,
+            ..
+        } = vmv_core::simulate_schedule(
+            prepared.schedule(),
+            &[(&machine, MemoryModel::Realistic)],
+            vmv_core::TraceFrom::FirstRun,
+            true,
+        )
+        .unwrap();
         let (outcome, profile) = (&outcomes[0], profiles.remove(0));
         profile.check_against(&outcome.stats).unwrap();
         let meta = ProfileMeta {

@@ -100,17 +100,18 @@ pub fn render_sensitivity(rows: &[AxisSensitivity]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Axis, SweepSpec};
+    use crate::spec::expand_axes;
+    use crate::specfile::AxisSpec;
 
     #[test]
     fn detects_the_axis_that_drives_cycles() {
         // lanes ∈ {1, 4} doubles performance; dram ∈ {100, 500} does nothing
         // (synthetic records).
-        let points = SweepSpec::new()
-            .axis(Axis::vector_lanes(&[1, 4]))
-            .axis(Axis::mem_latency(&[100, 500]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![
+            AxisSpec::VectorLanes(vec![1, 4]),
+            AxisSpec::MemLatency(vec![100, 500]),
+        ])
+        .points;
         let mut records = Vec::new();
         for p in &points {
             let lanes = p.machine.vector_lanes;
@@ -145,10 +146,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         assert!(sensitivity(&[], &[]).is_empty());
-        let points = SweepSpec::new()
-            .axis(Axis::vector_lanes(&[1, 2]))
-            .expand()
-            .points;
+        let points = expand_axes(vec![AxisSpec::VectorLanes(vec![1, 2])]).points;
         assert!(sensitivity(&points, &[]).is_empty());
     }
 }

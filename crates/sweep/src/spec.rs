@@ -1,26 +1,29 @@
-//! Declarative sweep specifications: parameter axes over [`MachineConfig`]
-//! (and the memory model), constraint predicates, and expansion of the
-//! cartesian product into named, deduplicated design points.
+//! Expansion of a lowered sweep spec into named, deduplicated design
+//! points: the cartesian product of its machine axes, filtered by its
+//! constraints.
 //!
-//! An axis mutates a [`Draft`] — the structural machine parameters
-//! ([`GenParams`]), the memory-hierarchy parameters, the latency table and
-//! the memory model.  Structural axes (ISA, issue width, vector units,
-//! lanes, port width) feed the Table 2 scaling rules of
+//! Each axis value applies itself to a [`Draft`] — the structural machine
+//! parameters ([`GenParams`]), the memory-hierarchy parameters, the latency
+//! table and the memory model.  Structural axes (ISA, issue width, vector
+//! units, lanes, port width) feed the Table 2 scaling rules of
 //! [`vmv_machine::gen`], so dependent resources (register files, cache
 //! ports, functional units) stay consistent at every point — the sweep
-//! explores *plausible* machines, not arbitrary field combinations.
+//! explores *plausible* machines, not arbitrary field combinations.  The
+//! axes, their labels and their constraints are the data of
+//! [`crate::specfile`]; a [`SweepSpec`] only comes from
+//! [`SpecFile::lower`](crate::specfile::SpecFile::lower).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use vmv_machine::{gen, GenParams, IsaSupport, LatencyTable, MachineConfig, MemoryParams};
+use vmv_machine::{gen, GenParams, LatencyTable, MachineConfig, MemoryParams};
 use vmv_mem::MemoryModel;
 
 use crate::fingerprint::full_fingerprint;
+use crate::specfile::{AxisSpec, ConstraintSpec};
 
 /// The mutable state an axis value applies itself to.
 #[derive(Debug, Clone, Copy)]
-pub struct Draft {
+pub(crate) struct Draft {
     pub gen: GenParams,
     pub memory: MemoryParams,
     pub latencies: LatencyTable,
@@ -35,234 +38,6 @@ impl Default for Draft {
             latencies: LatencyTable::default(),
             model: MemoryModel::Realistic,
         }
-    }
-}
-
-/// The mutation an axis value applies to a [`Draft`].
-pub type Apply = Arc<dyn Fn(&mut Draft) + Send + Sync>;
-type Predicate = Arc<dyn Fn(&MachineConfig, MemoryModel) -> bool + Send + Sync>;
-
-/// One value of an axis: a short label (used in point names and sensitivity
-/// reports) plus the mutation it applies.
-#[derive(Clone)]
-pub struct AxisValue {
-    pub label: String,
-    apply: Apply,
-}
-
-/// A named sweep axis.
-#[derive(Clone)]
-pub struct Axis {
-    pub name: String,
-    pub values: Vec<AxisValue>,
-}
-
-impl Axis {
-    /// A custom axis from `(label, mutation)` pairs.
-    pub fn custom(name: &str, values: Vec<(String, Apply)>) -> Axis {
-        Axis {
-            name: name.to_string(),
-            values: values
-                .into_iter()
-                .map(|(label, apply)| AxisValue { label, apply })
-                .collect(),
-        }
-    }
-
-    fn from_fn<T: Copy + Send + Sync + 'static>(
-        name: &str,
-        values: &[T],
-        label: impl Fn(T) -> String,
-        apply: impl Fn(T, &mut Draft) + Send + Sync + Copy + 'static,
-    ) -> Axis {
-        Axis {
-            name: name.to_string(),
-            values: values
-                .iter()
-                .map(|&v| AxisValue {
-                    label: label(v),
-                    apply: Arc::new(move |d: &mut Draft| apply(v, d)),
-                })
-                .collect(),
-        }
-    }
-
-    /// ISA family (`vliw`, `usimd`, `vector`).
-    pub fn isa(values: &[IsaSupport]) -> Axis {
-        Axis::from_fn(
-            "isa",
-            values,
-            |v| {
-                match v {
-                    IsaSupport::Vliw => "vliw",
-                    IsaSupport::Usimd => "usimd",
-                    IsaSupport::Vector => "vector",
-                }
-                .to_string()
-            },
-            |v, d| d.gen.isa = v,
-        )
-    }
-
-    /// Issue width (power of two, 2–16).
-    pub fn issue_width(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "issue_width",
-            values,
-            |v| format!("{v}w"),
-            |v, d| d.gen.issue_width = v,
-        )
-    }
-
-    /// Number of vector functional units.
-    pub fn vector_units(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "vector_units",
-            values,
-            |v| format!("vu{v}"),
-            |v, d| d.gen.vector_units = v,
-        )
-    }
-
-    /// Parallel lanes per vector unit.
-    pub fn vector_lanes(values: &[u32]) -> Axis {
-        Axis::from_fn(
-            "vector_lanes",
-            values,
-            |v| format!("ln{v}"),
-            |v, d| d.gen.vector_lanes = v,
-        )
-    }
-
-    /// Width of the L2 vector-cache port in 64-bit elements.
-    pub fn l2_port_elems(values: &[u32]) -> Axis {
-        Axis::from_fn(
-            "l2_port_elems",
-            values,
-            |v| format!("pe{v}"),
-            |v, d| d.gen.l2_port_elems = v,
-        )
-    }
-
-    /// L1 data-cache size in bytes.
-    pub fn l1_size(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l1_size",
-            values,
-            |v| format!("l1:{}K", v / 1024),
-            |v, d| d.memory.l1_size = v,
-        )
-    }
-
-    /// L2 vector-cache size in bytes.
-    pub fn l2_size(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l2_size",
-            values,
-            |v| format!("l2:{}K", v / 1024),
-            |v, d| d.memory.l2_size = v,
-        )
-    }
-
-    /// L1 data-cache associativity (ways).
-    pub fn l1_assoc(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l1_assoc",
-            values,
-            |v| format!("l1a{v}"),
-            |v, d| d.memory.l1_assoc = v,
-        )
-    }
-
-    /// L2 vector-cache associativity (ways).
-    pub fn l2_assoc(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l2_assoc",
-            values,
-            |v| format!("l2a{v}"),
-            |v, d| d.memory.l2_assoc = v,
-        )
-    }
-
-    /// L1 line size in bytes.
-    pub fn l1_line(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l1_line",
-            values,
-            |v| format!("l1ln{v}"),
-            |v, d| d.memory.l1_line = v,
-        )
-    }
-
-    /// L2 vector-cache line size in bytes.
-    pub fn l2_line(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l2_line",
-            values,
-            |v| format!("l2ln{v}"),
-            |v, d| d.memory.l2_line = v,
-        )
-    }
-
-    /// Number of interleaved banks in the L2 vector cache.
-    pub fn l2_banks(values: &[usize]) -> Axis {
-        Axis::from_fn(
-            "l2_banks",
-            values,
-            |v| format!("bk{v}"),
-            |v, d| d.memory.l2_banks = v,
-        )
-    }
-
-    /// L2 hit latency in cycles (kept in lock-step with the scheduler's
-    /// assumed vector-memory latency, as in the paper's Fig. 4 example).
-    pub fn l2_latency(values: &[u32]) -> Axis {
-        Axis::from_fn(
-            "l2_latency",
-            values,
-            |v| format!("l2lat{v}"),
-            |v, d| {
-                d.memory.l2_latency = v;
-                d.latencies.vec_mem = v;
-            },
-        )
-    }
-
-    /// Main-memory latency in cycles.
-    pub fn mem_latency(values: &[u32]) -> Axis {
-        Axis::from_fn(
-            "mem_latency",
-            values,
-            |v| format!("dram{v}"),
-            |v, d| d.memory.mem_latency = v,
-        )
-    }
-
-    /// Vector chaining on/off (the §3.3 ablation; overrides the ISA-family
-    /// default via [`GenParams::chaining`]).
-    pub fn chaining(values: &[bool]) -> Axis {
-        Axis::from_fn(
-            "chaining",
-            values,
-            |v| if v { "chain" } else { "nochain" }.to_string(),
-            |v, d| d.gen.chaining = Some(v),
-        )
-    }
-
-    /// Memory model (perfect / realistic).
-    pub fn memory_model(values: &[MemoryModel]) -> Axis {
-        Axis::from_fn(
-            "memory_model",
-            values,
-            |v| {
-                match v {
-                    MemoryModel::Perfect => "perfect",
-                    MemoryModel::Realistic => "realistic",
-                }
-                .to_string()
-            },
-            |v, d| d.model = v,
-        )
     }
 }
 
@@ -289,52 +64,22 @@ pub struct Expansion {
     pub duplicates: usize,
 }
 
-/// A declarative sweep specification.
-#[derive(Clone, Default)]
+/// The machine half of a validated spec file: its machine axes in
+/// declaration order (axes apply in that order; later axes win when two
+/// touch the same field) and its constraints.  Every axis not declared
+/// keeps the default draft's value: the paper's 2-issue Vector1 machine
+/// under the realistic memory model.
+#[derive(Debug, Clone)]
 pub struct SweepSpec {
-    axes: Vec<Axis>,
-    constraints: Vec<(String, Predicate)>,
+    pub(crate) axes: Vec<AxisSpec>,
+    pub(crate) constraints: Vec<ConstraintSpec>,
 }
 
 impl SweepSpec {
-    /// A sweep starting from the paper's 2-issue Vector1 draft; every axis
-    /// not declared keeps its default value.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an axis.  Axes apply in declaration order; later axes win when
-    /// two touch the same field.
-    pub fn axis(mut self, axis: Axis) -> Self {
-        assert!(
-            !axis.values.is_empty(),
-            "axis '{}' has no values",
-            axis.name
-        );
-        assert!(
-            !self.axes.iter().any(|a| a.name == axis.name),
-            "duplicate axis '{}'",
-            axis.name
-        );
-        self.axes.push(axis);
-        self
-    }
-
-    /// Add a named constraint; points where the predicate returns `false`
-    /// are dropped during expansion.
-    pub fn constraint(
-        mut self,
-        name: &str,
-        pred: impl Fn(&MachineConfig, MemoryModel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.constraints.push((name.to_string(), Arc::new(pred)));
-        self
-    }
-
     /// Number of points the cartesian product would produce before
     /// constraints and deduplication.
     pub fn raw_size(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product()
+        self.axes.iter().map(AxisSpec::len).product()
     }
 
     /// Expand the cartesian product into named, deduplicated, constraint-
@@ -346,16 +91,17 @@ impl SweepSpec {
         let mut seen: HashSet<String> = HashSet::new();
         let mut rejected = 0usize;
         let mut duplicates = 0usize;
+        // Each value's label is formatted once, not once per point.
+        let labels: Vec<Vec<String>> = self.axes.iter().map(AxisSpec::labels).collect();
 
         // Odometer over axis value indices (last axis spins fastest).
         let mut idx = vec![0usize; self.axes.len()];
         'outer: loop {
             let mut draft = Draft::default();
-            let mut labels = Vec::with_capacity(self.axes.len());
-            for (axis, &i) in self.axes.iter().zip(&idx) {
-                let value = &axis.values[i];
-                (value.apply)(&mut draft);
-                labels.push((axis.name.clone(), value.label.clone()));
+            let mut point_labels = Vec::with_capacity(self.axes.len());
+            for ((axis, values), &i) in self.axes.iter().zip(&labels).zip(&idx) {
+                axis.apply(i, &mut draft);
+                point_labels.push((axis.name().to_string(), values[i].clone()));
             }
 
             // Memory axes feed the generator so geometry travels with the
@@ -363,10 +109,10 @@ impl SweepSpec {
             draft.gen.memory = draft.memory;
             let mut machine = gen::generate(&draft.gen);
             machine.latencies = draft.latencies;
-            let name = if labels.is_empty() {
+            let name = if point_labels.is_empty() {
                 machine.name.clone()
             } else {
-                labels
+                point_labels
                     .iter()
                     .map(|(_, l)| l.as_str())
                     .collect::<Vec<_>>()
@@ -374,18 +120,14 @@ impl SweepSpec {
             };
             machine.name = name.clone();
 
-            if self
-                .constraints
-                .iter()
-                .all(|(_, pred)| pred(&machine, draft.model))
-            {
+            if self.constraints.iter().all(|c| c.admits(&machine)) {
                 let fingerprint = format!("{}|{:?}", full_fingerprint(&machine), draft.model);
                 if seen.insert(fingerprint) {
                     points.push(SweepPoint {
                         name,
                         machine,
                         model: draft.model,
-                        labels,
+                        labels: point_labels,
                     });
                 } else {
                     duplicates += 1;
@@ -397,7 +139,7 @@ impl SweepSpec {
             // Advance the odometer.
             for pos in (0..idx.len()).rev() {
                 idx[pos] += 1;
-                if idx[pos] < self.axes[pos].values.len() {
+                if idx[pos] < self.axes[pos].len() {
                     continue 'outer;
                 }
                 idx[pos] = 0;
@@ -444,20 +186,33 @@ pub fn parse_shard(s: &str) -> Result<(usize, usize), String> {
     }
 }
 
+/// Expand `axes` with no constraints, as a spec file declaring them would.
+#[cfg(test)]
+pub(crate) fn expand_axes(axes: Vec<AxisSpec>) -> Expansion {
+    let spec = crate::specfile::SpecFile {
+        name: "test".to_string(),
+        axes,
+        constraints: Vec::new(),
+        defaults: Default::default(),
+    };
+    spec.lower().expect("valid axes").spec.expand()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lane_spec() -> SweepSpec {
-        SweepSpec::new()
-            .axis(Axis::issue_width(&[2, 4]))
-            .axis(Axis::vector_units(&[1, 2]))
-            .axis(Axis::vector_lanes(&[2, 4, 8]))
+    fn lane_axes() -> Vec<AxisSpec> {
+        vec![
+            AxisSpec::IssueWidth(vec![2, 4]),
+            AxisSpec::VectorUnits(vec![1, 2]),
+            AxisSpec::VectorLanes(vec![2, 4, 8]),
+        ]
     }
 
     #[test]
     fn expansion_is_the_cartesian_product() {
-        let e = lane_spec().expand();
+        let e = expand_axes(lane_axes());
         assert_eq!(e.raw, 2 * 2 * 3);
         assert_eq!(e.points.len(), 12);
         assert_eq!(e.rejected, 0);
@@ -474,7 +229,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_labels_match_axes() {
-        let e = lane_spec().expand();
+        let e = expand_axes(lane_axes());
         let names: HashSet<_> = e.points.iter().map(|p| p.name.clone()).collect();
         assert_eq!(names.len(), e.points.len());
         for p in &e.points {
@@ -486,11 +241,13 @@ mod tests {
 
     #[test]
     fn constraints_filter_points() {
-        let e = lane_spec()
-            .constraint("at most 4 total lane-units", |m, _| {
-                m.vector_units as u32 * m.vector_lanes <= 4
-            })
-            .expand();
+        let spec = crate::specfile::SpecFile {
+            name: "budget".to_string(),
+            axes: lane_axes(),
+            constraints: vec![ConstraintSpec::LaneBudget { max: 4 }],
+            defaults: Default::default(),
+        };
+        let e = spec.lower().unwrap().spec.expand();
         // Surviving combos: vu1×{2,4}, vu2×{2} per width.
         assert_eq!(e.points.len(), 2 * 3);
         assert_eq!(e.rejected, 12 - 6);
@@ -502,33 +259,23 @@ mod tests {
 
     #[test]
     fn identical_configurations_are_deduplicated() {
-        // Two axes that produce the same machine for every combination:
-        // lanes {4, 4} via different labels.
-        let spec = SweepSpec::new().axis(Axis::custom(
-            "lanes",
-            vec![
-                (
-                    "a".to_string(),
-                    Arc::new(|d: &mut Draft| d.gen.vector_lanes = 4) as _,
-                ),
-                (
-                    "b".to_string(),
-                    Arc::new(|d: &mut Draft| d.gen.vector_lanes = 4) as _,
-                ),
-            ],
-        ));
-        let e = spec.expand();
-        assert_eq!(e.raw, 2);
+        // Lanes do not exist on a scalar VLIW machine: every lane value
+        // produces the same machine, so only the first survives.
+        let e = expand_axes(vec![
+            AxisSpec::Isa(vec![vmv_machine::IsaSupport::Vliw]),
+            AxisSpec::VectorLanes(vec![2, 4, 8]),
+        ]);
+        assert_eq!(e.raw, 3);
         assert_eq!(e.points.len(), 1);
-        assert_eq!(e.duplicates, 1);
+        assert_eq!(e.duplicates, 2);
     }
 
     #[test]
     fn memory_axes_do_not_change_the_schedule_relevant_fields() {
-        let e = SweepSpec::new()
-            .axis(Axis::l2_size(&[128 * 1024, 256 * 1024]))
-            .axis(Axis::mem_latency(&[100, 500]))
-            .expand();
+        let e = expand_axes(vec![
+            AxisSpec::L2Size(vec![128 * 1024, 256 * 1024]),
+            AxisSpec::MemLatency(vec![100, 500]),
+        ]);
         assert_eq!(e.points.len(), 4);
         let first = crate::fingerprint::schedule_fingerprint(&e.points[0].machine);
         for p in &e.points {
@@ -538,13 +285,13 @@ mod tests {
 
     #[test]
     fn cache_geometry_axes_vary_memory_without_touching_the_schedule() {
-        let e = SweepSpec::new()
-            .axis(Axis::l1_assoc(&[2, 4]))
-            .axis(Axis::l2_assoc(&[4, 8]))
-            .axis(Axis::l1_line(&[32, 64]))
-            .axis(Axis::l2_line(&[64, 128]))
-            .axis(Axis::l2_banks(&[2, 4]))
-            .expand();
+        let e = expand_axes(vec![
+            AxisSpec::L1Assoc(vec![2, 4]),
+            AxisSpec::L2Assoc(vec![4, 8]),
+            AxisSpec::L1Line(vec![32, 64]),
+            AxisSpec::L2Line(vec![64, 128]),
+            AxisSpec::L2Banks(vec![2, 4]),
+        ]);
         assert_eq!(e.points.len(), 32);
         assert_eq!(e.duplicates, 0, "every geometry must be a distinct point");
         let schedule = crate::fingerprint::schedule_fingerprint(&e.points[0].machine);
@@ -567,10 +314,7 @@ mod tests {
     fn geometry_axes_travel_through_the_generator() {
         // The memory parameters reach gen::generate itself, so a direct
         // GenParams user sees the same machine as the sweep expansion.
-        let e = SweepSpec::new()
-            .axis(Axis::l2_banks(&[8]))
-            .axis(Axis::l1_line(&[64]))
-            .expand();
+        let e = expand_axes(vec![AxisSpec::L2Banks(vec![8]), AxisSpec::L1Line(vec![64])]);
         let from_spec = &e.points[0].machine;
         let mut params = vmv_machine::GenParams::default();
         params.memory.l2_banks = 8;
@@ -582,9 +326,7 @@ mod tests {
 
     #[test]
     fn chaining_axis_toggles_the_schedule_relevant_flag() {
-        let e = SweepSpec::new()
-            .axis(Axis::chaining(&[true, false]))
-            .expand();
+        let e = expand_axes(vec![AxisSpec::Chaining(vec![true, false])]);
         assert_eq!(e.points.len(), 2);
         assert!(e.points[0].machine.chaining);
         assert!(!e.points[1].machine.chaining);
@@ -600,7 +342,7 @@ mod tests {
 
     #[test]
     fn shards_partition_the_expansion() {
-        let points = lane_spec().expand().points;
+        let points = expand_axes(lane_axes()).points;
         let n = 3;
         let mut union: Vec<String> = Vec::new();
         let mut sizes = Vec::new();
@@ -635,13 +377,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn shard_index_out_of_range_panics() {
-        let points = lane_spec().expand().points;
+        let points = expand_axes(lane_axes()).points;
         shard_points(&points, 2, 2);
     }
 
     #[test]
     fn empty_spec_expands_to_the_default_draft() {
-        let e = SweepSpec::new().expand();
+        let e = expand_axes(Vec::new());
         assert_eq!(e.points.len(), 1);
         assert_eq!(e.points[0].model, MemoryModel::Realistic);
         assert_eq!(e.points[0].machine.vector_units, 1);

@@ -1,12 +1,12 @@
-//! Serializable sweep specifications: the **data** counterpart of the
-//! closure-based [`SweepSpec`] builder.
+//! Sweep specifications as data: the one description of a sweep.
 //!
 //! A [`SpecFile`] holds named axes ([`AxisSpec`]) and named constraints
 //! ([`ConstraintSpec`]) as plain values, so an experiment is a checked-in
-//! JSON file instead of a Rust binary.  Lowering ([`SpecFile::lower`])
-//! produces the existing [`Axis`]/closure machinery, so expansion,
-//! deduplication, sharding and the compile cache are untouched — the two
-//! APIs can never diverge in semantics.
+//! JSON file instead of a Rust binary.  Each axis kind's value labels and
+//! machine change, and each constraint's predicate, are written once, here.
+//! Lowering ([`SpecFile::lower`]) validates the spec and splits the
+//! `benchmarks` job subset from the machine axes and constraints, which
+//! [`SweepSpec::expand`] turns into named, deduplicated design points.
 //!
 //! The canonical serialization ([`SpecFile::canonical`]) is deterministic
 //! (fixed key order, compact rendering), which makes the content hash
@@ -30,13 +30,13 @@
 //! ```
 
 use vmv_kernels::Benchmark;
-use vmv_machine::{gen, IsaSupport};
+use vmv_machine::{gen, IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
 
 use crate::fingerprint::fnv1a64;
 use crate::json::{Json, JsonError};
 use crate::pareto::hardware_cost;
-use crate::spec::{parse_shard, Axis, SweepSpec};
+use crate::spec::{parse_shard, Draft, SweepSpec};
 
 /// One serializable sweep axis: a machine/memory knob plus the values to
 /// sweep, or the benchmark subset to run at every design point.
@@ -326,29 +326,61 @@ impl AxisSpec {
         Ok(spec)
     }
 
-    /// Lower onto the closure-based expansion machinery.  `None` for the
-    /// `benchmarks` pseudo-axis, which selects jobs rather than mutating the
-    /// machine draft.  Crate-visible so the spec lint can enumerate the
-    /// declared value labels without re-implementing the label scheme.
-    pub(crate) fn lower(&self) -> Option<Axis> {
+    /// The label of each value, as point names and sensitivity reports
+    /// show it.  The `benchmarks` pseudo-axis labels its values with the
+    /// benchmark names, though they never reach a point.
+    pub(crate) fn labels(&self) -> Vec<String> {
+        fn each<T: Copy>(values: &[T], label: impl Fn(T) -> String) -> Vec<String> {
+            values.iter().map(|&v| label(v)).collect()
+        }
         match self {
-            AxisSpec::Isa(v) => Some(Axis::isa(v)),
-            AxisSpec::IssueWidth(v) => Some(Axis::issue_width(v)),
-            AxisSpec::VectorUnits(v) => Some(Axis::vector_units(v)),
-            AxisSpec::VectorLanes(v) => Some(Axis::vector_lanes(v)),
-            AxisSpec::L2PortElems(v) => Some(Axis::l2_port_elems(v)),
-            AxisSpec::L1Size(v) => Some(Axis::l1_size(v)),
-            AxisSpec::L2Size(v) => Some(Axis::l2_size(v)),
-            AxisSpec::L1Assoc(v) => Some(Axis::l1_assoc(v)),
-            AxisSpec::L2Assoc(v) => Some(Axis::l2_assoc(v)),
-            AxisSpec::L1Line(v) => Some(Axis::l1_line(v)),
-            AxisSpec::L2Line(v) => Some(Axis::l2_line(v)),
-            AxisSpec::L2Banks(v) => Some(Axis::l2_banks(v)),
-            AxisSpec::L2Latency(v) => Some(Axis::l2_latency(v)),
-            AxisSpec::MemLatency(v) => Some(Axis::mem_latency(v)),
-            AxisSpec::MemoryModel(v) => Some(Axis::memory_model(v)),
-            AxisSpec::Chaining(v) => Some(Axis::chaining(v)),
-            AxisSpec::Benchmarks(_) => None,
+            AxisSpec::Isa(v) => each(v, |i| isa_name(i).to_string()),
+            AxisSpec::IssueWidth(v) => each(v, |w| format!("{w}w")),
+            AxisSpec::VectorUnits(v) => each(v, |n| format!("vu{n}")),
+            AxisSpec::VectorLanes(v) => each(v, |n| format!("ln{n}")),
+            AxisSpec::L2PortElems(v) => each(v, |n| format!("pe{n}")),
+            AxisSpec::L1Size(v) => each(v, |b| format!("l1:{}K", b / 1024)),
+            AxisSpec::L2Size(v) => each(v, |b| format!("l2:{}K", b / 1024)),
+            AxisSpec::L1Assoc(v) => each(v, |n| format!("l1a{n}")),
+            AxisSpec::L2Assoc(v) => each(v, |n| format!("l2a{n}")),
+            AxisSpec::L1Line(v) => each(v, |b| format!("l1ln{b}")),
+            AxisSpec::L2Line(v) => each(v, |b| format!("l2ln{b}")),
+            AxisSpec::L2Banks(v) => each(v, |n| format!("bk{n}")),
+            AxisSpec::L2Latency(v) => each(v, |c| format!("l2lat{c}")),
+            AxisSpec::MemLatency(v) => each(v, |c| format!("dram{c}")),
+            AxisSpec::MemoryModel(v) => each(v, |m| model_name(m).to_string()),
+            AxisSpec::Chaining(v) => each(v, |on| if on { "chain" } else { "nochain" }.into()),
+            AxisSpec::Benchmarks(v) => each(v, |b| b.name().to_string()),
+        }
+    }
+
+    /// Apply value `i` of this axis to a draft machine.
+    pub(crate) fn apply(&self, i: usize, d: &mut Draft) {
+        match self {
+            AxisSpec::Isa(v) => d.gen.isa = v[i],
+            AxisSpec::IssueWidth(v) => d.gen.issue_width = v[i],
+            AxisSpec::VectorUnits(v) => d.gen.vector_units = v[i],
+            AxisSpec::VectorLanes(v) => d.gen.vector_lanes = v[i],
+            AxisSpec::L2PortElems(v) => d.gen.l2_port_elems = v[i],
+            AxisSpec::L1Size(v) => d.memory.l1_size = v[i],
+            AxisSpec::L2Size(v) => d.memory.l2_size = v[i],
+            AxisSpec::L1Assoc(v) => d.memory.l1_assoc = v[i],
+            AxisSpec::L2Assoc(v) => d.memory.l2_assoc = v[i],
+            AxisSpec::L1Line(v) => d.memory.l1_line = v[i],
+            AxisSpec::L2Line(v) => d.memory.l2_line = v[i],
+            AxisSpec::L2Banks(v) => d.memory.l2_banks = v[i],
+            // The scheduler's assumed vector-memory latency moves in
+            // lock-step with the L2 hit latency (the paper's Fig. 4 example).
+            AxisSpec::L2Latency(v) => {
+                d.memory.l2_latency = v[i];
+                d.latencies.vec_mem = v[i];
+            }
+            AxisSpec::MemLatency(v) => d.memory.mem_latency = v[i],
+            AxisSpec::MemoryModel(v) => d.model = v[i],
+            // Overrides the ISA family's default via `GenParams::chaining`.
+            AxisSpec::Chaining(v) => d.gen.chaining = Some(v[i]),
+            // Selects the jobs, not the machine.
+            AxisSpec::Benchmarks(_) => {}
         }
     }
 }
@@ -428,8 +460,7 @@ fn expand_range(name: &str, range: &Json) -> Result<Vec<Json>, SpecError> {
     Ok((0..count).map(|i| Json::u64(from + i * step)).collect())
 }
 
-/// One serializable, named constraint.  Lowering produces the same predicate
-/// closures the builder API takes.
+/// One serializable, named constraint: a predicate on design points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConstraintSpec {
     /// Total lane budget: `vector_units × vector_lanes <= max`.
@@ -497,20 +528,13 @@ impl ConstraintSpec {
         }
     }
 
-    /// Attach this constraint to a [`SweepSpec`] under its display name.
-    fn lower(&self, spec: SweepSpec) -> SweepSpec {
+    /// Whether the design point `m` satisfies this constraint; expansion
+    /// drops the points where it does not.
+    pub(crate) fn admits(&self, m: &MachineConfig) -> bool {
         match *self {
-            ConstraintSpec::LaneBudget { max } => spec.constraint(
-                &format!("lane budget: units x lanes <= {max}"),
-                move |m, _| m.vector_units as u32 * m.vector_lanes <= max,
-            ),
-            ConstraintSpec::MaxCost { max } => spec
-                .constraint(&format!("hardware cost <= {max}"), move |m, _| {
-                    hardware_cost(m) <= max
-                }),
-            ConstraintSpec::VectorIsaOnly => spec.constraint("vector ISA only", |m, _| {
-                matches!(m.isa, IsaSupport::Vector)
-            }),
+            ConstraintSpec::LaneBudget { max } => m.vector_units as u32 * m.vector_lanes <= max,
+            ConstraintSpec::MaxCost { max } => hardware_cost(m) <= max,
+            ConstraintSpec::VectorIsaOnly => matches!(m.isa, IsaSupport::Vector),
         }
     }
 }
@@ -622,8 +646,8 @@ impl From<JsonError> for SpecError {
     }
 }
 
-/// A [`SpecFile`] lowered onto the execution machinery: the closure-based
-/// [`SweepSpec`] plus the benchmark subset its jobs run.
+/// A validated [`SpecFile`] split for execution: the machine axes and
+/// constraints to expand, and the benchmark subset every point runs.
 pub struct LoweredSpec {
     pub spec: SweepSpec,
     pub benchmarks: Vec<Benchmark>,
@@ -806,30 +830,26 @@ impl SpecFile {
         }
     }
 
-    /// Lower onto the closure-based machinery: every machine/memory axis
-    /// becomes an [`Axis`] (in declaration order), constraints become named
-    /// predicates, and the `benchmarks` pseudo-axis becomes the job subset
-    /// (all six when absent).
+    /// Validate the spec and split it for execution: the machine axes (in
+    /// declaration order) and the constraints form the [`SweepSpec`], and
+    /// the `benchmarks` pseudo-axis becomes the job subset (all six when
+    /// absent).  This is the only way to get a [`SweepSpec`].
     pub fn lower(&self) -> Result<LoweredSpec, SpecError> {
         self.validate()?;
-        let mut spec = SweepSpec::new();
-        let mut benchmarks: Option<Vec<Benchmark>> = None;
+        let mut benchmarks = Benchmark::ALL.to_vec();
+        let mut axes = Vec::with_capacity(self.axes.len());
         for axis in &self.axes {
-            match axis.lower() {
-                Some(lowered) => spec = spec.axis(lowered),
-                None => {
-                    if let AxisSpec::Benchmarks(subset) = axis {
-                        benchmarks = Some(subset.clone());
-                    }
-                }
+            match axis {
+                AxisSpec::Benchmarks(subset) => benchmarks = subset.clone(),
+                machine => axes.push(machine.clone()),
             }
         }
-        for constraint in &self.constraints {
-            spec = constraint.lower(spec);
-        }
         Ok(LoweredSpec {
-            spec,
-            benchmarks: benchmarks.unwrap_or_else(|| Benchmark::ALL.to_vec()),
+            spec: SweepSpec {
+                axes,
+                constraints: self.constraints.clone(),
+            },
+            benchmarks,
         })
     }
 
@@ -925,38 +945,6 @@ mod tests {
         let mut unconstrained = demo.clone();
         unconstrained.constraints.clear();
         assert_ne!(unconstrained.fingerprint(), demo.fingerprint());
-    }
-
-    #[test]
-    fn lowering_matches_the_builder_api_exactly() {
-        // The hand-built demo spec of the pre-declarative sweep binary.
-        let handwritten = SweepSpec::new()
-            .axis(Axis::issue_width(&[2, 4]))
-            .axis(Axis::vector_units(&[1, 2, 4]))
-            .axis(Axis::vector_lanes(&[1, 2, 4, 8, 16]))
-            .axis(Axis::l2_size(&[128 * 1024, 256 * 1024]))
-            .axis(Axis::mem_latency(&[100, 500]))
-            .constraint("lane budget: units x lanes <= 32", |m, _| {
-                m.vector_units as u32 * m.vector_lanes <= 32
-            })
-            .expand();
-        let lowered = SpecFile::demo().lower().unwrap();
-        assert_eq!(
-            lowered.benchmarks,
-            vec![Benchmark::GsmDec, Benchmark::GsmEnc]
-        );
-        let e = lowered.spec.expand();
-        assert_eq!(e.raw, handwritten.raw);
-        assert_eq!(e.rejected, handwritten.rejected);
-        assert_eq!(e.points.len(), handwritten.points.len());
-        for (a, b) in e.points.iter().zip(&handwritten.points) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.model, b.model);
-            assert_eq!(
-                crate::fingerprint::full_fingerprint(&a.machine),
-                crate::fingerprint::full_fingerprint(&b.machine)
-            );
-        }
     }
 
     #[test]

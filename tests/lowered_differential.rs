@@ -75,8 +75,10 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
                 for (addr, bytes) in &prepared.build.init {
                     sim.mem.write_bytes(*addr, bytes);
                 }
-                sim.run_lowered_recording(&prepared.lowered)
-                    .expect("recording run")
+                let (stats, trace, _) = sim
+                    .run_lowered_recording(&prepared.lowered, None)
+                    .expect("recording run");
+                (stats, trace)
             };
             let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
             let mut variants = vec![
@@ -171,8 +173,14 @@ fn profiler_attribution_contract_on_all_presets() {
                     for (addr, bytes) in &prepared.build.init {
                         sim.mem.write_bytes(*addr, bytes);
                     }
-                    sim.run_lowered_recording_profiled(&prepared.lowered, &statics)
-                        .expect("profiled recording run")
+                    let (stats, trace, profile) = sim
+                        .run_lowered_recording(&prepared.lowered, Some(&statics))
+                        .expect("profiled recording run");
+                    (
+                        stats,
+                        trace,
+                        profile.expect("a profiled run returns its profile"),
+                    )
                 })
                 .collect();
             let trace = &lowered[0].1;

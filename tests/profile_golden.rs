@@ -98,9 +98,17 @@ fn profiled_runs_return_bit_identical_stats() {
         let model = models[next(models.len())];
         let prepared = vmv::core::prepare(benchmark, machine).expect("prepare");
         let plain = vmv::core::simulate(&prepared, machine, model).expect("simulate");
-        let (mut outcomes, mut profiles) =
-            vmv::core::simulate_batch_profiled(&prepared, &[(machine, model)])
-                .expect("simulate profiled");
+        let vmv::core::ScheduleRun {
+            mut outcomes,
+            mut profiles,
+            ..
+        } = vmv::core::simulate_schedule(
+            prepared.schedule(),
+            &[(machine, model)],
+            vmv::core::TraceFrom::FirstRun,
+            true,
+        )
+        .expect("simulate profiled");
         let (profiled, profile) = (outcomes.remove(0), profiles.remove(0));
         assert_eq!(
             plain.stats, profiled.stats,

@@ -1,13 +1,16 @@
 //! Round-trip guarantees of the declarative sweep API: a spec file that is
 //! serialized, re-parsed and lowered must describe *exactly* the same
 //! experiment — same point count, same point names, same content-derived
-//! run keys — as the original (and as the legacy closure-built spec it
-//! replaced), and malformed spec files must fail with actionable messages.
+//! run keys — as the original, the expansions of the committed specs must
+//! match their golden digests, and malformed spec files must fail with
+//! actionable messages.
 
 use vector_usimd_vliw as vmv;
 use vmv::kernels::Benchmark;
+use vmv::machine::IsaSupport;
+use vmv::mem::MemoryModel;
 use vmv::sweep::specfile::{AxisSpec, ConstraintSpec, SpecDefaults, SpecFile};
-use vmv::sweep::{run_key, Axis, LoweredSpec, SweepSpec};
+use vmv::sweep::{fnv1a64, full_fingerprint, run_key, LoweredSpec};
 
 /// Every `(point, benchmark)` run key of a lowered spec, in job order.
 fn run_keys(lowered: &LoweredSpec) -> Vec<String> {
@@ -24,30 +27,17 @@ fn run_keys(lowered: &LoweredSpec) -> Vec<String> {
         .collect()
 }
 
-/// The demo spec file must be indistinguishable — run key for run key —
-/// from the closure-built spec the pre-declarative sweep binary hardcoded.
-/// This is the "--demo results are bit-identical" guarantee: same keys mean
-/// the same machines, models and benchmarks, so the simulator produces the
-/// same records.
+/// The demo spec file keeps the 112 points of the sweep the
+/// pre-declarative binary hardcoded (`expansions_match_the_golden_digests`
+/// pins every one of them), and its run keys survive serialization.
 #[test]
 fn demo_spec_file_reproduces_the_legacy_hardcoded_sweep() {
-    let legacy = SweepSpec::new()
-        .axis(Axis::issue_width(&[2, 4]))
-        .axis(Axis::vector_units(&[1, 2, 4]))
-        .axis(Axis::vector_lanes(&[1, 2, 4, 8, 16]))
-        .axis(Axis::l2_size(&[128 * 1024, 256 * 1024]))
-        .axis(Axis::mem_latency(&[100, 500]))
-        .constraint("lane budget: units x lanes <= 32", |m, _| {
-            m.vector_units as u32 * m.vector_lanes <= 32
-        });
-    let legacy_lowered = LoweredSpec {
-        spec: legacy,
-        benchmarks: vec![Benchmark::GsmDec, Benchmark::GsmEnc],
-    };
-
     let demo = SpecFile::demo();
     let lowered = demo.lower().expect("demo spec lowers");
-    assert_eq!(run_keys(&lowered), run_keys(&legacy_lowered));
+    assert_eq!(
+        lowered.benchmarks,
+        vec![Benchmark::GsmDec, Benchmark::GsmEnc]
+    );
     assert_eq!(lowered.spec.expand().points.len(), 112);
 
     // ... and serialization round-trips preserve all of it.
@@ -113,32 +103,53 @@ impl Rng {
     }
 }
 
+/// A random spec over every axis kind and every constraint kind.  Each
+/// axis appears with probability 1/2 and at most two values, from small
+/// pools, so an expansion stays cheap (a few dozen points on average).
 fn random_spec(rng: &mut Rng) -> SpecFile {
+    let all_axes: [fn(&mut Rng) -> AxisSpec; 17] = [
+        |r| {
+            AxisSpec::Isa(r.subset(
+                &[IsaSupport::Vliw, IsaSupport::Usimd, IsaSupport::Vector],
+                2,
+            ))
+        },
+        |r| AxisSpec::IssueWidth(r.subset(&[2usize, 4, 8, 16], 2)),
+        |r| AxisSpec::VectorUnits(r.subset(&[1usize, 2, 4], 2)),
+        |r| AxisSpec::VectorLanes(r.subset(&[1u32, 2, 4, 8, 16], 2)),
+        |r| AxisSpec::L2PortElems(r.subset(&[2u32, 4, 8], 2)),
+        |r| AxisSpec::L1Size(r.subset(&[8 * 1024, 16 * 1024, 32 * 1024], 2)),
+        |r| AxisSpec::L2Size(r.subset(&[128 * 1024, 256 * 1024], 2)),
+        |r| AxisSpec::L1Assoc(r.subset(&[1usize, 2, 4], 2)),
+        |r| AxisSpec::L2Assoc(r.subset(&[2usize, 4, 8], 2)),
+        |r| AxisSpec::L1Line(r.subset(&[16usize, 32, 64], 2)),
+        |r| AxisSpec::L2Line(r.subset(&[32usize, 64, 128], 2)),
+        |r| AxisSpec::L2Banks(r.subset(&[1usize, 2, 4], 2)),
+        |r| AxisSpec::L2Latency(r.subset(&[3u32, 5, 9], 2)),
+        |r| AxisSpec::MemLatency(r.subset(&[100u32, 300, 500], 2)),
+        |r| AxisSpec::MemoryModel(r.subset(&[MemoryModel::Perfect, MemoryModel::Realistic], 2)),
+        |r| AxisSpec::Chaining(r.subset(&[true, false], 2)),
+        |r| AxisSpec::Benchmarks(r.subset(&Benchmark::ALL, 3)),
+    ];
     let mut axes: Vec<AxisSpec> = Vec::new();
-    // Small value pools keep expansion cheap (≤ a few dozen points).
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::IssueWidth(rng.subset(&[2usize, 4, 8, 16], 2)));
-    }
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::VectorLanes(rng.subset(&[1u32, 2, 4, 8, 16], 2)));
-    }
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::L2Size(rng.subset(&[128 * 1024, 256 * 1024], 2)));
-    }
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::MemLatency(rng.subset(&[100u32, 300, 500], 2)));
-    }
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::Chaining(rng.subset(&[true, false], 2)));
-    }
-    if rng.next().is_multiple_of(2) {
-        axes.push(AxisSpec::Benchmarks(rng.subset(&Benchmark::ALL, 3)));
+    for draw in all_axes {
+        if rng.next().is_multiple_of(2) {
+            axes.push(draw(rng));
+        }
     }
     let mut constraints = Vec::new();
     if rng.next().is_multiple_of(3) {
         constraints.push(ConstraintSpec::LaneBudget {
             max: *rng.pick(&[4u32, 16, 32]),
         });
+    }
+    if rng.next().is_multiple_of(3) {
+        constraints.push(ConstraintSpec::MaxCost {
+            max: *rng.pick(&[60.0, 120.5, 400.0]),
+        });
+    }
+    if rng.next().is_multiple_of(3) {
+        constraints.push(ConstraintSpec::VectorIsaOnly);
     }
     SpecFile {
         name: format!("prop_{}", rng.next() % 1000),
@@ -219,4 +230,91 @@ fn malformed_spec_files_fail_with_actionable_messages() {
         "should list the known benchmarks: {}",
         bad_bench.message
     );
+}
+
+/// The spec `specfile::tests::every_axis_variant_round_trips` builds: every
+/// axis kind and every constraint kind in one file.
+fn every_axis_spec() -> SpecFile {
+    SpecFile {
+        name: "everything".to_string(),
+        axes: vec![
+            AxisSpec::Isa(vec![
+                IsaSupport::Vliw,
+                IsaSupport::Usimd,
+                IsaSupport::Vector,
+            ]),
+            AxisSpec::IssueWidth(vec![2, 16]),
+            AxisSpec::VectorUnits(vec![1, 2]),
+            AxisSpec::VectorLanes(vec![4]),
+            AxisSpec::L2PortElems(vec![4, 8]),
+            AxisSpec::L1Size(vec![16 * 1024]),
+            AxisSpec::L2Size(vec![256 * 1024]),
+            AxisSpec::L1Assoc(vec![2, 4]),
+            AxisSpec::L2Assoc(vec![4]),
+            AxisSpec::L1Line(vec![32]),
+            AxisSpec::L2Line(vec![64, 128]),
+            AxisSpec::L2Banks(vec![2, 4]),
+            AxisSpec::L2Latency(vec![5, 9]),
+            AxisSpec::MemLatency(vec![100]),
+            AxisSpec::MemoryModel(vec![MemoryModel::Perfect, MemoryModel::Realistic]),
+            AxisSpec::Chaining(vec![true, false]),
+            AxisSpec::Benchmarks(Benchmark::ALL.to_vec()),
+        ],
+        constraints: vec![
+            ConstraintSpec::LaneBudget { max: 32 },
+            ConstraintSpec::MaxCost { max: 250.5 },
+            ConstraintSpec::VectorIsaOnly,
+        ],
+        defaults: SpecDefaults::default(),
+    }
+}
+
+/// `name digest` of one spec's expansion: FNV-1a over its raw, rejected and
+/// duplicate counts, then one line per point with its name, labels, memory
+/// model and full machine fingerprint.
+fn expansion_line(spec: &SpecFile) -> String {
+    let expansion = spec.lower().expect("spec lowers").spec.expand();
+    let mut text = format!(
+        "raw {} rejected {} duplicates {}\n",
+        expansion.raw, expansion.rejected, expansion.duplicates
+    );
+    for p in &expansion.points {
+        let labels: Vec<String> = p.labels.iter().map(|(a, l)| format!("{a}={l}")).collect();
+        text.push_str(&format!(
+            "{} [{}] {:?} {}\n",
+            p.name,
+            labels.join(","),
+            p.model,
+            full_fingerprint(&p.machine)
+        ));
+    }
+    format!("{} {:016x}\n", spec.name, fnv1a64(text.as_bytes()))
+}
+
+/// Every point of the demo, the committed specs and the all-axes spec —
+/// names, labels, models and machines — plus what expansion filtered, must
+/// match the committed digests.  Regenerate after an intentional change to
+/// the expansion with `UPDATE_GOLDENS=1 cargo test --test spec_roundtrip`.
+#[test]
+fn expansions_match_the_golden_digests() {
+    let mut specs = vec![SpecFile::demo()];
+    for rel in [
+        "examples/specs/latency_tolerance.json",
+        "examples/specs/cache_geometry.json",
+        "examples/specs/wider_issue.json",
+    ] {
+        let text = std::fs::read_to_string(rel).expect(rel);
+        specs.push(SpecFile::parse(&text).unwrap_or_else(|e| panic!("{rel}: {e}")));
+    }
+    specs.push(every_axis_spec());
+    let actual: String = specs.iter().map(expansion_line).collect();
+
+    let path = "tests/golden/spec_expansions.txt";
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("missing golden {path} ({e}) — run with UPDATE_GOLDENS=1"));
+    assert_eq!(actual, expected, "spec expansions differ from {path}");
 }

@@ -8,8 +8,7 @@
 
 use vector_usimd_vliw as vmv;
 use vmv::core::{
-    prepare, simulate_batch, simulate_batch_profiled, simulate_fresh, simulate_schedule,
-    variant_for, TraceFrom,
+    prepare, simulate_batch, simulate_fresh, simulate_schedule, variant_for, TraceFrom,
 };
 use vmv::kernels::rng::SmallRng;
 use vmv::kernels::{Benchmark, IsaVariant};
@@ -50,8 +49,8 @@ fn record(
     model: MemoryModel,
 ) -> (vmv::core::Prepared, vmv::sim::RunStats, Trace) {
     let prepared = prepare(bench, machine).expect("prepares");
-    let (stats, trace) = simulator(&prepared, machine, model, MAX_CYCLES)
-        .run_lowered_recording(&prepared.lowered)
+    let (stats, trace, _) = simulator(&prepared, machine, model, MAX_CYCLES)
+        .run_lowered_recording(&prepared.lowered, None)
         .expect("recording run");
     (prepared, stats, trace)
 }
@@ -568,9 +567,14 @@ fn one_recording_retimes_every_schedule_of_its_program_exactly() {
             .unwrap_or_else(|e| panic!("{}: {e}", what(MemoryModel::Perfect)));
             assert!(plain.recording.is_none() && plain.profiles.is_empty());
             for (i, &(_, model)) in variants.iter().enumerate() {
-                let (mut fresh, mut fresh_profile) =
-                    simulate_batch_profiled(&prepared, &variants[i..=i]).unwrap();
-                let (fresh, fresh_profile) = (fresh.remove(0), fresh_profile.remove(0));
+                let mut fresh = simulate_schedule(
+                    prepared.schedule(),
+                    &variants[i..=i],
+                    TraceFrom::FirstRun,
+                    true,
+                )
+                .unwrap();
+                let (fresh, fresh_profile) = (fresh.outcomes.remove(0), fresh.profiles.remove(0));
                 assert!(fresh.check_failures.is_empty(), "{}", what(model));
                 assert_eq!(plain.outcomes[i].stats, fresh.stats, "{}", what(model));
                 assert_eq!(profiled.outcomes[i].stats, fresh.stats, "{}", what(model));
