@@ -24,6 +24,11 @@
 //! file alone says which experiment it answers; re-running with the same
 //! `--out` skips every completed run key.
 //!
+//! A run that fails is reported on a `FAILED:` line and the rest of the
+//! sweep goes on; after the store, the analyses and any `--json` or
+//! `--metrics` artifact are written, the process exits 1 if any run failed
+//! (exit 2 is for usage errors and a failed `--check`).
+//!
 //! `--merge` unions JSONL shard files (e.g. from per-machine distributed
 //! sweeps) into `--out` by content-derived run key, warning when shard
 //! spec headers disagree; `--compact` drops superseded duplicate keys from
@@ -81,7 +86,12 @@ fn usage() {
          \x20               per completed run into DIR (default:\n\
          \x20               <out>.profiles/); render with `report profile`\n\
          --progress      ~1 Hz heartbeat on stderr: done/total runs, runs/s,\n\
-         \x20               cache hit rate, ETA"
+         \x20               cache hit rate, ETA\n\
+         \n\
+         A run that fails prints a FAILED line and does not stop the sweep;\n\
+         once the store, the analyses and any --json/--metrics artifact are\n\
+         written, the sweep exits 1 if any run failed.  Usage and --check\n\
+         errors exit 2."
     );
 }
 
@@ -478,5 +488,8 @@ fn main() {
             ),
             None => println!("wrote metrics snapshot to {path}"),
         }
+    }
+    if !report.errors.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -26,10 +26,12 @@
 //! every variant is retimed from a recording another schedule of the
 //! program made.  [`simulate_batch`] is its one-schedule case, with the trace living
 //! only as long as the call, and [`simulate`] the one-variant case, so
-//! [`run_one`] executes without recording.  [`Suite`] (and so `repro`) runs
-//! by program: each `(benchmark, ISA variant)` executes and records on its
-//! first machine, and every other machine of its ISA is retimed from that
-//! recording.
+//! [`run_one`] executes without recording.
+//!
+//! [`ProgramRunner`] holds the one recording policy across a program's
+//! schedules.  [`Suite`] (and so `repro`) and the sweep executor
+//! (`vmv_sweep::run_sweep`) both hand out whole programs to their workers
+//! and run each through one runner.
 //!
 //! Trust: a variant retimed from another schedule's recording reports that
 //! recording's output checks.  That the two schedules compute the same
@@ -105,8 +107,7 @@ pub fn variant_from_name(name: &str) -> Option<IsaVariant> {
 /// A benchmark compiled for one machine: the static schedule, its lowered
 /// executable form, and the initial memory image and output checks.  Plain
 /// immutable data, so it can be shared and re-simulated under many memory
-/// models without rescheduling *or* re-lowering — the sweep executor builds
-/// one per schedule-key group and drops it when the group finishes.
+/// models without rescheduling *or* re-lowering.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub benchmark: Benchmark,
@@ -405,6 +406,146 @@ pub fn run_one(
     simulate(&prepared, machine, model)
 }
 
+/// One run a [`ProgramRunner`] made: its outcome and, when profiling, the
+/// profile that explains its cycles.
+pub type ProgramRun = (RunOutcome, Option<Profile>);
+
+/// Every run of one program, `(benchmark, ISA variant)`, whatever schedule
+/// it runs on: the program is built once, executes once, and every other
+/// run is retimed from that execution's [`Recording`].  [`Suite`] and the
+/// sweep executor (`vmv_sweep::run_sweep`) both run their programs through
+/// it, one [`ProgramRunner::run`] call per lowered schedule; the build and
+/// the recording are freed with the runner.
+pub struct ProgramRunner {
+    benchmark: Benchmark,
+    variant: IsaVariant,
+    build: BenchmarkBuild,
+    recording: Option<Recording>,
+    /// Runs of the program not yet handed to [`ProgramRunner::run`].
+    unstarted: usize,
+    /// See [`ProgramRunner::retimed`].
+    retimed: (usize, usize),
+}
+
+impl ProgramRunner {
+    /// Build `benchmark` in `variant` for a program of `runs` runs.
+    pub fn new(benchmark: Benchmark, variant: IsaVariant, runs: usize) -> ProgramRunner {
+        ProgramRunner {
+            benchmark,
+            variant,
+            build: benchmark.build(variant),
+            recording: None,
+            unstarted: runs,
+            retimed: (0, 0),
+        }
+    }
+
+    /// The program's build, which each of its schedules is compiled from.
+    pub fn build(&self) -> &BenchmarkBuild {
+        &self.build
+    }
+
+    /// Variants retimed from the recording so far, and the batched walks
+    /// that retimed them.
+    pub fn retimed(&self) -> (usize, usize) {
+        self.retimed
+    }
+
+    /// Run `variants` on `lowered`, one schedule of the program, with one
+    /// result per variant, in order; `profile` adds each run's profile.
+    ///
+    /// While the program has no recording, the next variant executes alone,
+    /// recording its trace when any run of the program follows it, and the
+    /// recording is kept whatever happens later; a program with a single
+    /// run records nothing.  Every other variant is retimed from the
+    /// recording in one batched walk, and a walk that fails is retried
+    /// variant by variant, so only the variants that fail on their own
+    /// report an error.  A panic (e.g. a cache geometry the memory model
+    /// rejects) becomes an error carrying the panic's message.
+    pub fn run(
+        &mut self,
+        lowered: &vmv_sched::LoweredProgram,
+        variants: &[(&MachineConfig, MemoryModel)],
+        profile: bool,
+    ) -> Vec<Result<ProgramRun, ExperimentError>> {
+        let schedule = Schedule {
+            benchmark: self.benchmark,
+            variant: self.variant,
+            build: &self.build,
+            lowered,
+        };
+        self.unstarted = self.unstarted.saturating_sub(variants.len());
+        let mut results = Vec::with_capacity(variants.len());
+        while self.recording.is_none() && results.len() < variants.len() {
+            let n = results.len();
+            let trace = if n + 1 < variants.len() || self.unstarted > 0 {
+                TraceFrom::FirstRunRecorded
+            } else {
+                TraceFrom::FirstRun
+            };
+            let run = guarded(schedule, &variants[n..=n], trace, profile).map(|mut run| {
+                self.recording = run.recording.take();
+                run.runs().next().expect("one run per variant")
+            });
+            results.push(run);
+        }
+        let rest = &variants[results.len()..];
+        let Some(recording) = self.recording.as_ref().filter(|_| !rest.is_empty()) else {
+            return results;
+        };
+        let mut walk = |variants: &[(&MachineConfig, MemoryModel)]| {
+            let run = guarded(schedule, variants, TraceFrom::Recording(recording), profile)?;
+            self.retimed.0 += variants.len();
+            self.retimed.1 += 1;
+            Ok(run.runs())
+        };
+        match walk(rest) {
+            Ok(runs) => results.extend(runs.map(Ok)),
+            Err(e) if rest.len() == 1 => results.push(Err(e)),
+            Err(_) => results.extend(rest.iter().map(|variant| {
+                walk(std::slice::from_ref(variant))
+                    .map(|mut runs| runs.next().expect("one run per variant"))
+            })),
+        }
+        results
+    }
+}
+
+impl ScheduleRun {
+    /// Each outcome with its profile, if any.
+    fn runs(self) -> impl Iterator<Item = ProgramRun> {
+        let mut profiles = self.profiles.into_iter();
+        self.outcomes
+            .into_iter()
+            .map(move |outcome| (outcome, profiles.next()))
+    }
+}
+
+/// [`simulate_schedule`], with a panic returned as the call's error.
+fn guarded(
+    schedule: Schedule<'_>,
+    variants: &[(&MachineConfig, MemoryModel)],
+    trace: TraceFrom<'_>,
+    profile: bool,
+) -> Result<ScheduleRun, ExperimentError> {
+    std::panic::catch_unwind(|| simulate_schedule(schedule, variants, trace, profile))
+        .unwrap_or_else(|panic| Err(ExperimentError::Simulation(panic_message(&*panic))))
+}
+
+/// `panicked: <message>` for a caught panic's payload.  Pass the payload
+/// itself (`&*payload` of the box `catch_unwind` returns): a `&Box<dyn
+/// Any>` would coerce to a `dyn Any` of the box, which neither downcast
+/// matches.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        format!("panicked: {s}")
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        format!("panicked: {s}")
+    } else {
+        "panicked".to_string()
+    }
+}
+
 /// One program of a [`Suite`] call, `(benchmark, variant_for(machine))`,
 /// with its jobs: (index in the outcome order, machine), in input order.
 struct Program<'m> {
@@ -414,41 +555,24 @@ struct Program<'m> {
 }
 
 impl Program<'_> {
-    /// Run the program on each of its jobs' machines, pushing `(job,
-    /// outcome)` pairs: build it once, then for each machine schedule and
-    /// lower it, free the compiled form, and simulate.  The first machine
-    /// that runs executes, recording its trace when a later machine will use
-    /// it; every later machine is retimed from that recording.  A failure
-    /// fails only its own job, and until a recording exists each machine
-    /// executes.
+    /// Run the program on each of its jobs' machines through one
+    /// [`ProgramRunner`], pushing `(job, outcome)` pairs: each machine
+    /// compiles its schedule from the runner's build and frees the compiled
+    /// form before it runs.  A failure fails only its own job.
     fn run(
         &self,
         model: MemoryModel,
         done: &mut Vec<(usize, Result<RunOutcome, ExperimentError>)>,
     ) {
-        let build = self.benchmark.build(self.variant);
-        let mut recording = None;
-        for (n, &(job, machine)) in self.jobs.iter().enumerate() {
-            let run = compile_and_lower(&build, machine).and_then(|(compiled, lowered)| {
+        let mut runner = ProgramRunner::new(self.benchmark, self.variant, self.jobs.len());
+        for &(job, machine) in &self.jobs {
+            let compiled = compile_and_lower(runner.build(), machine);
+            let outcome = compiled.and_then(|(compiled, lowered)| {
                 drop(compiled);
-                let trace = match &recording {
-                    Some(recording) => TraceFrom::Recording(recording),
-                    None if n + 1 < self.jobs.len() => TraceFrom::FirstRunRecorded,
-                    None => TraceFrom::FirstRun,
-                };
-                let schedule = Schedule {
-                    benchmark: self.benchmark,
-                    variant: self.variant,
-                    build: &build,
-                    lowered: &lowered,
-                };
-                simulate_schedule(schedule, &[(machine, model)], trace, false)
-            });
-            let outcome = run.map(|mut run| {
-                if run.recording.is_some() {
-                    recording = run.recording;
-                }
-                run.outcomes.pop().expect("one outcome per variant")
+                let mut runs = runner.run(&lowered, &[(machine, model)], false);
+                runs.pop()
+                    .expect("one result per variant")
+                    .map(|(outcome, _)| outcome)
             });
             done.push((job, outcome));
         }
@@ -473,11 +597,12 @@ impl Suite {
     /// Run all benchmarks on all configurations, distributing the programs
     /// over `workers` threads (the simulator is single-threaded per run).
     ///
-    /// The unit of work is a program, `(benchmark, variant_for(machine))`:
-    /// it is built once, executed and recorded on its first machine, and
-    /// retimed on every other machine of its ISA from that recording (a
-    /// Table 2 call runs 18 programs for its 60 jobs).  A failed job fails
-    /// only itself, and the first error in outcome order is returned.
+    /// The unit of work is a program, `(benchmark, variant_for(machine))`,
+    /// run through one [`ProgramRunner`]: it is built once, executed and
+    /// recorded on its first machine, and retimed on every other machine of
+    /// its ISA from that recording (a Table 2 call runs 18 programs for its
+    /// 60 jobs).  A failed or panicking job fails only itself, and the
+    /// first error in outcome order is returned.
     ///
     /// The outcome order is deterministic and independent of the worker
     /// count: benchmark-major, then by position in `machines` (i.e. by

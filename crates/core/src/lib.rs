@@ -17,9 +17,9 @@ pub mod figures;
 /// The earlier name of [`simulate`], kept for callers that pin it.
 pub use experiment::simulate as simulate_fresh;
 pub use experiment::{
-    compile_and_lower, default_workers, prepare, run_one, simulate, simulate_batch,
+    compile_and_lower, default_workers, panic_message, prepare, run_one, simulate, simulate_batch,
     simulate_schedule, variant_for, variant_from_name, workers_capped, ExperimentError, Prepared,
-    Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
+    ProgramRun, ProgramRunner, Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,
@@ -101,6 +101,24 @@ mod tests {
         }
         assert_eq!(variant_from_name("mmx"), None);
         assert_eq!(variant_from_name(""), None);
+    }
+
+    #[test]
+    fn a_panicking_suite_job_is_reported_not_raised() {
+        // 48 KB of 4-way 32-byte L1 lines is 384 sets: the cache model
+        // panics when the second machine's hierarchy is built.
+        let mut bad = presets::vector2(2);
+        bad.memory.l1_size = 48 * 1024;
+        let machines = [presets::vector2(2), bad];
+        for workers in [1, 2] {
+            let err = Suite::run_with_threads(&machines, MemoryModel::Perfect, workers)
+                .expect_err("the 48 KB machine cannot run");
+            let text = err.to_string();
+            assert!(
+                text.contains("L1 cache (49152 B"),
+                "workers {workers}: {text}"
+            );
+        }
     }
 
     #[test]

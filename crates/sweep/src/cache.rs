@@ -1,8 +1,7 @@
 //! Schedule keys: each benchmark program is scheduled **once** per unique
 //! `(benchmark, ISA variant, schedule-relevant machine fields)`, and the
-//! resulting [`Prepared`] (static schedule + memory image + checks) serves
-//! every run of that key, which may vary only memory-system parameters or
-//! the memory model.
+//! resulting lowered schedule serves every run of that key, which may vary
+//! only memory-system parameters or the memory model.
 //!
 //! A sweep over cache geometries or memory latencies therefore pays the
 //! scheduler exactly once per architecture point, no matter how many memory

@@ -3,26 +3,23 @@
 //! scheduling it once per unique schedule key, and skipping jobs whose run
 //! keys are already in the result store.
 //!
-//! Jobs are dispatched in *groups*: every job sharing one schedule key
-//! ([`CompileCache::key_for`]) shares one lowered schedule, and the group is
-//! that schedule's whole lifetime.  A worker compiles it when it picks the
-//! group up and drops it as soon as the group's results are handed to the
-//! committer.  Groups run in *program-major* order — all schedule keys of
-//! one program `(benchmark, ISA variant)` in a row — and the groups of a
-//! program share one slot: the program's build, made once, and the
-//! [`Recording`] of its one execution.  The program's first group executes
-//! its first job, recording the trace when the program has other jobs, and
-//! shares the recording at once; every other job of the program, in any of
-//! its groups, is retimed from it by one batched trace walk per group
-//! ([`vmv_core::simulate_schedule`]).  Later groups compile their schedule
-//! and then block on a condition variable until the recording is settled;
-//! the slot is freed with the program's last group.  A program with one job
-//! executes without recording.  A call that fails or panics is retried job
-//! by job, preserving per-job error isolation; when the program's execution
-//! itself fails, each of its groups executes on its own.
+//! The work unit is a *program*, `(benchmark, ISA variant)`: a worker takes
+//! a whole program from one atomic index and runs it through one
+//! [`ProgramRunner`], which builds it, makes its one execution and retimes
+//! every other job of the program from that recording
+//! ([`vmv_core::ProgramRunner::run`] holds the whole recording policy).
+//! Inside a program, jobs are grouped by schedule key
+//! ([`CompileCache::key_for`]), and each group is one lowered schedule's
+//! whole lifetime: the worker compiles it, runs the group's jobs through
+//! the runner as one call (one batched trace walk), writes the group's
+//! profiles, hands the results to the committer and drops the schedule.
+//! The groups run in first-seen order, and the program's build and
+//! recording are freed with its last group.  Failures stay per job: a
+//! failed build or compile fails its jobs, and the runner retries a failed
+//! walk job by job and reports a panic with its message.
 //!
 //! There is one executor loop for every worker count: the calling thread
-//! works through groups like every helper thread and also commits results
+//! works through programs like every helper thread and also commits results
 //! in job order, so the report and the store content are deterministic
 //! (point-major, benchmark-minor) regardless of the worker count or
 //! scheduling jitter.  Program-major order means the committed prefix of
@@ -31,13 +28,15 @@
 //! is still exactly the completed prefix, so an interrupted sweep keeps a
 //! consistent store.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc;
 use std::time::Instant;
 
-use vmv_core::{simulate_schedule, Recording, Schedule, TraceFrom};
-use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
+use vmv_core::{panic_message, ExperimentError, ProgramRun, ProgramRunner};
+use vmv_kernels::{Benchmark, IsaVariant};
 use vmv_obs::{Counter, SpanKind};
 
 use crate::cache::{compile, CacheCounters, CompileCache};
@@ -113,8 +112,9 @@ pub struct SweepReport {
     /// re-derived.  Every job but one per program is retimed; a program
     /// with a single job executes.
     pub replays: usize,
-    /// Batched replay walks performed (one per group that retimes any job,
-    /// each a single pass over the program's trace).
+    /// Successful batched replay walks (one per group that retimes any job,
+    /// each a single pass over the program's trace; a retried walk counts
+    /// one per job it retimed).
     pub replay_batches: usize,
     /// Wall-clock seconds of the parallel phase.
     pub wall_seconds: f64,
@@ -250,43 +250,36 @@ pub fn run_sweep(
 
     vmv_obs::add(Counter::SweepJobsSkipped, skipped as u64);
 
-    // Group jobs by schedule key: one group = one lowered schedule, compiled
-    // when the group starts and dropped when it ends.  Groups are ordered
-    // program-major (programs in first-seen order, a program's groups in
-    // first-seen order) and keep ascending job indices.
-    let mut groups: Vec<Group> = Vec::new();
-    let mut slots: Vec<ProgramSlot> = Vec::new();
+    // Group jobs by schedule key, and the groups by program: one group is
+    // one lowered schedule, compiled when the group starts and dropped when
+    // it ends, and one program is one work unit.  Programs and each
+    // program's groups are in first-seen order; groups keep ascending job
+    // indices.
+    let mut programs: Vec<Program> = Vec::new();
     {
-        let mut index: HashMap<crate::cache::CacheKey, usize> = HashMap::new();
-        let mut programs: HashMap<(Benchmark, IsaVariant), usize> = HashMap::new();
+        let mut index: HashMap<crate::cache::CacheKey, (usize, usize)> = HashMap::new();
+        let mut program_index: HashMap<(Benchmark, IsaVariant), usize> = HashMap::new();
         for (i, job) in jobs.iter().enumerate() {
             let key = CompileCache::key_for(job.benchmark, &job.point.machine);
             let program = (key.0, key.1);
             match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].jobs.push(i),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(groups.len());
+                Entry::Occupied(e) => {
+                    let (p, g) = *e.get();
+                    programs[p].groups[g].push(i);
+                }
+                Entry::Vacant(e) => {
                     let next = programs.len();
-                    let program = *programs.entry(program).or_insert(next);
-                    if program == slots.len() {
-                        slots.push(ProgramSlot::default());
+                    let p = *program_index.entry(program).or_insert(next);
+                    if p == next {
+                        programs.push(Program { groups: Vec::new() });
                     }
-                    groups.push(Group {
-                        program,
-                        first: false,
-                        jobs: vec![i],
-                    });
+                    e.insert((p, programs[p].groups.len()));
+                    programs[p].groups.push(vec![i]);
                 }
             }
         }
-        groups.sort_by_key(|g| g.program);
-        for group in &mut groups {
-            let slot = &mut slots[group.program];
-            group.first = slot.jobs == 0;
-            slot.jobs += group.jobs.len();
-            slot.state.get_mut().unwrap().unfinished += 1;
-        }
     }
+    let groups: usize = programs.iter().map(|p| p.groups.len()).sum();
 
     // Queue wait is measured from here — the moment the job list exists —
     // to each run's pickup, so the first histogram bucket shows pool ramp-up
@@ -300,82 +293,60 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // One group call over `group` (job indices of one schedule), taking the
-    // program's trace from `trace`; returns one record per job and the
-    // recording the call made, if any.  A panic is caught and returned as
-    // the call's error.
-    let simulate_jobs = |schedule: Schedule<'_>,
-                         group: &[usize],
-                         trace: TraceFrom<'_>|
-     -> Result<(Vec<RunRecord>, Option<Recording>), String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _simulate = vmv_obs::span(SpanKind::JobSimulate);
+    // One group's jobs through its program's runner: build the program (on
+    // its first group) and compile the group's schedule, run the group as
+    // one runner call, write the profiles, and drop the schedule on return.
+    // A build or compile that fails or panics fails the whole group, and a
+    // failed build is retried by the program's next group.  Returns one
+    // result per job, in group (= job) order.
+    let simulate_group =
+        |runner: &mut Option<ProgramRunner>, runs: usize, group: &[usize]| -> Vec<JobResult> {
+            let first = &jobs[group[0]];
+            let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let _compile = vmv_obs::span(SpanKind::JobCompile);
+                let variant = vmv_core::variant_for(&first.point.machine);
+                let runner = runner
+                    .get_or_insert_with(|| ProgramRunner::new(first.benchmark, variant, runs));
+                compile(runner.build(), &first.point.machine, certify)
+            }))
+            .map_err(|panic| panic_message(&*panic))
+            .and_then(|compiled| compiled.map_err(|e| e.to_string()));
+            let lowered = match compiled {
+                Ok(lowered) => lowered,
+                Err(e) => return group.iter().map(|&i| (i, Err(e.clone()))).collect(),
+            };
+            let runner = runner.as_mut().expect("compiling built the runner");
             let variants: Vec<_> = group
                 .iter()
                 .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
                 .collect();
-            let profile = opts.profile_dir.is_some();
-            let run = simulate_schedule(schedule, &variants, trace, profile)
-                .map_err(|e| e.to_string())?;
-            if let Some(dir) = &opts.profile_dir {
-                for ((&i, outcome), profile) in group.iter().zip(&run.outcomes).zip(&run.profiles) {
-                    let job = &jobs[i];
-                    write_profile(
-                        dir,
-                        &meta_of(&job.key, job.point, job.benchmark, outcome),
-                        profile,
-                    )
-                    .map_err(|e| format!("profile write: {e}"))?;
+            let results = {
+                let _simulate = vmv_obs::span(SpanKind::JobSimulate);
+                runner.run(&lowered, &variants, opts.profile_dir.is_some())
+            };
+            let record = |i: usize, run: Result<ProgramRun, ExperimentError>| {
+                let job = &jobs[i];
+                let (outcome, profile) = run.map_err(|e| e.to_string())?;
+                if let (Some(dir), Some(profile)) = (&opts.profile_dir, &profile) {
+                    let meta = meta_of(&job.key, job.point, job.benchmark, &outcome);
+                    write_profile(dir, &meta, profile)
+                        .map_err(|e| format!("profile write: {e}"))?;
                 }
-            }
-            let executed = !matches!(trace, TraceFrom::Recording(_));
-            let retimed = group.len() - usize::from(executed);
-            if retimed > 0 {
-                replays.fetch_add(retimed, Ordering::Relaxed);
-                replay_batches.fetch_add(1, Ordering::Relaxed);
-            }
-            let records = group
-                .iter()
-                .zip(&run.outcomes)
-                .map(|(&i, outcome)| {
-                    let job = &jobs[i];
-                    record_of(job.key.clone(), job.point, job.benchmark, outcome)
-                })
-                .collect();
-            Ok((records, run.recording))
-        }))
-        .unwrap_or_else(|panic| Err(panic_message(&panic)))
-    };
+                Ok(record_of(
+                    job.key.clone(),
+                    job.point,
+                    job.benchmark,
+                    &outcome,
+                ))
+            };
+            let results = group.iter().zip(results);
+            results.map(|(&i, run)| (i, record(i, run))).collect()
+        };
 
-    // Jobs of one schedule as one call; a failed call is re-run job by job,
-    // so only the jobs that fail on their own are reported.
-    let run_jobs = |schedule: Schedule<'_>, group: &[usize], trace: TraceFrom<'_>| {
-        if group.is_empty() {
-            return Vec::new();
-        }
-        match simulate_jobs(schedule, group, trace) {
-            Ok((records, _)) => group
-                .iter()
-                .copied()
-                .zip(records.into_iter().map(Ok))
-                .collect(),
-            Err(e) if group.len() == 1 => vec![(group[0], Err(e))],
-            Err(_) => group
-                .iter()
-                .map(|&i| {
-                    let one = simulate_jobs(schedule, &[i], trace);
-                    (i, one.map(|(mut records, _)| records.remove(0)))
-                })
-                .collect(),
-        }
-    };
-
-    // One group, start to finish: compile its schedule from the program's
-    // build, simulate, and drop the schedule on return — and the program's
-    // slot with the program's last group.  Returns one result per job of
-    // the group, in group (= job) order.
-    let run_group = |group: &Group| -> Vec<JobResult> {
-        for _ in &group.jobs {
+    // One group, start to finish, with the queue-wait, schedule and job
+    // counters around it.
+    let run_group = |runner: &mut Option<ProgramRunner>, runs: usize, group: &[usize]| {
+        for _ in group {
             vmv_obs::record_ns(
                 SpanKind::JobQueueWait,
                 queued_at.elapsed().as_nanos() as u64,
@@ -383,60 +354,8 @@ pub fn run_sweep(
         }
         // The group's one schedule is its miss; its other jobs are hits.
         vmv_obs::incr(Counter::CacheMisses);
-        vmv_obs::add(Counter::CacheHits, group.jobs.len() as u64 - 1);
-        let slot = &slots[group.program];
-        let first = &jobs[group.jobs[0]];
-        let variant = vmv_core::variant_for(&first.point.machine);
-        let compiled = std::panic::catch_unwind(|| {
-            let _compile = vmv_obs::span(SpanKind::JobCompile);
-            let build = slot.build(first.benchmark, variant);
-            compile(&build, &first.point.machine, certify).map(|lowered| (build, lowered))
-        })
-        .map_err(|panic| panic_message(&panic))
-        .and_then(|compiled| compiled.map_err(|e| e.to_string()));
-        let results: Vec<JobResult> = match compiled {
-            Ok((build, lowered)) => {
-                let schedule = Schedule {
-                    benchmark: first.benchmark,
-                    variant,
-                    build: &build,
-                    lowered: &lowered,
-                };
-                // The program's first group makes its one execution,
-                // recording when any other job of the program will retime
-                // from it, and shares the recording before retiming its own
-                // other jobs; every other group waits for that recording.
-                let mut results = Vec::with_capacity(group.jobs.len());
-                let recording = if group.first {
-                    let trace = if slot.jobs > 1 {
-                        TraceFrom::FirstRunRecorded
-                    } else {
-                        TraceFrom::FirstRun
-                    };
-                    let (head, recording) = match simulate_jobs(schedule, &group.jobs[..1], trace) {
-                        Ok((mut records, recording)) => (Ok(records.remove(0)), recording),
-                        Err(e) => (Err(e), None),
-                    };
-                    results.push((group.jobs[0], head));
-                    slot.settle(recording)
-                } else {
-                    slot.recording()
-                };
-                let trace = match &recording {
-                    Some(recording) => TraceFrom::Recording(recording),
-                    None => TraceFrom::FirstRun,
-                };
-                results.extend(run_jobs(schedule, &group.jobs[results.len()..], trace));
-                results
-            }
-            Err(e) => {
-                if group.first {
-                    slot.settle(None);
-                }
-                group.jobs.iter().map(|&i| (i, Err(e.clone()))).collect()
-            }
-        };
-        slot.finish();
+        vmv_obs::add(Counter::CacheHits, group.len() as u64 - 1);
+        let results = simulate_group(runner, runs, group);
         for (_, r) in &results {
             vmv_obs::incr(if r.is_ok() {
                 Counter::SweepJobsCompleted
@@ -449,31 +368,42 @@ pub fn run_sweep(
     };
 
     // One loop for every worker count.  The calling thread is worker 0 and
-    // the committer; `min(workers, groups) - 1` scoped helpers pull groups
-    // from the same atomic index and send each group's `(job index,
-    // result)` pairs over a channel.  The caller drains the channel after
-    // each of its own groups and blocks on it once no groups remain, so it
-    // never polls.  With one worker no thread is spawned at all.
-    let workers = opts.effective_workers().min(groups.len()).max(1);
+    // the committer; `min(workers, programs) - 1` scoped helpers pull
+    // programs from the same atomic index, run their groups in order and
+    // send each group's `(job index, result)` pairs over a channel.  The
+    // caller drains the channel after each of its own groups and blocks on
+    // it once no programs remain, so it never polls.  With one worker no
+    // thread is spawned at all.
+    let workers = opts.effective_workers().min(programs.len()).max(1);
     let next = AtomicUsize::new(0);
     // Raised by the committer when the store breaks: simulating groups whose
     // results could never be persisted or reported would be wasted work.
     let abort = AtomicBool::new(false);
-    // Pull groups until none remain, handing each group's results to
+    // Pull programs until none remain, handing each group's results to
     // `deliver`; returns the worker's job count and busy nanoseconds.
     let work = |deliver: &mut dyn FnMut(Vec<JobResult>)| -> (u64, u64) {
         let (mut worker_jobs, mut busy_ns) = (0u64, 0u64);
-        while !abort.load(Ordering::Relaxed) {
-            let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                break;
-            };
-            let group_start = vmv_obs::enabled().then(Instant::now);
-            let results = run_group(group);
-            if let Some(t) = group_start {
-                busy_ns += t.elapsed().as_nanos() as u64;
+        while let Some(program) = programs.get(next.fetch_add(1, Ordering::Relaxed)) {
+            // The program's build and recording live until its last group.
+            let mut runner = None;
+            let runs = program.groups.iter().map(Vec::len).sum();
+            for group in &program.groups {
+                if abort.load(Ordering::Relaxed) {
+                    return (worker_jobs, busy_ns);
+                }
+                let group_start = vmv_obs::enabled().then(Instant::now);
+                let results = run_group(&mut runner, runs, group);
+                if let Some(t) = group_start {
+                    busy_ns += t.elapsed().as_nanos() as u64;
+                }
+                worker_jobs += group.len() as u64;
+                deliver(results);
             }
-            worker_jobs += group.jobs.len() as u64;
-            deliver(results);
+            if let Some(runner) = runner {
+                let (retimed, walks) = runner.retimed();
+                replays.fetch_add(retimed, Ordering::Relaxed);
+                replay_batches.fetch_add(walks, Ordering::Relaxed);
+            }
         }
         (worker_jobs, busy_ns)
     };
@@ -487,8 +417,8 @@ pub fn run_sweep(
         store,
     };
     let cache = CacheCounters {
-        hits: (jobs.len() - groups.len()) as u64,
-        misses: groups.len() as u64,
+        hits: (jobs.len() - groups) as u64,
+        misses: groups as u64,
     };
     let mut progress = Progress::new(opts.progress, jobs.len(), skipped, cache);
     let mut append_error: Option<std::io::Error> = None;
@@ -560,96 +490,10 @@ pub fn run_sweep(
 /// Records drained per store append while a sweep runs.
 const BATCH: usize = 16;
 
-/// The jobs of one schedule key.
-struct Group {
-    /// Index of the group's program in the sweep's program slots.
-    program: usize,
-    /// Whether this is the program's first group, which executes it.
-    first: bool,
-    /// Job indices, ascending.
-    jobs: Vec<usize>,
-}
-
-/// What the groups of one program share while any of them runs: the
-/// program's build, made by the first group to need it, and the recording
-/// its first group settles.  Both are dropped with the program's last group.
-#[derive(Default)]
-struct ProgramSlot {
-    /// The program's jobs over all of its groups.
-    jobs: usize,
-    state: Mutex<SlotState>,
-    /// Signalled when the first group settles the recording.
-    settled: Condvar,
-}
-
-#[derive(Default)]
-struct SlotState {
-    build: Option<Arc<BenchmarkBuild>>,
-    recording: Shared,
-    /// Groups of the program not finished yet.
-    unfinished: usize,
-}
-
-/// The recording a program's first group leaves for the others.
-#[derive(Default)]
-enum Shared {
-    /// The first group has not executed yet.
-    #[default]
-    Pending,
-    /// Every other job of the program retimes from it.
-    Ready(Arc<Recording>),
-    /// None was made (the execution failed, or the program has one job):
-    /// every other group executes its own first job.
-    Absent,
-}
-
-impl ProgramSlot {
-    /// A poisoned lock only means a build panicked; the state stays valid.
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The program's build, made on first use.
-    fn build(&self, benchmark: Benchmark, variant: IsaVariant) -> Arc<BenchmarkBuild> {
-        self.lock()
-            .build
-            .get_or_insert_with(|| Arc::new(benchmark.build(variant)))
-            .clone()
-    }
-
-    /// Publish the first group's recording (or its absence) and wake the
-    /// groups waiting for it.
-    fn settle(&self, recording: Option<Recording>) -> Option<Arc<Recording>> {
-        let recording = recording.map(Arc::new);
-        self.lock().recording = match &recording {
-            Some(r) => Shared::Ready(r.clone()),
-            None => Shared::Absent,
-        };
-        self.settled.notify_all();
-        recording
-    }
-
-    /// The program's recording, once the first group has settled it.
-    fn recording(&self) -> Option<Arc<Recording>> {
-        let state = self
-            .settled
-            .wait_while(self.lock(), |s| matches!(s.recording, Shared::Pending))
-            .unwrap_or_else(PoisonError::into_inner);
-        match &state.recording {
-            Shared::Ready(r) => Some(r.clone()),
-            _ => None,
-        }
-    }
-
-    /// One group of the program finished; the last one frees the slot.
-    fn finish(&self) {
-        let mut state = self.lock();
-        state.unfinished -= 1;
-        if state.unfinished == 0 {
-            state.build = None;
-            state.recording = Shared::Absent;
-        }
-    }
+/// One program `(benchmark, ISA variant)` of a sweep, the work unit: the
+/// job indices of each of its schedule keys, ascending, one group per key.
+struct Program {
+    groups: Vec<Vec<usize>>,
 }
 
 /// One job's result, tagged with its index in the job list.
@@ -734,17 +578,6 @@ fn meta_of(
         benchmark: benchmark.name().to_string(),
         variant: outcome.variant.name().to_string(),
         model: format!("{:?}", point.model),
-    }
-}
-
-/// Best-effort text of a worker panic payload.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked".to_string()
     }
 }
 
@@ -836,6 +669,14 @@ mod tests {
             "{:?}",
             report.errors
         );
+        // The error carries the panic's message, not just that it panicked.
+        assert!(
+            report.errors[0]
+                .1
+                .contains("L1 cache (49152 B, 4-way, 32 B lines)"),
+            "{:?}",
+            report.errors
+        );
     }
 
     #[test]
@@ -864,6 +705,43 @@ mod tests {
             // the 32 KB retry succeeds, as a walk of width one.
             assert_eq!(report.replays, 1);
             assert_eq!(report.replay_batches, 1);
+        }
+    }
+
+    #[test]
+    fn a_failed_first_execution_hands_the_recording_to_the_next_run() {
+        // One GSM_DEC program over three schedule keys.  The first key's
+        // only job (48 KB L1, 384 sets) panics when its hierarchy is built,
+        // so the program has no recording yet: the second key's first job
+        // executes and records, and the other three jobs of the second and
+        // third keys are retimed from that recording, one walk per key.
+        let good = expand_axes(vec![
+            AxisSpec::IssueWidth(vec![4, 8]),
+            AxisSpec::L1Size(vec![16 * 1024, 32 * 1024]),
+        ])
+        .points;
+        let mut points = expand_axes(vec![
+            AxisSpec::IssueWidth(vec![2]),
+            AxisSpec::L1Size(vec![48 * 1024]),
+        ])
+        .points;
+        points.extend(good.iter().cloned());
+        let sweep = |points: &[SweepPoint], workers: usize| {
+            let opts = ExecOptions {
+                benchmarks: vec![Benchmark::GsmDec],
+                workers,
+                ..ExecOptions::default()
+            };
+            run_sweep(points, &opts, None).unwrap()
+        };
+        let clean = sweep(&good, 1);
+        assert!(clean.errors.is_empty(), "{:?}", clean.errors);
+        for workers in [1, 2] {
+            let report = sweep(&points, workers);
+            assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+            assert!(report.errors[0].0.contains("l1:48K"), "{:?}", report.errors);
+            assert_eq!(report.records, clean.records, "workers {workers}");
+            assert_eq!((report.replays, report.replay_batches), (3, 2));
         }
     }
 

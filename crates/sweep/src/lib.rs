@@ -19,11 +19,14 @@
 //! * [`check_spec`] lints a spec (unsatisfiable constraints, dead or
 //!   redundant values, cache geometries that cannot be built) and certifies
 //!   every schedule it reaches without executing a cycle;
-//! * [`run_sweep`] executes `points × benchmarks` on a work-stealing thread
-//!   pool, grouping jobs by schedule key ([`CompileCache::key_for`]:
-//!   benchmark, ISA variant, schedule-relevant machine fields) so each
-//!   program is **scheduled once**, re-simulated across every memory
-//!   variation of its group, and freed when the group finishes;
+//! * [`run_sweep`] executes `points × benchmarks` on scoped worker threads
+//!   that take whole programs (benchmark, ISA variant) from one atomic
+//!   index: each program is built and **executed once**
+//!   ([`vmv_core::ProgramRunner`]), its jobs are grouped by schedule key
+//!   ([`CompileCache::key_for`]: benchmark, ISA variant, schedule-relevant
+//!   machine fields) so each schedule is **compiled once** and every memory
+//!   variation of its group is retimed in one batched walk, and each
+//!   schedule is freed when its group finishes;
 //! * [`ResultStore`] streams each run as a JSON Line with a stable
 //!   content-derived [`run_key`], so re-invocations **skip completed runs**
 //!   and extend the same file; shard files from distributed sweeps union by
