@@ -36,8 +36,8 @@
 
 use vmv_bench::args::{fail, ArgStream};
 use vmv_sweep::{
-    pareto_report, render_pareto, render_sensitivity, schedule_fingerprint, sensitivity,
-    shard_points, ExecOptions, Json, ResultStore, SpecFile,
+    pareto_report, render_pareto, render_sensitivity, sensitivity, shard_points, CompileCache,
+    ExecOptions, Json, ResultStore, SpecFile,
 };
 
 fn usage() {
@@ -310,13 +310,17 @@ fn main() {
         None => expansion.points,
     };
 
-    // How many schedules the compile cache should perform if it memoizes
-    // perfectly: one per (benchmark, distinct schedule fingerprint).
-    let distinct_schedule_keys: std::collections::HashSet<String> = points
+    // How many schedules the sweep should perform if it shares them
+    // perfectly: one per distinct schedule key.
+    let expected_schedules = points
         .iter()
-        .map(|p| schedule_fingerprint(&p.machine))
-        .collect();
-    let expected_schedules = distinct_schedule_keys.len() * benchmarks.len();
+        .flat_map(|p| {
+            benchmarks
+                .iter()
+                .map(|&b| CompileCache::key_for(b, &p.machine))
+        })
+        .collect::<std::collections::HashSet<_>>()
+        .len();
 
     let store = ResultStore::with_header(&out_path, spec.store_header());
     match store.read_header() {
@@ -357,8 +361,8 @@ fn main() {
         out_path
     );
     println!(
-        "compile cache: {} schedules, {} hits (expected at most {} schedules = \
-         benchmarks x distinct schedule keys)",
+        "compile cache: {} schedules, {} hits (expected at most {} schedules, \
+         one per distinct schedule key)",
         report.cache.misses, report.cache.hits, expected_schedules
     );
     if report.replays > 0 {

@@ -41,8 +41,10 @@
 //! `tests/records_golden.rs`), and sampled by the benchmark's fresh
 //! re-executions.
 
+use std::cell::Cell;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
@@ -218,23 +220,10 @@ impl Schedule<'_> {
 /// lower the schedule to its executable form.
 pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared, ExperimentError> {
     let variant = variant_for(machine);
-    let build = benchmark.build(variant);
-    let (compiled, lowered) = compile_and_lower(&build, machine)?;
+    let runner = ProgramRunner::new(benchmark, variant, 0);
+    let (compiled, lowered) = runner.compile(machine)?;
+    let build = runner.build;
     Ok(Prepared::new(benchmark, variant, build, compiled, lowered))
-}
-
-/// Compile (schedule) a built program for `machine` and lower the schedule:
-/// the per-schedule half of [`prepare`], for callers that share one build
-/// across the schedules of a program.
-pub fn compile_and_lower(
-    build: &BenchmarkBuild,
-    machine: &MachineConfig,
-) -> Result<(vmv_sched::Compiled, vmv_sched::LoweredProgram), ExperimentError> {
-    let failed =
-        |e: &dyn std::fmt::Display| ExperimentError::Compile(format!("{}: {e}", machine.name));
-    let compiled = vmv_sched::compile(&build.program, machine).map_err(|e| failed(&e))?;
-    let lowered = vmv_sched::lower(&compiled.program, machine).map_err(|e| failed(&e))?;
-    Ok((compiled, lowered))
 }
 
 /// Simulate an already-compiled benchmark on `machine` under `model`: a
@@ -411,15 +400,21 @@ pub fn run_one(
 pub type ProgramRun = (RunOutcome, Option<Profile>);
 
 /// Every run of one program, `(benchmark, ISA variant)`, whatever schedule
-/// it runs on: the program is built once, executes once, and every other
-/// run is retimed from that execution's [`Recording`].  [`Suite`] and the
-/// sweep executor (`vmv_sweep::run_sweep`) both run their programs through
-/// it, one [`ProgramRunner::run`] call per lowered schedule; the build and
-/// the recording are freed with the runner.
+/// it runs on: the program is built, verified and register-analysed once
+/// ([`vmv_sched::analyze`]), executes once, and every other run is retimed
+/// from that execution's [`Recording`].  [`Suite`] and the sweep executor
+/// (`vmv_sweep::run_sweep`) both run their programs through it, one
+/// [`ProgramRunner::compile`] and one [`ProgramRunner::run`] call per
+/// schedule; the build, the analysis and the recording are freed with the
+/// runner.  [`prepare`] and the sweep's pre-flight check compile through it
+/// too.
 pub struct ProgramRunner {
     benchmark: Benchmark,
     variant: IsaVariant,
     build: BenchmarkBuild,
+    /// The program's half of every compile, or why the program is not
+    /// compilable on any machine.
+    analysis: Result<vmv_sched::Analysis, vmv_sched::CompileError>,
     recording: Option<Recording>,
     /// Runs of the program not yet handed to [`ProgramRunner::run`].
     unstarted: usize,
@@ -428,21 +423,37 @@ pub struct ProgramRunner {
 }
 
 impl ProgramRunner {
-    /// Build `benchmark` in `variant` for a program of `runs` runs.
+    /// Build and analyse `benchmark` in `variant` for a program of `runs`
+    /// runs.
     pub fn new(benchmark: Benchmark, variant: IsaVariant, runs: usize) -> ProgramRunner {
+        let build = benchmark.build(variant);
         ProgramRunner {
             benchmark,
             variant,
-            build: benchmark.build(variant),
+            analysis: vmv_sched::analyze(&build.program),
+            build,
             recording: None,
             unstarted: runs,
             retimed: (0, 0),
         }
     }
 
-    /// The program's build, which each of its schedules is compiled from.
-    pub fn build(&self) -> &BenchmarkBuild {
-        &self.build
+    /// Compile (schedule) the program for `machine` and lower the schedule:
+    /// the machine's half of compilation on the program's one analysis.  A
+    /// program that failed verification fails every compile with that
+    /// error.
+    pub fn compile(
+        &self,
+        machine: &MachineConfig,
+    ) -> Result<(vmv_sched::Compiled, vmv_sched::LoweredProgram), ExperimentError> {
+        let failed =
+            |e: &dyn std::fmt::Display| ExperimentError::Compile(format!("{}: {e}", machine.name));
+        let analysis = self.analysis.as_ref().map_err(|e| failed(e))?;
+        let compiled = analysis
+            .compile(&self.build.program, machine)
+            .map_err(|e| failed(&e))?;
+        let lowered = vmv_sched::lower(&compiled.program, machine).map_err(|e| failed(&e))?;
+        Ok((compiled, lowered))
     }
 
     /// Variants retimed from the recording so far, and the batched walks
@@ -528,15 +539,42 @@ fn guarded(
     trace: TraceFrom<'_>,
     profile: bool,
 ) -> Result<ScheduleRun, ExperimentError> {
-    std::panic::catch_unwind(|| simulate_schedule(schedule, variants, trace, profile))
-        .unwrap_or_else(|panic| Err(ExperimentError::Simulation(panic_message(&*panic))))
+    catch_quietly(|| simulate_schedule(schedule, variants, trace, profile))
+        .unwrap_or_else(|message| Err(ExperimentError::Simulation(message)))
+}
+
+thread_local! {
+    /// How many [`catch_quietly`] calls are running on this thread.
+    static QUIET: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Run `f`, turning a panic into `Err("panicked: <message>")`.  The panic
+/// is reported only through that error: while `f` runs its thread is
+/// marked, and a panic hook, installed on the first call and chained to the
+/// hook it replaces, stays silent on marked threads.  Panics anywhere else
+/// still print.  Whatever `f` was changing when it panicked is the caller's
+/// to discard.
+pub fn catch_quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if QUIET.try_with(Cell::get).unwrap_or(0) == 0 {
+                previous(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(q.get() + 1));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(q.get() - 1));
+    result.map_err(|payload| panic_message(&*payload))
 }
 
 /// `panicked: <message>` for a caught panic's payload.  Pass the payload
 /// itself (`&*payload` of the box `catch_unwind` returns): a `&Box<dyn
 /// Any>` would coerce to a `dyn Any` of the box, which neither downcast
 /// matches.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -557,8 +595,8 @@ struct Program<'m> {
 impl Program<'_> {
     /// Run the program on each of its jobs' machines through one
     /// [`ProgramRunner`], pushing `(job, outcome)` pairs: each machine
-    /// compiles its schedule from the runner's build and frees the compiled
-    /// form before it runs.  A failure fails only its own job.
+    /// compiles its schedule through the runner and frees the compiled form
+    /// before it runs.  A failure fails only its own job.
     fn run(
         &self,
         model: MemoryModel,
@@ -566,8 +604,7 @@ impl Program<'_> {
     ) {
         let mut runner = ProgramRunner::new(self.benchmark, self.variant, self.jobs.len());
         for &(job, machine) in &self.jobs {
-            let compiled = compile_and_lower(runner.build(), machine);
-            let outcome = compiled.and_then(|(compiled, lowered)| {
+            let outcome = runner.compile(machine).and_then(|(compiled, lowered)| {
                 drop(compiled);
                 let mut runs = runner.run(&lowered, &[(machine, model)], false);
                 runs.pop()

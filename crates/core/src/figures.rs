@@ -1,5 +1,5 @@
 //! Reconstruction of every figure and table of the paper's evaluation from a
-//! measurement [`Suite`](crate::experiment::Suite).
+//! measurement [`Suite`].
 //!
 //! * Table 1 — vector regions and the fraction of execution time they
 //!   represent on the 2-issue µSIMD-VLIW machine;

@@ -17,9 +17,9 @@ pub mod figures;
 /// The earlier name of [`simulate`], kept for callers that pin it.
 pub use experiment::simulate as simulate_fresh;
 pub use experiment::{
-    compile_and_lower, default_workers, panic_message, prepare, run_one, simulate, simulate_batch,
-    simulate_schedule, variant_for, variant_from_name, workers_capped, ExperimentError, Prepared,
-    ProgramRun, ProgramRunner, Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
+    catch_quietly, default_workers, prepare, run_one, simulate, simulate_batch, simulate_schedule,
+    variant_for, variant_from_name, workers_capped, ExperimentError, Prepared, ProgramRun,
+    ProgramRunner, Recording, RunOutcome, Schedule, ScheduleRun, Suite, TraceFrom,
 };
 pub use figures::{
     chart_average, fig1, fig1_summary, fig5, fig6, fig7, fig7_summary, render_chart, render_fig1,
@@ -119,6 +119,23 @@ mod tests {
                 "workers {workers}: {text}"
             );
         }
+    }
+
+    #[test]
+    fn caught_panics_become_their_message() {
+        assert_eq!(catch_quietly(|| 7), Ok(7));
+        assert_eq!(
+            catch_quietly::<()>(|| panic!("static")),
+            Err("panicked: static".to_string())
+        );
+        // Nested catches: the inner one reports, the outer one returns.
+        let nested = catch_quietly(|| catch_quietly::<()>(|| panic!("{}", 6 * 7)));
+        assert_eq!(nested, Ok(Err("panicked: 42".to_string())));
+        // A caught panic on a helper thread stays on that thread.
+        let joined = std::thread::spawn(|| catch_quietly(|| -> u8 { panic!("helper") }))
+            .join()
+            .expect("the panic was caught");
+        assert_eq!(joined, Err("panicked: helper".to_string()));
     }
 
     #[test]

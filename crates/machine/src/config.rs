@@ -189,6 +189,34 @@ impl MachineConfig {
         }
     }
 
+    /// This machine as code of its own ISA family sees it: the fields that
+    /// only operations outside the family read are reset to the values the
+    /// generator gives the family, so two machines with equal views
+    /// schedule that code identically.  A VLIW machine runs scalar code, so
+    /// chaining, the µSIMD and vector units, lanes, L2 vector-cache ports
+    /// and the µSIMD and vector latencies are reset; a µSIMD machine keeps
+    /// its µSIMD fields; a Vector machine keeps everything.  The register
+    /// files stay, because lowering lays out slots for all four, and so do
+    /// the vector units while `units(FuClass::Simd)` falls back to them.
+    pub fn schedule_view(&self) -> MachineConfig {
+        let mut view = self.clone();
+        if self.isa == IsaSupport::Vector {
+            return view;
+        }
+        let (l, d) = (&mut view.latencies, LatencyTable::default());
+        (l.vec_alu, l.vec_mul, l.vec_mem) = (d.vec_alu, d.vec_mul, d.vec_mem);
+        if self.isa == IsaSupport::Vliw {
+            (l.simd_alu, l.simd_mul) = (d.simd_alu, d.simd_mul);
+            view.simd_units = 0;
+        }
+        if self.isa == IsaSupport::Vliw || self.simd_units > 0 {
+            view.vector_units = 0;
+        }
+        (view.chaining, view.vector_lanes) = (false, 0);
+        (view.l2_ports, view.l2_port_elems) = (0, 0);
+        view
+    }
+
     /// Whether this configuration can execute the given operation at all.
     pub fn supports_op(&self, opcode: Opcode) -> bool {
         match opcode.fu_class() {
@@ -265,6 +293,51 @@ mod tests {
         assert!(vector.supports_op(padd));
         assert!(vector.supports_op(vadd));
         assert!(vliw.supports_op(Opcode::IAdd));
+    }
+
+    #[test]
+    fn schedule_view_resets_only_fields_outside_the_isa_family() {
+        // Table 2 machines are their own views.
+        for m in crate::all_configs() {
+            assert_eq!(m.schedule_view(), m, "{}", m.name);
+        }
+        let scramble = |m: &MachineConfig| {
+            let mut s = m.clone();
+            s.chaining = !s.chaining;
+            s.vector_units += 3;
+            s.vector_lanes += 8;
+            s.l2_ports += 1;
+            s.l2_port_elems += 2;
+            s.latencies.vec_alu += 1;
+            s.latencies.vec_mul += 1;
+            s.latencies.vec_mem += 4;
+            s
+        };
+        // Vector-only fields are invisible to scalar and µSIMD code ...
+        for m in [presets::vliw(4), presets::usimd(4)] {
+            assert_eq!(scramble(&m).schedule_view(), m.schedule_view());
+        }
+        // ... but not to vector code.
+        let v = presets::vector2(4);
+        assert_ne!(scramble(&v).schedule_view(), v.schedule_view());
+        // µSIMD fields are invisible only to scalar code.
+        let simd = |m: &MachineConfig| {
+            let mut s = m.clone();
+            s.simd_units += 1;
+            s.latencies.simd_alu += 1;
+            s
+        };
+        let (vliw, usimd) = (presets::vliw(4), presets::usimd(4));
+        assert_eq!(simd(&vliw).schedule_view(), vliw.schedule_view());
+        assert_ne!(simd(&usimd).schedule_view(), usimd.schedule_view());
+        // A µSIMD machine without µSIMD units runs µSIMD operations on its
+        // vector units, so their count stays visible.
+        let mut on_vector_units = usimd.clone();
+        on_vector_units.simd_units = 0;
+        on_vector_units.vector_units = 2;
+        let view = on_vector_units.schedule_view();
+        assert_eq!(view.units(FuClass::Simd), 2);
+        assert_eq!(view.vector_lanes, 0);
     }
 
     #[test]

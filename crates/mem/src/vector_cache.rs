@@ -1,4 +1,5 @@
-//! The two-bank interleaved L2 *vector cache* (paper §3.2, after [27]).
+//! The two-bank interleaved L2 *vector cache* (paper §3.2, after its
+//! reference 27).
 //!
 //! Stride-one vector requests are served by reading two whole cache lines
 //! (one per bank); an interchange switch, a shifter and mask logic align the

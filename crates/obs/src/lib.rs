@@ -14,7 +14,7 @@
 //!   is no registration, no hashing and no allocation on the hot path —
 //!   each metric is one `AtomicU64` (or a fixed array of them) bumped with
 //!   relaxed ordering;
-//! * [`snapshot`] freezes everything into a plain-data [`Snapshot`] that
+//! * [`snapshot()`] freezes everything into a plain-data [`Snapshot`] that
 //!   renders to canonical single-line JSON via the in-tree [`json`] module
 //!   (which moved here from `vmv-sweep` so every crate below the sweep
 //!   layer can emit telemetry; `vmv_sweep::json` re-exports it unchanged).

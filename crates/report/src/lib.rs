@@ -16,7 +16,7 @@
 //!   the swept axes;
 //! * analysis passes — the Pareto frontier and per-axis sensitivity are
 //!   re-exported from `vmv_sweep` (one implementation, two front ends), and
-//!   [`compare`] joins two stores by run key into a Table-2-style
+//!   [`compare()`] joins two stores by run key into a Table-2-style
 //!   baseline-vs-variant view with a CI regression gate;
 //! * renderers — canonical Markdown tables ([`markdown`]) and standalone
 //!   SVG scatter/bar charts ([`svg`]), both dependency-free and

@@ -11,7 +11,7 @@
 //! * the functional-unit, cache-port and issue-width resources of Table 2,
 //! * the architectural register-file sizes (register allocation).
 //!
-//! After scheduling, [`lower`] resolves the schedule into the executable
+//! After scheduling, [`lower()`] resolves the schedule into the executable
 //! [`LoweredProgram`] — labels to block indices, registers to flat slot
 //! indices, per-op latency metadata baked in — which is what the simulator's
 //! hot loop consumes.
@@ -29,6 +29,6 @@ pub mod restable;
 pub use bundle::{ScheduledBlock, ScheduledOp, ScheduledProgram};
 pub use ddg::{DepEdge, DepGraph, DepKind};
 pub use lower::{lower, LowerError, LoweredBlock, LoweredOp, LoweredProgram};
-pub use pipeline::{compile, CompileError, Compiled};
+pub use pipeline::{analyze, compile, Analysis, CompileError, Compiled};
 pub use regalloc::{allocate, Allocation, RegAllocError};
 pub use restable::ReservationTable;

@@ -6,13 +6,19 @@
 //! emulation operations already expanded, assigns registers against the
 //! Table 2 register files, and produces a static schedule for one concrete
 //! machine configuration.
+//!
+//! [`compile`] is two halves.  [`analyze`] is the program's half: static
+//! verification and register liveness, which no machine parameter affects.
+//! [`Analysis::compile`] is the machine's half: the ISA check, the linear
+//! scan against the register files, the rename and list scheduling.  A
+//! caller that compiles one program for many machines analyses it once.
 
 use vmv_isa::{verify_program, Program};
 use vmv_machine::MachineConfig;
 
 use crate::bundle::{ScheduledBlock, ScheduledProgram};
 use crate::list::schedule_block;
-use crate::regalloc::{allocate, RegAllocError};
+use crate::regalloc::{Liveness, RegAllocError};
 
 /// Errors produced by the compilation pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,41 +57,77 @@ pub struct Compiled {
     pub program: ScheduledProgram,
 }
 
-/// Compile `program` for `machine`.
+/// Compile `program` for `machine`: [`analyze`] followed by
+/// [`Analysis::compile`].
 pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, CompileError> {
-    // 1. Static verification.
+    analyze(program)?.compile(program, machine)
+}
+
+/// The program's half of compilation: what [`Analysis::compile`] needs of
+/// a verified program for any machine.
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    liveness: Liveness,
+    /// The analysed program's operation count, to catch a caller that
+    /// compiles a different program.
+    ops: usize,
+}
+
+/// Verify `program` and compute its register liveness.
+pub fn analyze(program: &Program) -> Result<Analysis, CompileError> {
     let errors = verify_program(program);
     if !errors.is_empty() {
         return Err(CompileError::Malformed(errors));
     }
+    Ok(Analysis {
+        liveness: Liveness::of(program),
+        ops: program.static_op_count(),
+    })
+}
 
-    // 2. ISA support check.
-    for (_, op) in program.iter_ops() {
-        if !machine.supports_op(op.opcode) {
-            return Err(CompileError::UnsupportedOp {
-                opcode: op.opcode.mnemonic(),
-                machine: machine.name.clone(),
+impl Analysis {
+    /// Compile `program`, which must be the program analysed, for
+    /// `machine`: check that the machine implements every operation,
+    /// allocate registers, and list-schedule each block.
+    pub fn compile(
+        &self,
+        program: &Program,
+        machine: &MachineConfig,
+    ) -> Result<Compiled, CompileError> {
+        debug_assert_eq!(
+            program.static_op_count(),
+            self.ops,
+            "not the analysed program"
+        );
+        for (_, op) in program.iter_ops() {
+            if !machine.supports_op(op.opcode) {
+                return Err(CompileError::UnsupportedOp {
+                    opcode: op.opcode.mnemonic(),
+                    machine: machine.name.clone(),
+                });
+            }
+        }
+
+        let (allocated, _) = self
+            .liveness
+            .allocate(program, machine)
+            .map_err(CompileError::RegAlloc)?;
+
+        // Each allocated op moves into its bundle and keeps its source
+        // position.
+        let mut scheduled = ScheduledProgram::from_program_shell(program);
+        for block in allocated.blocks {
+            let (bundles, positions) = schedule_block(block.ops, machine);
+            scheduled.blocks.push(ScheduledBlock {
+                label: block.label,
+                region: block.region,
+                bundles,
+                positions,
             });
         }
+
+        Ok(Compiled { program: scheduled })
     }
-
-    // 3. Register allocation.
-    let (allocated, _) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
-
-    // 4. Per-block list scheduling; each allocated op moves into its bundle
-    //    and keeps its source position.
-    let mut scheduled = ScheduledProgram::from_program_shell(program);
-    for block in allocated.blocks {
-        let (bundles, positions) = schedule_block(block.ops, machine);
-        scheduled.blocks.push(ScheduledBlock {
-            label: block.label,
-            region: block.region,
-            bundles,
-            positions,
-        });
-    }
-
-    Ok(Compiled { program: scheduled })
 }
 
 #[cfg(test)]
@@ -136,6 +178,21 @@ mod tests {
         let p = b.finish();
         let err = compile(&p, &presets::vliw(2)).unwrap_err();
         assert!(matches!(err, CompileError::Malformed(_)));
+    }
+
+    #[test]
+    fn one_analysis_serves_every_machine() {
+        let p = vector_sad_program();
+        let analysis = analyze(&p).unwrap();
+        for machine in [presets::vector1(2), presets::vector2(4), presets::usimd(8)] {
+            let whole = compile(&p, &machine).map(|c| c.program.dump());
+            let halves = analysis.compile(&p, &machine).map(|c| c.program.dump());
+            assert_eq!(halves, whole, "{}", machine.name);
+        }
+        let mut cramped = presets::vector1(2);
+        cramped.regs.vec = 1;
+        let err = analysis.compile(&p, &cramped).unwrap_err();
+        assert!(matches!(err, CompileError::RegAlloc(_)), "{err}");
     }
 
     #[test]

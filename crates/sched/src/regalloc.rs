@@ -8,14 +8,20 @@
 //! reported as a structured error naming the class and the demand, which the
 //! kernel test-suite turns into a hard failure.
 //!
-//! Every table is dense.  A [`RegNumbering`] gives each register of the
-//! program a number — class base plus register index, each class sized by
-//! the largest index the program uses, so builder code (which numbers every
-//! class from zero) leaves no gaps.  Liveness runs over one `u64` bitset row
-//! per block and set (uses, defs, live-in, live-out); live intervals and the
-//! rename table are `Vec`s indexed by register number.  Within a class,
-//! number order is index order, so the scan's `(start, number)` sort is the
-//! `(start, index)` order of the virtual registers.
+//! Every table is dense.  A register numbering (`RegNumbering`) gives each
+//! register of the program a number — class base plus register index, each
+//! class sized by the largest index the program uses, so builder code (which
+//! numbers every class from zero) leaves no gaps.  Liveness runs over one
+//! `u64` bitset row per block and set (uses, defs, live-in, live-out); live
+//! intervals and the rename table are `Vec`s indexed by register number.
+//! Within a class, number order is index order, so the scan's
+//! `(start, number)` sort is the `(start, index)` order of the virtual
+//! registers.
+//!
+//! Only the scan and the rename read the machine.  The numbering, the
+//! intervals and the scan order depend on the program alone, so a program
+//! compiled for many machines computes them once (`Liveness`, held by
+//! [`crate::Analysis`]).
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -136,74 +142,114 @@ pub fn allocate(
     program: &Program,
     machine: &MachineConfig,
 ) -> Result<(Program, Allocation), RegAllocError> {
-    let regs = RegNumbering::of(program.blocks.iter().flat_map(|b| &b.ops));
-    let intervals = live_intervals(program, &regs);
-    let mut physical = vec![NONE; regs.len()];
-    let mut peak = [0usize; 4];
+    Liveness::of(program).allocate(program, machine)
+}
 
-    for (c, class) in ALLOCATABLE.into_iter().enumerate() {
-        let available = machine.regs.count(class) as usize;
-        let mut order: Vec<usize> = regs
-            .class_range(class)
-            .filter(|&n| intervals[n].0 <= intervals[n].1)
-            .collect();
-        order.sort_unstable_by_key(|&n| (intervals[n].0, n));
+/// The machine-independent half of allocation for one program: its register
+/// numbering, every register's live interval, and each allocatable class's
+/// live registers in scan order.
+#[derive(Debug, Clone)]
+pub(crate) struct Liveness {
+    regs: RegNumbering,
+    /// `(start, end)` per register number (see [`live_intervals`]).
+    intervals: Vec<(u32, u32)>,
+    /// The live registers of each `ALLOCATABLE` class, by `(start, number)`.
+    order: [Vec<u32>; 4],
+}
 
-        // Linear scan.  The free list is a FIFO so that a just-released
-        // physical register is not immediately reused: immediate reuse would
-        // introduce tight WAR/WAW dependences that needlessly serialise the
-        // schedule (the classic allocate-before-schedule phase-ordering
-        // hazard); cycling round-robin through the large Table 2 register
-        // files keeps the reuse distance long.  Once the file is exhausted
-        // the scan keeps counting live intervals without assigning, so an
-        // over-pressure error reports the class's whole peak.
-        let mut active: Vec<(u32, u32)> = Vec::new(); // (end, phys index)
-        let mut free: VecDeque<u32> = (0..available as u32).collect();
-        for n in order {
-            let (start, end) = intervals[n];
-            active.retain(|&(e, phys)| {
-                if e < start {
-                    if phys != NONE {
-                        free.push_back(phys);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            let phys = free.pop_front().unwrap_or(NONE);
-            active.push((end, phys));
-            peak[c] = peak[c].max(active.len());
-            physical[n] = phys;
-        }
-        if peak[c] > available {
-            return Err(RegAllocError {
-                class,
-                required: peak[c],
-                available,
-                program: program.name.clone(),
-            });
+impl Liveness {
+    /// Number `program`'s registers and compute their live intervals.
+    pub(crate) fn of(program: &Program) -> Liveness {
+        let regs = RegNumbering::of(program.blocks.iter().flat_map(|b| &b.ops));
+        let intervals = live_intervals(program, &regs);
+        let order = ALLOCATABLE.map(|class| {
+            let mut order: Vec<u32> = regs
+                .class_range(class)
+                .filter(|&n| intervals[n].0 <= intervals[n].1)
+                .map(|n| n as u32)
+                .collect();
+            order.sort_unstable_by_key(|&n| (intervals[n as usize].0, n));
+            order
+        });
+        Liveness {
+            regs,
+            intervals,
+            order,
         }
     }
 
-    // Rewrite the program with the mapping (control registers unchanged).
-    let mut out = program.clone();
-    for op in out.blocks.iter_mut().flat_map(|b| &mut b.ops) {
-        for r in op.dst.iter_mut().chain(&mut op.srcs) {
-            if r.class != RegClass::Ctrl {
-                r.index = physical[regs.number(*r)];
+    /// The machine half: linear-scan the intervals against `machine`'s
+    /// register files and rename `program`, which must be the program the
+    /// liveness was computed for.
+    pub(crate) fn allocate(
+        &self,
+        program: &Program,
+        machine: &MachineConfig,
+    ) -> Result<(Program, Allocation), RegAllocError> {
+        let regs = self.regs;
+        let mut physical = vec![NONE; regs.len()];
+        let mut peak = [0usize; 4];
+
+        for (c, class) in ALLOCATABLE.into_iter().enumerate() {
+            let available = machine.regs.count(class) as usize;
+
+            // Linear scan.  The free list is a FIFO so that a just-released
+            // physical register is not immediately reused: immediate reuse
+            // would introduce tight WAR/WAW dependences that needlessly
+            // serialise the schedule (the classic allocate-before-schedule
+            // phase-ordering hazard); cycling round-robin through the large
+            // Table 2 register files keeps the reuse distance long.  Once
+            // the file is exhausted the scan keeps counting live intervals
+            // without assigning, so an over-pressure error reports the
+            // class's whole peak.
+            let mut active: Vec<(u32, u32)> = Vec::new(); // (end, phys index)
+            let mut free: VecDeque<u32> = (0..available as u32).collect();
+            for &n in &self.order[c] {
+                let (start, end) = self.intervals[n as usize];
+                active.retain(|&(e, phys)| {
+                    if e < start {
+                        if phys != NONE {
+                            free.push_back(phys);
+                        }
+                        false
+                    } else {
+                        true
+                    }
+                });
+                let phys = free.pop_front().unwrap_or(NONE);
+                active.push((end, phys));
+                peak[c] = peak[c].max(active.len());
+                physical[n as usize] = phys;
+            }
+            if peak[c] > available {
+                return Err(RegAllocError {
+                    class,
+                    required: peak[c],
+                    available,
+                    program: program.name.clone(),
+                });
             }
         }
-    }
 
-    Ok((
-        out,
-        Allocation {
-            regs,
-            physical,
-            peak,
-        },
-    ))
+        // Rewrite the program with the mapping (control registers unchanged).
+        let mut out = program.clone();
+        for op in out.blocks.iter_mut().flat_map(|b| &mut b.ops) {
+            for r in op.dst.iter_mut().chain(&mut op.srcs) {
+                if r.class != RegClass::Ctrl {
+                    r.index = physical[regs.number(*r)];
+                }
+            }
+        }
+
+        Ok((
+            out,
+            Allocation {
+                regs,
+                physical,
+                peak,
+            },
+        ))
+    }
 }
 
 /// The allocatable registers `op` reads (its explicit sources; the implicit

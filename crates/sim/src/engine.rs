@@ -143,7 +143,7 @@ impl Simulator {
     ///
     /// Lowers the program (pre-resolving labels, register slots and latency
     /// metadata) and executes the lowered form.  Callers running the same
-    /// schedule many times should lower once with [`vmv_sched::lower`] and
+    /// schedule many times should lower once with [`vmv_sched::lower()`] and
     /// call [`Simulator::run_lowered`] directly.
     pub fn run(&mut self, program: &ScheduledProgram) -> Result<RunStats, SimError> {
         let lowered = lower(program, &self.machine)?;

@@ -1,26 +1,35 @@
 //! Schedule keys: each benchmark program is scheduled **once** per unique
-//! `(benchmark, ISA variant, schedule-relevant machine fields)`, and the
-//! resulting lowered schedule serves every run of that key, which may vary
-//! only memory-system parameters or the memory model.
+//! `(benchmark, ISA variant, machine as that variant's code sees it)`, and
+//! the resulting lowered schedule serves every run of that key, which may
+//! vary only memory-system parameters, the memory model, or fields no
+//! operation of the program reads.
 //!
-//! A sweep over cache geometries or memory latencies therefore pays the
-//! scheduler exactly once per architecture point, no matter how many memory
-//! variants it simulates.
+//! The machine part of the key is the schedule fingerprint of the
+//! machine's ISA-visible view ([`MachineConfig::schedule_view`]): scalar
+//! code has no µSIMD or vector operation and µSIMD code no vector
+//! operation, so chaining or the vector-cache latency cannot change their
+//! schedules.  The machine's own schedule fingerprint stays a component of
+//! the run key ([`crate::full_fingerprint`]), so runs that share a schedule
+//! are still stored apart.  A sweep over cache geometries or memory
+//! latencies therefore pays the scheduler once per architecture point, and
+//! one that crosses every ISA with chaining schedules the scalar and µSIMD
+//! programs once per pair.
 //!
 //! Nothing is memoized here: neither programs nor traces.  The executor
 //! groups a sweep's jobs by [`CompileCache::key_for`], compiles each
-//! group's schedule when the group starts and drops it when the group
-//! finishes; the hit/miss counters are derived from the group sizes.
+//! group's schedule on its first job's machine when the group starts and
+//! drops it when the group finishes; the hit/miss counters are derived from
+//! the group sizes.
 
 use vmv_core::sched::LoweredProgram;
-use vmv_core::{compile_and_lower, ExperimentError};
-use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
+use vmv_core::{ExperimentError, ProgramRunner};
+use vmv_kernels::{Benchmark, IsaVariant};
 use vmv_machine::MachineConfig;
 
 use crate::fingerprint::schedule_fingerprint;
 
 /// Cache key: benchmark, the ISA variant it is compiled in, and the
-/// schedule-relevant machine fields.
+/// schedule fingerprint of the machine as that variant's code sees it.
 pub type CacheKey = (Benchmark, IsaVariant, String);
 
 /// The schedule-key namespace (the name predates group-scoped programs,
@@ -44,22 +53,22 @@ impl CompileCache {
         (
             benchmark,
             vmv_core::variant_for(machine),
-            schedule_fingerprint(machine),
+            schedule_fingerprint(&machine.schedule_view()),
         )
     }
 }
 
-/// Compile a built program for `machine`, lower the schedule and, when
+/// Compile `runner`'s program for `machine`, lower the schedule and, when
 /// `certify` is set, certify it with the static verifier
 /// (`vmv_verify::verify_compiled`): a schedule with error diagnostics is a
 /// compile error.  Only the lowered program is returned; the compiled form
 /// is dropped here, before anything simulates.
 pub(crate) fn compile(
-    build: &BenchmarkBuild,
+    runner: &ProgramRunner,
     machine: &MachineConfig,
     certify: bool,
 ) -> Result<LoweredProgram, ExperimentError> {
-    let (compiled, lowered) = compile_and_lower(build, machine)?;
+    let (compiled, lowered) = runner.compile(machine)?;
     if certify {
         let diags = vmv_verify::verify_compiled(&compiled.program, &lowered, machine);
         if vmv_verify::has_errors(&diags) {

@@ -10,8 +10,9 @@
 //! (`vmv_verify::verify_compiled`), so a checked-in spec is known to
 //! execute before any sweep time is spent on it.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
+use vmv_core::ProgramRunner;
 use vmv_mem::geometry_error;
 use vmv_verify::{has_errors, Check, Diagnostic};
 
@@ -150,10 +151,11 @@ fn geometry_errors(points: &[SweepPoint]) -> Vec<Diagnostic> {
 }
 
 /// Lint a spec, then, unless the lint found an error, compile and certify
-/// every distinct schedule it can reach — one compile per `(benchmark, ISA
-/// variant, schedule fingerprint)` key, shared across all memory-only
-/// variants, exactly as a real sweep would share them.  Each program is
-/// dropped as soon as it is certified.
+/// every distinct schedule it can reach — one compile per
+/// [`CompileCache::key_for`] key, on the first point that reaches it,
+/// exactly as a real sweep would share them.  Each program is built and
+/// analysed once, through one [`ProgramRunner`] per `(benchmark, ISA
+/// variant)`, and each schedule is dropped as soon as it is certified.
 pub fn check_spec(spec: &SpecFile) -> SpecCheck {
     let mut diagnostics = lint(spec);
     let mut points = 0;
@@ -163,13 +165,18 @@ pub fn check_spec(spec: &SpecFile) -> SpecCheck {
         points = expansion.points.len();
         if !has_errors(&diagnostics) {
             let mut seen = HashSet::new();
+            let mut runners = HashMap::new();
             for point in &expansion.points {
                 for &benchmark in &lowered.benchmarks {
-                    if !seen.insert(CompileCache::key_for(benchmark, &point.machine)) {
+                    let key = CompileCache::key_for(benchmark, &point.machine);
+                    let program = (key.0, key.1);
+                    if !seen.insert(key) {
                         continue;
                     }
-                    let build = benchmark.build(vmv_core::variant_for(&point.machine));
-                    if let Err(e) = compile(&build, &point.machine, true) {
+                    let runner = runners
+                        .entry(program)
+                        .or_insert_with(|| ProgramRunner::new(program.0, program.1, 0));
+                    if let Err(e) = compile(runner, &point.machine, true) {
                         diagnostics.push(Diagnostic::error(
                             Check::Spec,
                             format!("point '{}', benchmark {}", point.name, benchmark.name()),

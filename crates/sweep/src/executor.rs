@@ -5,12 +5,13 @@
 //!
 //! The work unit is a *program*, `(benchmark, ISA variant)`: a worker takes
 //! a whole program from one atomic index and runs it through one
-//! [`ProgramRunner`], which builds it, makes its one execution and retimes
-//! every other job of the program from that recording
-//! ([`vmv_core::ProgramRunner::run`] holds the whole recording policy).
-//! Inside a program, jobs are grouped by schedule key
-//! ([`CompileCache::key_for`]), and each group is one lowered schedule's
-//! whole lifetime: the worker compiles it, runs the group's jobs through
+//! [`ProgramRunner`], which builds, verifies and register-analyses it once,
+//! makes its one execution and retimes every other job of the program from
+//! that recording ([`vmv_core::ProgramRunner::run`] holds the whole
+//! recording policy).  Inside a program, jobs are grouped by schedule key
+//! ([`CompileCache::key_for`], the machine as the program's code sees it),
+//! and each group is one lowered schedule's whole lifetime: the worker
+//! compiles it on the group's first machine, runs the group's jobs through
 //! the runner as one call (one batched trace walk), writes the group's
 //! profiles, hands the results to the committer and drops the schedule.
 //! The groups run in first-seen order, and the program's build and
@@ -30,12 +31,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use vmv_core::{panic_message, ExperimentError, ProgramRun, ProgramRunner};
+use vmv_core::{catch_quietly, ExperimentError, ProgramRun, ProgramRunner};
 use vmv_kernels::{Benchmark, IsaVariant};
 use vmv_obs::{Counter, SpanKind};
 
@@ -293,23 +293,23 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // One group's jobs through its program's runner: build the program (on
-    // its first group) and compile the group's schedule, run the group as
-    // one runner call, write the profiles, and drop the schedule on return.
-    // A build or compile that fails or panics fails the whole group, and a
-    // failed build is retried by the program's next group.  Returns one
-    // result per job, in group (= job) order.
+    // One group's jobs through its program's runner: build and analyse the
+    // program (on its first group) and compile the group's schedule on its
+    // first job's machine, run the group as one runner call, write the
+    // profiles, and drop the schedule on return.  A build or compile that
+    // fails or panics fails the whole group, and a failed build is retried
+    // by the program's next group.  Returns one result per job, in group
+    // (= job) order.
     let simulate_group =
         |runner: &mut Option<ProgramRunner>, runs: usize, group: &[usize]| -> Vec<JobResult> {
             let first = &jobs[group[0]];
-            let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let compiled = catch_quietly(|| {
                 let _compile = vmv_obs::span(SpanKind::JobCompile);
                 let variant = vmv_core::variant_for(&first.point.machine);
                 let runner = runner
                     .get_or_insert_with(|| ProgramRunner::new(first.benchmark, variant, runs));
-                compile(runner.build(), &first.point.machine, certify)
-            }))
-            .map_err(|panic| panic_message(&*panic))
+                compile(runner, &first.point.machine, certify)
+            })
             .and_then(|compiled| compiled.map_err(|e| e.to_string()));
             let lowered = match compiled {
                 Ok(lowered) => lowered,
@@ -790,6 +790,53 @@ mod tests {
             // Scalar and µSIMD retime one run each; the vector program
             // retimes its second one-job key and the pair, in two walks.
             assert_eq!((report.replays, report.replay_batches), (5, 4));
+        }
+    }
+
+    #[test]
+    fn scalar_and_usimd_programs_share_schedules_across_vector_fields() {
+        // ISA x chaining x L2 latency: chaining and the vector-cache
+        // latency reach only vector code, so the scalar and µSIMD programs
+        // are one schedule key of four runs each and the vector program is
+        // four keys of one run.  Every record must equal a fresh execution
+        // of its own point, compiled for its own machine.
+        use vmv_machine::IsaSupport;
+        let points = expand_axes(vec![
+            AxisSpec::Isa(vec![
+                IsaSupport::Vliw,
+                IsaSupport::Usimd,
+                IsaSupport::Vector,
+            ]),
+            AxisSpec::Chaining(vec![true, false]),
+            AxisSpec::L2Latency(vec![3, 9]),
+        ])
+        .points;
+        assert_eq!(points.len(), 12);
+        let benchmark = Benchmark::GsmDec;
+        let expected: Vec<RunRecord> = points
+            .iter()
+            .map(|point| {
+                let prepared = vmv_core::prepare(benchmark, &point.machine).unwrap();
+                let outcome = vmv_core::simulate(&prepared, &point.machine, point.model).unwrap();
+                let variant = vmv_core::variant_for(&point.machine);
+                let key = run_key(benchmark, variant, &point.machine, point.model);
+                record_of(key, point, benchmark, &outcome)
+            })
+            .collect();
+        for workers in [1, 2] {
+            let opts = ExecOptions {
+                benchmarks: vec![benchmark],
+                workers,
+                ..ExecOptions::default()
+            };
+            let report = run_sweep(&points, &opts, None).unwrap();
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            assert_eq!(report.records, expected, "workers {workers}");
+            assert_eq!(report.cache.misses, 6, "one scalar, one µSIMD, four vector");
+            // Each program executes once; the scalar and µSIMD programs
+            // retime their other three runs in one walk, the vector
+            // program in one walk per remaining key.
+            assert_eq!((report.replays, report.replay_batches), (9, 5));
         }
     }
 

@@ -2,10 +2,14 @@
 //!
 //! Three textual fingerprints exist in the crate:
 //!
-//! * the **schedule fingerprint** covers exactly the fields the static
-//!   scheduler reads (ISA family, issue width, functional units, lanes,
-//!   cache ports, register files, operation latencies, chaining) — the
-//!   compile-memoization key;
+//! * the **schedule fingerprint** covers every field the static scheduler
+//!   can read (ISA family, issue width, functional units, lanes, cache
+//!   ports, register files, operation latencies, chaining).  It is a
+//!   component of the full fingerprint, so run keys depend on it.  The
+//!   compile key ([`crate::CompileCache::key_for`]) is the schedule
+//!   fingerprint of the machine's ISA-visible view
+//!   ([`vmv_machine::MachineConfig::schedule_view`]), which leaves out the
+//!   fields no operation of the machine's ISA family reads;
 //! * the **full fingerprint** additionally covers the memory-hierarchy
 //!   parameters — together with benchmark, variant and memory model it
 //!   derives the stable run key of the result store;

@@ -21,19 +21,19 @@
 //!   every schedule it reaches without executing a cycle;
 //! * [`run_sweep`] executes `points × benchmarks` on scoped worker threads
 //!   that take whole programs (benchmark, ISA variant) from one atomic
-//!   index: each program is built and **executed once**
+//!   index: each program is built, analysed and **executed once**
 //!   ([`vmv_core::ProgramRunner`]), its jobs are grouped by schedule key
-//!   ([`CompileCache::key_for`]: benchmark, ISA variant, schedule-relevant
-//!   machine fields) so each schedule is **compiled once** and every memory
-//!   variation of its group is retimed in one batched walk, and each
-//!   schedule is freed when its group finishes;
+//!   ([`CompileCache::key_for`]: benchmark, ISA variant, the machine fields
+//!   the program's code can observe) so each schedule is **compiled once**
+//!   and every other run of its group is retimed in one batched walk, and
+//!   each schedule is freed when its group finishes;
 //! * [`ResultStore`] streams each run as a JSON Line with a stable
 //!   content-derived [`run_key`], so re-invocations **skip completed runs**
 //!   and extend the same file; shard files from distributed sweeps union by
 //!   key (`merge_from`), and `compact` drops superseded duplicates and
 //!   rewrites the store sorted by key;
 //! * [`pareto_report`] (cycles vs. an abstract hardware-cost model) and
-//!   [`sensitivity`] (per-axis performance swing) summarise the result set.
+//!   [`sensitivity()`] (per-axis performance swing) summarise the result set.
 //!
 //! ```no_run
 //! use vmv_sweep::{AxisSpec, ConstraintSpec, ExecOptions, ResultStore, SpecFile};

@@ -2,9 +2,9 @@
 //! points: the cartesian product of its machine axes, filtered by its
 //! constraints.
 //!
-//! Each axis value applies itself to a [`Draft`] — the structural machine
-//! parameters ([`GenParams`]), the memory-hierarchy parameters, the latency
-//! table and the memory model.  Structural axes (ISA, issue width, vector
+//! Each axis value applies itself to a draft machine (`Draft`) — the
+//! structural machine parameters ([`GenParams`]), the memory-hierarchy
+//! parameters, the latency table and the memory model.  Structural axes (ISA, issue width, vector
 //! units, lanes, port width) feed the Table 2 scaling rules of
 //! [`vmv_machine::gen`], so dependent resources (register files, cache
 //! ports, functional units) stay consistent at every point — the sweep
