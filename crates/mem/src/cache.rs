@@ -4,6 +4,31 @@
 //! the simulator's flat memory image (functional correctness never depends on
 //! the cache contents, only timing does).  Replacement is true LRU within a
 //! set, which matches the level of detail of the paper's simulator.
+//!
+//! # Line state: 9 bytes per line
+//!
+//! A line is a 32-bit tag, a state byte and a 32-bit LRU stamp, held in
+//! three parallel arrays.  Both words are exact:
+//!
+//! * **Tags.**  Every address a cache sees lies below [`ADDRESS_LIMIT`]
+//!   (2^32): a simulator refuses a memory image larger than that, and trace
+//!   replay rejects any recorded access that reaches past it.  A tag is the
+//!   address shifted right, so it fits in 32 bits.  An address at or above
+//!   the limit would get a truncated, aliased tag: debug builds assert
+//!   that no caller hands one in.
+//! * **LRU stamps.**  A cache's stamp counter advances once per access or
+//!   fill.  Before it would wrap, every set's stamps are renumbered to their
+//!   ranks `1..=assoc`.  Only stamps within one set are ever compared, and
+//!   ranks keep their order, so every victim, write-back and statistic is
+//!   what 64-bit stamps give (the reference-model test in this module
+//!   drives streams across the wrap).
+//!
+//! The compact words matter for batch replay, which builds fresh tag state
+//! per tag class and batch.  The default 1 MiB L3 of 64-byte lines has
+//! 16,384 lines: its tag and stamp arrays are 64 KiB each, below glibc's
+//! default 128 KiB mmap threshold, so they come from the heap and reuse the
+//! chunks the previous batch freed.  An array at the threshold would be
+//! mapped, and faulted in page by page, afresh for every batch.
 
 /// Result of looking a block up in a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,15 +50,21 @@ pub struct FillOutcome {
 const VALID: u8 = 1;
 const DIRTY: u8 = 2;
 
+/// One past the largest byte address a cache models exactly: tags are 32
+/// bits wide (module docs).  Memory images and replayed accesses are
+/// bounded by it.
+pub const ADDRESS_LIMIT: u64 = 1 << 32;
+
 /// A set-associative cache.
 ///
 /// Line size and set count are powers of two (asserted at construction), so
 /// every block/set/tag computation is a shift or mask — no integer division
 /// on the per-access path.  Line state is stored as three parallel arrays
-/// (tags, state bytes, LRU timestamps) instead of an array of structs: the
-/// all-zero initial state comes straight from the zeroed allocation (no
-/// per-line construction — a simulator is built per run in a sweep), and
-/// the tag scan of a set touches densely packed words.
+/// (32-bit tags, state bytes, 32-bit LRU stamps; see the module docs for
+/// why both words are exact) instead of an array of structs: the all-zero
+/// initial state comes straight from the zeroed allocation (no per-line
+/// construction — a simulator is built per run in a sweep), and the tag
+/// scan of a set touches densely packed words.
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
@@ -45,12 +76,13 @@ pub struct Cache {
     set_mask: u64,
     /// `log2(line_bytes * num_sets)`.
     tag_shift: u32,
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     /// `VALID` / `DIRTY` bits per line.
     state: Vec<u8>,
-    /// LRU timestamps (higher = more recently used).
-    lru: Vec<u64>,
-    tick: u64,
+    /// LRU stamps (higher = more recently used).
+    lru: Vec<u32>,
+    /// The last stamp handed out.
+    tick: u32,
     /// Most-recently-hit block and its way index: consecutive accesses to
     /// the same line (the overwhelmingly common pattern) skip the set scan.
     /// Reset by any fill or invalidation.  Pure shortcut — statistics, LRU
@@ -147,15 +179,51 @@ impl Cache {
         ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
+    /// The tag of `addr`: exact below [`ADDRESS_LIMIT`], the bound every
+    /// caller keeps to (asserted in debug builds).
     #[inline]
-    fn tag(&self, addr: u64) -> u64 {
-        addr >> self.tag_shift
+    fn tag(&self, addr: u64) -> u32 {
+        debug_assert!(
+            addr < ADDRESS_LIMIT,
+            "{} cache: address {addr:#x} is past the 4 GiB limit",
+            self.name
+        );
+        (addr >> self.tag_shift) as u32
     }
 
     /// Byte address of the first block of (`tag`, `set`).
     #[inline]
-    fn block_of(&self, tag: u64, set: usize) -> u64 {
-        (tag << self.tag_shift) | ((set as u64) << self.line_shift)
+    fn block_of(&self, tag: u32, set: usize) -> u64 {
+        ((tag as u64) << self.tag_shift) | ((set as u64) << self.line_shift)
+    }
+
+    /// The next LRU stamp.  Before the counter would wrap, [`Self::renumber`]
+    /// restarts it just above every stamp in use.
+    #[inline]
+    fn stamp(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.renumber();
+        }
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Replace every set's stamps by their ranks `1..=assoc`, oldest first.
+    /// Stamps are only compared within a set, and valid lines hold distinct
+    /// stamps, so every later victim choice is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
+        for set in self.lru.chunks_exact_mut(self.assoc) {
+            order.clear();
+            order.extend(0..set.len());
+            order.sort_unstable_by_key(|&way| set[way]);
+            for (rank, &way) in order.iter().enumerate() {
+                set[way] = rank as u32 + 1;
+            }
+        }
+        self.tick = self.assoc as u32;
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -164,7 +232,7 @@ impl Cache {
 
     /// Index of the way holding (`set`, `tag`), if any.
     #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    fn find(&self, set: usize, tag: u32) -> Option<usize> {
         let range = self.set_range(set);
         let tags = &self.tags[range.clone()];
         let state = &self.state[range.clone()];
@@ -189,11 +257,11 @@ impl Cache {
     /// [`Cache::fill`] so the caller controls the write-allocate policy.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> LookupResult {
-        self.tick += 1;
+        let tick = self.stamp();
         self.stats.accesses += 1;
         if self.block_addr(addr) == self.mru_blk {
             let i = self.mru_way;
-            self.lru[i] = self.tick;
+            self.lru[i] = tick;
             if write {
                 self.state[i] |= DIRTY;
             }
@@ -202,7 +270,7 @@ impl Cache {
         }
         match self.find(self.set_index(addr), self.tag(addr)) {
             Some(i) => {
-                self.lru[i] = self.tick;
+                self.lru[i] = tick;
                 if write {
                     self.state[i] |= DIRTY;
                 }
@@ -222,10 +290,9 @@ impl Cache {
     /// necessary.  `write` marks the new line dirty (write-allocate).
     pub fn fill(&mut self, addr: u64, write: bool) -> FillOutcome {
         self.mru_blk = u64::MAX;
-        self.tick += 1;
+        let tick = self.stamp();
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let tick = self.tick;
 
         // If the block is already present just update it.
         if let Some(i) = self.find(set, tag) {
@@ -383,6 +450,169 @@ mod tests {
         c.fill(0x0, false);
         c.access(0x0, false);
         assert!((c.stats.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    impl Cache {
+        /// A cache whose stamp counter starts at `tick`, to reach the
+        /// renumbering without four billion accesses.
+        fn with_tick(mut self, tick: u32) -> Cache {
+            self.tick = tick;
+            self
+        }
+    }
+
+    /// The plain cache the compact one must match: one struct per line with
+    /// a full block address and a 64-bit stamp that never wraps.
+    struct Reference {
+        line: u64,
+        sets: u64,
+        assoc: usize,
+        /// `(valid, dirty, block, stamp)` per line, set-major.
+        lines: Vec<(bool, bool, u64, u64)>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(size: usize, assoc: usize, line: usize, tick: u64) -> Reference {
+            let n = size / line;
+            Reference {
+                line: line as u64,
+                sets: (n / assoc) as u64,
+                assoc,
+                lines: vec![(false, false, 0, 0); n],
+                tick,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&self, addr: u64) -> std::ops::Range<usize> {
+            let set = (addr / self.line % self.sets) as usize;
+            set * self.assoc..(set + 1) * self.assoc
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let blk = addr / self.line * self.line;
+            self.set(addr)
+                .find(|&i| self.lines[i].0 && self.lines[i].2 == blk)
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> LookupResult {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            match self.find(addr) {
+                Some(i) => {
+                    self.lines[i].3 = self.tick;
+                    self.lines[i].1 |= write;
+                    self.stats.hits += 1;
+                    LookupResult::Hit
+                }
+                None => {
+                    self.stats.misses += 1;
+                    LookupResult::Miss
+                }
+            }
+        }
+
+        fn fill(&mut self, addr: u64, write: bool) -> FillOutcome {
+            self.tick += 1;
+            if let Some(i) = self.find(addr) {
+                self.lines[i].3 = self.tick;
+                self.lines[i].1 |= write;
+                return FillOutcome::default();
+            }
+            let range = self.set(addr);
+            let victim = range
+                .clone()
+                .find(|&i| !self.lines[i].0)
+                .unwrap_or_else(|| range.min_by_key(|&i| self.lines[i].3).unwrap());
+            let (valid, dirty, blk, _) = self.lines[victim];
+            let mut out = FillOutcome::default();
+            if valid && dirty {
+                out.writeback = Some(blk);
+                self.stats.writebacks += 1;
+            } else if valid {
+                out.evicted = Some(blk);
+            }
+            self.lines[victim] = (true, write, addr / self.line * self.line, self.tick);
+            out
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<u64> {
+            let i = self.find(addr)?;
+            let (_, dirty, blk, _) = self.lines[i];
+            self.lines[i].0 = false;
+            self.stats.invalidations += 1;
+            dirty.then_some(blk)
+        }
+    }
+
+    #[test]
+    fn compact_line_state_matches_a_64_bit_reference_model() {
+        // Seeded access/fill/invalidate streams over direct-mapped to
+        // 16-way caches with 32- to 128-byte lines, some starting a few
+        // stamps before the 32-bit counter wraps: every outcome, victim,
+        // write-back and statistic must match step for step.
+        let mut state = 0x0C0F_FEE5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut wraps = 0;
+        for assoc in [1, 2, 4, 8, 16] {
+            for line in [32, 64, 128] {
+                for sets in [1, 4, 16] {
+                    for start in [0, u32::MAX - 40, u32::MAX - 3, u32::MAX] {
+                        let size = sets * assoc * line;
+                        let mut cache = Cache::new("c", size, assoc, line).with_tick(start);
+                        let mut reference = Reference::new(size, assoc, line, start as u64);
+                        // Addresses over four cache sizes, so sets conflict;
+                        // some near the top of the exact address range.
+                        let span = 4 * size as u64;
+                        let top = ADDRESS_LIMIT - span;
+                        for step in 0..600 {
+                            let r = next();
+                            let addr = (r >> 8) % span + if r & 64 != 0 { top } else { 0 };
+                            let write = r & 1 != 0;
+                            let at =
+                                format!("{assoc}-way {line} B x{sets} from {start}, step {step}");
+                            match (r >> 1) % 8 {
+                                0..=3 => assert_eq!(
+                                    cache.access(addr, write),
+                                    reference.access(addr, write),
+                                    "{at}: access"
+                                ),
+                                4..=6 => assert_eq!(
+                                    cache.fill(addr, write),
+                                    reference.fill(addr, write),
+                                    "{at}: fill"
+                                ),
+                                _ => assert_eq!(
+                                    cache.invalidate(addr),
+                                    reference.invalidate(addr),
+                                    "{at}: invalidate"
+                                ),
+                            }
+                            assert_eq!(cache.stats, reference.stats, "{at}: stats");
+                            assert_eq!(
+                                cache.probe(addr) == LookupResult::Hit,
+                                reference.find(addr).is_some(),
+                                "{at}: probe"
+                            );
+                        }
+                        wraps += (cache.tick < 1000 && start > 1000) as u32;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            wraps,
+            5 * 3 * 3 * 3,
+            "every stream started near the wrap crossed it"
+        );
     }
 
     #[test]

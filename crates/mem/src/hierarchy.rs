@@ -15,6 +15,29 @@
 //! The hierarchy is a *timing* model — data contents live in the simulator's
 //! flat memory.  Two modes exist: `Perfect` (every access hits, paper §5.1)
 //! and `Realistic` (tags are simulated and misses pay the full latency).
+//!
+//! # Front and back
+//!
+//! A [`MemoryHierarchy`] is an L1 *front* composed with an L2/L3 *back*.
+//! In this model L1 state never depends on the levels below:
+//!
+//! * an L1 fill or victim choice reads only L1 tags;
+//! * a vector access invalidates the L1 lines it spans whatever the L2
+//!   holds;
+//! * an L2 eviction never back-invalidates the L1.
+//!
+//! So the front sees only the access stream, and hands the back what it
+//! must see: the L1 misses of a scalar access, each with the dirty line its
+//! fill evicted, and the dirty L1 lines a vector access pushes down.  The
+//! back turns them into the serving level and the L2/L3 counts, in the
+//! order of one fused walk: a scalar line's refill precedes the write-back
+//! its L1 fill evicted, and a vector access's pushes fall where the back's
+//! own L2 line walk reaches them.  Latencies are applied last, from the
+//! access's [`AccessEcho`].  Batched trace replay builds a [`ClassTree`]:
+//! one front per L1 geometry, shared by the backs of every tag class
+//! under it.
+
+use std::ops::Range;
 
 use crate::cache::{Cache, LookupResult};
 use crate::lines::{self, LineWalk};
@@ -112,16 +135,14 @@ impl MemStats {
     }
 }
 
-/// Memoized touched-line walks shared across hierarchies.
+/// Memoized touched-line walks of the current irregular vector access.
 ///
-/// Batched trace replay prices the *same* recorded access against K cache
-/// states back to back.  The touched-line set of an irregular stride depends
-/// only on `(base, stride, elems, line_size)` — never on cache contents — so
-/// one naive walk can serve every variant whose line geometry matches.  The
-/// scratch lives outside the hierarchy precisely so K hierarchies can borrow
-/// it in turn while each is stepped mutably.
-#[derive(Debug, Default)]
-pub struct SharedAccessScratch {
+/// A [`ClassTree`] prices the *same* access against several backs in turn.
+/// The touched-line set of an irregular stride depends only on
+/// `(base, stride, elems, line_size)` — never on cache contents — so one
+/// naive walk serves every back whose line geometry matches.
+#[derive(Debug, Clone, Default)]
+struct SharedAccessScratch {
     /// Access the memoized walks belong to: (base, stride, elems).
     key: Option<(u64, i64, u32)>,
     /// One cached walk per distinct line size seen for the current access.
@@ -131,10 +152,6 @@ pub struct SharedAccessScratch {
 }
 
 impl SharedAccessScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The touched lines of the access for `line_size`-byte lines, computing
     /// and memoizing the naive walk on first request.
     fn lines(&mut self, base: u64, stride_bytes: i64, elems: u32, line_size: u64) -> &[u64] {
@@ -161,13 +178,14 @@ pub enum ServedBy {
     Mem,
 }
 
-/// The timing-relevant *events* of one access, captured from the hierarchy
-/// that simulated it.  Tag behaviour depends only on the access stream and
-/// the cache geometry — never on the latency parameters — so any
-/// [`tag_equivalent_configs`] configuration can price the echoed events
-/// against its own latencies ([`ClassPricer`]) without walking its own
-/// tags, and land on exactly the timing and [`MemStats`] the real access
-/// would have produced.
+/// The timing-relevant *events* of one access, captured from the tags that
+/// simulated it.  Tag behaviour depends only on the access stream and the
+/// cache geometry — never on the latency parameters — so every
+/// [`tag_equivalent_configs`] configuration prices the echoed events
+/// against its own latencies without walking its own tags, and lands on
+/// exactly the timing and [`MemStats`] the real access would have produced
+/// (a hierarchy prices its own accesses this way, and a [`ClassTree`] all
+/// members of a tag class at once).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessEcho {
     Scalar {
@@ -226,6 +244,169 @@ impl AccessEcho {
     }
 }
 
+/// L1 miss of one line of a scalar access, as the back must serve it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Refill {
+    blk: u64,
+    /// Dirty L1 line the miss's fill evicted: the back pushes it into the
+    /// L2 right after the refill.
+    writeback: Option<u64>,
+}
+
+/// The front's verdict on one scalar access: the L1 misses of its first
+/// line and, when it straddles a line boundary, of its second.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ScalarLines {
+    misses: [Option<Refill>; 2],
+    straddles: bool,
+}
+
+impl ScalarLines {
+    /// Whether every line hit the L1 (the back has nothing to do).
+    #[inline]
+    fn hit(&self) -> bool {
+        self.misses == [None, None]
+    }
+
+    /// The echo of an access that hit the L1 on every line.
+    #[inline]
+    fn l1_echo(&self) -> AccessEcho {
+        AccessEcho::Scalar {
+            first: ServedBy::L1,
+            second: self.straddles.then_some(ServedBy::L1),
+        }
+    }
+}
+
+/// The L1 *front* of a hierarchy: the L1 tags and every counter that the
+/// access stream and the L1 alone decide (loads, stores, stride kinds, L1
+/// hits and misses, coherence invalidations).
+#[derive(Debug, Clone)]
+struct Front {
+    model: MemoryModel,
+    l1: Cache,
+    /// Dirty L1 lines the current vector access pushed down, as the first
+    /// back's walk invalidated them.
+    dirty: Vec<u64>,
+    stats: MemStats,
+}
+
+impl Front {
+    fn new(model: MemoryModel, params: &MemoryParams) -> Front {
+        Front {
+            model,
+            l1: Cache::new("L1", params.l1_size, params.l1_assoc, params.l1_line),
+            dirty: Vec::new(),
+            stats: MemStats::default(),
+        }
+    }
+
+    /// Look up the one or two L1 lines of a scalar access of `size` bytes,
+    /// filling the missed ones.
+    #[inline]
+    fn scalar(&mut self, addr: u64, size: usize, kind: AccessKind) -> ScalarLines {
+        match kind {
+            AccessKind::Load => self.stats.scalar_loads += 1,
+            AccessKind::Store => self.stats.scalar_stores += 1,
+        }
+        if self.model == MemoryModel::Perfect {
+            self.stats.l1_hits += 1;
+            return ScalarLines {
+                misses: [None, None],
+                straddles: false,
+            };
+        }
+        let write = kind == AccessKind::Store;
+        // An access can straddle a line boundary; the back charges the
+        // worst line.
+        let last = addr + size.max(1) as u64 - 1;
+        let first_block = self.l1.block_addr(addr);
+        let last_block = self.l1.block_addr(last);
+        let straddles = last_block != first_block;
+        let first = self.line(first_block, write);
+        let second = if straddles {
+            self.line(last_block, write)
+        } else {
+            None
+        };
+        ScalarLines {
+            misses: [first, second],
+            straddles,
+        }
+    }
+
+    #[inline]
+    fn line(&mut self, blk: u64, write: bool) -> Option<Refill> {
+        match self.l1.access(blk, write) {
+            LookupResult::Hit => {
+                self.stats.l1_hits += 1;
+                None
+            }
+            LookupResult::Miss => {
+                self.stats.l1_misses += 1;
+                let writeback = self.l1.fill(blk, write).writeback;
+                Some(Refill { blk, writeback })
+            }
+        }
+    }
+
+    /// Count a vector access; its coherence invalidations follow, driven
+    /// by the first back's line walk.
+    #[inline]
+    fn vector(&mut self, stride_bytes: i64, kind: AccessKind) {
+        match kind {
+            AccessKind::Load => self.stats.vector_loads += 1,
+            AccessKind::Store => self.stats.vector_stores += 1,
+        }
+        if stride_bytes == 8 {
+            self.stats.unit_stride_vector_accesses += 1;
+        } else {
+            self.stats.strided_vector_accesses += 1;
+        }
+        self.dirty.clear();
+    }
+
+    /// Invalidate one L1 line a vector access spans (exclusive-bit
+    /// coherence): its dirty data, if any, for the back to push down.
+    #[inline]
+    fn invalidate(&mut self, blk: u64) -> Option<u64> {
+        self.stats.coherence_invalidations += 1;
+        let dirty = self.l1.invalidate(blk);
+        if let Some(blk) = dirty {
+            self.dirty.push(blk);
+        }
+        dirty
+    }
+}
+
+/// Where a back's vector walk gets the dirty L1 lines it pushes into the
+/// L2: by invalidating each spanned line in the front (the first back
+/// under a front), or by finding it among the lines that walk reported.
+/// Every back under one front walks the same set of L1 lines (see
+/// [`ClassTree`]), each line once, so each dirty line is pushed once, at
+/// the point of the back's own walk where it always was.
+enum L1Lines<'a> {
+    Invalidate(&'a mut Front),
+    Reported(&'a [u64]),
+}
+
+impl L1Lines<'_> {
+    /// The dirty block of L1 line `blk` to push into the L2, if any.
+    #[inline]
+    fn push(&mut self, blk: u64) -> Option<u64> {
+        match self {
+            L1Lines::Invalidate(front) => front.invalidate(blk),
+            L1Lines::Reported(dirty) => dirty.contains(&blk).then_some(blk),
+        }
+    }
+
+    /// Whether the walk may skip the L1 lines: none of them is dirty.
+    #[inline]
+    fn clean(&self) -> bool {
+        matches!(self, L1Lines::Reported(dirty) if dirty.is_empty())
+    }
+}
+
 /// Refill source of one L2 line of a vector access.
 enum LineFill {
     Hit,
@@ -233,300 +414,157 @@ enum LineFill {
     FromMem,
 }
 
-/// The memory hierarchy.
+/// The L2/L3 *back* of a hierarchy: the vector cache and L3 tags, and
+/// the L2 and L3 hit and miss counters they decide.  It never touches the
+/// L1; it hears the front's verdicts instead.
 #[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
+struct Back {
     model: MemoryModel,
-    params: MemoryParams,
-    l1: Cache,
     l2: VectorCache,
     l3: Cache,
-    /// Width of the L2 vector port in 64-bit elements.
-    port_elems: u32,
-    /// Reusable touched-line scratch for irregular vector strides (cleared
-    /// per access, never reallocated once grown).
-    scratch: Vec<u64>,
-    pub stats: MemStats,
+    /// L1 line size: where the front's pushes fall in a vector walk.
+    l1_line: u64,
+    l2_line: u64,
+    stats: MemStats,
 }
 
-impl MemoryHierarchy {
-    pub fn new(model: MemoryModel, params: MemoryParams, l2_port_elems: u32) -> Self {
-        MemoryHierarchy {
+impl Back {
+    fn new(model: MemoryModel, params: &MemoryParams, port_elems: u32) -> Back {
+        Back {
             model,
-            params,
-            l1: Cache::new("L1", params.l1_size, params.l1_assoc, params.l1_line),
             l2: VectorCache::new(
                 params.l2_size,
                 params.l2_assoc,
                 params.l2_line,
                 params.l2_banks,
-                l2_port_elems.max(1),
+                port_elems,
             ),
             l3: Cache::new("L3", params.l3_size, params.l3_assoc, params.l3_line),
-            port_elems: l2_port_elems.max(1),
-            scratch: Vec::with_capacity(32),
+            l1_line: params.l1_line as u64,
+            l2_line: params.l2_line as u64,
             stats: MemStats::default(),
         }
     }
 
-    /// Construct a hierarchy straight from a machine configuration.
-    pub fn for_machine(model: MemoryModel, machine: &vmv_machine::MachineConfig) -> Self {
-        Self::new(model, machine.memory, machine.l2_port_elems.max(1))
+    /// Serve the L1 misses of a scalar access, line by line: each refill,
+    /// then the write-back its L1 fill evicted.
+    fn scalar(&mut self, lines: &ScalarLines) -> AccessEcho {
+        let first = self.serve(lines.misses[0]);
+        let second = lines.straddles.then(|| self.serve(lines.misses[1]));
+        AccessEcho::Scalar { first, second }
     }
 
-    pub fn model(&self) -> MemoryModel {
-        self.model
-    }
-
-    /// Latency the *compiler* assumes for a scalar access: an L1 hit.
-    pub fn scheduled_scalar_latency(&self) -> u32 {
-        self.params.l1_latency
-    }
-
-    /// Latency the *compiler* assumes for a vector access of `elems`
-    /// elements: an L2 hit with unit stride (paper §3.3: the compiler
-    /// schedules all vector memory operations as stride-one L2 hits).
-    pub fn scheduled_vector_latency(&self, elems: u32) -> u32 {
-        self.params.l2_latency + elems.div_ceil(self.port_elems).saturating_sub(1)
-    }
-
-    // ----------------------------------------------------------- accesses
-
-    /// Simulate a scalar (or µSIMD 64-bit) access of `size` bytes.
-    pub fn scalar_access(&mut self, addr: u64, size: usize, kind: AccessKind) -> AccessTiming {
-        self.scalar_access_echoed(addr, size, kind).0
-    }
-
-    /// [`Self::scalar_access`], additionally capturing the access's
-    /// [`AccessEcho`] for replaying against tag-equivalent hierarchies.
-    pub fn scalar_access_echoed(
-        &mut self,
-        addr: u64,
-        size: usize,
-        kind: AccessKind,
-    ) -> (AccessTiming, AccessEcho) {
-        match kind {
-            AccessKind::Load => self.stats.scalar_loads += 1,
-            AccessKind::Store => self.stats.scalar_stores += 1,
-        }
-        let scheduled = self.scheduled_scalar_latency();
-        if self.model == MemoryModel::Perfect {
-            self.stats.l1_hits += 1;
-            return (
-                AccessTiming {
-                    latency: scheduled,
-                    stall_cycles: 0,
-                },
-                AccessEcho::Scalar {
-                    first: ServedBy::L1,
-                    second: None,
-                },
-            );
-        }
-
-        let write = kind == AccessKind::Store;
-        // An access can straddle a line boundary; charge the worst line.
-        let last = addr + size.max(1) as u64 - 1;
-        let first_block = self.l1.block_addr(addr);
-        let last_block = self.l1.block_addr(last);
-        let (mut latency, first) = self.scalar_line_access(first_block, write);
-        let mut second = None;
-        if last_block != first_block {
-            let (lat2, served2) = self.scalar_line_access(last_block, write);
-            latency = latency.max(lat2);
-            second = Some(served2);
-        }
-        let stall = latency.saturating_sub(scheduled);
-        self.stats.total_stall_cycles += stall as u64;
-        (
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
-            },
-            AccessEcho::Scalar { first, second },
-        )
-    }
-
-    fn scalar_line_access(&mut self, blk: u64, write: bool) -> (u32, ServedBy) {
-        match self.l1.access(blk, write) {
+    fn serve(&mut self, miss: Option<Refill>) -> ServedBy {
+        let Some(Refill { blk, writeback }) = miss else {
+            return ServedBy::L1;
+        };
+        // The vector cache also serves scalar refills; then the L3, then
+        // main memory.
+        let served = match self.l2.scalar_access(blk, false) {
             LookupResult::Hit => {
-                self.stats.l1_hits += 1;
-                (self.params.l1_latency, ServedBy::L1)
+                self.stats.l2_hits += 1;
+                ServedBy::L2
             }
             LookupResult::Miss => {
-                self.stats.l1_misses += 1;
-                // Miss in L1: look up the L2 (the vector cache also serves
-                // scalar refills), then the L3, then main memory.
-                let (below, served) = match self.l2.scalar_access(blk, false) {
-                    LookupResult::Hit => {
-                        self.stats.l2_hits += 1;
-                        (self.params.l2_latency, ServedBy::L2)
-                    }
-                    LookupResult::Miss => {
-                        self.stats.l2_misses += 1;
-                        let filled = match self.l3.access(blk, false) {
-                            LookupResult::Hit => {
-                                self.stats.l3_hits += 1;
-                                (self.params.l3_latency, ServedBy::L3)
-                            }
-                            LookupResult::Miss => {
-                                self.stats.l3_misses += 1;
-                                self.l3.fill(blk, false);
-                                (self.params.mem_latency, ServedBy::Mem)
-                            }
-                        };
-                        self.l2.fill(blk, false);
-                        filled
-                    }
-                };
-                let out = self.l1.fill(blk, write);
-                if let Some(wb) = out.writeback {
-                    // Write-back of a dirty L1 line into the (inclusive) L2.
-                    self.l2.fill(wb, true);
-                }
-                (self.params.l1_latency + below, served)
-            }
-        }
-    }
-
-    /// Invalidate one L1 line for vector/scalar coherence (exclusive-bit
-    /// policy): dirty data is pushed down into the inclusive L2.
-    #[inline]
-    fn invalidate_l1(&mut self, blk: u64) {
-        if let Some(dirty) = self.l1.invalidate(blk) {
-            self.l2.fill(dirty, true);
-        }
-        self.stats.coherence_invalidations += 1;
-    }
-
-    /// Probe + fill one L2 line of a vector access.  Returns where the line
-    /// was refilled from and the L3/memory latency charged for fetching it.
-    #[inline]
-    fn l2_line_access(&mut self, blk: u64, write: bool) -> (LineFill, u32) {
-        match self.l2.access_line(blk, write) {
-            LookupResult::Hit => (LineFill::Hit, 0),
-            LookupResult::Miss => {
-                let (fill, below) = match self.l3.access(blk, false) {
+                self.stats.l2_misses += 1;
+                let served = match self.l3.access(blk, false) {
                     LookupResult::Hit => {
                         self.stats.l3_hits += 1;
-                        (LineFill::FromL3, self.params.l3_latency)
+                        ServedBy::L3
                     }
                     LookupResult::Miss => {
                         self.stats.l3_misses += 1;
                         self.l3.fill(blk, false);
-                        (LineFill::FromMem, self.params.mem_latency)
+                        ServedBy::Mem
+                    }
+                };
+                self.l2.fill(blk, false);
+                served
+            }
+        };
+        if let Some(wb) = writeback {
+            // Write-back of a dirty L1 line into the (inclusive) L2.
+            self.l2.fill(wb, true);
+        }
+        served
+    }
+
+    /// Probe + fill one L2 line of a vector access.
+    #[inline]
+    fn l2_line_access(&mut self, blk: u64, write: bool) -> LineFill {
+        match self.l2.access_line(blk, write) {
+            LookupResult::Hit => LineFill::Hit,
+            LookupResult::Miss => {
+                let fill = match self.l3.access(blk, false) {
+                    LookupResult::Hit => {
+                        self.stats.l3_hits += 1;
+                        LineFill::FromL3
+                    }
+                    LookupResult::Miss => {
+                        self.stats.l3_misses += 1;
+                        self.l3.fill(blk, false);
+                        LineFill::FromMem
                     }
                 };
                 self.l2.fill(blk, write);
-                (fill, below)
+                fill
             }
         }
     }
 
-    /// Probe all three cache levels for `addr` without disturbing LRU state
-    /// or statistics (diagnostics and tests).
-    pub fn probe(&self, addr: u64) -> [LookupResult; 3] {
-        [
-            self.l1.probe(addr),
-            self.l2.probe(addr),
-            self.l3.probe(addr),
-        ]
-    }
-
-    /// Simulate a vector access of `elems` 64-bit elements starting at
-    /// `base`, separated by `stride_bytes`.  Vector accesses bypass the L1
-    /// and access the L2 vector cache directly.
-    pub fn vector_access(
-        &mut self,
-        base: u64,
-        stride_bytes: i64,
-        elems: u32,
-        kind: AccessKind,
-    ) -> AccessTiming {
-        self.vector_access_impl(base, stride_bytes, elems, kind, None)
-            .0
-    }
-
-    /// [`Self::vector_access`] with an external memoized line-walk scratch,
-    /// for stepping several hierarchies through the same access stream
-    /// (batched trace replay), additionally capturing the access's
-    /// [`AccessEcho`] for pricing tag-equivalent followers.  Timing and
-    /// statistics are bit-identical to `vector_access`; only the
-    /// irregular-stride walk is shared.
-    pub fn vector_access_echoed(
-        &mut self,
-        base: u64,
-        stride_bytes: i64,
-        elems: u32,
-        kind: AccessKind,
-        scratch: &mut SharedAccessScratch,
-    ) -> (AccessTiming, AccessEcho) {
-        self.vector_access_impl(base, stride_bytes, elems, kind, Some(scratch))
-    }
-
-    fn vector_access_impl(
-        &mut self,
-        base: u64,
-        stride_bytes: i64,
-        elems: u32,
-        kind: AccessKind,
-        shared: Option<&mut SharedAccessScratch>,
-    ) -> (AccessTiming, AccessEcho) {
-        match kind {
-            AccessKind::Load => self.stats.vector_loads += 1,
-            AccessKind::Store => self.stats.vector_stores += 1,
+    /// Push the dirty data of L1 line `blk`, if any, into the inclusive L2.
+    #[inline]
+    fn push_down(&mut self, l1: &mut L1Lines, blk: u64) {
+        if let Some(dirty) = l1.push(blk) {
+            self.l2.fill(dirty, true);
         }
-        let elems = elems.max(1);
-        let scheduled = self.scheduled_vector_latency(elems);
-        if stride_bytes == 8 {
-            self.stats.unit_stride_vector_accesses += 1;
-        } else {
-            self.stats.strided_vector_accesses += 1;
-        }
+    }
 
+    /// The L2 side of a vector access of `elems` 64-bit elements (at least
+    /// one) at `base`, `stride_bytes` apart, pushing the dirty L1 lines
+    /// `l1` yields where the walk reaches them.
+    fn vector(
+        &mut self,
+        base: u64,
+        stride_bytes: i64,
+        elems: u32,
+        write: bool,
+        mut l1: L1Lines,
+        memo: &mut SharedAccessScratch,
+    ) -> AccessEcho {
+        let unit_stride = stride_bytes == 8;
         if self.model == MemoryModel::Perfect {
             // All vector accesses hit in the L2 but still pay the transfer
             // time (paper §5.1); non-unit strides still transfer one element
             // per cycle.
-            let transfer = if stride_bytes == 8 {
-                elems.div_ceil(self.port_elems)
-            } else {
-                elems
-            };
-            let latency = self.params.l2_latency + transfer - 1;
-            let stall = latency.saturating_sub(scheduled);
-            self.stats.total_stall_cycles += stall as u64;
             self.stats.l2_hits += 1;
-            return (
-                AccessTiming {
-                    latency,
-                    stall_cycles: stall,
-                },
-                AccessEcho::Vector {
-                    elems,
-                    transfer_cycles: transfer,
-                    l3_fetches: 0,
-                    mem_fetches: 0,
-                },
-            );
+            return AccessEcho::Vector {
+                elems,
+                transfer_cycles: self.l2.transfer_cycles(unit_stride, elems),
+                l3_fetches: 0,
+                mem_fetches: 0,
+            };
         }
 
         // One fused pass over the touched L2 lines: for each line, first
-        // invalidate the L1 lines of the access span that precede the end of
-        // that L2 line (exclusive-bit coherence, dirty data pushed down),
-        // then probe the L2 tag, and on a miss charge the L3/memory latency
-        // of the *actual* missed line address.  Missed lines are fetched
-        // back to back; each pays the L3 latency (or the memory latency when
-        // it also misses in L3).
-        let write = kind == AccessKind::Store;
-        let unit_stride = stride_bytes == 8;
-        let l1_line = self.params.l1_line as u64;
-        let l2_line = self.params.l2_line as u64;
+        // push down the dirty L1 lines of the access span that precede the
+        // end of that L2 line (exclusive-bit coherence), then probe the L2
+        // tag, and on a miss fetch the *actual* missed line from the L3 or
+        // from main memory.  Missed lines are fetched back to back.  When
+        // no spanned L1 line is dirty the L1 cursor is skipped.
+        let (l1_line, l2_line) = (self.l1_line, self.l2_line);
         let l1_mask = !(l1_line - 1);
+        let skip_l1 = l1.clean();
         let mut lines_touched = 0u32;
-        let mut l3_fetches = 0u32;
-        let mut mem_fetches = 0u32;
-        let mut miss_penalty = 0u32;
+        let (mut l3_fetches, mut mem_fetches) = (0u32, 0u32);
+        let mut fetch = |back: &mut Back, blk: u64| {
+            lines_touched += 1;
+            match back.l2_line_access(blk, write) {
+                LineFill::Hit => {}
+                LineFill::FromL3 => l3_fetches += 1,
+                LineFill::FromMem => mem_fetches += 1,
+            }
+        };
 
         match lines::classify(base, stride_bytes, elems, l2_line) {
             // Small stride: both the L1 and the L2 touched-line sets are
@@ -541,21 +579,12 @@ impl MemoryHierarchy {
                 let l1_last = hi & l1_mask;
                 let mut blk = first;
                 loop {
-                    // Saturating: a span ending at the top line of the
-                    // address space must not wrap the segment bound.
-                    let seg_end = blk.saturating_add(l2_line);
-                    while l1_cur < seg_end && l1_cur <= l1_last {
-                        self.invalidate_l1(l1_cur);
+                    let seg_end = blk + l2_line;
+                    while !skip_l1 && l1_cur < seg_end && l1_cur <= l1_last {
+                        self.push_down(&mut l1, l1_cur);
                         l1_cur += l1_line;
                     }
-                    lines_touched += 1;
-                    let (fill, penalty) = self.l2_line_access(blk, write);
-                    match fill {
-                        LineFill::Hit => {}
-                        LineFill::FromL3 => l3_fetches += 1,
-                        LineFill::FromMem => mem_fetches += 1,
-                    }
-                    miss_penalty += penalty;
+                    fetch(self, blk);
                     if blk >= last {
                         break;
                     }
@@ -570,65 +599,32 @@ impl MemoryHierarchy {
                 let mut a = base;
                 let mut l1_cur = 0u64;
                 for _ in 0..count {
-                    let mut cur = l1_cur.max(a & l1_mask);
-                    let hi1 = (a + 7) & l1_mask;
-                    while cur <= hi1 {
-                        self.invalidate_l1(cur);
-                        cur += l1_line;
+                    if !skip_l1 {
+                        let mut cur = l1_cur.max(a & l1_mask);
+                        let hi1 = (a + 7) & l1_mask;
+                        while cur <= hi1 {
+                            self.push_down(&mut l1, cur);
+                            cur += l1_line;
+                        }
+                        l1_cur = l1_cur.max(cur);
                     }
-                    l1_cur = l1_cur.max(cur);
-                    lines_touched += 1;
-                    let (fill, penalty) = self.l2_line_access(a & !(l2_line - 1), write);
-                    match fill {
-                        LineFill::Hit => {}
-                        LineFill::FromL3 => l3_fetches += 1,
-                        LineFill::FromMem => mem_fetches += 1,
-                    }
-                    miss_penalty += penalty;
+                    fetch(self, a & !(l2_line - 1));
                     a += step;
                 }
             }
             // Irregular (line-straddling odd strides, far negative strides,
-            // address wraparound): two short naive walks through the
-            // reusable scratch buffer.
-            _ => match shared {
-                // Batched replay: the walk is memoized per (access, line
-                // size), so only the first of K variants pays for it.
-                Some(memo) => {
+            // spans past the address limit): two naive walks, memoized per
+            // (access, line size) so that every back of a batch shares them.
+            _ => {
+                if !skip_l1 {
                     for &blk in memo.lines(base, stride_bytes, elems, l1_line) {
-                        self.invalidate_l1(blk);
-                    }
-                    for &blk in memo.lines(base, stride_bytes, elems, l2_line) {
-                        lines_touched += 1;
-                        let (fill, penalty) = self.l2_line_access(blk, write);
-                        match fill {
-                            LineFill::Hit => {}
-                            LineFill::FromL3 => l3_fetches += 1,
-                            LineFill::FromMem => mem_fetches += 1,
-                        }
-                        miss_penalty += penalty;
+                        self.push_down(&mut l1, blk);
                     }
                 }
-                None => {
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    lines::collect_naive(base, stride_bytes, elems, l1_line, &mut scratch);
-                    for &blk in &scratch {
-                        self.invalidate_l1(blk);
-                    }
-                    lines::collect_naive(base, stride_bytes, elems, l2_line, &mut scratch);
-                    for &blk in &scratch {
-                        lines_touched += 1;
-                        let (fill, penalty) = self.l2_line_access(blk, write);
-                        match fill {
-                            LineFill::Hit => {}
-                            LineFill::FromL3 => l3_fetches += 1,
-                            LineFill::FromMem => mem_fetches += 1,
-                        }
-                        miss_penalty += penalty;
-                    }
-                    self.scratch = scratch;
+                for &blk in memo.lines(base, stride_bytes, elems, l2_line) {
+                    fetch(self, blk);
                 }
-            },
+            }
         }
 
         self.l2.record_vector_access(unit_stride, lines_touched);
@@ -637,28 +633,222 @@ impl MemoryHierarchy {
         } else {
             self.stats.l2_hits += 1;
         }
+        AccessEcho::Vector {
+            elems,
+            transfer_cycles: self.l2.transfer_cycles(unit_stride, elems),
+            l3_fetches,
+            mem_fetches,
+        }
+    }
+}
 
-        let transfer_cycles = self.l2.transfer_cycles(unit_stride, elems);
-        let latency = self.params.l2_latency + transfer_cycles - 1 + miss_penalty;
-        let stall = latency.saturating_sub(scheduled);
-        self.stats.total_stall_cycles += stall as u64;
-        (
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
-            },
+/// One configuration's latencies: L1, L2, L3 and main memory.
+#[derive(Debug, Clone, Copy)]
+struct Latencies([u32; 4]);
+
+impl Latencies {
+    fn of(params: &MemoryParams) -> Latencies {
+        Latencies([
+            params.l1_latency,
+            params.l2_latency,
+            params.l3_latency,
+            params.mem_latency,
+        ])
+    }
+
+    /// Latency and stall of the access `echo` describes, on a hierarchy
+    /// with these latencies and a `port_elems`-wide L2 port.  A scalar
+    /// line pays the L1 latency plus that of the level that served it, the
+    /// access pays its worst line, and it stalls for everything beyond the
+    /// L1 hit the compiler scheduled.  A vector access pays the L2 latency,
+    /// its transfer time and each missed line's fetch, and stalls for
+    /// everything beyond a stride-one L2 hit (paper §3.3).
+    #[inline]
+    fn price(self, echo: &AccessEcho, port_elems: u32) -> AccessTiming {
+        let [l1, l2, l3, mem] = self.0;
+        match *echo {
+            AccessEcho::Scalar { first, second } => {
+                let below = |served| match served {
+                    ServedBy::L1 => 0,
+                    ServedBy::L2 => l2,
+                    ServedBy::L3 => l3,
+                    ServedBy::Mem => mem,
+                };
+                let stall = below(first).max(second.map_or(0, below));
+                AccessTiming {
+                    latency: l1 + stall,
+                    stall_cycles: stall,
+                }
+            }
             AccessEcho::Vector {
                 elems,
                 transfer_cycles,
                 l3_fetches,
                 mem_fetches,
-            },
-        )
+            } => {
+                let latency = l2 + transfer_cycles - 1 + l3_fetches * l3 + mem_fetches * mem;
+                let scheduled = l2 + elems.div_ceil(port_elems).saturating_sub(1);
+                AccessTiming {
+                    latency,
+                    stall_cycles: latency.saturating_sub(scheduled),
+                }
+            }
+        }
+    }
+}
+
+/// A hierarchy's statistics from its front's and back's counters and its
+/// stall total.
+fn compose(front: &MemStats, back: &MemStats, total_stall_cycles: u64) -> MemStats {
+    MemStats {
+        l2_hits: back.l2_hits,
+        l2_misses: back.l2_misses,
+        l3_hits: back.l3_hits,
+        l3_misses: back.l3_misses,
+        total_stall_cycles,
+        ..*front
+    }
+}
+
+/// The memory hierarchy: one L1 front composed with one L2/L3 back
+/// (module docs), priced with its own latencies.
+#[derive(Debug, Clone)]
+pub struct MemoryHierarchy {
+    params: MemoryParams,
+    /// Width of the L2 vector port in 64-bit elements.
+    port_elems: u32,
+    front: Front,
+    back: Back,
+    /// Touched-line walks of the current irregular vector access.
+    memo: SharedAccessScratch,
+    total_stall_cycles: u64,
+}
+
+impl MemoryHierarchy {
+    pub fn new(model: MemoryModel, params: MemoryParams, l2_port_elems: u32) -> Self {
+        let port_elems = l2_port_elems.max(1);
+        MemoryHierarchy {
+            params,
+            port_elems,
+            front: Front::new(model, &params),
+            back: Back::new(model, &params, port_elems),
+            memo: SharedAccessScratch::default(),
+            total_stall_cycles: 0,
+        }
+    }
+
+    /// Construct a hierarchy straight from a machine configuration.
+    pub fn for_machine(model: MemoryModel, machine: &vmv_machine::MachineConfig) -> Self {
+        Self::new(model, machine.memory, machine.l2_port_elems.max(1))
+    }
+
+    pub fn model(&self) -> MemoryModel {
+        self.front.model
+    }
+
+    /// Latency the *compiler* assumes for a scalar access: an L1 hit.
+    pub fn scheduled_scalar_latency(&self) -> u32 {
+        self.params.l1_latency
+    }
+
+    /// Latency the *compiler* assumes for a vector access of `elems`
+    /// elements: an L2 hit with unit stride (paper §3.3: the compiler
+    /// schedules all vector memory operations as stride-one L2 hits).
+    pub fn scheduled_vector_latency(&self, elems: u32) -> u32 {
+        self.params.l2_latency + elems.div_ceil(self.port_elems).saturating_sub(1)
+    }
+
+    /// Statistics accumulated so far.
+    pub fn stats(&self) -> MemStats {
+        compose(&self.front.stats, &self.back.stats, self.total_stall_cycles)
+    }
+
+    fn price(&mut self, echo: AccessEcho) -> (AccessTiming, AccessEcho) {
+        let timing = Latencies::of(&self.params).price(&echo, self.port_elems);
+        self.total_stall_cycles += timing.stall_cycles as u64;
+        (timing, echo)
+    }
+
+    // ----------------------------------------------------------- accesses
+
+    /// Simulate a scalar (or µSIMD 64-bit) access of `size` bytes.
+    pub fn scalar_access(&mut self, addr: u64, size: usize, kind: AccessKind) -> AccessTiming {
+        self.scalar_access_echoed(addr, size, kind).0
+    }
+
+    /// [`Self::scalar_access`], additionally returning the access's
+    /// [`AccessEcho`] (the cycle-attribution profiler classifies waits by
+    /// it).
+    pub fn scalar_access_echoed(
+        &mut self,
+        addr: u64,
+        size: usize,
+        kind: AccessKind,
+    ) -> (AccessTiming, AccessEcho) {
+        let lines = self.front.scalar(addr, size, kind);
+        if lines.hit() {
+            let timing = AccessTiming {
+                latency: self.params.l1_latency,
+                stall_cycles: 0,
+            };
+            return (timing, lines.l1_echo());
+        }
+        let echo = self.back.scalar(&lines);
+        self.price(echo)
+    }
+
+    /// Simulate a vector access of `elems` 64-bit elements starting at
+    /// `base`, separated by `stride_bytes`.  Vector accesses bypass the L1
+    /// (invalidating the L1 lines they span) and access the L2 vector
+    /// cache directly.
+    pub fn vector_access(
+        &mut self,
+        base: u64,
+        stride_bytes: i64,
+        elems: u32,
+        kind: AccessKind,
+    ) -> AccessTiming {
+        self.vector_access_echoed(base, stride_bytes, elems, kind).0
+    }
+
+    /// [`Self::vector_access`], additionally returning the access's
+    /// [`AccessEcho`].
+    pub fn vector_access_echoed(
+        &mut self,
+        base: u64,
+        stride_bytes: i64,
+        elems: u32,
+        kind: AccessKind,
+    ) -> (AccessTiming, AccessEcho) {
+        self.front.vector(stride_bytes, kind);
+        let echo = self.back.vector(
+            base,
+            stride_bytes,
+            elems.max(1),
+            kind == AccessKind::Store,
+            L1Lines::Invalidate(&mut self.front),
+            &mut self.memo,
+        );
+        self.price(echo)
+    }
+
+    /// Probe all three cache levels for `addr` without disturbing LRU state
+    /// or statistics (diagnostics and tests).
+    pub fn probe(&self, addr: u64) -> [LookupResult; 3] {
+        [
+            self.front.l1.probe(addr),
+            self.back.l2.probe(addr),
+            self.back.l3.probe(addr),
+        ]
     }
 
     /// Statistics of the three cache levels (L1, L2, L3).
     pub fn cache_stats(&self) -> [crate::cache::CacheStats; 3] {
-        [self.l1.stats, self.l2.stats(), self.l3.stats]
+        [
+            self.front.l1.stats,
+            self.back.l2.stats(),
+            self.back.l3.stats,
+        ]
     }
 }
 
@@ -666,8 +856,8 @@ impl MemoryHierarchy {
 /// *same tag behaviour* on every access stream: same model, cache geometry
 /// and port width.  Latency parameters are free to differ — they only
 /// scale the pricing — so an [`AccessEcho`] captured on a hierarchy of one
-/// configuration prices exactly on the other ([`ClassPricer`]).  Callers
-/// classify variants with it *before* paying for hierarchy construction.
+/// configuration prices exactly on the other.  Callers classify variants
+/// with it *before* paying for hierarchy construction.
 pub fn tag_equivalent_configs(
     (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
     (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
@@ -686,116 +876,282 @@ pub fn tag_equivalent_configs(
         && a.l3_line == b.l3_line
 }
 
-/// Prices one leader hierarchy's [`AccessEcho`]es for every *follower* of
-/// its tag-equivalence class at once.  A follower's tags would behave
-/// exactly like the leader's, so its [`MemStats`] equal the leader's in
-/// every counter but `total_stall_cycles`; the pricer therefore holds no
-/// tag state and no counters, only the followers' latency parameters as
-/// columns (struct-of-arrays) and one stall total each.  Batched trace
-/// replay builds one real hierarchy and one pricer per class.
+/// True when two configurations can share one L1 [`Front`] in a
+/// [`ClassTree`]: same model and L1 geometry, so the same L1 tag state.
+/// The backs under one front must also walk the same L1 lines for each
+/// vector access.  Which walk a back takes depends on its L2 line size,
+/// but with L1 lines of at least one 8-byte element every walk visits
+/// exactly the lines holding the first or last byte of some element.
+/// Smaller L1 lines share a front only with the same L2 line size.
+fn shares_front(
+    (model_a, a): (MemoryModel, &MemoryParams),
+    (model_b, b): (MemoryModel, &MemoryParams),
+) -> bool {
+    model_a == model_b
+        && a.l1_size == b.l1_size
+        && a.l1_assoc == b.l1_assoc
+        && a.l1_line == b.l1_line
+        && (a.l1_line as u64 >= lines::ELEM_BYTES || a.l2_line == b.l2_line)
+}
+
+/// The latency columns of one tag class: every member's latencies
+/// (struct-of-arrays) and stall total.  Its members' tags behave alike, so
+/// one back's echoes price all of them at once.
 #[derive(Debug, Clone)]
-pub struct ClassPricer {
+struct ClassPricer {
     port_elems: u32,
-    l1_latency: Vec<u32>,
-    l2_latency: Vec<u32>,
-    l3_latency: Vec<u32>,
-    mem_latency: Vec<u32>,
+    latencies: Vec<Latencies>,
     stall_cycles: Vec<u64>,
 }
 
 impl ClassPricer {
-    /// An empty class whose hierarchies have an `l2_port_elems`-wide port.
-    pub fn new(l2_port_elems: u32) -> Self {
-        ClassPricer {
-            port_elems: l2_port_elems.max(1),
-            l1_latency: Vec::new(),
-            l2_latency: Vec::new(),
-            l3_latency: Vec::new(),
-            mem_latency: Vec::new(),
-            stall_cycles: Vec::new(),
+    /// Price `echo` for every member: `out[i]` receives member `i`'s
+    /// latency and its stall total grows by the access's stall.
+    #[inline]
+    fn price(&mut self, echo: &AccessEcho, out: &mut [u64]) {
+        for ((out, stall), lat) in out
+            .iter_mut()
+            .zip(&mut self.stall_cycles)
+            .zip(&self.latencies)
+        {
+            let timing = lat.price(echo, self.port_elems);
+            *out = timing.latency as u64;
+            *stall += timing.stall_cycles as u64;
+        }
+    }
+}
+
+/// One tag class under a front: its back and its members' latency columns
+/// (lanes `lane..lane + members`).
+#[derive(Debug, Clone)]
+struct BackNode {
+    lane: usize,
+    back: Back,
+    pricer: ClassPricer,
+}
+
+impl BackNode {
+    fn lanes(&self) -> Range<usize> {
+        self.lane..self.lane + self.pricer.latencies.len()
+    }
+}
+
+/// One front and the tag classes under it (lanes `lanes`).
+#[derive(Debug, Clone)]
+struct FrontNode {
+    lanes: Range<usize>,
+    front: Front,
+    backs: Vec<BackNode>,
+    /// Whether the tree's latencies of these lanes still hold their L1
+    /// latencies: the last access this front saw hit the L1 on every line.
+    /// Every access priced through a back clears it.  Skipping the rewrite
+    /// on a run of hits measured +6.0 % perfbench `memory` runs/s at 1
+    /// worker over writing every lane's L1 latency on each hit (2-vCPU
+    /// host, 7 of 8 alternating pairs).
+    l1_priced: bool,
+}
+
+/// The memory side of a batch of configurations that see one access
+/// stream, as a class tree: one L1 front per distinct model and L1
+/// geometry (with L1 lines shorter than one 8-byte vector element, also
+/// per L2 line size), one L2/L3 back per tag class
+/// ([`tag_equivalent_configs`]) under it, and one latency column per
+/// configuration in its class's pricer.
+///
+/// This is single-pass simulation of many configurations (Mattson et al.,
+/// "Evaluation techniques for storage hierarchies", IBM Systems Journal
+/// 1970) applied to the one level every class of a memory sweep shares:
+///
+/// * a scalar access looks the L1 up once per front; when every line hits,
+///   each of the front's lanes takes its own L1 latency, and no back or
+///   pricer runs;
+/// * otherwise each back serves the front's misses and prices its echo for
+///   all of its members;
+/// * a vector access runs every back's L2 walk, but only the first back
+///   under a front invalidates the L1 lines; the others push down the dirty
+///   lines that walk found.
+///
+/// Lanes are laid out front by front and class by class (both in order of
+/// first appearance, members in batch order); [`Self::lane_configs`] maps
+/// a lane back to its configuration.  Every lane's latencies and
+/// [`MemStats`] are exactly what a fresh [`MemoryHierarchy`] of its
+/// configuration produces on the same stream.  The latencies live in the
+/// tree, so a run of L1 hits under a front rewrites none of them.
+#[derive(Debug, Clone)]
+pub struct ClassTree {
+    fronts: Vec<FrontNode>,
+    lane_config: Vec<usize>,
+    /// Each lane's L1 latency, the price of an all-L1-hit scalar access.
+    l1_latency: Vec<u64>,
+    /// Each lane's latency of the last access.
+    latency: Vec<u64>,
+    /// Touched-line walks of the current irregular vector access, shared
+    /// by every back.
+    memo: SharedAccessScratch,
+}
+
+impl ClassTree {
+    /// The tree of `configs`, each a (model, memory parameters, L2 port
+    /// width) triple.
+    pub fn new(configs: &[(MemoryModel, MemoryParams, u32)]) -> ClassTree {
+        // Front → tag class → members, each in order of first appearance.
+        let mut groups: Vec<Vec<Vec<usize>>> = Vec::new();
+        for (i, &(model, ref params, port)) in configs.iter().enumerate() {
+            let lead = |members: &[usize]| &configs[members[0]];
+            let f = match groups.iter().position(|classes| {
+                let (model_f, params_f, _) = lead(&classes[0]);
+                shares_front((*model_f, params_f), (model, params))
+            }) {
+                Some(f) => f,
+                None => {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                }
+            };
+            let same_class = |members: &&mut Vec<usize>| {
+                let &(model_c, ref params_c, port_c) = lead(members);
+                tag_equivalent_configs((model_c, params_c, port_c), (model, params, port))
+            };
+            match groups[f].iter_mut().find(same_class) {
+                Some(members) => members.push(i),
+                None => groups[f].push(vec![i]),
+            }
+        }
+
+        let mut lane = 0;
+        let fronts = groups
+            .iter()
+            .map(|classes| {
+                let first = lane;
+                let backs = classes
+                    .iter()
+                    .map(|members| {
+                        let (model, ref params, port) = configs[members[0]];
+                        let node = BackNode {
+                            lane,
+                            back: Back::new(model, params, port.max(1)),
+                            pricer: ClassPricer {
+                                port_elems: port.max(1),
+                                latencies: members
+                                    .iter()
+                                    .map(|&m| Latencies::of(&configs[m].1))
+                                    .collect(),
+                                stall_cycles: vec![0; members.len()],
+                            },
+                        };
+                        lane += members.len();
+                        node
+                    })
+                    .collect();
+                let (model, ref params, _) = configs[classes[0][0]];
+                FrontNode {
+                    lanes: first..lane,
+                    front: Front::new(model, params),
+                    backs,
+                    l1_priced: false,
+                }
+            })
+            .collect();
+        let lane_config: Vec<usize> = groups.concat().concat();
+        ClassTree {
+            fronts,
+            l1_latency: lane_config
+                .iter()
+                .map(|&c| configs[c].1.l1_latency as u64)
+                .collect(),
+            latency: vec![0; lane_config.len()],
+            lane_config,
+            memo: SharedAccessScratch::default(),
         }
     }
 
-    /// Add a follower with latency parameters `params`; its geometry must
-    /// be [`tag_equivalent_configs`] with the leader's.
-    pub fn push(&mut self, params: &MemoryParams) {
-        self.l1_latency.push(params.l1_latency);
-        self.l2_latency.push(params.l2_latency);
-        self.l3_latency.push(params.l3_latency);
-        self.mem_latency.push(params.mem_latency);
-        self.stall_cycles.push(0);
+    /// The configuration (index into `configs`) of each lane.
+    pub fn lane_configs(&self) -> &[usize] {
+        &self.lane_config
     }
 
-    /// Number of followers.
-    pub fn len(&self) -> usize {
-        self.stall_cycles.len()
+    /// Price a scalar access of `size` bytes for every lane: the returned
+    /// slice holds each lane's latency.  `echo` hears each run of lanes
+    /// that shares an echo (the profiler's wait causes).
+    #[inline]
+    pub fn scalar_access(
+        &mut self,
+        addr: u64,
+        size: usize,
+        kind: AccessKind,
+        mut echo: impl FnMut(Range<usize>, &AccessEcho),
+    ) -> &[u64] {
+        for node in &mut self.fronts {
+            let lines = node.front.scalar(addr, size, kind);
+            if lines.hit() {
+                if !node.l1_priced {
+                    self.latency[node.lanes.clone()]
+                        .copy_from_slice(&self.l1_latency[node.lanes.clone()]);
+                    node.l1_priced = true;
+                }
+                echo(node.lanes.clone(), &lines.l1_echo());
+                continue;
+            }
+            node.l1_priced = false;
+            for b in &mut node.backs {
+                let e = b.back.scalar(&lines);
+                b.pricer.price(&e, &mut self.latency[b.lanes()]);
+                echo(b.lanes(), &e);
+            }
+        }
+        &self.latency
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.stall_cycles.is_empty()
-    }
-
-    /// Price `echo` for every follower: `latencies[i]` receives follower
-    /// `i`'s latency and its stall total grows by the access's stall, both
-    /// exactly what a real access on its own hierarchy would produce.
-    /// `latencies` must hold at least [`Self::len`] entries.
-    pub fn price(&mut self, echo: &AccessEcho, latencies: &mut [u64]) {
-        let n = self.len();
-        let latencies = &mut latencies[..n];
-        match *echo {
-            AccessEcho::Scalar { first, second } => {
-                // Every line pays the L1 latency plus the latency of the
-                // level that served it; the access pays its worst line,
-                // and stalls for everything beyond the scheduled L1 hit.
-                let below_l1 = |served| match served {
-                    ServedBy::L1 => None,
-                    ServedBy::L2 => Some(&self.l2_latency),
-                    ServedBy::L3 => Some(&self.l3_latency),
-                    ServedBy::Mem => Some(&self.mem_latency),
+    /// Price a vector access of `elems` 64-bit elements at `base`,
+    /// `stride_bytes` apart, for every lane; returns and reports as
+    /// [`Self::scalar_access`] does.
+    #[inline]
+    pub fn vector_access(
+        &mut self,
+        base: u64,
+        stride_bytes: i64,
+        elems: u32,
+        kind: AccessKind,
+        mut echo: impl FnMut(Range<usize>, &AccessEcho),
+    ) -> &[u64] {
+        let (elems, write) = (elems.max(1), kind == AccessKind::Store);
+        for FrontNode {
+            front,
+            backs,
+            l1_priced,
+            ..
+        } in &mut self.fronts
+        {
+            front.vector(stride_bytes, kind);
+            *l1_priced = false;
+            for (j, b) in backs.iter_mut().enumerate() {
+                let l1 = if j == 0 {
+                    L1Lines::Invalidate(front)
+                } else {
+                    L1Lines::Reported(&front.dirty)
                 };
-                let (a, b) = (below_l1(first), second.and_then(below_l1));
-                if a.is_none() && b.is_none() {
-                    // All-L1 hits, the common case: no stall.
-                    for (out, &l1) in latencies.iter_mut().zip(&self.l1_latency) {
-                        *out = l1 as u64;
-                    }
-                    return;
-                }
-                for i in 0..n {
-                    let stall = a.map_or(0, |c| c[i]).max(b.map_or(0, |c| c[i]));
-                    latencies[i] = (self.l1_latency[i] + stall) as u64;
-                    self.stall_cycles[i] += stall as u64;
-                }
-            }
-            AccessEcho::Vector {
-                elems,
-                transfer_cycles,
-                l3_fetches,
-                mem_fetches,
-            } => {
-                // The compiler schedules vector accesses as stride-one L2
-                // hits.
-                let scheduled_tail = elems.div_ceil(self.port_elems).saturating_sub(1);
-                let columns = self.l2_latency.iter().zip(&self.l3_latency);
-                for ((out, stall), ((&l2, &l3), &mem)) in latencies
-                    .iter_mut()
-                    .zip(&mut self.stall_cycles)
-                    .zip(columns.zip(&self.mem_latency))
-                {
-                    let latency = l2 + transfer_cycles - 1 + l3_fetches * l3 + mem_fetches * mem;
-                    *out = latency as u64;
-                    *stall += latency.saturating_sub(l2 + scheduled_tail) as u64;
-                }
+                let e = b
+                    .back
+                    .vector(base, stride_bytes, elems, write, l1, &mut self.memo);
+                b.pricer.price(&e, &mut self.latency[b.lanes()]);
+                echo(b.lanes(), &e);
             }
         }
+        &self.latency
     }
 
-    /// Follower `i`'s statistics, given its leader's.
-    pub fn stats(&self, leader: &MemStats, i: usize) -> MemStats {
-        MemStats {
-            total_stall_cycles: self.stall_cycles[i],
-            ..*leader
+    /// Every configuration's statistics, in `configs` order.
+    pub fn stats(&self) -> Vec<MemStats> {
+        let mut out = vec![MemStats::default(); self.lane_config.len()];
+        for node in &self.fronts {
+            for b in &node.backs {
+                for (i, &stall) in b.pricer.stall_cycles.iter().enumerate() {
+                    out[self.lane_config[b.lane + i]] =
+                        compose(&node.front.stats, &b.back.stats, stall);
+                }
+            }
         }
+        out
     }
 }
 
@@ -828,8 +1184,8 @@ mod tests {
         let hit = m.scalar_access(0x1004, 4, AccessKind::Load);
         assert_eq!(hit.latency, 1);
         assert_eq!(hit.stall_cycles, 0);
-        assert_eq!(m.stats.l1_misses, 1);
-        assert_eq!(m.stats.l1_hits, 1);
+        assert_eq!(m.stats().l1_misses, 1);
+        assert_eq!(m.stats().l1_hits, 1);
     }
 
     #[test]
@@ -861,10 +1217,10 @@ mod tests {
         let mut m = realistic();
         // Bring a line into L1 with a scalar store (dirty).
         m.scalar_access(0x8000, 8, AccessKind::Store);
-        assert_eq!(m.stats.l1_misses, 1);
+        assert_eq!(m.stats().l1_misses, 1);
         // A vector load overlapping that line must invalidate it.
         m.vector_access(0x8000, 8, 8, AccessKind::Load);
-        assert!(m.stats.coherence_invalidations > 0);
+        assert!(m.stats().coherence_invalidations > 0);
         // The next scalar access to the line misses again in L1.
         let t = m.scalar_access(0x8000, 8, AccessKind::Load);
         assert!(t.latency > 1);
@@ -892,7 +1248,7 @@ mod tests {
         let cold = m.vector_access(0x40000, stride, elems, AccessKind::Load);
         // Every element is on its own cold line: each pays the full memory
         // latency.
-        assert_eq!(m.stats.l3_misses, elems as u64);
+        assert_eq!(m.stats().l3_misses, elems as u64);
         assert_eq!(
             cold.latency,
             m.params.l2_latency + elems - 1 + elems * m.params.mem_latency
@@ -929,48 +1285,65 @@ mod tests {
         let mut expect = Vec::new();
         crate::lines::collect_naive(0x1003C, 200, 16, m.params.l2_line as u64, &mut expect);
         m.vector_access(0x1003C, 200, 16, AccessKind::Load);
-        assert_eq!(m.stats.l3_misses, expect.len() as u64);
+        assert_eq!(m.stats().l3_misses, expect.len() as u64);
         for &blk in &expect {
             assert_eq!(m.probe(blk)[1], LookupResult::Hit, "L2 holds {blk:#x}");
         }
         let warm = m.vector_access(0x1003C, 200, 16, AccessKind::Load);
         assert_eq!(warm.latency, m.scheduled_vector_latency(16).max(5 + 16 - 1));
-        assert_eq!(m.stats.l2_hits, 1);
+        assert_eq!(m.stats().l2_hits, 1);
     }
 
     #[test]
     fn shared_scratch_vector_access_is_bit_identical() {
-        // Drive two clones of the same hierarchy through an access mix that
-        // exercises all three walk arms (contiguous, arithmetic, irregular);
-        // the shared-scratch path must produce identical timing and stats.
+        // Drive a hierarchy and a one-configuration class tree (whose line
+        // walks go through the memo its backs share) through an access mix
+        // that exercises all three walk arms (contiguous, arithmetic,
+        // irregular): identical timing and stats.
         let accesses: [(u64, i64, u32, AccessKind); 6] = [
-            (0x1000, 8, 16, AccessKind::Load),          // contiguous
-            (0x40000, 4 * 64, 8, AccessKind::Store),    // arithmetic
-            (0x1003C, 200, 16, AccessKind::Load),       // irregular
-            (0x1003C, 200, 16, AccessKind::Store),      // irregular, memo reuse
-            (0x1000, 8, 16, AccessKind::Load),          // warm contiguous
-            (u64::MAX - 64, -200, 9, AccessKind::Load), // wraparound fallback
+            (0x1000, 8, 16, AccessKind::Load),       // contiguous
+            (0x40000, 4 * 64, 8, AccessKind::Store), // arithmetic
+            (0x1003C, 200, 16, AccessKind::Load),    // irregular
+            (0x1003C, 200, 16, AccessKind::Store),   // irregular, memo reuse
+            (0x1000, 8, 16, AccessKind::Load),       // warm contiguous
+            (crate::ADDRESS_LIMIT - 64, -200, 9, AccessKind::Load), // irregular, top tags
         ];
         for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
             let mut plain = MemoryHierarchy::new(model, MemoryParams::default(), 4);
-            let mut shared = plain.clone();
-            let mut memo = SharedAccessScratch::new();
+            let mut tree = ClassTree::new(&[(model, MemoryParams::default(), 4)]);
             for &(base, stride, elems, kind) in &accesses {
-                let a = plain.vector_access(base, stride, elems, kind);
-                let (b, _) = shared.vector_access_echoed(base, stride, elems, kind, &mut memo);
-                assert_eq!(a, b, "{model:?} {base:#x} stride {stride}");
+                let (a, echo) = plain.vector_access_echoed(base, stride, elems, kind);
+                let mut heard = None;
+                let lat = tree.vector_access(base, stride, elems, kind, |lanes, e| {
+                    heard = Some((lanes, *e))
+                });
+                assert_eq!(
+                    lat[0], a.latency as u64,
+                    "{model:?} {base:#x} stride {stride}"
+                );
+                assert_eq!(heard, Some((0..1, echo)));
             }
-            assert_eq!(plain.stats, shared.stats);
-            assert_eq!(plain.cache_stats(), shared.cache_stats());
+            assert_eq!(tree.stats(), [plain.stats()]);
         }
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the 4 GiB limit")]
+    fn a_vector_access_past_the_address_limit_is_refused_in_debug_builds() {
+        // The top lines of the 64-bit space: the walk takes the naive path
+        // (its closed forms never see a span past the limit, so no cursor
+        // overflows) and the L1 refuses the address it cannot tag exactly.
+        realistic().vector_access(0xFFFF_FFFF_FFFF_FF78, 128, 2, AccessKind::Load);
+    }
+
+    #[test]
     fn echo_pricing_matches_real_accesses_on_tag_equivalent_followers() {
-        // Followers differing ONLY in latency parameters must land on
-        // exactly the timing and stats of a real access when priced through
-        // the leader's echoes — for scalar and vector accesses, hits and
-        // misses, straddles, coherence invalidations and irregular strides.
+        // Followers differing ONLY in latency parameters share their
+        // leader's tag class: priced through its echoes they must land on
+        // exactly the timing and stats of real accesses — for scalar and
+        // vector accesses, hits and misses, straddles, coherence
+        // invalidations and irregular strides.
         let slow = MemoryParams {
             l1_latency: 3,
             l2_latency: 11,
@@ -983,22 +1356,36 @@ mod tests {
             mem_latency: 30,
             ..MemoryParams::default()
         };
-        let followers = [slow, MemoryParams::default(), fast];
+        let class = [MemoryParams::default(), slow, MemoryParams::default(), fast];
         for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
-            let mut leader = MemoryHierarchy::new(model, MemoryParams::default(), 4);
-            let mut pricer = ClassPricer::new(4);
-            let mut real: Vec<MemoryHierarchy> = Vec::new();
-            for params in &followers {
+            let configs: Vec<_> = class.iter().map(|&p| (model, p, 4)).collect();
+            for params in &class {
                 assert!(tag_equivalent_configs(
                     (model, &MemoryParams::default(), 4),
                     (model, params, 4)
                 ));
-                pricer.push(params);
-                real.push(MemoryHierarchy::new(model, *params, 4));
             }
-            assert_eq!(pricer.len(), followers.len());
-            let mut latencies = [0u64; 3];
-            let mut memo = SharedAccessScratch::new();
+            let mut tree = ClassTree::new(&configs);
+            assert_eq!(tree.lane_configs(), [0, 1, 2, 3], "one class, batch order");
+            let mut real: Vec<MemoryHierarchy> = class
+                .iter()
+                .map(|&p| MemoryHierarchy::new(model, p, 4))
+                .collect();
+            // After every access: each member's latency, and its stats.
+            let check = |what: String,
+                         latencies: &[u64],
+                         timings: &[AccessTiming],
+                         tree: &ClassTree,
+                         real: &[MemoryHierarchy]| {
+                for (i, t) in timings.iter().enumerate() {
+                    assert_eq!(
+                        latencies[i], t.latency as u64,
+                        "{model:?} {what} member {i}"
+                    );
+                }
+                let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
+                assert_eq!(tree.stats(), expect, "{model:?} {what} member stats");
+            };
 
             // Scalar mix: cold miss, warm hit, line straddle, store.
             for (addr, size, kind) in [
@@ -1007,16 +1394,18 @@ mod tests {
                 (0x101E, 8, AccessKind::Load),
                 (0x2000, 8, AccessKind::Store),
             ] {
-                let (_, echo) = leader.scalar_access_echoed(addr, size, kind);
-                pricer.price(&echo, &mut latencies);
-                for (i, real) in real.iter_mut().enumerate() {
-                    let slow = real.scalar_access(addr, size, kind);
-                    assert_eq!(
-                        latencies[i], slow.latency as u64,
-                        "{model:?} scalar {addr:#x} follower {i}"
-                    );
-                    assert_eq!(pricer.stats(&leader.stats, i), real.stats);
-                }
+                let latencies = tree.scalar_access(addr, size, kind, |_, _| {}).to_vec();
+                let timings: Vec<_> = real
+                    .iter_mut()
+                    .map(|r| r.scalar_access(addr, size, kind))
+                    .collect();
+                check(
+                    format!("scalar {addr:#x}"),
+                    &latencies,
+                    &timings,
+                    &tree,
+                    &real,
+                );
             }
             // Vector mix: cold, warm, strided, irregular, store over a
             // dirty scalar line (coherence).
@@ -1027,24 +1416,216 @@ mod tests {
                 (0x1003C, 200, 16, AccessKind::Load),
                 (0x2000, 8, 8, AccessKind::Store),
             ] {
-                let (_, echo) = leader.vector_access_echoed(base, stride, elems, kind, &mut memo);
-                pricer.price(&echo, &mut latencies);
-                for (i, real) in real.iter_mut().enumerate() {
-                    let slow = real.vector_access(base, stride, elems, kind);
-                    assert_eq!(
-                        latencies[i], slow.latency as u64,
-                        "{model:?} vector {base:#x} stride {stride} follower {i}"
-                    );
-                    assert_eq!(pricer.stats(&leader.stats, i), real.stats);
-                }
-            }
-            for (i, real) in real.iter().enumerate() {
-                assert_eq!(
-                    pricer.stats(&leader.stats, i),
-                    real.stats,
-                    "{model:?} follower {i} stats must agree"
+                let latencies = tree
+                    .vector_access(base, stride, elems, kind, |_, _| {})
+                    .to_vec();
+                let timings: Vec<_> = real
+                    .iter_mut()
+                    .map(|r| r.vector_access(base, stride, elems, kind))
+                    .collect();
+                check(
+                    format!("vector {base:#x} stride {stride}"),
+                    &latencies,
+                    &timings,
+                    &tree,
+                    &real,
                 );
             }
+            let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
+            assert_eq!(tree.stats(), expect, "{model:?} member stats must agree");
+        }
+    }
+
+    /// One access of a seeded stream: scalar `(addr, size, kind)` or vector
+    /// `(base, stride, elems, kind)`.
+    #[derive(Clone, Copy)]
+    enum Access {
+        Scalar(u64, usize, AccessKind),
+        Vector(u64, i64, u32, AccessKind),
+    }
+
+    /// A seeded mix of loads and stores over a 48 KiB window: scalar
+    /// accesses of 1 to 8 bytes at any alignment (so some straddle two L1
+    /// lines), and vector accesses whose strides take every line-walk arm
+    /// at some L1/L2 line size, negative and zero strides included.
+    fn seeded_stream(seed: u64, n: usize) -> Vec<Access> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let strides = [8i64, 16, 24, 40, 64, 128, 200, 256, 512, -8, -24, -200, 0];
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let kind = if r & 1 == 0 {
+                    AccessKind::Load
+                } else {
+                    AccessKind::Store
+                };
+                let addr = 0x8000 + (r >> 16) % (48 << 10);
+                if (r >> 1) % 4 == 0 {
+                    let stride = strides[(r >> 3) as usize % strides.len()];
+                    let elems = 1 + (r >> 8) as u32 % 16;
+                    // Keep every element inside the window's address range.
+                    let base = if stride < 0 { addr + 16 * 200 } else { addr };
+                    Access::Vector(base, stride, elems, kind)
+                } else {
+                    Access::Scalar(addr, 1 << ((r >> 3) % 4), kind)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_l1_front_is_independent_of_the_levels_below() {
+        // What the front hands its back — each scalar access's L1 misses
+        // with the dirty line each fill evicted, and each vector access's
+        // coherence invalidations with the dirty lines they push down —
+        // and the L1 state itself must be the same under every L2/L3
+        // geometry: L2 line sizes below, equal to and above the L1's (so
+        // the backs' walks interleave the pushes differently), tiny and
+        // large, direct-mapped and associative.  An L2 eviction that
+        // back-invalidated the L1, say, would fail here.
+        let backs = [
+            (2 << 10, 1, 16, 16 << 10, 1, 32),
+            (8 << 10, 1, 32, 64 << 10, 2, 64),
+            (8 << 10, 2, 64, 1 << 20, 8, 64),
+            (64 << 10, 4, 128, 256 << 10, 4, 128),
+            (256 << 10, 4, 64, 1 << 20, 8, 64),
+            (4 << 10, 16, 256, 8 << 10, 1, 256),
+        ];
+        for (l1_size, l1_assoc, l1_line) in [(1 << 10, 2, 32), (16 << 10, 4, 32), (2 << 10, 1, 64)]
+        {
+            for seed in [1, 2, 3] {
+                let stream = seeded_stream(seed, 3000);
+                let mut reference = None;
+                for (g, &(l2_size, l2_assoc, l2_line, l3_size, l3_assoc, l3_line)) in
+                    backs.iter().enumerate()
+                {
+                    let params = MemoryParams {
+                        l1_size,
+                        l1_assoc,
+                        l1_line,
+                        l2_size,
+                        l2_assoc,
+                        l2_line,
+                        l3_size,
+                        l3_assoc,
+                        l3_line,
+                        ..MemoryParams::default()
+                    };
+                    let mut h = MemoryHierarchy::new(MemoryModel::Realistic, params, 4);
+                    let mut events = Vec::with_capacity(stream.len());
+                    for &access in &stream {
+                        match access {
+                            Access::Scalar(addr, size, kind) => {
+                                // The verdict this front hands its back.
+                                let lines = h.front.clone().scalar(addr, size, kind);
+                                h.scalar_access(addr, size, kind);
+                                events.push(format!("{lines:?}"));
+                            }
+                            Access::Vector(base, stride, elems, kind) => {
+                                let before = h.front.stats.coherence_invalidations;
+                                h.vector_access(base, stride, elems, kind);
+                                let mut dirty = h.front.dirty.clone();
+                                dirty.sort_unstable();
+                                let walked = h.front.stats.coherence_invalidations - before;
+                                events.push(format!("{walked} {dirty:?}"));
+                            }
+                        }
+                    }
+                    let front = (events, format!("{:?} {:?}", h.front.stats, h.front.l1));
+                    match &reference {
+                        None => reference = Some(front),
+                        Some(r) => assert!(
+                            *r == front,
+                            "L1 {l1_size}/{l1_assoc}/{l1_line} seed {seed}: back {g} changed the front"
+                        ),
+                    }
+                }
+                let (events, _) = reference.expect("several backs");
+                // Test premise: the stream pushes dirty lines and misses.
+                assert!(events.iter().any(|e| e.contains("writeback: Some")));
+                assert!(events
+                    .iter()
+                    .any(|e| e.ends_with(']') && !e.ends_with("[]")));
+            }
+        }
+    }
+
+    #[test]
+    fn class_trees_match_independent_hierarchies() {
+        // One tree over both models x two L1 geometries (one with lines
+        // shorter than a vector element) x L2/L3 geometries whose L2 lines
+        // are shorter than, equal to and longer than the L1's x two
+        // latency points, in a scrambled batch order: on seeded streams,
+        // with dirty L1 lines pushed down by vector accesses, every lane's
+        // latency after every access and every configuration's final
+        // statistics must equal those of its own hierarchy.
+        let mut configs = Vec::new();
+        for model in [MemoryModel::Realistic, MemoryModel::Perfect] {
+            for (l1_size, l1_assoc, l1_line) in [(1 << 10, 2, 32), (512, 2, 4)] {
+                for (l2_size, l2_assoc, l2_line) in
+                    [(2 << 10, 1, 16), (4 << 10, 2, 32), (8 << 10, 4, 128)]
+                {
+                    for (l2_latency, mem_latency) in [(5, 100), (9, 700)] {
+                        let params = MemoryParams {
+                            l1_size,
+                            l1_assoc,
+                            l1_line,
+                            l2_size,
+                            l2_assoc,
+                            l2_line,
+                            l3_size: 64 << 10,
+                            l2_latency,
+                            mem_latency,
+                            ..MemoryParams::default()
+                        };
+                        configs.push((model, params, 4));
+                    }
+                }
+            }
+        }
+        // Scramble the batch order (a fixed permutation of 48 entries).
+        let n = configs.len();
+        let configs: Vec<_> = (0..n).map(|i| configs[i * 29 % n]).collect();
+        for seed in [7, 8] {
+            let mut tree = ClassTree::new(&configs);
+            let fronts = tree.fronts.len();
+            assert_eq!(fronts, 2 + 2 * 3, "L1 lines of 4 bytes split by L2 line");
+            let mut real: Vec<MemoryHierarchy> = configs
+                .iter()
+                .map(|&(model, params, port)| MemoryHierarchy::new(model, params, port))
+                .collect();
+            for (step, access) in seeded_stream(seed, 2500).into_iter().enumerate() {
+                let (lat, expect): (Vec<u64>, Vec<u32>) = match access {
+                    Access::Scalar(addr, size, kind) => (
+                        tree.scalar_access(addr, size, kind, |_, _| {}).to_vec(),
+                        real.iter_mut()
+                            .map(|r| r.scalar_access(addr, size, kind).latency)
+                            .collect(),
+                    ),
+                    Access::Vector(base, stride, elems, kind) => (
+                        tree.vector_access(base, stride, elems, kind, |_, _| {})
+                            .to_vec(),
+                        real.iter_mut()
+                            .map(|r| r.vector_access(base, stride, elems, kind).latency)
+                            .collect(),
+                    ),
+                };
+                for (l, &c) in tree.lane_configs().iter().enumerate() {
+                    assert_eq!(
+                        lat[l], expect[c] as u64,
+                        "seed {seed} step {step} config {c}"
+                    );
+                }
+            }
+            let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
+            assert_eq!(tree.stats(), expect, "seed {seed}");
         }
     }
 
@@ -1084,10 +1665,10 @@ mod tests {
         m.scalar_access(0x100, 4, AccessKind::Store);
         m.vector_access(0x200, 8, 8, AccessKind::Load);
         m.vector_access(0x300, 8, 8, AccessKind::Store);
-        assert_eq!(m.stats.scalar_loads, 1);
-        assert_eq!(m.stats.scalar_stores, 1);
-        assert_eq!(m.stats.vector_loads, 1);
-        assert_eq!(m.stats.vector_stores, 1);
-        assert!(m.stats.total_stall_cycles > 0);
+        assert_eq!(m.stats().scalar_loads, 1);
+        assert_eq!(m.stats().scalar_stores, 1);
+        assert_eq!(m.stats().vector_loads, 1);
+        assert_eq!(m.stats().vector_stores, 1);
+        assert!(m.stats().total_stall_cycles > 0);
     }
 }

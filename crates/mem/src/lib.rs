@@ -7,6 +7,19 @@
 //! exclusive-bit + inclusion coherence between the L1 and the vector cache,
 //! and both the *perfect* and *realistic* memory modes used in the paper's
 //! evaluation (Fig. 5a vs 5b).
+//!
+//! * **Line state** ([`cache`]): 9 bytes per line, a 32-bit tag, a state
+//!   byte and a 32-bit LRU stamp.  Tags are exact because every address a
+//!   cache sees lies below [`ADDRESS_LIMIT`] (4 GiB: a simulator refuses a
+//!   larger memory image and trace replay rejects accesses past it);
+//!   stamps are renumbered, order-preserving, before they would wrap.
+//!   The default L3's tag and stamp arrays are 64 KiB each, below glibc's
+//!   128 KiB mmap threshold, so the hierarchies a replay batch builds reuse
+//!   heap chunks instead of faulting fresh mappings in.
+//! * **Front and back** ([`hierarchy`]): a [`MemoryHierarchy`] is an L1
+//!   front composed with an L2/L3 back.  L1 state never depends on the
+//!   levels below, so a [`ClassTree`] lets every tag class of a replay
+//!   batch share one front per L1 geometry, and one L1 walk.
 
 #![forbid(unsafe_code)]
 
@@ -15,10 +28,10 @@ pub mod hierarchy;
 pub mod lines;
 pub mod vector_cache;
 
-pub use cache::{geometry_error, Cache, CacheStats, FillOutcome, LookupResult};
+pub use cache::{geometry_error, Cache, CacheStats, FillOutcome, LookupResult, ADDRESS_LIMIT};
 pub use hierarchy::{
-    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassPricer, MemStats,
-    MemoryHierarchy, MemoryModel, ServedBy, SharedAccessScratch,
+    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassTree, MemStats,
+    MemoryHierarchy, MemoryModel, ServedBy,
 };
 pub use lines::LineWalk;
 pub use vector_cache::{VectorAccessOutcome, VectorCache};

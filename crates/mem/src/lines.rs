@@ -16,11 +16,14 @@
 //!   arithmetic sequence `block(base) + i * stride`.
 //!
 //! Everything else (line-straddling odd strides, negative far strides,
-//! address-space wraparound) falls back to the naive per-element walk into a
-//! caller-provided scratch buffer that is cleared, never reallocated.
+//! spans outside `[0, ADDRESS_LIMIT)`) falls back to the naive per-element
+//! walk into a caller-provided scratch buffer that is cleared, never
+//! reallocated.
 //!
 //! [`collect_naive`] is retained verbatim as the fallback *and* as the
 //! reference the property tests compare the closed forms against.
+
+use crate::cache::ADDRESS_LIMIT;
 
 /// Size in bytes of one vector element (the ISA's 64-bit words).
 pub const ELEM_BYTES: u64 = 8;
@@ -80,9 +83,9 @@ fn block(addr: u64, line: u64) -> u64 {
     addr & !(line - 1)
 }
 
-/// Byte span `[lo, hi]` covered by the access, or `None` when the address
-/// arithmetic would leave the 64-bit address space (the naive walk then
-/// reproduces the legacy wrapping behaviour exactly).
+/// Byte span `[lo, hi]` covered by the access, or `None` when it leaves
+/// `[0, ADDRESS_LIMIT)`, the addresses the caches model exactly (no
+/// simulation or replay makes such an access; trace replay rejects one).
 #[inline]
 pub fn span(base: u64, stride: i64, elems: u32) -> Option<(u64, u64)> {
     let elems = elems.max(1) as i128;
@@ -94,7 +97,7 @@ pub fn span(base: u64, stride: i64, elems: u32) -> Option<(u64, u64)> {
         (last, first)
     };
     let hi = hi + (ELEM_BYTES as i128 - 1);
-    if lo < 0 || hi > u64::MAX as i128 {
+    if lo < 0 || hi >= ADDRESS_LIMIT as i128 {
         None
     } else {
         Some((lo as u64, hi as u64))
@@ -245,6 +248,14 @@ mod tests {
     fn wraparound_is_rejected() {
         assert!(classify(u64::MAX - 16, 8, 16, 64).is_none());
         assert!(classify(8, -8, 16, 64).is_none());
+        // So is a span reaching the address limit; the last line below it
+        // still has a closed form.
+        assert!(classify(ADDRESS_LIMIT - 8, 8, 2, 64).is_none());
+        assert_eq!(
+            span(ADDRESS_LIMIT - 16, 8, 2),
+            Some((ADDRESS_LIMIT - 16, ADDRESS_LIMIT - 1))
+        );
+        assert!(classify(ADDRESS_LIMIT - 16, 8, 2, 64).is_some());
         // The naive walk still terminates and dedups.
         assert!(!naive(u64::MAX - 16, 8, 16, 64).is_empty());
     }

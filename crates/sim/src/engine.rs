@@ -47,7 +47,9 @@ use crate::trace::{NoTrace, Trace, TraceRecorder, TraceSink};
 pub struct SimOptions {
     /// Memory timing model (perfect vs realistic, Fig. 5a vs 5b).
     pub memory_model: MemoryModel,
-    /// Size of the flat data memory image in bytes.
+    /// Size of the flat data memory image in bytes, at most
+    /// [`vmv_mem::ADDRESS_LIMIT`] (4 GiB): the caches' 32-bit tags are
+    /// exact only for addresses below it.
     pub mem_size: usize,
     /// Hard cap on simulated cycles (guards against runaway programs).
     pub max_cycles: u64,
@@ -113,7 +115,16 @@ pub struct Simulator {
 }
 
 impl Simulator {
+    /// Build a simulator.  Panics, before allocating anything, when
+    /// `options.mem_size` exceeds [`vmv_mem::ADDRESS_LIMIT`].
     pub fn new(machine: &MachineConfig, options: SimOptions) -> Self {
+        if options.mem_size as u64 > vmv_mem::ADDRESS_LIMIT {
+            panic!(
+                "a memory image of {} bytes exceeds the {} byte cap the caches model exactly",
+                options.mem_size,
+                vmv_mem::ADDRESS_LIMIT
+            );
+        }
         Simulator {
             machine: machine.clone(),
             hierarchy: MemoryHierarchy::for_machine(options.memory_model, machine),
@@ -224,10 +235,6 @@ impl Simulator {
         // the optimiser must re-derive per operation.
         let max_cycles = self.options.max_cycles;
         let port_elems = self.machine.l2_port_elems.max(1);
-        // Echo scratch for profiled runs: profiling prices memory through
-        // the echoed access path (bit-identical timing and MemStats) to
-        // learn which level served each access.
-        let mut echo_scratch = vmv_mem::SharedAccessScratch::new();
         let Simulator {
             regs,
             mem,
@@ -285,14 +292,11 @@ impl Simulator {
                                     prof.vec_port($opi);
                                 }
                             }
+                            let (lat, echo) = Self::memory_latency_echo(hierarchy, access);
                             if P::ENABLED {
-                                let (lat, echo) =
-                                    Self::memory_latency_echo(hierarchy, access, &mut echo_scratch);
                                 cause = Cause::wait_for_echo(&echo);
-                                lat
-                            } else {
-                                Self::memory_latency_on(hierarchy, access)
                             }
+                            lat
                         }
                         None => {
                             if $op.reads_vl {
@@ -422,7 +426,7 @@ impl Simulator {
                 for (id, acc) in &region_acc {
                     stats.region_mut(*id).add(acc);
                 }
-                stats.memory = hierarchy.stats;
+                stats.memory = hierarchy.stats();
                 // One fold per completed run (and only on the lowered
                 // engine, so differential runs don't double-count).
                 stats.memory.record_obs();
@@ -494,7 +498,7 @@ impl Simulator {
 
                     // Determine the actual completion latency.
                     let latency = match &result.mem {
-                        Some(access) => self.memory_latency(access),
+                        Some(access) => Self::memory_latency_echo(&mut self.hierarchy, access).0,
                         None => self.compute_latency(op),
                     } as u64;
 
@@ -552,7 +556,7 @@ impl Simulator {
             r.micro_ops += micro_ops;
 
             if halted {
-                stats.memory = self.hierarchy.stats;
+                stats.memory = self.hierarchy.stats();
                 return Ok(stats);
             }
             if next_block >= program.blocks.len() {
@@ -578,34 +582,12 @@ impl Simulator {
     }
 
     /// Completion latency of a memory operation against a borrowed
-    /// hierarchy (the lowered engine's split-borrow hot loop).
+    /// hierarchy (the engines' split-borrow hot loops), and the access's
+    /// [`vmv_mem::AccessEcho`] (the profiler's wait cause).
     #[inline]
-    pub(crate) fn memory_latency_on(hierarchy: &mut MemoryHierarchy, access: &MemAccess) -> u32 {
-        let kind = if access.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        if access.is_vector {
-            hierarchy
-                .vector_access(access.base, access.stride, access.elems, kind)
-                .latency
-        } else {
-            hierarchy
-                .scalar_access(access.base, access.bytes, kind)
-                .latency
-        }
-    }
-
-    /// [`Self::memory_latency_on`] with a shared memoized line-walk scratch,
-    /// additionally capturing the access's [`vmv_mem::AccessEcho`]: batched
-    /// replay steps one leader hierarchy per tag-equivalence class through
-    /// the real tags and prices every follower from the echo.
-    #[inline]
-    pub(crate) fn memory_latency_echo(
+    fn memory_latency_echo(
         hierarchy: &mut MemoryHierarchy,
         access: &MemAccess,
-        scratch: &mut vmv_mem::SharedAccessScratch,
     ) -> (u32, vmv_mem::AccessEcho) {
         let kind = if access.is_store {
             AccessKind::Store
@@ -613,35 +595,16 @@ impl Simulator {
             AccessKind::Load
         };
         let (timing, echo) = if access.is_vector {
-            hierarchy.vector_access_echoed(access.base, access.stride, access.elems, kind, scratch)
+            hierarchy.vector_access_echoed(access.base, access.stride, access.elems, kind)
         } else {
             hierarchy.scalar_access_echoed(access.base, access.bytes, kind)
         };
         (timing.latency, echo)
     }
 
-    /// Completion latency of a memory operation, as reported by the memory
-    /// hierarchy timing model.
-    fn memory_latency(&mut self, access: &MemAccess) -> u32 {
-        let kind = if access.is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        if access.is_vector {
-            self.hierarchy
-                .vector_access(access.base, access.stride, access.elems, kind)
-                .latency
-        } else {
-            self.hierarchy
-                .scalar_access(access.base, access.bytes, kind)
-                .latency
-        }
-    }
-
     /// Memory-hierarchy statistics accumulated so far.
     pub fn memory_stats(&self) -> vmv_mem::MemStats {
-        self.hierarchy.stats
+        self.hierarchy.stats()
     }
 }
 
@@ -872,5 +835,27 @@ mod tests {
         let (w, simw) = run_on(&wide, MemoryModel::Perfect, &p, |_| {});
         assert!(w.cycles() < n.cycles());
         assert_eq!(simw.mem.read_u32(0x2000 + 4 * 5), 5 * 3 + 7);
+    }
+
+    #[test]
+    fn oversized_memory_images_are_refused_before_allocation() {
+        // One byte past the cap, 1 TiB and `usize::MAX` bytes: each must
+        // panic with the cap's message before any allocation — allocating
+        // first would abort or report a capacity overflow instead.
+        let machine = presets::vliw(2);
+        for mem_size in [vmv_mem::ADDRESS_LIMIT as usize + 1, 1 << 40, usize::MAX] {
+            let options = SimOptions {
+                mem_size,
+                ..SimOptions::default()
+            };
+            let refused = std::panic::catch_unwind(|| Simulator::new(&machine, options))
+                .err()
+                .and_then(|e| e.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                refused.contains("exceeds the 4294967296 byte cap"),
+                "{mem_size}: {refused:?}"
+            );
+        }
     }
 }

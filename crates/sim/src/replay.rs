@@ -26,8 +26,9 @@
 //! recording).  A trace of another program is rejected by its fingerprint,
 //! and a corrupted one with a typed [`ReplayError`]: runs that overrun or
 //! underrun the streams, and accesses no execution could have made (an
-//! element count outside `1..=MAX_VL`, bytes beyond the largest possible
-//! memory image).
+//! element count outside `1..=MAX_VL`, bytes at or past
+//! [`vmv_mem::ADDRESS_LIMIT`], the 4 GiB cap on every memory image, so no
+//! replayed access can alias in the caches' 32-bit tags).
 //!
 //! # Why replay can skip most of the scoreboard
 //!
@@ -82,21 +83,38 @@
 //! cycle limit is one comparison against the batch-wide slack
 //! `min_k(max_cycles[k] - offset[k])`.
 //!
-//! Memory is priced per tag-equivalence class: one leader
-//! [`MemoryHierarchy`] walks the real tags, and one [`ClassPricer`] turns
-//! each of its access echoes into the latencies of all of the class's
-//! followers at once (their `MemStats` equal the leader's except for the
-//! stall total).  The walk lays its lanes out class by class, so every
-//! class prices into a contiguous run of lanes.
+//! # The class tree
+//!
+//! Memory is priced through one [`ClassTree`] per batch, a three-level
+//! tree over the variants:
+//!
+//! * **fronts**: one L1 front per distinct memory model and L1 geometry.
+//!   L1 state never depends on the levels below (`vmv_mem::hierarchy`), so
+//!   every variant under a front shares its L1 lookups and coherence
+//!   invalidations;
+//! * **backs**: one L2/L3 back per tag-equivalence class
+//!   ([`vmv_mem::tag_equivalent_configs`]: model, cache geometry and port
+//!   width) under its front;
+//! * **members**: one latency column per variant in its class's pricer,
+//!   which turns each of the back's access echoes into every member's
+//!   latency at once (members' `MemStats` differ only in the stall total).
+//!
+//! A scalar access that hits the front on every line calls no back and no
+//! pricer: each lane takes its own L1 latency.  On the `memory` benchmark
+//! workload (seed 1) 98.3 % of the scalar accesses do, so each batch walks
+//! the L1 once instead of once per class.  A vector access runs every
+//! back's L2 walk; the first back under each front invalidates the L1
+//! lines and the others push down the dirty lines it found.  The walk lays
+//! its lanes out front by front and class by class, so every class prices
+//! into a contiguous run of lanes.
 
 use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{ClassPricer, MemoryHierarchy, MemoryModel, SharedAccessScratch};
+use vmv_mem::{AccessKind, ClassTree, MemoryModel};
 use vmv_sched::LoweredProgram;
 
-use crate::engine::Simulator;
 use crate::exec::MemAccess;
 use crate::profile::{
     BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, Profile, ProfileStatics,
@@ -111,10 +129,6 @@ const F_HALT: u8 = 1 << 2;
 const F_READS_VL: u8 = 1 << 3;
 const F_STORE: u8 = 1 << 4;
 const F_VECTOR: u8 = 1 << 5;
-
-/// One past the largest byte address an execution can touch: a memory
-/// image is one `Vec<u8>`, which never exceeds `isize::MAX` bytes.
-const ADDRESS_LIMIT: u64 = 1 << 63;
 
 /// One *dynamic* operation of the compact timing view — an operation whose
 /// per-issue behaviour depends on the trace (memory accesses, `setvl`,
@@ -154,7 +168,7 @@ impl DynOp {
         } else {
             (0, 1, base.checked_add(bytes as u64 - 1)?)
         };
-        (end < ADDRESS_LIMIT).then_some(MemAccess {
+        (end < vmv_mem::ADDRESS_LIMIT).then_some(MemAccess {
             base,
             stride,
             elems,
@@ -512,11 +526,10 @@ impl std::error::Error for ReplayError {}
 
 /// The per-variant timing parameters of a batched replay: the memory model
 /// and machine fields the walk prices against.  Construction is free — the
-/// walk itself decides per variant whether it leads a tag-equivalence class
-/// (a full tag-simulating [`MemoryHierarchy`]) or follows one (a latency
-/// column of the class's [`ClassPricer`]).  Everything else (scoreboard,
-/// stall offset, L2-port cursor) lives in the walk's struct-of-arrays
-/// scratch.
+/// walk itself places each variant in its batch's [`ClassTree`] (under the
+/// L1 front of its L1 geometry and the back of its tag class).  Everything
+/// else (scoreboard, stall offset, L2-port cursor) lives in the walk's
+/// struct-of-arrays scratch.
 pub struct VariantState {
     model: MemoryModel,
     memory: vmv_machine::MemoryParams,
@@ -546,15 +559,6 @@ impl VariantState {
             slots: analysis.total_slots(),
         }
     }
-}
-
-/// One tag-equivalence class of a batch: the leader walks real tags and
-/// the followers are priced from its echoes.  A class owns the contiguous
-/// lanes `lane ..= lane + followers.len()`, leader first.
-struct TagClass {
-    lane: usize,
-    leader: MemoryHierarchy,
-    followers: ClassPricer,
 }
 
 /// Record a write to `slot` that completes at shared cycle `done` in every
@@ -650,45 +654,20 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
 
-    // Partition the variants into tag-equivalence classes: configurations
-    // sharing model, geometry and port width produce identical hit/miss
-    // behaviour, so one *leader* per class walks the real tags and the
-    // class pricer turns each leader echo into every follower's latency —
-    // pure arithmetic over latency columns, no tag arrays.  A
-    // memory-latency sweep collapses to one class; a geometry sweep
-    // degrades gracefully to K singleton leaders.  Lanes are laid out
-    // class by class (classes in order of first appearance, members in
-    // batch order), so each class prices into a contiguous run of lanes;
-    // `lane_variant` maps a lane back to its batch position.
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (i, v) in variants.iter().enumerate() {
-        match members.iter_mut().find(|m| {
-            let l = &variants[m[0]];
-            vmv_mem::tag_equivalent_configs(
-                (l.model, &l.memory, l.port_elems),
-                (v.model, &v.memory, v.port_elems),
-            )
-        }) {
-            Some(m) => m.push(i),
-            None => members.push(vec![i]),
-        }
-    }
-    let mut classes: Vec<TagClass> = Vec::with_capacity(members.len());
-    let mut lane = 0;
-    for m in &members {
-        let l = &variants[m[0]];
-        let mut followers = ClassPricer::new(l.port_elems);
-        for &f in &m[1..] {
-            followers.push(&variants[f].memory);
-        }
-        classes.push(TagClass {
-            lane,
-            leader: MemoryHierarchy::new(l.model, l.memory, l.port_elems),
-            followers,
-        });
-        lane += m.len();
-    }
-    let lane_variant: Vec<usize> = members.concat();
+    // The class tree: one L1 front per distinct model and L1 geometry,
+    // one L2/L3 back per tag-equivalence class under it (model, geometry
+    // and port width: identical hit/miss behaviour), and one latency column
+    // per variant.  A memory-latency sweep collapses to one front and one
+    // back; an L2 geometry sweep to one front and a back per geometry.
+    // Lanes are laid out front by front and class by class, so each class
+    // prices into a contiguous run of lanes; `lane_variant` maps a lane
+    // back to its batch position.
+    let configs: Vec<_> = variants
+        .iter()
+        .map(|v| (v.model, v.memory, v.port_elems))
+        .collect();
+    let mut tree = ClassTree::new(&configs);
+    let lane_variant: Vec<usize> = tree.lane_configs().to_vec();
     let port_elems: Vec<u32> = lane_variant
         .iter()
         .map(|&v| variants[v].port_elems)
@@ -715,11 +694,9 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     let mut port_bound = 0u64;
     let mut slack = max_cycles.iter().copied().min().unwrap_or(u64::MAX);
     let mut issue: Vec<u64> = vec![0; k];
-    let mut lat: Vec<u64> = vec![0; k];
-    let mut line_memo = SharedAccessScratch::new();
     // Per-variant wait-level causes for one memory access (batch order),
-    // broadcast from each class leader's echo (followers share the
-    // leader's hit/miss pattern by construction of the classes).
+    // broadcast from the echo each run of lanes shares (a class's members
+    // share its hit/miss pattern by construction).
     let mut cause_k: Vec<Cause> = vec![Cause::RawStall; if BP::ENABLED { k } else { 0 }];
 
     // Region accumulation: functional totals (instructions, operations,
@@ -919,26 +896,29 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                         }
                     }
                     // Memory latency is the one per-variant quantity: each
-                    // class leader walks its real tags (irregular line walks
-                    // memoized once across classes), and its pricer prices
-                    // the echo for all of the class's followers at once.
-                    for class in &mut classes {
-                        let (leader_lat, echo) = Simulator::memory_latency_echo(
-                            &mut class.leader,
-                            access,
-                            &mut line_memo,
-                        );
-                        lat[class.lane] = leader_lat as u64;
-                        if !class.followers.is_empty() {
-                            class.followers.price(&echo, &mut lat[class.lane + 1..]);
-                        }
+                    // front looks the L1 up once, and only accesses that
+                    // reach below it walk each class's L2/L3 tags (module
+                    // docs).
+                    let kind = if access.is_store {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    let heard = |lanes: std::ops::Range<usize>, echo: &vmv_mem::AccessEcho| {
                         if BP::ENABLED {
-                            let cause = Cause::wait_for_echo(&echo);
-                            for l in class.lane..=class.lane + class.followers.len() {
+                            let cause = Cause::wait_for_echo(echo);
+                            for l in lanes {
                                 cause_k[lane_variant[l]] = cause;
                             }
                         }
-                    }
+                    };
+                    let lat = if access.is_vector {
+                        let (base, stride, elems) = (access.base, access.stride, access.elems);
+                        tree.vector_access(base, stride, elems, kind, heard)
+                    } else {
+                        tree.scalar_access(access.base, access.bytes, kind, heard)
+                    };
+                    let lat = &lat[..k];
                     if op.dst_slot != NO_SLOT {
                         let row =
                             &mut ready[op.dst_slot as usize * k..op.dst_slot as usize * k + k];
@@ -1028,26 +1008,21 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     }
 
     let mut out = vec![RunStats::default(); k];
-    for class in &classes {
-        for i in 0..=class.followers.len() {
-            let l = class.lane + i;
-            let stats = &mut out[lane_variant[l]];
-            for &id in &analysis.regions {
-                stats.region_mut(id);
-            }
-            for acc in &region_acc {
-                let mut r = acc.shared;
-                r.cycles += acc.stalls[l];
-                r.stall_cycles = acc.stalls[l];
-                stats.region_mut(acc.id).add(&r);
-            }
-            stats.memory = match i {
-                0 => class.leader.stats,
-                _ => class.followers.stats(&class.leader.stats, i - 1),
-            };
-            stats.memory.record_obs();
-            vmv_obs::incr(vmv_obs::Counter::TraceReplays);
+    let memory = tree.stats();
+    for (l, &v) in lane_variant.iter().enumerate() {
+        let stats = &mut out[v];
+        for &id in &analysis.regions {
+            stats.region_mut(id);
         }
+        for acc in &region_acc {
+            let mut r = acc.shared;
+            r.cycles += acc.stalls[l];
+            r.stall_cycles = acc.stalls[l];
+            stats.region_mut(acc.id).add(&r);
+        }
+        stats.memory = memory[v];
+        stats.memory.record_obs();
+        vmv_obs::incr(vmv_obs::Counter::TraceReplays);
     }
     vmv_obs::incr(vmv_obs::Counter::ReplayBatches);
     vmv_obs::record_value(vmv_obs::ValueHist::ReplayBatchWidth, k as u64);

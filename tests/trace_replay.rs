@@ -1,6 +1,7 @@
 //! Trace-replay behaviour beyond the three-engine differential: the batched
 //! walk is deterministic and bit-identical to fresh execution for any
-//! variant subset (a batch of one included), `simulate_batch`'s record-and-
+//! variant subset (a batch of one included, and batches whose class trees
+//! hold several L1 fronts), `simulate_batch`'s record-and-
 //! retime call agrees with fresh execution, one program's trace is the same
 //! on every schedule and retimes all of them exactly, and malformed or
 //! foreign traces are rejected with typed errors instead of garbage
@@ -318,6 +319,78 @@ fn random_variant_subsets_match_fresh_execution() {
             .collect();
         let batched = replay_batch(&trace, &analysis, &mut variants).unwrap();
         assert_eq!(batched.len(), picks.len());
+        for (slot, &i) in picks.iter().enumerate() {
+            assert_eq!(
+                batched[slot], oracle[i],
+                "round {round}: batch slot {slot} (pool entry {i}) diverged"
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_front_batches_match_fresh_execution() {
+    // Property test over batches whose class trees hold several L1 fronts:
+    // the pool spans two L1 geometries (256 B and 16 KiB), two L2 line sizes
+    // (64 and 128 bytes, so the backs under one front interleave its
+    // coherence pushes with L2 line walks of different shapes), two L2
+    // sizes and two latency points, under both models.  Any subset, in any
+    // order, must retime to exactly what each variant gets from a fresh
+    // lowered execution.
+    let machine = presets::vector2(4);
+    let (prepared, _, trace) = record(Benchmark::JpegDec, &machine, MemoryModel::Perfect);
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let mut pool: Vec<(MachineConfig, MemoryModel)> = Vec::new();
+    for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
+        for l1_size in [256, 16 << 10] {
+            for l2_line in [64, 128] {
+                for (l2_size, l2_lat, mem_lat) in [(2 << 10, 5, 100), (256 << 10, 9, 400)] {
+                    let mut m = machine.clone();
+                    m.memory.l1_size = l1_size;
+                    m.memory.l2_line = l2_line;
+                    m.memory.l2_size = l2_size;
+                    m.memory.l2_latency = l2_lat;
+                    m.memory.mem_latency = mem_lat;
+                    pool.push((m, model));
+                }
+            }
+        }
+    }
+    let oracle: Vec<RunStats> = pool
+        .iter()
+        .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
+        .collect();
+    // Test premise, under the realistic model: each L1 size misses
+    // differently, each L2 line size too, and vector accesses invalidate
+    // L1 lines.
+    let realistic = &oracle[pool.len() / 2..];
+    let distinct = |f: fn(&RunStats) -> u64| {
+        let mut v: Vec<u64> = realistic.iter().map(f).collect();
+        v.sort_unstable();
+        v.dedup();
+        v.len()
+    };
+    assert!(distinct(|s| s.memory.l1_misses) >= 2);
+    assert!(distinct(|s| s.memory.l2_misses) >= 4);
+    assert!(realistic
+        .iter()
+        .all(|s| s.memory.coherence_invalidations > 0));
+
+    let mut rng = SmallRng::seed_from_u64(0xF2_0475);
+    for round in 0..12 {
+        let width = match round {
+            0 => 1,
+            1..=5 => rng.gen_range_i64(2, 8) as usize,
+            _ => rng.gen_range_i64(9, 48) as usize,
+        };
+        let picks: Vec<usize> = (0..width)
+            .map(|_| rng.gen_range_i64(0, pool.len() as i64 - 1) as usize)
+            .collect();
+        let mut variants: Vec<VariantState> = picks
+            .iter()
+            .map(|&i| VariantState::new(&analysis, &pool[i].0, pool[i].1, MAX_CYCLES))
+            .collect();
+        let batched = replay_batch(&trace, &analysis, &mut variants).unwrap();
         for (slot, &i) in picks.iter().enumerate() {
             assert_eq!(
                 batched[slot], oracle[i],
@@ -653,8 +726,9 @@ fn corrupted_traces_fail_typed_and_never_panic() {
     // Seeded mutation fuzzing of the trace boundary: truncation and
     // extension of every stream, flipped block ids, corrupted vector
     // strides and element counts (and addresses), dropped or duplicated VL
-    // values, and traces of other programs.  Every replay must return Ok
-    // or a typed ReplayError, promptly.
+    // values, addresses past the 4 GiB memory-image cap, and traces of
+    // other programs.  Every replay must return Ok or a typed ReplayError,
+    // promptly.
     let machine = presets::vector2(4);
     let mut small_l2 = machine.clone();
     small_l2.memory.l2_size = 8 * 1024;
@@ -684,12 +758,13 @@ fn corrupted_traces_fail_typed_and_never_panic() {
     let mut rng = SmallRng::seed_from_u64(0xF022_7ACE);
     let mut pick = |n: usize| rng.gen_range_i64(0, n.max(1) as i64 - 1) as usize;
     let (mut ok, mut typed) = (0, 0);
-    for round in 0..240 {
+    for round in 0..270 {
         let c = round % cases.len();
         let (prepared, trace, roles) = &cases[c];
         let mut t = trace.clone();
         let blocks = prepared.lowered.blocks.len();
-        let mutation = round / cases.len() % 8;
+        let mutation = round / cases.len() % 9;
+        let mut past_cap = None;
         match mutation {
             0 => {
                 let n = pick(t.accesses.len());
@@ -742,6 +817,15 @@ fn corrupted_traces_fail_typed_and_never_panic() {
                     t.vl_sets.insert(i, v);
                 }
             }
+            7 => {
+                // One address at or past the image cap: the access no
+                // execution could make must be named, not priced against
+                // aliased cache tags.
+                let addresses: Vec<usize> = (0..roles.len()).filter(|&i| roles[i] == 0).collect();
+                let i = addresses[pick(addresses.len())];
+                t.accesses[i] = vmv::mem::ADDRESS_LIMIT + pick(1 << 20) as u64;
+                past_cap = Some(i);
+            }
             _ => {
                 // Replay another case's trace: a foreign program.
                 t = cases[(c + 1) % cases.len()].1.clone();
@@ -760,14 +844,25 @@ fn corrupted_traces_fail_typed_and_never_panic() {
         match replay_batch(&t, &analysis, &mut variants) {
             Ok(out) => {
                 assert_eq!(out.len(), 3);
+                assert_eq!(
+                    past_cap, None,
+                    "round {round}: an access past the cap replayed"
+                );
                 ok += 1;
             }
             Err(e) => {
-                if mutation == 7 {
+                if mutation == 8 {
                     assert!(matches!(e, ReplayError::ProgramMismatch { .. }), "{e:?}");
                 }
                 assert!(!e.to_string().is_empty());
-                typed += 1;
+                // Past-cap rounds must each fail, so they are checked
+                // apart and do not count toward the other kinds' floor.
+                match past_cap {
+                    Some(entry) => {
+                        assert_eq!(e, ReplayError::MalformedAccess { entry }, "round {round}")
+                    }
+                    None => typed += 1,
+                }
             }
         }
         assert!(
