@@ -220,7 +220,7 @@ impl Schedule<'_> {
 /// lower the schedule to its executable form.
 pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared, ExperimentError> {
     let variant = variant_for(machine);
-    let runner = ProgramRunner::new(benchmark, variant, 0);
+    let mut runner = ProgramRunner::new(benchmark, variant, 0);
     let (compiled, lowered) = runner.compile(machine)?;
     let build = runner.build;
     Ok(Prepared::new(benchmark, variant, build, compiled, lowered))
@@ -405,9 +405,9 @@ pub type ProgramRun = (RunOutcome, Option<Profile>);
 /// from that execution's [`Recording`].  [`Suite`] and the sweep executor
 /// (`vmv_sweep::run_sweep`) both run their programs through it, one
 /// [`ProgramRunner::compile`] and one [`ProgramRunner::run`] call per
-/// schedule; the build, the analysis and the recording are freed with the
-/// runner.  [`prepare`] and the sweep's pre-flight check compile through it
-/// too.
+/// schedule; the build, the analysis (with the block placements its
+/// compiles stored) and the recording are freed with the runner.
+/// [`prepare`] and the sweep's pre-flight check compile through it too.
 pub struct ProgramRunner {
     benchmark: Benchmark,
     variant: IsaVariant,
@@ -439,16 +439,16 @@ impl ProgramRunner {
     }
 
     /// Compile (schedule) the program for `machine` and lower the schedule:
-    /// the machine's half of compilation on the program's one analysis.  A
-    /// program that failed verification fails every compile with that
-    /// error.
+    /// the machine's half of compilation on the program's one analysis,
+    /// which keeps the block placements for the next compile.  A program
+    /// that failed verification fails every compile with that error.
     pub fn compile(
-        &self,
+        &mut self,
         machine: &MachineConfig,
     ) -> Result<(vmv_sched::Compiled, vmv_sched::LoweredProgram), ExperimentError> {
         let failed =
             |e: &dyn std::fmt::Display| ExperimentError::Compile(format!("{}: {e}", machine.name));
-        let analysis = self.analysis.as_ref().map_err(|e| failed(e))?;
+        let analysis = self.analysis.as_mut().map_err(|e| failed(e))?;
         let compiled = analysis
             .compile(&self.build.program, machine)
             .map_err(|e| failed(&e))?;

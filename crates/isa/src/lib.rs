@@ -34,6 +34,6 @@ pub use builder::ProgramBuilder;
 pub use latency::LatencyDescriptor;
 pub use opcode::{BrCond, FuClass, LatClass, MemWidth, Opcode};
 pub use packed::{Elem, Sat, Sign};
-pub use program::{BasicBlock, BlockId, Op, Program, RegionId, RegionInfo};
+pub use program::{BasicBlock, BlockId, Op, Program, RegionId, RegionInfo, Srcs, MAX_SRCS};
 pub use reg::{Reg, RegClass, RegFileSizes, SlotLayout, MAX_VL, NO_SLOT};
 pub use verify::{assert_well_formed, verify_program, VerifyError};

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::opcode::Opcode;
 use crate::reg::Reg;
@@ -39,6 +40,70 @@ pub struct RegionInfo {
     pub name: String,
 }
 
+/// Most explicit source registers any opcode has (accumulator operations
+/// read the accumulator plus two vector registers).
+pub const MAX_SRCS: usize = 3;
+
+/// The explicit source registers of an operation: a list of at most
+/// [`MAX_SRCS`] registers held inline, so building, cloning, renaming or
+/// dropping an operation allocates nothing.  It dereferences to `[Reg]`,
+/// and compares and prints as that slice.
+#[derive(Clone, Copy)]
+pub struct Srcs {
+    regs: [Reg; MAX_SRCS],
+    len: u8,
+}
+
+impl Srcs {
+    /// The empty list.
+    pub const EMPTY: Srcs = Srcs {
+        regs: [Reg::int(0); MAX_SRCS],
+        len: 0,
+    };
+
+    /// The list of `srcs`, which must hold at most [`MAX_SRCS`] registers:
+    /// operations are only built by code, so more is a bug in that code.
+    pub fn new(srcs: &[Reg]) -> Srcs {
+        assert!(
+            srcs.len() <= MAX_SRCS,
+            "an operation has at most {MAX_SRCS} source registers, not {}",
+            srcs.len()
+        );
+        let mut list = Srcs::EMPTY;
+        list.regs[..srcs.len()].copy_from_slice(srcs);
+        list.len = srcs.len() as u8;
+        list
+    }
+}
+
+impl Deref for Srcs {
+    type Target = [Reg];
+
+    #[inline]
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl DerefMut for Srcs {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Reg] {
+        &mut self.regs[..self.len as usize]
+    }
+}
+
+impl PartialEq for Srcs {
+    fn eq(&self, other: &Srcs) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Srcs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One machine operation (the paper reserves the term *operation* for each
 /// independent machine operation coded into a VLIW instruction, §3.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +114,7 @@ pub struct Op {
     /// Explicit source registers.  Memory operations put the address base
     /// register first; stores put the value register second; accumulator
     /// operations list the accumulator first (it is both read and written).
-    pub srcs: Vec<Reg>,
+    pub srcs: Srcs,
     /// Immediate operand (address offset for memory operations, literal for
     /// `MovI`, shift amounts, lane indices, ...).
     pub imm: Option<i64>,
@@ -71,7 +136,7 @@ impl Op {
         Op {
             opcode,
             dst: None,
-            srcs: Vec::new(),
+            srcs: Srcs::EMPTY,
             imm: None,
             target: None,
             vl_hint: None,
@@ -84,8 +149,9 @@ impl Op {
         self
     }
 
+    /// Set the source registers; panics on more than [`MAX_SRCS`].
     pub fn with_srcs(mut self, srcs: &[Reg]) -> Self {
-        self.srcs = srcs.to_vec();
+        self.srcs = Srcs::new(srcs);
         self
     }
 
@@ -119,7 +185,7 @@ impl fmt::Display for Op {
         if let Some(d) = self.dst {
             write!(f, " {d}")?;
         }
-        for s in &self.srcs {
+        for s in self.srcs.iter() {
             write!(f, " {s}")?;
         }
         if let Some(i) = self.imm {
@@ -295,6 +361,33 @@ mod tests {
         let reads: Vec<_> = vop.reads().collect();
         assert!(reads.contains(&Reg::vl()));
         assert!(reads.contains(&Reg::vs()));
+    }
+
+    #[test]
+    fn sources_are_an_inline_slice() {
+        let regs = [Reg::int(4), Reg::vec(2), Reg::acc(1)];
+        for n in 0..=MAX_SRCS {
+            let mut op = Op::new(Opcode::Nop).with_srcs(&regs[..n]);
+            assert_eq!(*op.srcs, regs[..n]);
+            // Compares and prints as the slice, whatever the unused room holds.
+            assert_eq!(format!("{:?}", op.srcs), format!("{:?}", &regs[..n]));
+            assert_eq!(op.srcs, Srcs::new(&regs[..n]));
+            for r in op.srcs.iter_mut() {
+                r.index += 10;
+            }
+            assert!(op
+                .srcs
+                .iter()
+                .zip(&regs)
+                .all(|(a, b)| a.index == b.index + 10));
+        }
+        assert_ne!(Srcs::new(&regs[..1]), Srcs::new(&regs[..2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 source registers, not 4")]
+    fn more_sources_than_any_opcode_has_panic() {
+        let _ = Op::new(Opcode::Nop).with_srcs(&[Reg::int(0); 4]);
     }
 
     #[test]

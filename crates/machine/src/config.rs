@@ -3,8 +3,9 @@
 
 use vmv_isa::{FuClass, LatClass, LatencyDescriptor, Op, Opcode, RegFileSizes};
 
-/// Which of the three ISA families a configuration supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which of the three ISA families a configuration supports.  Each family
+/// contains the one before it, and they order that way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IsaSupport {
     /// Base VLIW: scalar operations only.
     Vliw,
@@ -20,6 +21,30 @@ impl IsaSupport {
     }
     pub fn supports_vector(self) -> bool {
         matches!(self, IsaSupport::Vector)
+    }
+
+    /// The narrowest family whose view ([`MachineConfig::view_for`]) keeps
+    /// every machine field scheduling `opcode` reads: its unit pool, its
+    /// latency class and, for operations that read `VL`, its lanes.  µSIMD
+    /// for µSIMD units and latencies, Vector for vector units, L2 ports,
+    /// vector latencies or a `VL` read, VLIW otherwise (µSIMD loads and
+    /// stores use the L1 ports and the scalar memory latencies).
+    pub fn reading(opcode: Opcode) -> IsaSupport {
+        let vector = matches!(opcode.fu_class(), FuClass::Vector | FuClass::MemL2)
+            || matches!(
+                opcode.lat_class(),
+                LatClass::VecAlu | LatClass::VecMul | LatClass::VecMem
+            )
+            || opcode.reads_vl();
+        let usimd = opcode.fu_class() == FuClass::Simd
+            || matches!(opcode.lat_class(), LatClass::SimdAlu | LatClass::SimdMul);
+        if vector {
+            IsaSupport::Vector
+        } else if usimd {
+            IsaSupport::Usimd
+        } else {
+            IsaSupport::Vliw
+        }
     }
 }
 
@@ -189,27 +214,36 @@ impl MachineConfig {
         }
     }
 
-    /// This machine as code of its own ISA family sees it: the fields that
-    /// only operations outside the family read are reset to the values the
-    /// generator gives the family, so two machines with equal views
-    /// schedule that code identically.  A VLIW machine runs scalar code, so
-    /// chaining, the µSIMD and vector units, lanes, L2 vector-cache ports
-    /// and the µSIMD and vector latencies are reset; a µSIMD machine keeps
-    /// its µSIMD fields; a Vector machine keeps everything.  The register
-    /// files stay, because lowering lays out slots for all four, and so do
-    /// the vector units while `units(FuClass::Simd)` falls back to them.
+    /// This machine as code of its own ISA family sees it:
+    /// [`MachineConfig::view_for`] of `self.isa`.  Schedule keys are built
+    /// from it.
     pub fn schedule_view(&self) -> MachineConfig {
+        self.view_for(self.isa)
+    }
+
+    /// This machine as code of ISA `family` (VLIW ⊂ µSIMD ⊂ Vector) sees
+    /// it: the fields that only operations outside the family read are
+    /// reset to the values the generator gives the family, so two machines
+    /// with equal views schedule that code identically.  Scalar code
+    /// leaves chaining, the µSIMD and vector units, lanes, L2 vector-cache
+    /// ports and the µSIMD and vector latencies unread; µSIMD code reads
+    /// its µSIMD fields too; Vector code reads everything.  The register
+    /// files stay, because lowering lays out slots for all four and
+    /// allocation reads them, and so do the vector units while
+    /// `units(FuClass::Simd)` falls back to them.  Which family a piece of
+    /// code needs is [`IsaSupport::reading`] of its operations.
+    pub fn view_for(&self, family: IsaSupport) -> MachineConfig {
         let mut view = self.clone();
-        if self.isa == IsaSupport::Vector {
+        if family == IsaSupport::Vector {
             return view;
         }
         let (l, d) = (&mut view.latencies, LatencyTable::default());
         (l.vec_alu, l.vec_mul, l.vec_mem) = (d.vec_alu, d.vec_mul, d.vec_mem);
-        if self.isa == IsaSupport::Vliw {
+        if family == IsaSupport::Vliw {
             (l.simd_alu, l.simd_mul) = (d.simd_alu, d.simd_mul);
             view.simd_units = 0;
         }
-        if self.isa == IsaSupport::Vliw || self.simd_units > 0 {
+        if family == IsaSupport::Vliw || self.simd_units > 0 {
             view.vector_units = 0;
         }
         (view.chaining, view.vector_lanes) = (false, 0);
@@ -338,6 +372,34 @@ mod tests {
         let view = on_vector_units.schedule_view();
         assert_eq!(view.units(FuClass::Simd), 2);
         assert_eq!(view.vector_lanes, 0);
+    }
+
+    #[test]
+    fn an_operation_needs_the_family_whose_fields_it_reads() {
+        use vmv_isa::{MemWidth, Sign};
+        let vliw = [
+            Opcode::IMul,
+            Opcode::Load(MemWidth::B4, Sign::Signed),
+            Opcode::SetVL,
+            // µSIMD memory operations use the L1 ports and scalar latencies.
+            Opcode::PLoad,
+            Opcode::PStore,
+        ];
+        for op in vliw {
+            assert_eq!(IsaSupport::reading(op), IsaSupport::Vliw, "{op:?}");
+        }
+        for op in [Opcode::PAdd(Elem::B, Sat::Wrap), Opcode::MovIntToSimd] {
+            assert_eq!(IsaSupport::reading(op), IsaSupport::Usimd, "{op:?}");
+        }
+        let vector = [
+            Opcode::VLoad,
+            Opcode::VAdd(Elem::B, Sat::Wrap),
+            Opcode::AccClear,
+            Opcode::AccReduce,
+        ];
+        for op in vector {
+            assert_eq!(IsaSupport::reading(op), IsaSupport::Vector, "{op:?}");
+        }
     }
 
     #[test]

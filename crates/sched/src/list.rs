@@ -5,6 +5,13 @@
 //! the latency descriptors of Fig. 3 and the chaining rule of §3.3) and
 //! (b) a free issue slot and functional unit / memory port is available
 //! (Table 2 resources).
+//!
+//! A block's placement depends only on its operations and on what they
+//! read of the machine: each operation's unit pool, latency and lanes,
+//! chaining between vector operations, and the issue width.  So equal
+//! views of the block's ISA family (`MachineConfig::view_for`) place it
+//! identically, which is what lets [`crate::Analysis`] reuse a placement
+//! across machines.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -302,7 +309,7 @@ mod tests {
     fn renamed(ops: &[Op], f: impl Fn(u32) -> u32) -> Vec<Op> {
         let mut ops = ops.to_vec();
         for op in &mut ops {
-            for r in op.dst.iter_mut().chain(&mut op.srcs) {
+            for r in op.dst.iter_mut().chain(op.srcs.iter_mut()) {
                 if r.class != vmv_isa::RegClass::Ctrl {
                     r.index = f(r.index);
                 }

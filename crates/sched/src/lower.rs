@@ -29,14 +29,11 @@
 
 use std::collections::HashMap;
 
-use vmv_isa::{Op, Opcode, Reg, RegionId, RegionInfo, SlotLayout, NO_SLOT};
+use vmv_isa::{Op, Opcode, Reg, RegionId, RegionInfo, SlotLayout, MAX_SRCS, NO_SLOT};
 use vmv_machine::MachineConfig;
 
 use crate::bundle::ScheduledProgram;
 
-/// Maximum explicit source operands of any opcode (accumulator operations
-/// read the accumulator plus two vector registers).
-pub const MAX_SRCS: usize = 3;
 /// Maximum read-set size: every explicit source plus the implicit `VL` and
 /// `VS` control-register reads of vector memory operations.
 pub const MAX_READS: usize = MAX_SRCS + 2;
@@ -51,8 +48,6 @@ pub enum LowerError {
     MissingTarget { block: String, op: String },
     /// A register index exceeds the machine's architectural register file.
     SlotOutOfRange { block: String, op: String, reg: Reg },
-    /// An operation carries more explicit sources than any opcode defines.
-    TooManySources { block: String, op: String },
     /// A block's source positions are not a permutation of its operations.
     BadPositions { block: String },
     /// A machine parameter exceeds the range of the lowered operation's
@@ -80,9 +75,6 @@ impl std::fmt::Display for LowerError {
                 "block '{block}': operation '{op}' uses register {reg} beyond \
                  the machine's register file"
             ),
-            LowerError::TooManySources { block, op } => {
-                write!(f, "block '{block}': operation '{op}' has too many sources")
-            }
             LowerError::BadPositions { block } => write!(
                 f,
                 "block '{block}': source positions are not a permutation of its operations"
@@ -104,6 +96,8 @@ pub struct LoweredOp {
     /// Destination register (functional write), if any.
     pub dst: Option<Reg>,
     /// Explicit source registers (functional reads); only `..n_srcs` valid.
+    /// Not a `vmv_isa::Srcs`: the separate count packs with the other
+    /// byte fields, which keeps this hot-loop record at 72 bytes, not 80.
     srcs: [Reg; MAX_SRCS],
     n_srcs: u8,
     /// Immediate operand (0 when absent — execution treats them the same).
@@ -312,12 +306,6 @@ fn lower_op(
             })
     };
 
-    if op.srcs.len() > MAX_SRCS {
-        return Err(LowerError::TooManySources {
-            block: block.to_string(),
-            op: op.to_string(),
-        });
-    }
     let mut srcs = [Reg::int(0); MAX_SRCS];
     let mut read_slots = [NO_SLOT; MAX_READS];
     for (i, &r) in op.srcs.iter().enumerate() {

@@ -8,13 +8,28 @@
 //! machine configuration.
 //!
 //! [`compile`] is two halves.  [`analyze`] is the program's half: static
-//! verification and register liveness, which no machine parameter affects.
-//! [`Analysis::compile`] is the machine's half: the ISA check, the linear
-//! scan against the register files, the rename and list scheduling.  A
-//! caller that compiles one program for many machines analyses it once.
+//! verification, register liveness and each block's ISA family, which no
+//! machine parameter affects.  [`Analysis::compile`] is the machine's half:
+//! the ISA check, the linear scan against the register files, the rename
+//! and list scheduling.  A caller that compiles one program for many
+//! machines analyses it once.
+//!
+//! The analysis also keeps the program's *block placements*.  A block is
+//! scheduled on the machine as code of the block's own family sees it
+//! ([`MachineConfig::view_for`]), and most blocks of a µSIMD or vector
+//! program are scalar or µSIMD code that reads less of the machine than
+//! the program's ISA does.  So a block narrower than the machine's ISA is
+//! placed once per view: its bundle sizes and source positions are stored
+//! under (block, view), and a later machine with the same view moves its
+//! allocated operations into bundles by them, with no dependence graph and
+//! no list scheduling.  Register files are part of every view, and
+//! allocation reads nothing else of the machine, so equal views also mean
+//! identical allocated operations.  A block of the machine's own family is
+//! not stored: its view is the machine's schedule view, which a caller
+//! compiles once.
 
-use vmv_isa::{verify_program, Program};
-use vmv_machine::MachineConfig;
+use vmv_isa::{verify_program, Op, Opcode, Program};
+use vmv_machine::{IsaSupport, MachineConfig, MemoryParams};
 
 use crate::bundle::{ScheduledBlock, ScheduledProgram};
 use crate::list::schedule_block;
@@ -58,39 +73,104 @@ pub struct Compiled {
 }
 
 /// Compile `program` for `machine`: [`analyze`] followed by
-/// [`Analysis::compile`].
+/// [`Analysis::compile`], on an analysis with no stored placements.
 pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, CompileError> {
     analyze(program)?.compile(program, machine)
 }
 
 /// The program's half of compilation: what [`Analysis::compile`] needs of
-/// a verified program for any machine.
+/// a verified program for any machine, and the block placements of its
+/// earlier compiles.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     liveness: Liveness,
     /// The analysed program's operation count, to catch a caller that
     /// compiles a different program.
     ops: usize,
+    /// Each block's family: the narrowest ISA family whose view keeps what
+    /// scheduling its operations reads ([`IsaSupport::reading`]).
+    families: Vec<IsaSupport>,
+    /// Stored placements by view: `placed[v].1[b]` places block `b` for
+    /// every machine whose view of the block's family is `placed[v].0`
+    /// (see [`view_key`]).  A program meets few distinct views.
+    placed: Vec<(MachineConfig, Vec<Option<Placement>>)>,
 }
 
-/// Verify `program` and compute its register liveness.
+/// Where list scheduling put a block's operations: the size of each bundle
+/// and the source position of each operation in traversal order (see
+/// [`ScheduledBlock::positions`]).  No operations: those come from each
+/// compile's own allocation.
+#[derive(Debug, Clone)]
+struct Placement {
+    sizes: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl Placement {
+    fn of(bundles: &[Vec<Op>], positions: &[u32]) -> Placement {
+        Placement {
+            sizes: bundles.iter().map(|b| b.len() as u32).collect(),
+            positions: positions.to_vec(),
+        }
+    }
+
+    /// Move `ops`, one block's allocated operations, into bundles as
+    /// placed: what [`schedule_block`] returns for them.
+    fn apply(&self, mut ops: Vec<Op>) -> (Vec<Vec<Op>>, Vec<u32>) {
+        let mut next = self.positions.iter();
+        let bundles = self
+            .sizes
+            .iter()
+            .map(|&size| {
+                let placed = next.by_ref().take(size as usize);
+                placed
+                    .map(|&p| std::mem::replace(&mut ops[p as usize], Op::new(Opcode::Nop)))
+                    .collect()
+            })
+            .collect();
+        (bundles, self.positions.clone())
+    }
+}
+
+/// The key placements of `family` blocks are stored under: `machine` as
+/// `family` code sees it, without the name and memory parameters, which
+/// scheduling never reads.
+fn view_key(machine: &MachineConfig, family: IsaSupport) -> MachineConfig {
+    MachineConfig {
+        name: String::new(),
+        memory: MemoryParams::default(),
+        ..machine.view_for(family)
+    }
+}
+
+/// Verify `program`, compute its register liveness and find each block's
+/// family.
 pub fn analyze(program: &Program) -> Result<Analysis, CompileError> {
     let errors = verify_program(program);
     if !errors.is_empty() {
         return Err(CompileError::Malformed(errors));
     }
+    let families = program.blocks.iter().map(|block| {
+        let families = block.ops.iter().map(|op| IsaSupport::reading(op.opcode));
+        families.max().unwrap_or(IsaSupport::Vliw)
+    });
     Ok(Analysis {
         liveness: Liveness::of(program),
         ops: program.static_op_count(),
+        families: families.collect(),
+        placed: Vec::new(),
     })
 }
 
 impl Analysis {
     /// Compile `program`, which must be the program analysed, for
     /// `machine`: check that the machine implements every operation,
-    /// allocate registers, and list-schedule each block.
+    /// allocate registers, and list-schedule each block, or place it as
+    /// stored for the machine's view of the block's family.  Each block
+    /// narrower than the machine's ISA that this compile schedules is
+    /// stored for later compiles.
     pub fn compile(
-        &self,
+        &mut self,
         program: &Program,
         machine: &MachineConfig,
     ) -> Result<Compiled, CompileError> {
@@ -114,10 +194,24 @@ impl Analysis {
             .map_err(CompileError::RegAlloc)?;
 
         // Each allocated op moves into its bundle and keeps its source
-        // position.
+        // position.  `views[f]` is the stored view of family `f` (VLIW or
+        // µSIMD), looked up when a block of that family first needs it.
+        let mut views: [Option<usize>; 2] = [None; 2];
         let mut scheduled = ScheduledProgram::from_program_shell(program);
-        for block in allocated.blocks {
-            let (bundles, positions) = schedule_block(block.ops, machine);
+        for (b, block) in allocated.blocks.into_iter().enumerate() {
+            let family = self.families[b];
+            let view = (family < machine.isa)
+                .then(|| *views[family as usize].get_or_insert_with(|| self.view(machine, family)));
+            let placed = view.map(|v| &mut self.placed[v].1[b]);
+            let (bundles, positions) = match placed {
+                Some(Some(placement)) => placement.apply(block.ops),
+                Some(slot) => {
+                    let (bundles, positions) = schedule_block(block.ops, machine);
+                    *slot = Some(Placement::of(&bundles, &positions));
+                    (bundles, positions)
+                }
+                None => schedule_block(block.ops, machine),
+            };
             scheduled.blocks.push(ScheduledBlock {
                 label: block.label,
                 region: block.region,
@@ -127,6 +221,19 @@ impl Analysis {
         }
 
         Ok(Compiled { program: scheduled })
+    }
+
+    /// The index in `placed` of `machine`'s view of `family`, added with no
+    /// placements if new.
+    fn view(&mut self, machine: &MachineConfig, family: IsaSupport) -> usize {
+        let key = view_key(machine, family);
+        match self.placed.iter().position(|(view, _)| *view == key) {
+            Some(v) => v,
+            None => {
+                self.placed.push((key, vec![None; self.families.len()]));
+                self.placed.len() - 1
+            }
+        }
     }
 }
 
@@ -183,7 +290,7 @@ mod tests {
     #[test]
     fn one_analysis_serves_every_machine() {
         let p = vector_sad_program();
-        let analysis = analyze(&p).unwrap();
+        let mut analysis = analyze(&p).unwrap();
         for machine in [presets::vector1(2), presets::vector2(4), presets::usimd(8)] {
             let whole = compile(&p, &machine).map(|c| c.program.dump());
             let halves = analysis.compile(&p, &machine).map(|c| c.program.dump());

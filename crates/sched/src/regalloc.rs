@@ -52,7 +52,7 @@ impl RegNumbering {
         let mut extent = [0usize; 5];
         extent[RegClass::Ctrl as usize] = 2;
         for op in ops {
-            for r in op.dst.iter().chain(&op.srcs) {
+            for r in op.dst.iter().chain(op.srcs.iter()) {
                 let e = &mut extent[r.class as usize];
                 *e = (*e).max(r.index as usize + 1);
             }
@@ -234,7 +234,7 @@ impl Liveness {
         // Rewrite the program with the mapping (control registers unchanged).
         let mut out = program.clone();
         for op in out.blocks.iter_mut().flat_map(|b| &mut b.ops) {
-            for r in op.dst.iter_mut().chain(&mut op.srcs) {
+            for r in op.dst.iter_mut().chain(op.srcs.iter_mut()) {
                 if r.class != RegClass::Ctrl {
                     r.index = physical[regs.number(*r)];
                 }
@@ -577,7 +577,7 @@ mod tests {
         assert_eq!(alloc.peak(RegClass::Int), 3);
         let add = &alloc_p.blocks[0].ops[2];
         assert_eq!(add.dst, Some(Reg::int(2)));
-        assert_eq!(add.srcs, vec![Reg::int(0), Reg::int(1)]);
+        assert_eq!(*add.srcs, [Reg::int(0), Reg::int(1)]);
     }
 
     #[test]

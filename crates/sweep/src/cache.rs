@@ -15,11 +15,16 @@
 //! one that crosses every ISA with chaining schedules the scalar and µSIMD
 //! programs once per pair.
 //!
-//! Nothing is memoized here: neither programs nor traces.  The executor
-//! groups a sweep's jobs by [`CompileCache::key_for`], compiles each
-//! group's schedule on its first job's machine when the group starts and
-//! drops it when the group finishes; the hit/miss counters are derived from
-//! the group sizes.
+//! Nothing is memoized here: neither programs, schedules nor traces.  The
+//! executor groups a sweep's jobs by [`CompileCache::key_for`], compiles
+//! each group's schedule on its first job's machine when the group starts
+//! and drops it when the group finishes; the hit/miss counters are derived
+//! from the group sizes.  Below the key, the program's
+//! [`ProgramRunner`] does keep something across groups: its analysis
+//! stores the placement of each block narrower than the program's ISA per
+//! view of the block's family (`vmv_sched::Analysis`), so a scalar block of
+//! a vector program is scheduled once per issue width and register files,
+//! not once per key.
 
 use vmv_core::sched::LoweredProgram;
 use vmv_core::{ExperimentError, ProgramRunner};
@@ -64,7 +69,7 @@ impl CompileCache {
 /// compile error.  Only the lowered program is returned; the compiled form
 /// is dropped here, before anything simulates.
 pub(crate) fn compile(
-    runner: &ProgramRunner,
+    runner: &mut ProgramRunner,
     machine: &MachineConfig,
     certify: bool,
 ) -> Result<LoweredProgram, ExperimentError> {

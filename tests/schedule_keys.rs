@@ -121,7 +121,7 @@ fn perturbed(rng: &mut SmallRng, machine: &MachineConfig) -> MachineConfig {
 
 /// Everything a schedule is: the scheduled program's dump and the lowered
 /// program.
-fn schedule_of(runner: &ProgramRunner, machine: &MachineConfig) -> (String, LoweredProgram) {
+fn schedule_of(runner: &mut ProgramRunner, machine: &MachineConfig) -> (String, LoweredProgram) {
     let (compiled, lowered) = runner
         .compile(machine)
         .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
