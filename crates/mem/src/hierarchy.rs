@@ -894,6 +894,16 @@ fn shares_front(
         && (a.l1_line as u64 >= lines::ELEM_BYTES || a.l2_line == b.l2_line)
 }
 
+/// Every lane's latency of one scalar access a [`ClassTree`] priced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneLatency<'a> {
+    /// Every lane takes this latency: the access hit the L1 of every front
+    /// and all lanes share one L1 latency.
+    Shared(u64),
+    /// Lane `l` takes `lanes[l]`.
+    Lanes(&'a [u64]),
+}
+
 /// The latency columns of one tag class: every member's latencies
 /// (struct-of-arrays) and stall total.  Its members' tags behave alike, so
 /// one back's echoes price all of them at once.
@@ -977,12 +987,20 @@ struct FrontNode {
 /// [`MemStats`] are exactly what a fresh [`MemoryHierarchy`] of its
 /// configuration produces on the same stream.  The latencies live in the
 /// tree, so a run of L1 hits under a front rewrites none of them.
+///
+/// When every lane has one L1 latency, a scalar access that hits the L1 of
+/// every front costs every lane that latency, and the access call says so
+/// ([`LaneLatency::Shared`]): the caller learns it without scanning the
+/// lanes.  On a memory-latency or L2 sweep almost every scalar access is
+/// such a hit.
 #[derive(Debug, Clone)]
 pub struct ClassTree {
     fronts: Vec<FrontNode>,
     lane_config: Vec<usize>,
     /// Each lane's L1 latency, the price of an all-L1-hit scalar access.
     l1_latency: Vec<u64>,
+    /// The L1 latency of every lane, when all lanes share one.
+    shared_l1: Option<u64>,
     /// Each lane's latency of the last access.
     latency: Vec<u64>,
     /// Touched-line walks of the current irregular vector access, shared
@@ -1053,12 +1071,18 @@ impl ClassTree {
             })
             .collect();
         let lane_config: Vec<usize> = groups.concat().concat();
+        let l1_latency: Vec<u64> = lane_config
+            .iter()
+            .map(|&c| configs[c].1.l1_latency as u64)
+            .collect();
+        let shared_l1 = match l1_latency.split_first() {
+            Some((&first, rest)) if rest.iter().all(|&l| l == first) => Some(first),
+            _ => None,
+        };
         ClassTree {
             fronts,
-            l1_latency: lane_config
-                .iter()
-                .map(|&c| configs[c].1.l1_latency as u64)
-                .collect(),
+            shared_l1,
+            l1_latency,
             latency: vec![0; lane_config.len()],
             lane_config,
             memo: SharedAccessScratch::default(),
@@ -1070,9 +1094,10 @@ impl ClassTree {
         &self.lane_config
     }
 
-    /// Price a scalar access of `size` bytes for every lane: the returned
-    /// slice holds each lane's latency.  `echo` hears each run of lanes
-    /// that shares an echo (the profiler's wait causes).
+    /// Price a scalar access of `size` bytes for every lane: one latency
+    /// all lanes share when it hit the L1 of every front and the lanes
+    /// share one L1 latency, else each lane's own.  `echo` hears each run
+    /// of lanes that shares an echo (the profiler's wait causes).
     #[inline]
     pub fn scalar_access(
         &mut self,
@@ -1080,7 +1105,8 @@ impl ClassTree {
         size: usize,
         kind: AccessKind,
         mut echo: impl FnMut(Range<usize>, &AccessEcho),
-    ) -> &[u64] {
+    ) -> LaneLatency<'_> {
+        let mut hit = true;
         for node in &mut self.fronts {
             let lines = node.front.scalar(addr, size, kind);
             if lines.hit() {
@@ -1092,6 +1118,7 @@ impl ClassTree {
                 echo(node.lanes.clone(), &lines.l1_echo());
                 continue;
             }
+            hit = false;
             node.l1_priced = false;
             for b in &mut node.backs {
                 let e = b.back.scalar(&lines);
@@ -1099,7 +1126,10 @@ impl ClassTree {
                 echo(b.lanes(), &e);
             }
         }
-        &self.latency
+        match self.shared_l1 {
+            Some(latency) if hit => LaneLatency::Shared(latency),
+            _ => LaneLatency::Lanes(&self.latency),
+        }
     }
 
     /// Price a vector access of `elems` 64-bit elements at `base`,
@@ -1394,7 +1424,10 @@ mod tests {
                 (0x101E, 8, AccessKind::Load),
                 (0x2000, 8, AccessKind::Store),
             ] {
-                let latencies = tree.scalar_access(addr, size, kind, |_, _| {}).to_vec();
+                let latencies = match tree.scalar_access(addr, size, kind, |_, _| {}) {
+                    LaneLatency::Lanes(lanes) => lanes.to_vec(),
+                    shared => panic!("L1 latencies 1 and 3 are not shared: {shared:?}"),
+                };
                 let timings: Vec<_> = real
                     .iter_mut()
                     .map(|r| r.scalar_access(addr, size, kind))
@@ -1601,10 +1634,23 @@ mod tests {
                 .iter()
                 .map(|&(model, params, port)| MemoryHierarchy::new(model, params, port))
                 .collect();
+            // Scalar accesses the tree priced as one shared latency (every
+            // front hit, and all lanes share the default L1 latency), and
+            // per lane.
+            let (mut shared, mut per_lane) = (0, 0);
             for (step, access) in seeded_stream(seed, 2500).into_iter().enumerate() {
                 let (lat, expect): (Vec<u64>, Vec<u32>) = match access {
                     Access::Scalar(addr, size, kind) => (
-                        tree.scalar_access(addr, size, kind, |_, _| {}).to_vec(),
+                        match tree.scalar_access(addr, size, kind, |_, _| {}) {
+                            LaneLatency::Shared(latency) => {
+                                shared += 1;
+                                vec![latency; n]
+                            }
+                            LaneLatency::Lanes(lanes) => {
+                                per_lane += 1;
+                                lanes.to_vec()
+                            }
+                        },
                         real.iter_mut()
                             .map(|r| r.scalar_access(addr, size, kind).latency)
                             .collect(),
@@ -1626,6 +1672,10 @@ mod tests {
             }
             let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
             assert_eq!(tree.stats(), expect, "seed {seed}");
+            assert!(
+                shared > 0 && per_lane > 0,
+                "seed {seed}: {shared} / {per_lane}"
+            );
         }
     }
 

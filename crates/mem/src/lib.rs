@@ -30,7 +30,7 @@ pub mod vector_cache;
 
 pub use cache::{geometry_error, Cache, CacheStats, FillOutcome, LookupResult, ADDRESS_LIMIT};
 pub use hierarchy::{
-    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassTree, MemStats,
+    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, ClassTree, LaneLatency, MemStats,
     MemoryHierarchy, MemoryModel, ServedBy,
 };
 pub use lines::LineWalk;

@@ -5,6 +5,12 @@
 //! Numbers are kept as `f64`; every integer the store writes (cycle counts,
 //! operation counts) is far below 2^53, so the round trip is exact.
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  The
+/// parser recurses once per level, so without a limit a few kilobytes of
+/// brackets would overflow the stack (the smaller one of a worker thread
+/// first); nothing the workspace writes nests more than six deep.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.  Object keys keep insertion order so emitted lines are
 /// stable and diffable.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +170,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -208,6 +215,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,11 +261,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse the array or object at `pos` one level deeper, refusing it
+    /// at the bracket that would open level [`MAX_DEPTH`] + 1.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -448,6 +472,35 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{}extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_refused_one_level_past_the_limit() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        let message = format!("nesting deeper than {MAX_DEPTH} levels");
+        assert_eq!(
+            Json::parse(&arrays(MAX_DEPTH + 1)),
+            Err(JsonError {
+                offset: MAX_DEPTH,
+                message: message.clone(),
+            })
+        );
+        assert_eq!(
+            Json::parse(&objects(MAX_DEPTH + 1)),
+            Err(JsonError {
+                offset: MAX_DEPTH * 5,
+                message,
+            })
+        );
+        // Far past the limit the error comes back the same way, not as a
+        // stack overflow.
+        assert_eq!(
+            Json::parse(&"[".repeat(100_000)).unwrap_err().offset,
+            MAX_DEPTH
+        );
     }
 
     #[test]

@@ -68,20 +68,45 @@
 //! workload (seed 1), 8,398 of the 663,588 replayed segments (1.3 %)
 //! stall in any of a batch's 59 variants.  The walk therefore keeps one
 //! *shared* clock `base` and per variant only its accumulated stall
-//! `offset[k]`; variant `k`'s clock is `base + offset[k]`.  Beside each
-//! scoreboard row `ready[slot * K + k]` (absolute cycles) sits a scalar
-//! bound `bound[slot] = max_k(ready - offset[k])`, taken when the row is
+//! `offset[k]`; variant `k`'s clock is `base + offset[k]`.  Each
+//! scoreboard slot keeps a scalar bound `bound[slot] = max_k(ready[k] -
+//! offset[k])` over its variants' ready cycles, taken when the slot is
 //! written (offsets only grow, so it stays an upper bound until the next
-//! write); the L2 vector port keeps the same pair.  A segment whose read
-//! bounds (and port bound) are at most its stall-free issue cycle cannot
-//! stall any variant, and advances all K with one scalar add.  Only writes
-//! (`ready = base + span - 1 + latency + offset[k]`), memory latencies and
-//! the segments whose bound fails (10,527, 1.6 %, on that workload) touch
-//! the K lanes, and a failing segment computes exactly the per-variant
-//! maximum the engine computes, over just the slots whose bound failed.
-//! Region cycles are the shared cycles plus each variant's stalls, and the
-//! cycle limit is one comparison against the batch-wide slack
-//! `min_k(max_cycles[k] - offset[k])`.
+//! write); the L2 vector port keeps a cursor per variant and the same
+//! bound.  A segment whose read bounds (and port bound) are at most its
+//! stall-free issue cycle `at` cannot stall any variant, and advances all
+//! K with one scalar add.  Only the segments whose bound fails (10,527,
+//! 1.6 %, on that workload) price the K lanes, and they compute exactly
+//! the per-variant maximum the engine computes, over just the slots whose
+//! bound failed.  Region cycles are the shared cycles plus each variant's
+//! stalls, and the cycle limit is one comparison against the batch-wide
+//! slack `min_k(max_cycles[k] - offset[k])`.
+//!
+//! # Stamped rows
+//!
+//! Most results complete at the same shared cycle in every variant: every
+//! fixed-latency and VL-dependent result, and a scalar load that hit every
+//! L1 front when all variants share one L1 latency (the class tree reports
+//! it, [`vmv_mem::LaneLatency::Shared`]).  Such a write sets only the
+//! slot's bound and stamps the slot with the current *epoch*: while the
+//! stamp is current, variant `k` is ready at `bound + offset[k]`.  Only
+//! results that differ by variant, L1 misses and vector accesses, write
+//! the slot's row of K absolute ready cycles (`rows[slot * K + k]`).
+//!
+//! An epoch lasts while no offset changes.  Before a stalling segment
+//! grows any offset, the walk writes out the rows of the slots stamped in
+//! this epoch that are still in flight (`bound > at`), under the offsets
+//! they were stamped with, and starts a new epoch, so every variant reads
+//! what an eagerly written row would hold.  A stamped slot with
+//! `bound <= at` keeps a stale row: every later segment issues after `at`,
+//! so its bound check passes over the slot until the slot is written
+//! again.  For the same reason the profiled walk looks for a stall's
+//! binding slot only among the reads with `bound > at`: a stalled variant
+//! issues after `at + offset[k]`, by which time every variant of such a
+//! slot is ready, so it could never have been the binder.  Both sinks and
+//! every batch width read this one scoreboard.  On the `memory` workload
+//! (seed 1) 96.0 % of the scoreboard writes take the stamped path, and
+//! the 8,398 stalling segments write out 3,184 rows in all.
 //!
 //! # The class tree
 //!
@@ -100,9 +125,11 @@
 //!   latency at once (members' `MemStats` differ only in the stall total).
 //!
 //! A scalar access that hits the front on every line calls no back and no
-//! pricer: each lane takes its own L1 latency.  On the `memory` benchmark
-//! workload (seed 1) 98.3 % of the scalar accesses do, so each batch walks
-//! the L1 once instead of once per class.  A vector access runs every
+//! pricer: each lane takes its own L1 latency, and when every lane has the
+//! same one the tree returns that single latency, so the load's result is
+//! stamped (above).  On the `memory` benchmark workload (seed 1) 98.3 % of
+//! the scalar accesses hit, so each batch walks the L1 once instead of
+//! once per class.  A vector access runs every
 //! back's L2 walk; the first back under each front invalidates the L1
 //! lines and the others push down the dirty lines it found.  The walk lays
 //! its lanes out front by front and class by class, so every class prices
@@ -112,7 +139,7 @@ use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{AccessKind, ClassTree, MemoryModel};
+use vmv_mem::{AccessKind, ClassTree, LaneLatency, MemoryModel};
 use vmv_sched::LoweredProgram;
 
 use crate::exec::MemAccess;
@@ -561,14 +588,120 @@ impl VariantState {
     }
 }
 
-/// Record a write to `slot` that completes at shared cycle `done` in every
-/// lane: the bound is exact, and each lane's ready cycle adds its offset.
-#[inline(always)]
-fn write_shared(ready: &mut [u64], bound: &mut [u64], offset: &[u64], slot: u16, done: u64) {
-    let k = offset.len();
-    bound[slot as usize] = done;
-    for (r, &o) in ready[slot as usize * k..][..k].iter_mut().zip(offset) {
-        *r = done + o;
+/// The batch's scoreboard (module docs, "One shared clock for K
+/// variants"): per slot a scalar bound and an epoch stamp, and a row of
+/// per-lane ready cycles that is written only for results that differ by
+/// lane.  Every method taking `offset` reads the batch width from its
+/// length.
+struct Scoreboard {
+    /// Absolute ready cycles, slot-major: `rows[slot * k + lane]`.
+    rows: Vec<u64>,
+    /// `max_l(ready - offset[l])` when the slot was written; offsets only
+    /// grow, so it stays an upper bound until the next write.
+    bound: Vec<u64>,
+    /// `epoch` when the slot's last write was shared and made in this
+    /// epoch: lane `l` is then ready at `bound + offset[l]`.  `epoch + 1`
+    /// when it was stamped in this epoch and then written per lane; below
+    /// `epoch` when it was not stamped in this epoch.  Either way its row
+    /// holds it.
+    stamp: Vec<u64>,
+    /// The current epoch, even; [`Self::settle`] starts the next.
+    epoch: u64,
+    /// The slots stamped in this epoch, each once.
+    stamped: Vec<u16>,
+}
+
+impl Scoreboard {
+    fn new(slots: usize, k: usize) -> Scoreboard {
+        Scoreboard {
+            rows: vec![0; slots * k],
+            bound: vec![0; slots],
+            stamp: vec![0; slots],
+            epoch: 2,
+            stamped: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Whether some lane may still wait for `slot` at shared cycle `at`.
+    #[inline(always)]
+    fn busy(&self, slot: u16, at: u64) -> bool {
+        self.bound[slot as usize] > at
+    }
+
+    /// A write that completes at shared cycle `done` in every lane: the
+    /// bound is exact, and the stamp stands for the row.
+    #[inline(always)]
+    fn write_shared(&mut self, slot: u16, done: u64) {
+        let s = slot as usize;
+        self.bound[s] = done;
+        if self.stamp[s] < self.epoch {
+            self.stamped.push(slot);
+        }
+        self.stamp[s] = self.epoch;
+    }
+
+    /// A write that completes `latency[l]` cycles after shared cycle `at`
+    /// on lane `l`'s clock.
+    #[inline(always)]
+    fn write_lanes(&mut self, slot: u16, at: u64, offset: &[u64], latency: &[u64]) {
+        let (s, k) = (slot as usize, offset.len());
+        let row = &mut self.rows[s * k..s * k + k];
+        let mut longest = 0;
+        for l in 0..k {
+            row[l] = at + offset[l] + latency[l];
+            longest = longest.max(latency[l]);
+        }
+        self.bound[s] = at + longest;
+        self.stamp[s] |= 1;
+    }
+
+    /// Lane `l`'s ready cycle of `slot`, exact while the slot is
+    /// [`Self::busy`] at the current segment's issue cycle.
+    #[inline(always)]
+    fn lane(&self, slot: u16, l: usize, offset: &[u64]) -> u64 {
+        let s = slot as usize;
+        if self.stamp[s] == self.epoch {
+            self.bound[s] + offset[l]
+        } else {
+            self.rows[s * offset.len() + l]
+        }
+    }
+
+    /// Raise each lane's issue cycle to its ready cycle of the busy `slot`.
+    #[inline(always)]
+    fn raise(&self, slot: u16, offset: &[u64], issue: &mut [u64]) {
+        let (s, k) = (slot as usize, offset.len());
+        if self.stamp[s] == self.epoch {
+            let bound = self.bound[s];
+            for l in 0..k {
+                issue[l] = issue[l].max(bound + offset[l]);
+            }
+        } else {
+            let row = &self.rows[s * k..s * k + k];
+            for l in 0..k {
+                issue[l] = issue[l].max(row[l]);
+            }
+        }
+    }
+
+    /// Called at the segment issuing at shared cycle `at` before any
+    /// offset grows: write out the rows of the stamped slots still busy,
+    /// under the offsets they were stamped with, and start a new epoch.
+    /// A stamped slot that is not busy keeps a stale row: no later segment
+    /// reads a slot whose bound is at most `at` before writing it again.
+    fn settle(&mut self, at: u64, offset: &[u64]) {
+        let k = offset.len();
+        for &slot in &self.stamped {
+            let s = slot as usize;
+            if self.stamp[s] == self.epoch && self.busy(slot, at) {
+                let bound = self.bound[s];
+                for (r, &o) in self.rows[s * k..s * k + k].iter_mut().zip(offset) {
+                    *r = bound + o;
+                }
+            }
+        }
+        self.stamped.clear();
+        self.epoch += 2;
     }
 }
 
@@ -679,17 +812,14 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
 
     // The shared clock.  Lane `l`'s clock is `base + offset[l]`, where
     // `offset[l]` is the stall that lane has accumulated so far.  The
-    // scoreboard keeps absolute ready cycles, slot-major
-    // (`ready[slot * k + lane]`), and beside each row a scalar bound
-    // `bound[slot] >= max_l(ready - offset[l])`, exact when written;
-    // offsets only grow, so a bound stays valid until its slot is written
-    // again.  The L2 port keeps the same pair.  `slack` is
+    // scoreboard keeps per slot a bound on every lane's ready cycle, and a
+    // per-lane row only for results that differ by lane (module docs); the
+    // L2 port keeps a per-lane cursor and a bound.  `slack` is
     // `min_l(max_cycles[l] - offset[l])`: no lane has overrun its own cap
     // while `base <= slack`.
     let mut base = 0u64;
     let mut offset: Vec<u64> = vec![0; k];
-    let mut ready: Vec<u64> = vec![0; analysis.total_slots() * k];
-    let mut bound: Vec<u64> = vec![0; analysis.total_slots()];
+    let mut board = Scoreboard::new(analysis.total_slots(), k);
     let mut port_free: Vec<u64> = vec![0; k];
     let mut port_bound = 0u64;
     let mut slack = max_cycles.iter().copied().min().unwrap_or(u64::MAX);
@@ -773,7 +903,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
             let at = base + (seg.span - 1) as u64;
             let reads = &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize];
             let port_binds = seg.vecmem && port_bound > at;
-            let stalls = port_binds || reads.iter().any(|&slot| bound[slot as usize] > at);
+            let stalls = port_binds || reads.iter().any(|&slot| board.busy(slot, at));
             if stalls {
                 // Some bound failed: price the issue cycle exactly per
                 // lane, over only the slots (and port) whose bound failed —
@@ -782,11 +912,8 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     issue[l] = at + offset[l];
                 }
                 for &slot in reads {
-                    if bound[slot as usize] > at {
-                        let row = &ready[slot as usize * k..slot as usize * k + k];
-                        for l in 0..k {
-                            issue[l] = issue[l].max(row[l]);
-                        }
+                    if board.busy(slot, at) {
+                        board.raise(slot, &offset[..k], &mut issue[..k]);
                     }
                 }
                 if port_binds {
@@ -801,9 +928,11 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                 // reports, once per variant: inert bundles issue
                 // stall-free at consecutive cycles, the final bundle
                 // carries the segment's stall.  Binding: first tracked
-                // read slot busy at the issue cycle (untracked slots are
-                // provably never the binder), found by a strided
-                // scoreboard scan, else the L2 port.
+                // read slot ready exactly at the issue cycle (untracked
+                // slots are provably never the binder), else the L2 port.
+                // Only busy slots are looked at: a stalled lane issues
+                // after `at + offset[l]`, and every lane of a slot whose
+                // bound is at most `at` is ready by then.
                 for l in 0..k {
                     let v = lane_variant[l];
                     let clock = base + offset[l];
@@ -817,7 +946,8 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     } else {
                         let mut found = Binding::Port;
                         for &slot in reads {
-                            if ready[slot as usize * k + l] == issue[l] {
+                            if board.busy(slot, at) && board.lane(slot, l, &offset[..k]) == issue[l]
+                            {
                                 found = Binding::Slot(slot);
                                 break;
                             }
@@ -830,6 +960,12 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
             }
 
             if stalls {
+                // Some offset is about to grow: the stamped results still
+                // in flight need their rows under the offsets they were
+                // written with.
+                if (0..k).any(|l| issue[l] > at + offset[l]) {
+                    board.settle(at, &offset[..k]);
+                }
                 let region_stalls = &mut region_acc[region_idx].stalls;
                 for l in 0..k {
                     let stall = issue[l] - (at + offset[l]);
@@ -846,13 +982,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                 .iter()
                 .enumerate()
             {
-                write_shared(
-                    &mut ready,
-                    &mut bound,
-                    &offset[..k],
-                    slot,
-                    at + latency as u64,
-                );
+                board.write_shared(slot, at + latency as u64);
                 if BP::ENABLED {
                     bp.write_all(
                         analysis.write_ops[seg.writes.0 as usize + wi],
@@ -914,20 +1044,19 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     };
                     let lat = if access.is_vector {
                         let (base, stride, elems) = (access.base, access.stride, access.elems);
-                        tree.vector_access(base, stride, elems, kind, heard)
+                        LaneLatency::Lanes(tree.vector_access(base, stride, elems, kind, heard))
                     } else {
                         tree.scalar_access(access.base, access.bytes, kind, heard)
                     };
-                    let lat = &lat[..k];
                     if op.dst_slot != NO_SLOT {
-                        let row =
-                            &mut ready[op.dst_slot as usize * k..op.dst_slot as usize * k + k];
-                        let mut longest = 0;
-                        for l in 0..k {
-                            row[l] = at + offset[l] + lat[l];
-                            longest = longest.max(lat[l]);
+                        match lat {
+                            LaneLatency::Shared(latency) => {
+                                board.write_shared(op.dst_slot, at + latency)
+                            }
+                            LaneLatency::Lanes(lat) => {
+                                board.write_lanes(op.dst_slot, at, &offset[..k], &lat[..k])
+                            }
                         }
-                        bound[op.dst_slot as usize] = at + longest;
                         if BP::ENABLED {
                             bp.write_k(op_idx, op.dst_slot, &cause_k);
                         }
@@ -951,13 +1080,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                         op.flow as u64
                     };
                     if op.dst_slot != NO_SLOT {
-                        write_shared(
-                            &mut ready,
-                            &mut bound,
-                            &offset[..k],
-                            op.dst_slot,
-                            at + latency,
-                        );
+                        board.write_shared(op.dst_slot, at + latency);
                         if BP::ENABLED {
                             bp.write_all(op_idx, op.dst_slot, Cause::RawStall);
                         }

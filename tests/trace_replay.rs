@@ -7,17 +7,21 @@
 //! foreign traces are rejected with typed errors instead of garbage
 //! statistics — also under seeded random corruption.
 
+use std::sync::Arc;
+
 use vector_usimd_vliw as vmv;
 use vmv::core::{
     prepare, simulate_batch, simulate_fresh, simulate_schedule, variant_for, TraceFrom,
 };
+use vmv::isa::ProgramBuilder;
 use vmv::kernels::rng::SmallRng;
 use vmv::kernels::{Benchmark, IsaVariant};
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
+use vmv::sched::LoweredProgram;
 use vmv::sim::{
-    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimError, SimOptions, Simulator, Trace,
-    VariantState,
+    replay_batch, replay_batch_profiled, ProfileStatics, ReplayAnalysis, ReplayError, RunStats,
+    SimError, SimOptions, Simulator, Trace, VariantState,
 };
 use vmv::sweep::{CompileCache, SpecFile};
 
@@ -396,6 +400,171 @@ fn multi_front_batches_match_fresh_execution() {
                 batched[slot], oracle[i],
                 "round {round}: batch slot {slot} (pool entry {i}) diverged"
             );
+        }
+    }
+}
+
+/// Retime `trace` on every variant of `plan` in one batch, unprofiled and
+/// profiled, and compare each lane with a fresh profiled execution of its
+/// variant on `simulator(machine, model)`: identical `RunStats` and an
+/// identical `Profile`.  Returns the fresh stats.
+fn assert_batch_matches_fresh_profiled(
+    lowered: &LoweredProgram,
+    trace: &Trace,
+    plan: &[(MachineConfig, MemoryModel)],
+    simulator: impl Fn(&MachineConfig, MemoryModel) -> Simulator,
+    what: &str,
+) -> Vec<RunStats> {
+    let analysis = ReplayAnalysis::build(lowered);
+    let statics = Arc::new(ProfileStatics::build(lowered, &plan[0].0));
+    let states = || -> Vec<VariantState> {
+        plan.iter()
+            .map(|(m, model)| VariantState::new(&analysis, m, *model, MAX_CYCLES))
+            .collect()
+    };
+    let batched =
+        replay_batch(trace, &analysis, &mut states()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (profiled, profiles) = replay_batch_profiled(trace, &analysis, &mut states(), &statics)
+        .unwrap_or_else(|e| panic!("{what} profiled: {e}"));
+    plan.iter()
+        .enumerate()
+        .map(|(lane, (m, model))| {
+            let (fresh, _, profile) = simulator(m, *model)
+                .run_lowered_recording(lowered, Some(&statics))
+                .unwrap_or_else(|e| panic!("{what} lane {lane}: {e}"));
+            let ctx = format!(
+                "{what} lane {lane} (l1_latency {}, mem_latency {})",
+                m.memory.l1_latency, m.memory.mem_latency
+            );
+            assert_eq!(batched[lane], fresh, "{ctx}");
+            assert_eq!(profiled[lane], fresh, "{ctx}, profiled");
+            assert_eq!(Some(&profiles[lane]), profile.as_ref(), "{ctx}, profile");
+            fresh
+        })
+        .collect()
+}
+
+/// `machine` with memory latencies `f(i)` for each of `n` variants.
+fn ladder(
+    machine: &MachineConfig,
+    model: MemoryModel,
+    n: u32,
+    f: impl Fn(&mut vmv::machine::MemoryParams, u32),
+) -> Vec<(MachineConfig, MemoryModel)> {
+    (0..n)
+        .map(|i| {
+            let mut m = machine.clone();
+            f(&mut m.memory, i);
+            (m, model)
+        })
+        .collect()
+}
+
+#[test]
+fn wide_batches_whose_lanes_stall_apart_match_fresh_execution() {
+    // The walk writes a result every lane shares (fixed-latency and
+    // VL-dependent results, and scalar loads that hit every L1 front when
+    // all lanes share one L1 latency) as a bound and an epoch stamp, and
+    // writes its per-lane row out only when a segment stalls the lanes
+    // apart while the result is still in flight.  A DRAM-latency ladder on
+    // memory-bound kernels stalls each lane by its own amount at every
+    // miss, so these segments are many; a second ladder also varies the L1
+    // latency, so no load is shared and every load writes its row.
+    for (bench, machine) in [
+        (Benchmark::JpegDec, presets::vector2(4)),
+        (Benchmark::Mpeg2Enc, presets::vliw(4)),
+    ] {
+        let (prepared, _, trace) = record(bench, &machine, MemoryModel::Realistic);
+        let dram = |p: &mut vmv::machine::MemoryParams, i| p.mem_latency = 40 + 90 * i;
+        for (plan, what) in [
+            (
+                ladder(&machine, MemoryModel::Realistic, 10, dram),
+                "DRAM ladder",
+            ),
+            (
+                ladder(&machine, MemoryModel::Realistic, 10, |p, i| {
+                    dram(p, i);
+                    p.l1_latency = 1 + i % 3;
+                }),
+                "DRAM x L1 ladder",
+            ),
+        ] {
+            let what = format!("{} on {}: {what}", bench.name(), machine.name);
+            let fresh = assert_batch_matches_fresh_profiled(
+                &prepared.lowered,
+                &trace,
+                &plan,
+                |m, model| simulator(&prepared, m, model, MAX_CYCLES),
+                &what,
+            );
+            // Test premise: every lane stalls by its own amount.
+            let mut cycles: Vec<u64> = fresh.iter().map(RunStats::cycles).collect();
+            cycles.sort_unstable();
+            cycles.dedup();
+            assert_eq!(cycles.len(), plan.len(), "{what}: {cycles:?}");
+        }
+    }
+}
+
+#[test]
+fn a_shared_result_in_flight_binds_after_the_lanes_stall_apart() {
+    // In the kernels a stall that splits the lanes outlasts every shared
+    // result still in flight, so none of them binds afterwards.  This loop
+    // makes one bind: its first block issues a 12-cycle divide and a load,
+    // and the next block uses the load, then the quotient.  The lanes
+    // differ in L1 latency, so each stalls by its own amount at the load's
+    // use while the divide is in flight, and then every lane waits for the
+    // divide at the quotient's use, the lane with the fastest L1 longest.
+    // Settling the divide's row under the offsets grown by that stall, or
+    // not at all, changes the lanes' cycles.
+    let mut b = ProgramBuilder::new("shared_in_flight");
+    let (i, dividend, divisor, ptr) = (b.ri(), b.ri(), b.ri(), b.ri());
+    b.li(i, 0);
+    b.li(dividend, 1000);
+    b.li(divisor, 7);
+    b.li(ptr, 0x1000);
+    b.label("produce");
+    let (quotient, loaded) = (b.ri(), b.ri());
+    b.div(quotient, dividend, divisor);
+    b.ld32s(loaded, ptr, 0);
+    b.label("consume");
+    let (sum, total) = (b.ri(), b.ri());
+    b.addi(sum, loaded, 1);
+    b.add(total, quotient, sum);
+    b.addi(i, i, 1);
+    b.blt_i(i, 8, "produce");
+    b.label("done");
+    b.halt();
+    let program = b.finish();
+    let machine = presets::vliw(4);
+    let compiled = vmv::sched::compile(&program, &machine).expect("compiles");
+    let lowered = vmv::sched::lower(&compiled.program, &machine).expect("lowers");
+    let simulator = |m: &MachineConfig, model| {
+        let options = SimOptions {
+            memory_model: model,
+            mem_size: 1 << 20,
+            max_cycles: MAX_CYCLES,
+        };
+        Simulator::new(m, options)
+    };
+    let (_, trace, _) = simulator(&machine, MemoryModel::Perfect)
+        .run_lowered_recording(&lowered, None)
+        .expect("records");
+    for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
+        let plan = ladder(&machine, model, 8, |p, i| p.l1_latency = 1 + i);
+        let fresh = assert_batch_matches_fresh_profiled(
+            &lowered,
+            &trace,
+            &plan,
+            simulator,
+            &format!("{model:?} L1 ladder"),
+        );
+        // Test premise: with every load an L1 hit, the divide hides each
+        // lane's L1 latency, so all lanes take the same cycles, and the
+        // lane with a one-cycle L1 stalls on the divide alone.
+        if model == MemoryModel::Perfect {
+            assert!(fresh.iter().all(|s| s.cycles() == fresh[0].cycles()));
+            assert!(fresh[0].total().stall_cycles > 0);
         }
     }
 }
