@@ -100,22 +100,39 @@ fn host_name() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Best-effort commit id: CI env var first, then `git rev-parse`.
+/// Best-effort commit id: CI env var first, then `git rev-parse`, marked
+/// `+tree` when tracked files differ from that commit.
 fn commit_id() -> String {
     if let Ok(sha) = std::env::var("GITHUB_SHA") {
         if !sha.trim().is_empty() {
             return sha.trim().chars().take(12).collect();
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    match git(&["rev-parse", "--short=12", "HEAD"]) {
+        Some(head) if !head.trim().is_empty() => {
+            let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+            commit_stamp(head.trim(), status.as_deref().unwrap_or(""))
+        }
+        _ => "unknown".to_string(),
+    }
+}
+
+/// The stamp of commit `head` for a working tree whose `git status
+/// --porcelain` is `status`: `head`, plus `+tree` when it lists a change.
+fn commit_stamp(head: &str, status: &str) -> String {
+    if status.trim().is_empty() {
+        head.to_string()
+    } else {
+        format!("{head}+tree")
+    }
 }
 
 /// `rustc -V` of the toolchain that built us, stamped into trajectory
@@ -745,6 +762,20 @@ mod tests {
 
     fn entry(n: u64) -> Json {
         Json::Obj(vec![("n".into(), Json::u64(n))])
+    }
+
+    #[test]
+    fn a_tree_with_tracked_changes_is_stamped_as_such() {
+        assert_eq!(commit_stamp("1416ede00831", ""), "1416ede00831");
+        assert_eq!(commit_stamp("1416ede00831", "\n"), "1416ede00831");
+        assert_eq!(
+            commit_stamp("1416ede00831", " M crates/mem/src/cache.rs\n"),
+            "1416ede00831+tree"
+        );
+        assert_eq!(
+            commit_stamp("e63c4ab5dfad", "M  ROADMAP.md\nD  old.rs\n"),
+            "e63c4ab5dfad+tree"
+        );
     }
 
     #[test]

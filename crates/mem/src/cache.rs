@@ -24,11 +24,14 @@
 //!   drives streams across the wrap).
 //!
 //! The compact words matter for batch replay, which builds fresh tag state
-//! per tag class and batch.  The default 1 MiB L3 of 64-byte lines has
-//! 16,384 lines: its tag and stamp arrays are 64 KiB each, below glibc's
-//! default 128 KiB mmap threshold, so they come from the heap and reuse the
-//! chunks the previous batch freed.  An array at the threshold would be
-//! mapped, and faulted in page by page, afresh for every batch.
+//! per batch: one L2/L3 back for each group of tag classes that differ only
+//! in L2 size and associativity, and one per class once a group splits
+//! (`Cache::reshaped` hands each class the group's lines).  The default
+//! 1 MiB L3 of 64-byte lines has 16,384 lines: its tag and stamp arrays are
+//! 64 KiB each, below glibc's default 128 KiB mmap threshold, so they come
+//! from the heap and reuse the chunks the previous batch freed.  An array
+//! at the threshold would be mapped, and faulted in page by page, afresh
+//! for every batch.
 
 /// Result of looking a block up in a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,13 +136,19 @@ pub fn geometry_error(size_bytes: usize, assoc: usize, line_bytes: usize) -> Opt
     }
 }
 
+/// Panic, naming the cache `name`, when [`geometry_error`] rejects its
+/// geometry: the message [`Cache::new`] panics with.
+pub(crate) fn check_geometry(name: &str, size_bytes: usize, assoc: usize, line_bytes: usize) {
+    if let Some(why) = geometry_error(size_bytes, assoc, line_bytes) {
+        panic!("{name} cache ({size_bytes} B, {assoc}-way, {line_bytes} B lines): {why}");
+    }
+}
+
 impl Cache {
     /// Create a cache of `size_bytes` capacity with the given associativity
     /// and line size.  Panics if [`geometry_error`] rejects the geometry.
     pub fn new(name: &'static str, size_bytes: usize, assoc: usize, line_bytes: usize) -> Self {
-        if let Some(why) = geometry_error(size_bytes, assoc, line_bytes) {
-            panic!("{name} cache ({size_bytes} B, {assoc}-way, {line_bytes} B lines): {why}");
-        }
+        check_geometry(name, size_bytes, assoc, line_bytes);
         let num_sets = size_bytes / (assoc * line_bytes);
         let line_shift = line_bytes.trailing_zeros();
         let total = num_sets * assoc;
@@ -363,6 +372,52 @@ impl Cache {
     pub fn valid_lines(&self) -> usize {
         self.state.iter().filter(|&&s| s & VALID != 0).count()
     }
+
+    /// How many stamps the counter hands out before it renumbers.
+    pub(crate) fn stamps_left(&self) -> u32 {
+        u32::MAX - self.tick
+    }
+
+    /// A cache of `size_bytes` and `assoc` ways with this cache's name and
+    /// line size, holding exactly this cache's lines, each with its dirty
+    /// bit and LRU stamp, and this cache's stamp counter and statistics.
+    /// Only the ways the lines take within their sets can differ from a
+    /// cache of that geometry that saw the same accesses, and no lookup or
+    /// victim choice depends on them.  The stamps must still compare across
+    /// this cache's sets (it has not renumbered), and every set of the new
+    /// geometry must have room for the lines that map to it (panics if
+    /// not).
+    pub(crate) fn reshaped(&self, size_bytes: usize, assoc: usize) -> Cache {
+        let mut out = Cache::new(self.name, size_bytes, assoc, self.line_bytes);
+        for set in 0..=self.set_mask as usize {
+            for i in self.set_range(set) {
+                if self.state[i] & VALID == 0 {
+                    continue;
+                }
+                let blk = self.block_of(self.tags[i], set);
+                let way = out
+                    .set_range(out.set_index(blk))
+                    .find(|&j| out.state[j] & VALID == 0)
+                    .unwrap_or_else(|| panic!("{} cache: no room for {blk:#x}", self.name));
+                out.tags[way] = out.tag(blk);
+                out.state[way] = self.state[i];
+                out.lru[way] = self.lru[i];
+            }
+        }
+        out.tick = self.tick;
+        out.stats = self.stats;
+        out
+    }
+}
+
+#[cfg(test)]
+impl Cache {
+    /// A cache whose stamp counter starts at `tick`, to reach the
+    /// renumbering without four billion accesses.
+    pub(crate) fn with_tick(mut self, tick: u32) -> Cache {
+        self.tick = tick;
+        self
+    }
 }
 
 #[cfg(test)]
@@ -450,15 +505,6 @@ mod tests {
         c.fill(0x0, false);
         c.access(0x0, false);
         assert!((c.stats.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    impl Cache {
-        /// A cache whose stamp counter starts at `tick`, to reach the
-        /// renumbering without four billion accesses.
-        fn with_tick(mut self, tick: u32) -> Cache {
-            self.tick = tick;
-            self
-        }
     }
 
     /// The plain cache the compact one must match: one struct per line with

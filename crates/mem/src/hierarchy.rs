@@ -34,12 +34,13 @@
 //! its L1 fill evicted, and a vector access's pushes fall where the back's
 //! own L2 line walk reaches them.  Latencies are applied last, from the
 //! access's [`AccessEcho`].  Batched trace replay builds a [`ClassTree`]:
-//! one front per L1 geometry, shared by the backs of every tag class
-//! under it.
+//! one front per L1 geometry, shared by the backs under it, and one back
+//! per group of tag classes that differ only in L2 size and associativity
+//! until one of them would evict.
 
 use std::ops::Range;
 
-use crate::cache::{Cache, LookupResult};
+use crate::cache::{self, Cache, LookupResult};
 use crate::lines::{self, LineWalk};
 use crate::vector_cache::VectorCache;
 use vmv_machine::MemoryParams;
@@ -443,6 +444,19 @@ impl Back {
             l1_line: params.l1_line as u64,
             l2_line: params.l2_line as u64,
             stats: MemStats::default(),
+        }
+    }
+
+    /// This back with its L2 in `l2_size` bytes of `l2_assoc` ways
+    /// ([`VectorCache::reshaped`]), and a copy of its L3 and counters.
+    fn reshaped(&self, l2_size: usize, l2_assoc: usize) -> Back {
+        Back {
+            model: self.model,
+            l2: self.l2.reshaped(l2_size, l2_assoc),
+            l3: self.l3.clone(),
+            l1_line: self.l1_line,
+            l2_line: self.l2_line,
+            stats: self.stats,
         }
     }
 
@@ -894,6 +908,23 @@ fn shares_front(
         && (a.l1_line as u64 >= lines::ELEM_BYTES || a.l2_line == b.l2_line)
 }
 
+/// True when two configurations under one front can share one L2/L3
+/// [`Back`] in a [`ClassTree`] while neither's L2 evicts: everything but
+/// the L2 size and associativity matches (model, L2 line size, banks, port
+/// width and L3 geometry).
+fn shares_back(
+    (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
+    (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
+) -> bool {
+    model_a == model_b
+        && port_a.max(1) == port_b.max(1)
+        && a.l2_line == b.l2_line
+        && a.l2_banks == b.l2_banks
+        && a.l3_size == b.l3_size
+        && a.l3_assoc == b.l3_assoc
+        && a.l3_line == b.l3_line
+}
+
 /// Every lane's latency of one scalar access a [`ClassTree`] priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneLatency<'a> {
@@ -904,9 +935,9 @@ pub enum LaneLatency<'a> {
     Lanes(&'a [u64]),
 }
 
-/// The latency columns of one tag class: every member's latencies
-/// (struct-of-arrays) and stall total.  Its members' tags behave alike, so
-/// one back's echoes price all of them at once.
+/// The latency columns of the tag classes one back serves: every member's
+/// latencies (struct-of-arrays) and stall total.  The members' tags behave
+/// alike, so one back's echoes price all of them at once.
 #[derive(Debug, Clone)]
 struct ClassPricer {
     port_elems: u32,
@@ -929,24 +960,307 @@ impl ClassPricer {
             *stall += timing.stall_cycles as u64;
         }
     }
+
+    /// The pricer of members `members`.
+    fn slice(&self, members: Range<usize>) -> ClassPricer {
+        ClassPricer {
+            port_elems: self.port_elems,
+            latencies: self.latencies[members.clone()].to_vec(),
+            stall_cycles: self.stall_cycles[members].to_vec(),
+        }
+    }
 }
 
-/// One tag class under a front: its back and its members' latency columns
-/// (lanes `lane..lane + members`).
+/// How many lines each set of one L2 geometry holds.
+#[derive(Debug, Clone)]
+struct SetCounts {
+    set_mask: u64,
+    ways: usize,
+    lines: Vec<u32>,
+}
+
+impl SetCounts {
+    #[inline]
+    fn set(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
+    }
+
+    /// Whether adding the lines (line numbers) of `fresh` would put more
+    /// lines in one of these sets than it has ways.
+    fn overflows(&mut self, fresh: &[u64]) -> bool {
+        let mut over = false;
+        for &line in fresh {
+            let s = self.set(line);
+            self.lines[s] += 1;
+            over |= self.lines[s] as usize > self.ways;
+        }
+        for &line in fresh {
+            let s = self.set(line);
+            self.lines[s] -= 1;
+        }
+        over
+    }
+}
+
+/// What a back serving a whole group of tag classes needs (see
+/// [`ClassTree`]): each class's L2 geometry, to split, and the set
+/// occupancy of the geometries that overflow first, to know when.
+#[derive(Debug, Clone)]
+struct Group {
+    /// `(l2_size, l2_assoc, members)` of each class, in lane order.
+    classes: Vec<(usize, usize, usize)>,
+    /// `log2` of the L2 line size.
+    line_shift: u32,
+    /// The class geometries no other class has both as few sets and as few
+    /// ways as: one of these overflows whenever any class does, since a set
+    /// of the other gathers a subset of the lines one of its sets gathers.
+    watched: Vec<SetCounts>,
+    /// Line numbers of the L2 lines the current access may allocate: those
+    /// it touches that the shared L2 does not hold.
+    fresh: Vec<u64>,
+}
+
+impl Group {
+    fn new(classes: Vec<(usize, usize, usize)>, l2_line: usize) -> Group {
+        let shape = |&(size, assoc, _): &(usize, usize, usize)| (size / (assoc * l2_line), assoc);
+        let watched = classes
+            .iter()
+            .map(shape)
+            .filter(|&(sets, ways)| {
+                !classes
+                    .iter()
+                    .map(shape)
+                    .any(|(s, w)| (s, w) != (sets, ways) && s <= sets && w <= ways)
+            })
+            .map(|(sets, ways)| SetCounts {
+                set_mask: sets as u64 - 1,
+                ways,
+                lines: vec![0; sets],
+            })
+            .collect();
+        Group {
+            classes,
+            line_shift: l2_line.trailing_zeros(),
+            watched,
+            fresh: Vec::new(),
+        }
+    }
+
+    /// Note the L2 line holding `addr` as one the access may allocate,
+    /// unless `l2` holds it.
+    #[inline]
+    fn note(&mut self, l2: &VectorCache, addr: u64) {
+        let line = addr >> self.line_shift;
+        if l2.probe(line << self.line_shift) == LookupResult::Miss && !self.fresh.contains(&line) {
+            self.fresh.push(line);
+        }
+    }
+
+    /// Whether the access whose lines were noted, which stamps the shared
+    /// `l2` at most `stamps` times, could overflow a set of some class or
+    /// make `l2` renumber its stamps (after which its sets' stamps no longer
+    /// compare).
+    fn must_split(&mut self, l2: &VectorCache, stamps: u64) -> bool {
+        if (l2.stamps_left() as u64) < stamps {
+            return true;
+        }
+        let fresh = &self.fresh;
+        !fresh.is_empty() && self.watched.iter_mut().any(|w| w.overflows(fresh))
+    }
+
+    /// After the access: count each noted line `l2` now holds.
+    fn settle(&mut self, l2: &VectorCache) {
+        for line in self.fresh.drain(..) {
+            if l2.probe(line << self.line_shift) == LookupResult::Hit {
+                for w in &mut self.watched {
+                    let s = w.set(line);
+                    w.lines[s] += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Visit each `line`-byte line that a vector access of `elems` elements
+/// at `base`, `stride_bytes` apart, touches, once each and in some order:
+/// the lines [`Back::vector`]'s walk visits at that line size.
+fn each_line(
+    base: u64,
+    stride_bytes: i64,
+    elems: u32,
+    line: u64,
+    memo: &mut SharedAccessScratch,
+    mut f: impl FnMut(u64),
+) {
+    match lines::classify(base, stride_bytes, elems, line) {
+        Some(walk) => walk.for_each(f),
+        None => memo
+            .lines(base, stride_bytes, elems, line)
+            .iter()
+            .for_each(|&blk| f(blk)),
+    }
+}
+
+/// One back under a front and its members' latency columns (lanes
+/// `lane..lane + members`): one tag class, or while they share the back,
+/// a whole group of them.
 #[derive(Debug, Clone)]
 struct BackNode {
     lane: usize,
     back: Back,
     pricer: ClassPricer,
+    /// While the back serves a group of realistic-model classes: when and
+    /// how to split it.  (A perfect-model back never fills a line, so its
+    /// group never splits.)
+    group: Option<Box<Group>>,
 }
 
 impl BackNode {
+    /// The back of `classes`, one or more tag classes that share a back,
+    /// their members in lane order from `lane`.
+    fn new(
+        configs: &[(MemoryModel, MemoryParams, u32)],
+        classes: &[Vec<usize>],
+        lane: usize,
+    ) -> Self {
+        let (model, params, port) = configs[classes[0][0]];
+        let members = classes.concat();
+        let pricer = ClassPricer {
+            port_elems: port.max(1),
+            latencies: members
+                .iter()
+                .map(|&m| Latencies::of(&configs[m].1))
+                .collect(),
+            stall_cycles: vec![0; members.len()],
+        };
+        if let [_] = classes {
+            let back = Back::new(model, &params, port.max(1));
+            return BackNode {
+                lane,
+                back,
+                pricer,
+                group: None,
+            };
+        }
+        // The shared L2 takes the most sets and the fewest ways of any
+        // class: sets are powers of two, so each of its sets lies within one
+        // set of every class, and it cannot evict before some class would.
+        let classes: Vec<_> = classes
+            .iter()
+            .map(|class| {
+                let p = &configs[class[0]].1;
+                VectorCache::check_geometry(p.l2_size, p.l2_assoc, p.l2_line);
+                cache::check_geometry("L3", p.l3_size, p.l3_assoc, p.l3_line);
+                (p.l2_size, p.l2_assoc, class.len())
+            })
+            .collect();
+        let line = params.l2_line;
+        let sets = classes
+            .iter()
+            .map(|&(size, assoc, _)| size / (assoc * line));
+        let ways = classes.iter().map(|&(_, assoc, _)| assoc);
+        let (sets, ways) = (sets.max().unwrap_or(1), ways.min().unwrap_or(1));
+        let shared = MemoryParams {
+            l2_size: sets * ways * line,
+            l2_assoc: ways,
+            ..params
+        };
+        BackNode {
+            lane,
+            back: Back::new(model, &shared, port.max(1)),
+            pricer,
+            group: (model == MemoryModel::Realistic).then(|| Box::new(Group::new(classes, line))),
+        }
+    }
+
     fn lanes(&self) -> Range<usize> {
         self.lane..self.lane + self.pricer.latencies.len()
     }
+
+    /// Whether this back, serving a group, must split before it serves the
+    /// L1 misses `lines` of a scalar access.
+    #[inline]
+    fn must_split_scalar(&mut self, lines: &ScalarLines) -> bool {
+        let Some(group) = self.group.as_deref_mut() else {
+            return false;
+        };
+        for miss in lines.misses.iter().flatten() {
+            group.note(&self.back.l2, miss.blk);
+            if let Some(wb) = miss.writeback {
+                group.note(&self.back.l2, wb);
+            }
+        }
+        // Each line: a lookup, a refill and a write-back.
+        group.must_split(&self.back.l2, 6)
+    }
+
+    /// Whether this back, serving a group, must split before it serves a
+    /// vector access of `elems` elements at `base`, `stride_bytes` apart;
+    /// `l1_clean` when the access is known to push no dirty L1 line.
+    #[inline]
+    fn must_split_vector(
+        &mut self,
+        base: u64,
+        stride_bytes: i64,
+        elems: u32,
+        l1_clean: bool,
+        memo: &mut SharedAccessScratch,
+    ) -> bool {
+        let Some(group) = self.group.as_deref_mut() else {
+            return false;
+        };
+        let l2 = &self.back.l2;
+        let (l1_line, l2_line) = (self.back.l1_line, self.back.l2_line);
+        let mut lines = 0u64;
+        each_line(base, stride_bytes, elems, l2_line, memo, |blk| {
+            lines += 1;
+            group.note(l2, blk);
+        });
+        // A dirty L1 line the walk pushes down fills the L2 line holding its
+        // first byte: one of the walk's own lines, unless L1 lines are the
+        // longer ones.  Then every L1 line the access spans may be dirty.
+        if l1_line > l2_line && !l1_clean {
+            each_line(base, stride_bytes, elems, l1_line, memo, |blk| {
+                group.note(l2, blk)
+            });
+        }
+        // Each L2 line: a lookup and a refill; each L1 line, at most
+        // `max(1, l2_line / l1_line)` of them per L2 line: a push.
+        group.must_split(l2, lines * (2 + (l2_line / l1_line).max(1)))
+    }
+
+    /// After an access: bring the group's set occupancy up to date.
+    #[inline]
+    fn settle(&mut self) {
+        if let Some(group) = self.group.as_deref_mut() {
+            group.settle(&self.back.l2);
+        }
+    }
+
+    /// One back per class of the group this back serves, each holding this
+    /// back's lines in its own L2 geometry, with a copy of its L3 and
+    /// counters and its members' latency columns.
+    fn split(&self) -> Vec<BackNode> {
+        let group = self.group.as_deref().expect("only a group's back splits");
+        let mut first = 0;
+        group
+            .classes
+            .iter()
+            .map(|&(l2_size, l2_assoc, members)| {
+                let node = BackNode {
+                    lane: self.lane + first,
+                    back: self.back.reshaped(l2_size, l2_assoc),
+                    pricer: self.pricer.slice(first..first + members),
+                    group: None,
+                };
+                first += members;
+                node
+            })
+            .collect()
+    }
 }
 
-/// One front and the tag classes under it (lanes `lanes`).
+/// One front and the backs under it (lanes `lanes`).
 #[derive(Debug, Clone)]
 struct FrontNode {
     lanes: Range<usize>,
@@ -961,16 +1275,35 @@ struct FrontNode {
     l1_priced: bool,
 }
 
+impl FrontNode {
+    /// Replace back `j`, which serves a group, by one back per class.
+    #[cold]
+    fn split(&mut self, j: usize) {
+        let classes = self.backs[j].split();
+        self.backs.splice(j..=j, classes);
+    }
+}
+
+/// The entry of `v` that `same` accepts, else a new empty one pushed last.
+fn entry<T: Default>(v: &mut Vec<T>, same: impl Fn(&T) -> bool) -> &mut T {
+    match v.iter().position(same) {
+        Some(i) => &mut v[i],
+        None => {
+            v.push(T::default());
+            v.last_mut().expect("just pushed")
+        }
+    }
+}
+
 /// The memory side of a batch of configurations that see one access
 /// stream, as a class tree: one L1 front per distinct model and L1
 /// geometry (with L1 lines shorter than one 8-byte vector element, also
-/// per L2 line size), one L2/L3 back per tag class
-/// ([`tag_equivalent_configs`]) under it, and one latency column per
-/// configuration in its class's pricer.
+/// per L2 line size), L2/L3 backs under it, and one latency column per
+/// configuration in its back's pricer.
 ///
 /// This is single-pass simulation of many configurations (Mattson et al.,
 /// "Evaluation techniques for storage hierarchies", IBM Systems Journal
-/// 1970) applied to the one level every class of a memory sweep shares:
+/// 1970) applied to the levels the classes of a memory sweep share:
 ///
 /// * a scalar access looks the L1 up once per front; when every line hits,
 ///   each of the front's lanes takes its own L1 latency, and no back or
@@ -981,12 +1314,33 @@ struct FrontNode {
 ///   under a front invalidates the L1 lines; the others push down the dirty
 ///   lines that walk found.
 ///
-/// Lanes are laid out front by front and class by class (both in order of
-/// first appearance, members in batch order); [`Self::lane_configs`] maps
-/// a lane back to its configuration.  Every lane's latencies and
-/// [`MemStats`] are exactly what a fresh [`MemoryHierarchy`] of its
-/// configuration produces on the same stream.  The latencies live in the
-/// tree, so a run of L1 hits under a front rewrites none of them.
+/// # Shared backs
+///
+/// Under a front, the tag classes ([`tag_equivalent_configs`]) that differ
+/// only in L2 size and associativity form a *group*, and one back serves
+/// the whole group until some class's L2 would evict.  While no class's L2
+/// set has held more lines than its ways, every class's L2 holds exactly
+/// the lines filled so far, with the same dirty bits and, since each saw
+/// the same lookups and fills, the same LRU stamps, and every L3 below
+/// sees the same miss stream: one back's verdicts, echoes and counters are
+/// every class's.  The shared L2 has the most sets and the fewest ways of
+/// any class, so each of its sets lies within one set of every class and
+/// it cannot evict first.  The group counts how many lines each set of
+/// each class would hold (only the geometries that overflow first), and
+/// before an access that could push a set past its ways, or make the
+/// shared L2 renumber its stamps, it *splits*: each class gets its own back
+/// whose L2 holds the shared lines, with their stamps and dirty bits, in
+/// the class's geometry (`Cache::reshaped`), and a copy of the L3 and
+/// counters.  From there each class walks on its own.  A split is never
+/// late, and one that comes early loses only time.
+///
+/// Lanes are laid out front by front, back by back and class by class (in
+/// order of first appearance, members in batch order);
+/// [`Self::lane_configs`] maps a lane back to its configuration.  Every
+/// lane's latencies and [`MemStats`] are exactly what a fresh
+/// [`MemoryHierarchy`] of its configuration produces on the same stream.
+/// The latencies live in the tree, so a run of L1 hits under a front
+/// rewrites none of them.
 ///
 /// When every lane has one L1 latency, a scalar access that hits the L1 of
 /// every front costs every lane that latency, and the access call says so
@@ -1006,62 +1360,51 @@ pub struct ClassTree {
     /// Touched-line walks of the current irregular vector access, shared
     /// by every back.
     memo: SharedAccessScratch,
+    /// Backs built to serve more than one tag class, and how many of them
+    /// split.
+    shared_backs: u64,
+    splits: u64,
 }
 
 impl ClassTree {
     /// The tree of `configs`, each a (model, memory parameters, L2 port
     /// width) triple.
     pub fn new(configs: &[(MemoryModel, MemoryParams, u32)]) -> ClassTree {
-        // Front → tag class → members, each in order of first appearance.
-        let mut groups: Vec<Vec<Vec<usize>>> = Vec::new();
+        // Front → group → tag class → members, each in order of first
+        // appearance.
+        let mut tree: Vec<Vec<Vec<Vec<usize>>>> = Vec::new();
         for (i, &(model, ref params, port)) in configs.iter().enumerate() {
-            let lead = |members: &[usize]| &configs[members[0]];
-            let f = match groups.iter().position(|classes| {
-                let (model_f, params_f, _) = lead(&classes[0]);
-                shares_front((*model_f, params_f), (model, params))
-            }) {
-                Some(f) => f,
-                None => {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                }
+            let lead = |first: usize| {
+                let (model, ref params, port) = configs[first];
+                (model, params, port)
             };
-            let same_class = |members: &&mut Vec<usize>| {
-                let &(model_c, ref params_c, port_c) = lead(members);
-                tag_equivalent_configs((model_c, params_c, port_c), (model, params, port))
-            };
-            match groups[f].iter_mut().find(same_class) {
-                Some(members) => members.push(i),
-                None => groups[f].push(vec![i]),
-            }
+            let front = entry(&mut tree, |groups| {
+                let (model_f, params_f, _) = lead(groups[0][0][0]);
+                shares_front((model_f, params_f), (model, params))
+            });
+            let group = entry(front, |classes| {
+                shares_back(lead(classes[0][0]), (model, params, port))
+            });
+            let class = entry(group, |members| {
+                tag_equivalent_configs(lead(members[0]), (model, params, port))
+            });
+            class.push(i);
         }
 
         let mut lane = 0;
-        let fronts = groups
+        let fronts = tree
             .iter()
-            .map(|classes| {
+            .map(|groups| {
                 let first = lane;
-                let backs = classes
+                let backs = groups
                     .iter()
-                    .map(|members| {
-                        let (model, ref params, port) = configs[members[0]];
-                        let node = BackNode {
-                            lane,
-                            back: Back::new(model, params, port.max(1)),
-                            pricer: ClassPricer {
-                                port_elems: port.max(1),
-                                latencies: members
-                                    .iter()
-                                    .map(|&m| Latencies::of(&configs[m].1))
-                                    .collect(),
-                                stall_cycles: vec![0; members.len()],
-                            },
-                        };
-                        lane += members.len();
+                    .map(|classes| {
+                        let node = BackNode::new(configs, classes, lane);
+                        lane = node.lanes().end;
                         node
                     })
                     .collect();
-                let (model, ref params, _) = configs[classes[0][0]];
+                let (model, ref params, _) = configs[groups[0][0][0]];
                 FrontNode {
                     lanes: first..lane,
                     front: Front::new(model, params),
@@ -1070,7 +1413,8 @@ impl ClassTree {
                 }
             })
             .collect();
-        let lane_config: Vec<usize> = groups.concat().concat();
+        let shared_backs = tree.iter().flatten().filter(|g| g.len() > 1).count();
+        let lane_config: Vec<usize> = tree.concat().concat().concat();
         let l1_latency: Vec<u64> = lane_config
             .iter()
             .map(|&c| configs[c].1.l1_latency as u64)
@@ -1086,6 +1430,8 @@ impl ClassTree {
             latency: vec![0; lane_config.len()],
             lane_config,
             memo: SharedAccessScratch::default(),
+            shared_backs: shared_backs as u64,
+            splits: 0,
         }
     }
 
@@ -1120,10 +1466,18 @@ impl ClassTree {
             }
             hit = false;
             node.l1_priced = false;
-            for b in &mut node.backs {
+            let mut j = 0;
+            while j < node.backs.len() {
+                if node.backs[j].must_split_scalar(&lines) {
+                    node.split(j);
+                    self.splits += 1;
+                }
+                let b = &mut node.backs[j];
                 let e = b.back.scalar(&lines);
+                b.settle();
                 b.pricer.price(&e, &mut self.latency[b.lanes()]);
                 echo(b.lanes(), &e);
+                j += 1;
             }
         }
         match self.shared_l1 {
@@ -1145,26 +1499,36 @@ impl ClassTree {
         mut echo: impl FnMut(Range<usize>, &AccessEcho),
     ) -> &[u64] {
         let (elems, write) = (elems.max(1), kind == AccessKind::Store);
-        for FrontNode {
-            front,
-            backs,
-            l1_priced,
-            ..
-        } in &mut self.fronts
-        {
-            front.vector(stride_bytes, kind);
-            *l1_priced = false;
-            for (j, b) in backs.iter_mut().enumerate() {
+        for node in &mut self.fronts {
+            node.front.vector(stride_bytes, kind);
+            node.l1_priced = false;
+            let mut j = 0;
+            while j < node.backs.len() {
+                // Only the first back's walk has yet to find the dirty lines.
+                let l1_clean = j > 0 && node.front.dirty.is_empty();
+                if node.backs[j].must_split_vector(
+                    base,
+                    stride_bytes,
+                    elems,
+                    l1_clean,
+                    &mut self.memo,
+                ) {
+                    node.split(j);
+                    self.splits += 1;
+                }
+                let b = &mut node.backs[j];
                 let l1 = if j == 0 {
-                    L1Lines::Invalidate(front)
+                    L1Lines::Invalidate(&mut node.front)
                 } else {
-                    L1Lines::Reported(&front.dirty)
+                    L1Lines::Reported(&node.front.dirty)
                 };
                 let e = b
                     .back
                     .vector(base, stride_bytes, elems, write, l1, &mut self.memo);
+                b.settle();
                 b.pricer.price(&e, &mut self.latency[b.lanes()]);
                 echo(b.lanes(), &e);
+                j += 1;
             }
         }
         &self.latency
@@ -1182,6 +1546,14 @@ impl ClassTree {
             }
         }
         out
+    }
+
+    /// Fold the tree's back sharing into the telemetry recorder: the backs
+    /// built to serve more than one tag class, and how many of them split.
+    /// Called once per walk.
+    pub fn record_obs(&self) {
+        vmv_obs::add(vmv_obs::Counter::MemSharedBacks, self.shared_backs);
+        vmv_obs::add(vmv_obs::Counter::MemBackSplits, self.splits);
     }
 }
 
@@ -1676,6 +2048,151 @@ mod tests {
                 shared > 0 && per_lane > 0,
                 "seed {seed}: {shared} / {per_lane}"
             );
+        }
+    }
+
+    /// Each configuration's L1, L2 and L3 counters in `tree`, in `configs`
+    /// order.
+    fn tree_cache_stats(tree: &ClassTree) -> Vec<[crate::cache::CacheStats; 3]> {
+        let mut out = vec![[crate::cache::CacheStats::default(); 3]; tree.lane_config.len()];
+        for node in &tree.fronts {
+            for b in &node.backs {
+                for l in b.lanes() {
+                    out[tree.lane_config[l]] =
+                        [node.front.l1.stats, b.back.l2.stats(), b.back.l3.stats];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn groups_share_one_back_until_a_class_would_evict() {
+        // L2 size x associativity ladders at one line size, two latency
+        // points each, under one L1 front per model, in a scrambled batch
+        // order: each model's twelve tag classes form one group.  On the
+        // seeded streams the 8-32 KiB L2s overflow, at different steps, and
+        // the 128 KiB ones never do.  The realistic group must share one
+        // back up to the first access that makes any class evict and split
+        // exactly there; the perfect group never splits.  Every lane's
+        // latency after every access, and every configuration's final
+        // statistics and L1, L2 and L3 counters (write-backs included), must
+        // equal those of its own hierarchy.  A second pass starts every L2's
+        // stamp counter two stamps before the wrap: the group must split
+        // before its shared L2 renumbers, before any class overflows, and
+        // the classes must still match through their own renumbering.
+        let mut configs = Vec::new();
+        for model in [MemoryModel::Realistic, MemoryModel::Perfect] {
+            for l2_size in [8 << 10, 16 << 10, 32 << 10, 128 << 10] {
+                for l2_assoc in [1, 2, 4] {
+                    for (l2_latency, mem_latency) in [(5, 100), (9, 700)] {
+                        let params = MemoryParams {
+                            l1_size: 1 << 10,
+                            l1_assoc: 2,
+                            l2_size,
+                            l2_assoc,
+                            l2_latency,
+                            l3_size: 64 << 10,
+                            mem_latency,
+                            ..MemoryParams::default()
+                        };
+                        configs.push((model, params, 4));
+                    }
+                }
+            }
+        }
+        let n = configs.len();
+        let configs: Vec<_> = (0..n).map(|i| configs[i * 29 % n]).collect();
+        let realistic = |c: usize| configs[c].0 == MemoryModel::Realistic;
+        let largest = (0..n)
+            .find(|&c| realistic(c) && configs[c].1.l2_size == 128 << 10)
+            .expect("a 128 KiB realistic L2");
+        for seed in [7, 8] {
+            for start in [0, u32::MAX - 2] {
+                let mut tree = ClassTree::new(&configs);
+                assert_eq!((tree.fronts.len(), tree.shared_backs), (2, 2));
+                let mut real: Vec<MemoryHierarchy> = configs
+                    .iter()
+                    .map(|&(model, params, port)| MemoryHierarchy::new(model, params, port))
+                    .collect();
+                for node in &mut tree.fronts {
+                    for b in &mut node.backs {
+                        b.back.l2 = b.back.l2.clone().with_tick(start);
+                    }
+                }
+                for r in &mut real {
+                    r.back.l2 = r.back.l2.clone().with_tick(start);
+                }
+                // The access at which each realistic L2 first evicted (it
+                // then holds fewer lines than one that never evicts), and
+                // the one the tree split at.
+                let mut evicted: Vec<Option<usize>> = vec![None; n];
+                let mut split = None;
+                for (step, access) in seeded_stream(seed, 2500).into_iter().enumerate() {
+                    let (lat, expect): (Vec<u64>, Vec<u32>) = match access {
+                        Access::Scalar(addr, size, kind) => (
+                            match tree.scalar_access(addr, size, kind, |_, _| {}) {
+                                LaneLatency::Shared(latency) => vec![latency; n],
+                                LaneLatency::Lanes(lanes) => lanes.to_vec(),
+                            },
+                            real.iter_mut()
+                                .map(|r| r.scalar_access(addr, size, kind).latency)
+                                .collect(),
+                        ),
+                        Access::Vector(base, stride, elems, kind) => (
+                            tree.vector_access(base, stride, elems, kind, |_, _| {})
+                                .to_vec(),
+                            real.iter_mut()
+                                .map(|r| r.vector_access(base, stride, elems, kind).latency)
+                                .collect(),
+                        ),
+                    };
+                    let at = format!("seed {seed} from stamp {start}, step {step}");
+                    for (l, &c) in tree.lane_configs().iter().enumerate() {
+                        assert_eq!(lat[l], expect[c] as u64, "{at}: config {c}");
+                    }
+                    if tree.splits > 0 && split.is_none() {
+                        split = Some(step);
+                    }
+                    let all = real[largest].back.l2.valid_lines();
+                    for c in (0..n).filter(|&c| realistic(c)) {
+                        if evicted[c].is_none() && real[c].back.l2.valid_lines() < all {
+                            evicted[c] = Some(step);
+                        }
+                    }
+                }
+                let at = format!("seed {seed} from stamp {start}");
+                let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
+                assert_eq!(tree.stats(), expect, "{at}");
+                let expect: Vec<_> = real.iter().map(MemoryHierarchy::cache_stats).collect();
+                assert_eq!(tree_cache_stats(&tree), expect, "{at}: cache counters");
+                assert_eq!(tree.splits, 1, "{at}: only the realistic group splits");
+
+                // Test premises: the small L2s evict, at different steps,
+                // and write dirty lines back; the largest never evict.
+                let mut first: Vec<usize> = Vec::new();
+                for c in (0..n).filter(|&c| realistic(c)) {
+                    let big = configs[c].1.l2_size == 128 << 10;
+                    assert_eq!(evicted[c].is_none(), big, "{at}: config {c}");
+                    first.extend(evicted[c]);
+                }
+                first.sort_unstable();
+                let overflow = first[0];
+                first.dedup();
+                assert!(first.len() >= 4, "{at}: first evictions at {first:?}");
+                assert!(expect.iter().any(|s| s[1].writebacks > 0), "{at}");
+                if start == 0 {
+                    assert_eq!(split, Some(overflow), "{at}: split at the first overflow");
+                } else {
+                    assert!(split < Some(overflow), "{at}: split {split:?} at the wrap");
+                    for c in (0..n).filter(|&c| realistic(c)) {
+                        assert!(
+                            real[c].back.l2.stamps_left() > 64,
+                            "{at}: config {c} wrapped"
+                        );
+                    }
+                }
+            }
         }
     }
 

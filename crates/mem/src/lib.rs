@@ -19,7 +19,10 @@
 //! * **Front and back** ([`hierarchy`]): a [`MemoryHierarchy`] is an L1
 //!   front composed with an L2/L3 back.  L1 state never depends on the
 //!   levels below, so a [`ClassTree`] lets every tag class of a replay
-//!   batch share one front per L1 geometry, and one L1 walk.
+//!   batch share one front per L1 geometry, and one L1 walk.  Tag classes
+//!   that differ only in L2 size and associativity also share one back,
+//!   and one L2/L3 walk, until one of their L2s would evict; the back then
+//!   splits into one per class, each holding the lines filled so far.
 
 #![forbid(unsafe_code)]
 

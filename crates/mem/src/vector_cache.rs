@@ -13,8 +13,11 @@
 //! per-element walk into a reusable scratch buffer.  No allocation happens
 //! per access once the scratch has grown to its working size.
 
-use crate::cache::{Cache, LookupResult};
+use crate::cache::{self, Cache, LookupResult};
 use crate::lines;
+
+/// The name the vector cache's tag store goes by in panics.
+const NAME: &str = "L2-vector";
 
 /// Outcome of presenting one vector request to the vector cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +64,7 @@ impl VectorCache {
     ) -> Self {
         assert!(banks >= 1);
         VectorCache {
-            cache: Cache::new("L2-vector", size_bytes, assoc, line_bytes),
+            cache: Cache::new(NAME, size_bytes, assoc, line_bytes),
             banks,
             port_elems: port_elems.max(1),
             scratch: Vec::with_capacity(32),
@@ -70,6 +73,32 @@ impl VectorCache {
             strided_accesses: 0,
             bank_line_pairs: 0,
         }
+    }
+
+    /// Panic as [`Self::new`] would on a tag store of this geometry, if it
+    /// would.
+    pub(crate) fn check_geometry(size_bytes: usize, assoc: usize, line_bytes: usize) {
+        cache::check_geometry(NAME, size_bytes, assoc, line_bytes);
+    }
+
+    /// This cache's lines, counters, banks and port in a tag store of
+    /// `size_bytes` and `assoc` ways ([`Cache::reshaped`]).
+    pub(crate) fn reshaped(&self, size_bytes: usize, assoc: usize) -> VectorCache {
+        VectorCache {
+            cache: self.cache.reshaped(size_bytes, assoc),
+            banks: self.banks,
+            port_elems: self.port_elems,
+            scratch: Vec::new(),
+            vector_accesses: self.vector_accesses,
+            unit_stride_accesses: self.unit_stride_accesses,
+            strided_accesses: self.strided_accesses,
+            bank_line_pairs: self.bank_line_pairs,
+        }
+    }
+
+    /// How many LRU stamps the tag store hands out before it renumbers.
+    pub(crate) fn stamps_left(&self) -> u32 {
+        self.cache.stamps_left()
     }
 
     /// Access the underlying cache for a scalar refill coming from the L1.
@@ -184,6 +213,20 @@ impl VectorCache {
             unit_stride,
             writebacks,
         }
+    }
+}
+
+#[cfg(test)]
+impl VectorCache {
+    /// This cache with its stamp counter at `tick` ([`Cache::with_tick`]).
+    pub(crate) fn with_tick(mut self, tick: u32) -> VectorCache {
+        self.cache = self.cache.with_tick(tick);
+        self
+    }
+
+    /// Number of valid lines the tag store holds.
+    pub(crate) fn valid_lines(&self) -> usize {
+        self.cache.valid_lines()
     }
 }
 

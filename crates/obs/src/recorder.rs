@@ -56,6 +56,12 @@ pub enum Counter {
     MemL3Misses,
     /// L1 lines invalidated by vector writes (inclusion coherence).
     MemCoherenceInvalidations,
+    /// Batched-walk L2/L3 backs built to serve a group of more than one
+    /// tag class (classes that differ only in L2 size and associativity),
+    /// and how many of them split into one back per class when some
+    /// class's L2 would evict.  Recorded once per walk.
+    MemSharedBacks,
+    MemBackSplits,
     /// Result-store records appended (persisted runs).
     StoreRecordsAppended,
     /// Store lines skipped, by class.
@@ -89,7 +95,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 40] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::SchedBlocks,
@@ -111,6 +117,8 @@ impl Counter {
         Counter::MemL3Hits,
         Counter::MemL3Misses,
         Counter::MemCoherenceInvalidations,
+        Counter::MemSharedBacks,
+        Counter::MemBackSplits,
         Counter::StoreRecordsAppended,
         Counter::StoreLinesMalformed,
         Counter::StoreLinesUnrecognized,
@@ -154,6 +162,8 @@ impl Counter {
             Counter::MemL3Hits => "mem_l3_hits",
             Counter::MemL3Misses => "mem_l3_misses",
             Counter::MemCoherenceInvalidations => "mem_coherence_invalidations",
+            Counter::MemSharedBacks => "mem_shared_backs",
+            Counter::MemBackSplits => "mem_back_splits",
             Counter::StoreRecordsAppended => "store_records_appended",
             Counter::StoreLinesMalformed => "store_lines_malformed",
             Counter::StoreLinesUnrecognized => "store_lines_unrecognized",

@@ -119,8 +119,14 @@
 //!   invalidations;
 //! * **backs**: one L2/L3 back per tag-equivalence class
 //!   ([`vmv_mem::tag_equivalent_configs`]: model, cache geometry and port
-//!   width) under its front;
-//! * **members**: one latency column per variant in its class's pricer,
+//!   width) under its front, except that the classes that differ only in
+//!   L2 size and associativity share one back until some class's L2 would
+//!   evict.  Until then each of them holds exactly the lines filled so
+//!   far, so one shared L2 (the most sets and fewest ways of any class)
+//!   and one L3 decide for all of them; before an access that could
+//!   overflow a set of some class, the back splits into one per class,
+//!   each holding the shared lines in its own geometry;
+//! * **members**: one latency column per variant in its back's pricer,
 //!   which turns each of the back's access echoes into every member's
 //!   latency at once (members' `MemStats` differ only in the stall total).
 //!
@@ -131,9 +137,12 @@
 //! the scalar accesses hit, so each batch walks the L1 once instead of
 //! once per class.  A vector access runs every
 //! back's L2 walk; the first back under each front invalidates the L1
-//! lines and the others push down the dirty lines it found.  The walk lays
-//! its lanes out front by front and class by class, so every class prices
-//! into a contiguous run of lanes.
+//! lines and the others push down the dirty lines it found.  On that
+//! workload no L2 of its twelve geometries ever evicts, so each batch
+//! walks one shared back where it walked twelve (`sweep --metrics` counts
+//! `mem_shared_backs` 36 and `mem_back_splits` 0 per pass).  The walk lays
+//! its lanes out front by front, back by back and class by class, so every
+//! back prices into a contiguous run of lanes.
 
 use std::sync::Arc;
 
@@ -789,12 +798,13 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
 
     // The class tree: one L1 front per distinct model and L1 geometry,
     // one L2/L3 back per tag-equivalence class under it (model, geometry
-    // and port width: identical hit/miss behaviour), and one latency column
-    // per variant.  A memory-latency sweep collapses to one front and one
-    // back; an L2 geometry sweep to one front and a back per geometry.
-    // Lanes are laid out front by front and class by class, so each class
-    // prices into a contiguous run of lanes; `lane_variant` maps a lane
-    // back to its batch position.
+    // and port width: identical hit/miss behaviour) or per group of classes
+    // that differ only in L2 size and associativity while none of them
+    // evicts, and one latency column per variant.  A memory-latency sweep
+    // collapses to one front and one back; an L2 geometry sweep too, until
+    // some L2 would evict.  Lanes are laid out front by front and back by
+    // back, so each back prices into a contiguous run of lanes;
+    // `lane_variant` maps a lane back to its batch position.
     let configs: Vec<_> = variants
         .iter()
         .map(|v| (v.model, v.memory, v.port_elems))
@@ -1132,6 +1142,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
 
     let mut out = vec![RunStats::default(); k];
     let memory = tree.stats();
+    tree.record_obs();
     for (l, &v) in lane_variant.iter().enumerate() {
         let stats = &mut out[v];
         for &id in &analysis.regions {

@@ -1,7 +1,8 @@
 //! Trace-replay behaviour beyond the three-engine differential: the batched
 //! walk is deterministic and bit-identical to fresh execution for any
-//! variant subset (a batch of one included, and batches whose class trees
-//! hold several L1 fronts), `simulate_batch`'s record-and-
+//! variant subset (a batch of one included, batches whose class trees
+//! hold several L1 fronts, and L2 ladders whose shared back splits in the
+//! middle of the walk), `simulate_batch`'s record-and-
 //! retime call agrees with fresh execution, one program's trace is the same
 //! on every schedule and retimes all of them exactly, and malformed or
 //! foreign traces are rejected with typed errors instead of garbage
@@ -502,6 +503,57 @@ fn wide_batches_whose_lanes_stall_apart_match_fresh_execution() {
             cycles.sort_unstable();
             cycles.dedup();
             assert_eq!(cycles.len(), plan.len(), "{what}: {cycles:?}");
+        }
+    }
+}
+
+#[test]
+fn l2_ladders_whose_shared_back_splits_mid_walk_match_fresh_execution() {
+    // The committed cache_geometry study's L2 ladder (8, 64 and 256 KiB,
+    // 1-, 2- and 4-way, each at four DRAM latencies) is one group of nine
+    // tag classes under one L1 front: the batch's class tree serves them
+    // from one shared back until some class's L2 would evict, and then
+    // splits it into one back per class for the rest of the walk.  On every
+    // kernel, the batch, unprofiled and profiled, must match fresh
+    // execution of every variant.
+    let study = SpecFile::parse(include_str!("../examples/specs/cache_geometry.json"))
+        .unwrap()
+        .lower()
+        .unwrap();
+    let plan: Vec<(MachineConfig, MemoryModel)> = study
+        .spec
+        .expand()
+        .points
+        .into_iter()
+        .map(|point| (point.machine, point.model))
+        .collect();
+    assert_eq!(plan.len(), 36);
+    for bench in Benchmark::ALL {
+        let (prepared, _, trace) = record(bench, &plan[0].0, MemoryModel::Realistic);
+        let fresh = assert_batch_matches_fresh_profiled(
+            &prepared.lowered,
+            &trace,
+            &plan,
+            |m, model| simulator(&prepared, m, model, MAX_CYCLES),
+            &format!("{} on the L2 ladder", bench.name()),
+        );
+        // Test premise: on JPEG_DEC the classes part ways, so some L2
+        // evicted and the shared back split; the 8 KiB direct-mapped L2
+        // costs cycles over the 256 KiB 4-way one at every DRAM latency.
+        if bench == Benchmark::JpegDec {
+            let cycles = |l2_size, l2_assoc, mem_latency| {
+                let lane = plan.iter().position(|(m, _)| {
+                    (m.memory.l2_size, m.memory.l2_assoc, m.memory.mem_latency)
+                        == (l2_size, l2_assoc, mem_latency)
+                });
+                fresh[lane.expect("a ladder point")].cycles()
+            };
+            for mem_latency in [100, 200, 300, 400] {
+                assert!(
+                    cycles(8 << 10, 1, mem_latency) > cycles(256 << 10, 4, mem_latency),
+                    "DRAM latency {mem_latency}"
+                );
+            }
         }
     }
 }
