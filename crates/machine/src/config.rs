@@ -122,7 +122,9 @@ pub struct MemoryParams {
     pub l2_line: usize,
     /// L2 hit latency in cycles.
     pub l2_latency: u32,
-    /// Number of interleaved banks in the L2 vector cache.
+    /// Number of interleaved banks in the L2 vector cache.  Recorded and
+    /// keyed, but no timing reads it: the L2 port width alone sets the
+    /// stride-one transfer rate (`vmv_mem::transfer_cycles`).
     pub l2_banks: usize,
     /// L3 cache size in bytes (1 MB).
     pub l3_size: usize,

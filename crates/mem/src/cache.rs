@@ -19,9 +19,9 @@
 //! * **LRU stamps.**  A cache's stamp counter advances once per access or
 //!   fill.  Before it would wrap, every set's stamps are renumbered to their
 //!   ranks `1..=assoc`.  Only stamps within one set are ever compared, and
-//!   ranks keep their order, so every victim, write-back and statistic is
-//!   what 64-bit stamps give (the reference-model test in this module
-//!   drives streams across the wrap).
+//!   ranks keep their order, so every victim and write-back is what 64-bit
+//!   stamps give (the reference-model test in this module drives streams
+//!   across the wrap).
 //!
 //! The compact words matter for batch replay, which builds fresh tag state
 //! per batch: one L2/L3 back for each group of tag classes that differ only
@@ -38,15 +38,6 @@
 pub enum LookupResult {
     Hit,
     Miss,
-}
-
-/// Information returned by a fill (allocation) operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FillOutcome {
-    /// Block address of a dirty line that had to be written back, if any.
-    pub writeback: Option<u64>,
-    /// Block address of a clean line that was evicted, if any.
-    pub evicted: Option<u64>,
 }
 
 /// Per-line state bits (packed into one byte).
@@ -88,31 +79,10 @@ pub struct Cache {
     tick: u32,
     /// Most-recently-hit block and its way index: consecutive accesses to
     /// the same line (the overwhelmingly common pattern) skip the set scan.
-    /// Reset by any fill or invalidation.  Pure shortcut — statistics, LRU
-    /// and dirty bits evolve exactly as without it.
+    /// Reset by any fill or invalidation.  Pure shortcut — LRU and dirty
+    /// bits evolve exactly as without it.
     mru_blk: u64,
     mru_way: usize,
-    pub stats: CacheStats,
-}
-
-/// Per-cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub accesses: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub writebacks: u64,
-    pub invalidations: u64,
-}
-
-impl CacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// Why a cache of `size_bytes` capacity, `assoc` ways and `line_bytes`
@@ -165,16 +135,7 @@ impl Cache {
             tick: 0,
             mru_blk: u64::MAX,
             mru_way: 0,
-            stats: CacheStats::default(),
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    pub fn line_bytes(&self) -> usize {
-        self.line_bytes
     }
 
     /// Block (line) address of a byte address.
@@ -253,7 +214,7 @@ impl Cache {
         None
     }
 
-    /// Probe the cache without modifying LRU state or statistics.
+    /// Probe the cache without modifying LRU state.
     pub fn probe(&self, addr: u64) -> LookupResult {
         match self.find(self.set_index(addr), self.tag(addr)) {
             Some(_) => LookupResult::Hit,
@@ -261,20 +222,18 @@ impl Cache {
         }
     }
 
-    /// Access the cache (updating LRU and statistics).  `write` marks the
+    /// Access the cache (updating LRU state).  `write` marks the
     /// line dirty on a hit; allocation on a miss is done separately with
     /// [`Cache::fill`] so the caller controls the write-allocate policy.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> LookupResult {
         let tick = self.stamp();
-        self.stats.accesses += 1;
         if self.block_addr(addr) == self.mru_blk {
             let i = self.mru_way;
             self.lru[i] = tick;
             if write {
                 self.state[i] |= DIRTY;
             }
-            self.stats.hits += 1;
             return LookupResult::Hit;
         }
         match self.find(self.set_index(addr), self.tag(addr)) {
@@ -283,21 +242,19 @@ impl Cache {
                 if write {
                     self.state[i] |= DIRTY;
                 }
-                self.stats.hits += 1;
                 self.mru_blk = self.block_addr(addr);
                 self.mru_way = i;
                 LookupResult::Hit
             }
-            None => {
-                self.stats.misses += 1;
-                LookupResult::Miss
-            }
+            None => LookupResult::Miss,
         }
     }
 
     /// Allocate a line for `addr`, evicting the LRU line of the set if
     /// necessary.  `write` marks the new line dirty (write-allocate).
-    pub fn fill(&mut self, addr: u64, write: bool) -> FillOutcome {
+    /// Returns the block address of the victim when it was dirty (the line
+    /// the caller must write back).
+    pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
         self.mru_blk = u64::MAX;
         let tick = self.stamp();
         let set = self.set_index(addr);
@@ -309,7 +266,7 @@ impl Cache {
             if write {
                 self.state[i] |= DIRTY;
             }
-            return FillOutcome::default();
+            return None;
         }
 
         // Choose a victim: an invalid way if available, otherwise LRU.
@@ -329,20 +286,12 @@ impl Cache {
                 best
             }
         };
-        let mut outcome = FillOutcome::default();
-        if self.state[victim] & VALID != 0 {
-            let victim_addr = self.block_of(self.tags[victim], set);
-            if self.state[victim] & DIRTY != 0 {
-                outcome.writeback = Some(victim_addr);
-                self.stats.writebacks += 1;
-            } else {
-                outcome.evicted = Some(victim_addr);
-            }
-        }
+        let writeback = (self.state[victim] & (VALID | DIRTY) == VALID | DIRTY)
+            .then(|| self.block_of(self.tags[victim], set));
         self.tags[victim] = tag;
         self.state[victim] = if write { VALID | DIRTY } else { VALID };
         self.lru[victim] = tick;
-        outcome
+        writeback
     }
 
     /// Invalidate the line containing `addr` if present.  Returns the block
@@ -357,7 +306,6 @@ impl Cache {
             Some(i) => {
                 let was_dirty = self.state[i] & DIRTY != 0;
                 self.state[i] = 0;
-                self.stats.invalidations += 1;
                 if was_dirty {
                     Some(self.block_of(tag, set))
                 } else {
@@ -368,11 +316,6 @@ impl Cache {
         }
     }
 
-    /// Number of valid lines currently held (used by tests).
-    pub fn valid_lines(&self) -> usize {
-        self.state.iter().filter(|&&s| s & VALID != 0).count()
-    }
-
     /// How many stamps the counter hands out before it renumbers.
     pub(crate) fn stamps_left(&self) -> u32 {
         u32::MAX - self.tick
@@ -380,7 +323,7 @@ impl Cache {
 
     /// A cache of `size_bytes` and `assoc` ways with this cache's name and
     /// line size, holding exactly this cache's lines, each with its dirty
-    /// bit and LRU stamp, and this cache's stamp counter and statistics.
+    /// bit and LRU stamp, and this cache's stamp counter.
     /// Only the ways the lines take within their sets can differ from a
     /// cache of that geometry that saw the same accesses, and no lookup or
     /// victim choice depends on them.  The stamps must still compare across
@@ -405,7 +348,6 @@ impl Cache {
             }
         }
         out.tick = self.tick;
-        out.stats = self.stats;
         out
     }
 }
@@ -417,6 +359,21 @@ impl Cache {
     pub(crate) fn with_tick(mut self, tick: u32) -> Cache {
         self.tick = tick;
         self
+    }
+
+    /// Every valid line as (block, dirty, LRU stamp), in block order: the
+    /// state two caches that saw the same stream must share, whichever ways
+    /// their lines took.
+    pub(crate) fn lines(&self) -> Vec<(u64, bool, u32)> {
+        let mut out: Vec<_> = (0..self.tags.len())
+            .filter(|&i| self.state[i] & VALID != 0)
+            .map(|i| {
+                let blk = self.block_of(self.tags[i], i / self.assoc);
+                (blk, self.state[i] & DIRTY != 0, self.lru[i])
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -441,8 +398,6 @@ mod tests {
             "same 32-byte line"
         );
         assert_eq!(c.access(0x120, false), LookupResult::Miss, "next line");
-        assert_eq!(c.stats.hits, 2);
-        assert_eq!(c.stats.misses, 2);
     }
 
     #[test]
@@ -467,9 +422,10 @@ mod tests {
         let mut c = small_cache();
         c.fill(0x0, true); // dirty
         c.fill(0x80, false);
-        let out = c.fill(0x100, false); // evicts LRU = 0x0 (dirty)
-        assert_eq!(out.writeback, Some(0x0));
-        assert_eq!(c.stats.writebacks, 1);
+        // Evicts the LRU line 0x0, which is dirty; a clean victim is not
+        // reported.
+        assert_eq!(c.fill(0x100, false), Some(0x0));
+        assert_eq!(c.fill(0x180, false), None);
     }
 
     #[test]
@@ -491,20 +447,7 @@ mod tests {
         assert_eq!(c.access(0x200, true), LookupResult::Hit);
         // Eviction of that line must now report a writeback.
         c.fill(0x280, false);
-        let out = c.fill(0x300, false);
-        assert!(
-            out.writeback == Some(0x200) || out.evicted == Some(0x200) || out.writeback.is_some()
-        );
-    }
-
-    #[test]
-    fn hit_rate_computation() {
-        let mut c = small_cache();
-        assert_eq!(c.stats.hit_rate(), 1.0);
-        c.access(0x0, false);
-        c.fill(0x0, false);
-        c.access(0x0, false);
-        assert!((c.stats.hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(c.fill(0x300, false), Some(0x200));
     }
 
     /// The plain cache the compact one must match: one struct per line with
@@ -516,7 +459,6 @@ mod tests {
         /// `(valid, dirty, block, stamp)` per line, set-major.
         lines: Vec<(bool, bool, u64, u64)>,
         tick: u64,
-        stats: CacheStats,
     }
 
     impl Reference {
@@ -528,7 +470,6 @@ mod tests {
                 assoc,
                 lines: vec![(false, false, 0, 0); n],
                 tick,
-                stats: CacheStats::default(),
             }
         }
 
@@ -545,27 +486,22 @@ mod tests {
 
         fn access(&mut self, addr: u64, write: bool) -> LookupResult {
             self.tick += 1;
-            self.stats.accesses += 1;
             match self.find(addr) {
                 Some(i) => {
                     self.lines[i].3 = self.tick;
                     self.lines[i].1 |= write;
-                    self.stats.hits += 1;
                     LookupResult::Hit
                 }
-                None => {
-                    self.stats.misses += 1;
-                    LookupResult::Miss
-                }
+                None => LookupResult::Miss,
             }
         }
 
-        fn fill(&mut self, addr: u64, write: bool) -> FillOutcome {
+        fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
             self.tick += 1;
             if let Some(i) = self.find(addr) {
                 self.lines[i].3 = self.tick;
                 self.lines[i].1 |= write;
-                return FillOutcome::default();
+                return None;
             }
             let range = self.set(addr);
             let victim = range
@@ -573,22 +509,14 @@ mod tests {
                 .find(|&i| !self.lines[i].0)
                 .unwrap_or_else(|| range.min_by_key(|&i| self.lines[i].3).unwrap());
             let (valid, dirty, blk, _) = self.lines[victim];
-            let mut out = FillOutcome::default();
-            if valid && dirty {
-                out.writeback = Some(blk);
-                self.stats.writebacks += 1;
-            } else if valid {
-                out.evicted = Some(blk);
-            }
             self.lines[victim] = (true, write, addr / self.line * self.line, self.tick);
-            out
+            (valid && dirty).then_some(blk)
         }
 
         fn invalidate(&mut self, addr: u64) -> Option<u64> {
             let i = self.find(addr)?;
             let (_, dirty, blk, _) = self.lines[i];
             self.lines[i].0 = false;
-            self.stats.invalidations += 1;
             dirty.then_some(blk)
         }
     }
@@ -597,8 +525,10 @@ mod tests {
     fn compact_line_state_matches_a_64_bit_reference_model() {
         // Seeded access/fill/invalidate streams over direct-mapped to
         // 16-way caches with 32- to 128-byte lines, some starting a few
-        // stamps before the 32-bit counter wraps: every outcome, victim,
-        // write-back and statistic must match step for step.
+        // stamps before the 32-bit counter wraps: every outcome, victim
+        // and write-back must match step for step, and so must each set's
+        // valid lines (block and dirty bit) in LRU order, with the very
+        // stamps of the reference while the counter has not wrapped.
         let mut state = 0x0C0F_FEE5_u64;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -615,6 +545,14 @@ mod tests {
                         let size = sets * assoc * line;
                         let mut cache = Cache::new("c", size, assoc, line).with_tick(start);
                         let mut reference = Reference::new(size, assoc, line, start as u64);
+                        // Valid lines as (block, dirty, stamp), set by set
+                        // and oldest first within a set.
+                        let lru_order = |mut lines: Vec<(u64, bool, u64)>| {
+                            lines.sort_unstable_by_key(|&(blk, _, stamp)| {
+                                (blk / line as u64 % sets as u64, stamp)
+                            });
+                            lines
+                        };
                         // Addresses over four cache sizes, so sets conflict;
                         // some near the top of the exact address range.
                         let span = 4 * size as u64;
@@ -642,12 +580,33 @@ mod tests {
                                     "{at}: invalidate"
                                 ),
                             }
-                            assert_eq!(cache.stats, reference.stats, "{at}: stats");
                             assert_eq!(
                                 cache.probe(addr) == LookupResult::Hit,
                                 reference.find(addr).is_some(),
                                 "{at}: probe"
                             );
+                            let mut got = lru_order(
+                                cache
+                                    .lines()
+                                    .into_iter()
+                                    .map(|(b, d, s)| (b, d, s as u64))
+                                    .collect(),
+                            );
+                            let mut want = lru_order(
+                                reference
+                                    .lines
+                                    .iter()
+                                    .filter(|l| l.0)
+                                    .map(|&(_, d, b, s)| (b, d, s))
+                                    .collect(),
+                            );
+                            if start != 0 {
+                                // Renumbered stamps keep only their order.
+                                for (_, _, stamp) in got.iter_mut().chain(&mut want) {
+                                    *stamp = 0;
+                                }
+                            }
+                            assert_eq!(got, want, "{at}: lines");
                         }
                         wraps += (cache.tick < 1000 && start > 1000) as u32;
                     }

@@ -1,9 +1,11 @@
 //! The three-level memory hierarchy of paper §4.2:
 //!
 //! * L1: 16 KB, 4-way data cache, 1-cycle latency, scalar / µSIMD accesses;
-//! * L2: 256 KB two-bank interleaved *vector cache*, 5 cycles; vector
-//!   accesses bypass the L1 and go straight to this level through one wide
-//!   (4 × 64-bit) port;
+//! * L2: 256 KB *vector cache*, 5 cycles; vector accesses bypass the L1 and
+//!   go straight to this level through one wide (4 × 64-bit) port.  The
+//!   paper's cache has two interleaved banks; here it is one tag store, and
+//!   the port width alone sets the transfer rate ([`transfer_cycles`]), so
+//!   the bank count reaches no timing;
 //! * L3: 1 MB cache, 12 cycles;
 //! * main memory: 500 cycles.
 //!
@@ -15,6 +17,8 @@
 //! The hierarchy is a *timing* model — data contents live in the simulator's
 //! flat memory.  Two modes exist: `Perfect` (every access hits, paper §5.1)
 //! and `Realistic` (tags are simulated and misses pay the full latency).
+//! Write-backs cost nothing: a dirty line an L2 fill evicts is dropped, not
+//! written to the L3, so the L3 never holds a dirty line.
 //!
 //! # Front and back
 //!
@@ -42,8 +46,13 @@ use std::ops::Range;
 
 use crate::cache::{self, Cache, LookupResult};
 use crate::lines::{self, LineWalk};
-use crate::vector_cache::VectorCache;
 use vmv_machine::MemoryParams;
+
+/// The name the L2 vector cache's tag store goes by in panics.
+const L2_NAME: &str = "L2-vector";
+
+/// The stride of consecutive 64-bit elements, in bytes.
+const STRIDE_ONE: i64 = lines::ELEM_BYTES as i64;
 
 /// Memory simulation mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,24 +102,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    pub fn l1_hit_rate(&self) -> f64 {
-        let total = self.l1_hits + self.l1_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.l1_hits as f64 / total as f64
-        }
-    }
-
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.l2_hits as f64 / total as f64
-        }
-    }
-
     /// Fold this run's totals into the process-wide telemetry recorder.
     /// Called once per completed simulation (not per access), so the
     /// hierarchy's hot path stays atomic-free.
@@ -197,7 +188,8 @@ pub enum AccessEcho {
     },
     Vector {
         elems: u32,
-        /// L2-port transfer time (bank and port geometry, not latency).
+        /// L2-port transfer time ([`transfer_cycles`]: port width and
+        /// stride, not latency).
         transfer_cycles: u32,
         /// Missed L2 lines refilled from the L3 / from main memory.
         l3_fetches: u32,
@@ -345,7 +337,7 @@ impl Front {
             }
             LookupResult::Miss => {
                 self.stats.l1_misses += 1;
-                let writeback = self.l1.fill(blk, write).writeback;
+                let writeback = self.l1.fill(blk, write);
                 Some(Refill { blk, writeback })
             }
         }
@@ -359,7 +351,7 @@ impl Front {
             AccessKind::Load => self.stats.vector_loads += 1,
             AccessKind::Store => self.stats.vector_stores += 1,
         }
-        if stride_bytes == 8 {
+        if stride_bytes == STRIDE_ONE {
             self.stats.unit_stride_vector_accesses += 1;
         } else {
             self.stats.strided_vector_accesses += 1;
@@ -415,14 +407,16 @@ enum LineFill {
     FromMem,
 }
 
-/// The L2/L3 *back* of a hierarchy: the vector cache and L3 tags, and
-/// the L2 and L3 hit and miss counters they decide.  It never touches the
-/// L1; it hears the front's verdicts instead.
+/// The L2/L3 *back* of a hierarchy: the vector cache and L3 tags, the L2
+/// port width, and the L2 and L3 hit and miss counters the tags decide.
+/// It never touches the L1; it hears the front's verdicts instead.
 #[derive(Debug, Clone)]
 struct Back {
     model: MemoryModel,
-    l2: VectorCache,
+    l2: Cache,
     l3: Cache,
+    /// Width of the L2 vector port in 64-bit elements.
+    port_elems: u32,
     /// L1 line size: where the front's pushes fall in a vector walk.
     l1_line: u64,
     l2_line: u64,
@@ -433,14 +427,9 @@ impl Back {
     fn new(model: MemoryModel, params: &MemoryParams, port_elems: u32) -> Back {
         Back {
             model,
-            l2: VectorCache::new(
-                params.l2_size,
-                params.l2_assoc,
-                params.l2_line,
-                params.l2_banks,
-                port_elems,
-            ),
+            l2: Cache::new(L2_NAME, params.l2_size, params.l2_assoc, params.l2_line),
             l3: Cache::new("L3", params.l3_size, params.l3_assoc, params.l3_line),
+            port_elems,
             l1_line: params.l1_line as u64,
             l2_line: params.l2_line as u64,
             stats: MemStats::default(),
@@ -448,15 +437,12 @@ impl Back {
     }
 
     /// This back with its L2 in `l2_size` bytes of `l2_assoc` ways
-    /// ([`VectorCache::reshaped`]), and a copy of its L3 and counters.
+    /// ([`Cache::reshaped`]), and a copy of its L3 and counters.
     fn reshaped(&self, l2_size: usize, l2_assoc: usize) -> Back {
         Back {
-            model: self.model,
             l2: self.l2.reshaped(l2_size, l2_assoc),
             l3: self.l3.clone(),
-            l1_line: self.l1_line,
-            l2_line: self.l2_line,
-            stats: self.stats,
+            ..*self
         }
     }
 
@@ -474,7 +460,7 @@ impl Back {
         };
         // The vector cache also serves scalar refills; then the L3, then
         // main memory.
-        let served = match self.l2.scalar_access(blk, false) {
+        let served = match self.l2.access(blk, false) {
             LookupResult::Hit => {
                 self.stats.l2_hits += 1;
                 ServedBy::L2
@@ -506,7 +492,7 @@ impl Back {
     /// Probe + fill one L2 line of a vector access.
     #[inline]
     fn l2_line_access(&mut self, blk: u64, write: bool) -> LineFill {
-        match self.l2.access_line(blk, write) {
+        match self.l2.access(blk, write) {
             LookupResult::Hit => LineFill::Hit,
             LookupResult::Miss => {
                 let fill = match self.l3.access(blk, false) {
@@ -546,7 +532,7 @@ impl Back {
         mut l1: L1Lines,
         memo: &mut SharedAccessScratch,
     ) -> AccessEcho {
-        let unit_stride = stride_bytes == 8;
+        let transfer_cycles = transfer_cycles(stride_bytes, elems, self.port_elems);
         if self.model == MemoryModel::Perfect {
             // All vector accesses hit in the L2 but still pay the transfer
             // time (paper §5.1); non-unit strides still transfer one element
@@ -554,7 +540,7 @@ impl Back {
             self.stats.l2_hits += 1;
             return AccessEcho::Vector {
                 elems,
-                transfer_cycles: self.l2.transfer_cycles(unit_stride, elems),
+                transfer_cycles,
                 l3_fetches: 0,
                 mem_fetches: 0,
             };
@@ -569,15 +555,11 @@ impl Back {
         let (l1_line, l2_line) = (self.l1_line, self.l2_line);
         let l1_mask = !(l1_line - 1);
         let skip_l1 = l1.clean();
-        let mut lines_touched = 0u32;
         let (mut l3_fetches, mut mem_fetches) = (0u32, 0u32);
-        let mut fetch = |back: &mut Back, blk: u64| {
-            lines_touched += 1;
-            match back.l2_line_access(blk, write) {
-                LineFill::Hit => {}
-                LineFill::FromL3 => l3_fetches += 1,
-                LineFill::FromMem => mem_fetches += 1,
-            }
+        let mut fetch = |back: &mut Back, blk: u64| match back.l2_line_access(blk, write) {
+            LineFill::Hit => {}
+            LineFill::FromL3 => l3_fetches += 1,
+            LineFill::FromMem => mem_fetches += 1,
         };
 
         match lines::classify(base, stride_bytes, elems, l2_line) {
@@ -641,7 +623,6 @@ impl Back {
             }
         }
 
-        self.l2.record_vector_access(unit_stride, lines_touched);
         if l3_fetches + mem_fetches > 0 {
             self.stats.l2_misses += 1;
         } else {
@@ -649,10 +630,24 @@ impl Back {
         }
         AccessEcho::Vector {
             elems,
-            transfer_cycles: self.l2.transfer_cycles(unit_stride, elems),
+            transfer_cycles,
             l3_fetches,
             mem_fetches,
         }
+    }
+}
+
+/// Cycles a `port_elems`-wide L2 port takes to transfer `elems` 64-bit
+/// elements `stride_bytes` apart once their data is available: `port_elems`
+/// per cycle at stride one (paper §3.2: the vector cache reads whole lines
+/// and aligns them), one per cycle at any other stride, and at least one.
+/// The same count is how long a vector access holds the port.
+#[inline]
+pub fn transfer_cycles(stride_bytes: i64, elems: u32, port_elems: u32) -> u32 {
+    if stride_bytes == STRIDE_ONE {
+        elems.max(1).div_ceil(port_elems.max(1))
+    } else {
+        elems.max(1)
     }
 }
 
@@ -696,12 +691,12 @@ impl Latencies {
             }
             AccessEcho::Vector {
                 elems,
-                transfer_cycles,
+                transfer_cycles: transfer,
                 l3_fetches,
                 mem_fetches,
             } => {
-                let latency = l2 + transfer_cycles - 1 + l3_fetches * l3 + mem_fetches * mem;
-                let scheduled = l2 + elems.div_ceil(port_elems).saturating_sub(1);
+                let latency = l2 + transfer - 1 + l3_fetches * l3 + mem_fetches * mem;
+                let scheduled = l2 + transfer_cycles(STRIDE_ONE, elems, port_elems) - 1;
                 AccessTiming {
                     latency,
                     stall_cycles: latency.saturating_sub(scheduled),
@@ -729,8 +724,6 @@ fn compose(front: &MemStats, back: &MemStats, total_stall_cycles: u64) -> MemSta
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     params: MemoryParams,
-    /// Width of the L2 vector port in 64-bit elements.
-    port_elems: u32,
     front: Front,
     back: Back,
     /// Touched-line walks of the current irregular vector access.
@@ -740,12 +733,10 @@ pub struct MemoryHierarchy {
 
 impl MemoryHierarchy {
     pub fn new(model: MemoryModel, params: MemoryParams, l2_port_elems: u32) -> Self {
-        let port_elems = l2_port_elems.max(1);
         MemoryHierarchy {
             params,
-            port_elems,
             front: Front::new(model, &params),
-            back: Back::new(model, &params, port_elems),
+            back: Back::new(model, &params, l2_port_elems.max(1)),
             memo: SharedAccessScratch::default(),
             total_stall_cycles: 0,
         }
@@ -769,7 +760,7 @@ impl MemoryHierarchy {
     /// elements: an L2 hit with unit stride (paper §3.3: the compiler
     /// schedules all vector memory operations as stride-one L2 hits).
     pub fn scheduled_vector_latency(&self, elems: u32) -> u32 {
-        self.params.l2_latency + elems.div_ceil(self.port_elems).saturating_sub(1)
+        self.params.l2_latency + transfer_cycles(STRIDE_ONE, elems, self.back.port_elems) - 1
     }
 
     /// Statistics accumulated so far.
@@ -778,7 +769,7 @@ impl MemoryHierarchy {
     }
 
     fn price(&mut self, echo: AccessEcho) -> (AccessTiming, AccessEcho) {
-        let timing = Latencies::of(&self.params).price(&echo, self.port_elems);
+        let timing = Latencies::of(&self.params).price(&echo, self.back.port_elems);
         self.total_stall_cycles += timing.stall_cycles as u64;
         (timing, echo)
     }
@@ -847,21 +838,12 @@ impl MemoryHierarchy {
     }
 
     /// Probe all three cache levels for `addr` without disturbing LRU state
-    /// or statistics (diagnostics and tests).
+    /// (diagnostics and tests).
     pub fn probe(&self, addr: u64) -> [LookupResult; 3] {
         [
             self.front.l1.probe(addr),
             self.back.l2.probe(addr),
             self.back.l3.probe(addr),
-        ]
-    }
-
-    /// Statistics of the three cache levels (L1, L2, L3).
-    pub fn cache_stats(&self) -> [crate::cache::CacheStats; 3] {
-        [
-            self.front.l1.stats,
-            self.back.l2.stats(),
-            self.back.l3.stats,
         ]
     }
 }
@@ -870,8 +852,9 @@ impl MemoryHierarchy {
 /// *same tag behaviour* on every access stream: same model, cache geometry
 /// and port width.  Latency parameters are free to differ — they only
 /// scale the pricing — so an [`AccessEcho`] captured on a hierarchy of one
-/// configuration prices exactly on the other.  Callers classify variants
-/// with it *before* paying for hierarchy construction.
+/// configuration prices exactly on the other.  So is the L2 bank count,
+/// which no tag or transfer time reads (module docs).  Callers classify
+/// variants with it *before* paying for hierarchy construction.
 pub fn tag_equivalent_configs(
     (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
     (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
@@ -884,7 +867,6 @@ pub fn tag_equivalent_configs(
         && a.l2_size == b.l2_size
         && a.l2_assoc == b.l2_assoc
         && a.l2_line == b.l2_line
-        && a.l2_banks == b.l2_banks
         && a.l3_size == b.l3_size
         && a.l3_assoc == b.l3_assoc
         && a.l3_line == b.l3_line
@@ -909,9 +891,9 @@ fn shares_front(
 }
 
 /// True when two configurations under one front can share one L2/L3
-/// [`Back`] in a [`ClassTree`] while neither's L2 evicts: everything but
-/// the L2 size and associativity matches (model, L2 line size, banks, port
-/// width and L3 geometry).
+/// [`Back`] in a [`ClassTree`] while neither's L2 evicts: everything
+/// [`tag_equivalent_configs`] compares but the L2 size and associativity
+/// matches (model, L2 line size, port width and L3 geometry).
 fn shares_back(
     (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
     (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
@@ -919,7 +901,6 @@ fn shares_back(
     model_a == model_b
         && port_a.max(1) == port_b.max(1)
         && a.l2_line == b.l2_line
-        && a.l2_banks == b.l2_banks
         && a.l3_size == b.l3_size
         && a.l3_assoc == b.l3_assoc
         && a.l3_line == b.l3_line
@@ -1049,7 +1030,7 @@ impl Group {
     /// Note the L2 line holding `addr` as one the access may allocate,
     /// unless `l2` holds it.
     #[inline]
-    fn note(&mut self, l2: &VectorCache, addr: u64) {
+    fn note(&mut self, l2: &Cache, addr: u64) {
         let line = addr >> self.line_shift;
         if l2.probe(line << self.line_shift) == LookupResult::Miss && !self.fresh.contains(&line) {
             self.fresh.push(line);
@@ -1060,7 +1041,7 @@ impl Group {
     /// `l2` at most `stamps` times, could overflow a set of some class or
     /// make `l2` renumber its stamps (after which its sets' stamps no longer
     /// compare).
-    fn must_split(&mut self, l2: &VectorCache, stamps: u64) -> bool {
+    fn must_split(&mut self, l2: &Cache, stamps: u64) -> bool {
         if (l2.stamps_left() as u64) < stamps {
             return true;
         }
@@ -1069,7 +1050,7 @@ impl Group {
     }
 
     /// After the access: count each noted line `l2` now holds.
-    fn settle(&mut self, l2: &VectorCache) {
+    fn settle(&mut self, l2: &Cache) {
         for line in self.fresh.drain(..) {
             if l2.probe(line << self.line_shift) == LookupResult::Hit {
                 for w in &mut self.watched {
@@ -1149,7 +1130,7 @@ impl BackNode {
             .iter()
             .map(|class| {
                 let p = &configs[class[0]].1;
-                VectorCache::check_geometry(p.l2_size, p.l2_assoc, p.l2_line);
+                cache::check_geometry(L2_NAME, p.l2_size, p.l2_assoc, p.l2_line);
                 cache::check_geometry("L3", p.l3_size, p.l3_assoc, p.l3_line);
                 (p.l2_size, p.l2_assoc, class.len())
             })
@@ -1629,6 +1610,22 @@ mod tests {
     }
 
     #[test]
+    fn unit_stride_transfer_rate_is_port_width() {
+        assert_eq!(transfer_cycles(8, 16, 4), 4, "16 elements, 4 per cycle");
+        assert_eq!(transfer_cycles(8, 17, 4), 5);
+        assert_eq!(transfer_cycles(8, 16, 8), 2);
+        assert_eq!(transfer_cycles(8, 0, 4), 1, "at least one cycle");
+    }
+
+    #[test]
+    fn non_unit_stride_transfers_one_element_per_cycle() {
+        for stride in [0, 16, 256, -8] {
+            assert_eq!(transfer_cycles(stride, 8, 4), 8, "stride {stride}");
+        }
+        assert_eq!(transfer_cycles(256, 0, 4), 1, "at least one cycle");
+    }
+
+    #[test]
     fn scheduled_latencies_match_compiler_assumptions() {
         let m = realistic();
         assert_eq!(m.scheduled_scalar_latency(), 1);
@@ -1967,17 +1964,20 @@ mod tests {
         // One tree over both models x two L1 geometries (one with lines
         // shorter than a vector element) x L2/L3 geometries whose L2 lines
         // are shorter than, equal to and longer than the L1's x two
-        // latency points, in a scrambled batch order: on seeded streams,
-        // with dirty L1 lines pushed down by vector accesses, every lane's
-        // latency after every access and every configuration's final
-        // statistics must equal those of its own hierarchy.
+        // latency points, the second with two L2 bank counts, in a
+        // scrambled batch order: on seeded streams, with dirty L1 lines
+        // pushed down by vector accesses, every lane's latency after every
+        // access and every configuration's final statistics must equal
+        // those of its own hierarchy.  Bank counts share a tag class.
         let mut configs = Vec::new();
         for model in [MemoryModel::Realistic, MemoryModel::Perfect] {
             for (l1_size, l1_assoc, l1_line) in [(1 << 10, 2, 32), (512, 2, 4)] {
                 for (l2_size, l2_assoc, l2_line) in
                     [(2 << 10, 1, 16), (4 << 10, 2, 32), (8 << 10, 4, 128)]
                 {
-                    for (l2_latency, mem_latency) in [(5, 100), (9, 700)] {
+                    for (l2_latency, mem_latency, l2_banks) in
+                        [(5, 100, 1), (9, 700, 2), (9, 700, 4)]
+                    {
                         let params = MemoryParams {
                             l1_size,
                             l1_assoc,
@@ -1985,6 +1985,7 @@ mod tests {
                             l2_size,
                             l2_assoc,
                             l2_line,
+                            l2_banks,
                             l3_size: 64 << 10,
                             l2_latency,
                             mem_latency,
@@ -1995,13 +1996,19 @@ mod tests {
                 }
             }
         }
-        // Scramble the batch order (a fixed permutation of 48 entries).
+        // Scramble the batch order (a fixed permutation of 72 entries).
         let n = configs.len();
         let configs: Vec<_> = (0..n).map(|i| configs[i * 29 % n]).collect();
         for seed in [7, 8] {
             let mut tree = ClassTree::new(&configs);
             let fronts = tree.fronts.len();
             assert_eq!(fronts, 2 + 2 * 3, "L1 lines of 4 bytes split by L2 line");
+            let backs: usize = tree.fronts.iter().map(|f| f.backs.len()).sum();
+            assert_eq!(
+                backs,
+                2 * 2 * 3,
+                "one back per geometry, whatever its banks"
+            );
             let mut real: Vec<MemoryHierarchy> = configs
                 .iter()
                 .map(|&(model, params, port)| MemoryHierarchy::new(model, params, port))
@@ -2051,15 +2058,21 @@ mod tests {
         }
     }
 
-    /// Each configuration's L1, L2 and L3 counters in `tree`, in `configs`
-    /// order.
-    fn tree_cache_stats(tree: &ClassTree) -> Vec<[crate::cache::CacheStats; 3]> {
-        let mut out = vec![[crate::cache::CacheStats::default(); 3]; tree.lane_config.len()];
+    /// A configuration's L1, L2 and L3 lines ([`Cache::lines`]).
+    type Lines = [Vec<(u64, bool, u32)>; 3];
+
+    fn hierarchy_lines(h: &MemoryHierarchy) -> Lines {
+        [h.front.l1.lines(), h.back.l2.lines(), h.back.l3.lines()]
+    }
+
+    /// Each configuration's lines in `tree`, in `configs` order.
+    fn tree_lines(tree: &ClassTree) -> Vec<Lines> {
+        let mut out = vec![Lines::default(); tree.lane_config.len()];
         for node in &tree.fronts {
             for b in &node.backs {
                 for l in b.lanes() {
                     out[tree.lane_config[l]] =
-                        [node.front.l1.stats, b.back.l2.stats(), b.back.l3.stats];
+                        [node.front.l1.lines(), b.back.l2.lines(), b.back.l3.lines()];
                 }
             }
         }
@@ -2076,11 +2089,12 @@ mod tests {
         // back up to the first access that makes any class evict and split
         // exactly there; the perfect group never splits.  Every lane's
         // latency after every access, and every configuration's final
-        // statistics and L1, L2 and L3 counters (write-backs included), must
-        // equal those of its own hierarchy.  A second pass starts every L2's
-        // stamp counter two stamps before the wrap: the group must split
-        // before its shared L2 renumbers, before any class overflows, and
-        // the classes must still match through their own renumbering.
+        // statistics and L1, L2 and L3 lines (block, dirty bit and LRU
+        // stamp), must equal those of its own hierarchy.  A second pass
+        // starts every L2's stamp counter two stamps before the wrap: the
+        // group must split before its shared L2 renumbers, before any class
+        // overflows, and the classes must still match through their own
+        // renumbering.
         let mut configs = Vec::new();
         for model in [MemoryModel::Realistic, MemoryModel::Perfect] {
             for l2_size in [8 << 10, 16 << 10, 32 << 10, 128 << 10] {
@@ -2154,9 +2168,9 @@ mod tests {
                     if tree.splits > 0 && split.is_none() {
                         split = Some(step);
                     }
-                    let all = real[largest].back.l2.valid_lines();
+                    let all = real[largest].back.l2.lines().len();
                     for c in (0..n).filter(|&c| realistic(c)) {
-                        if evicted[c].is_none() && real[c].back.l2.valid_lines() < all {
+                        if evicted[c].is_none() && real[c].back.l2.lines().len() < all {
                             evicted[c] = Some(step);
                         }
                     }
@@ -2164,12 +2178,12 @@ mod tests {
                 let at = format!("seed {seed} from stamp {start}");
                 let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
                 assert_eq!(tree.stats(), expect, "{at}");
-                let expect: Vec<_> = real.iter().map(MemoryHierarchy::cache_stats).collect();
-                assert_eq!(tree_cache_stats(&tree), expect, "{at}: cache counters");
+                let expect: Vec<_> = real.iter().map(hierarchy_lines).collect();
+                assert!(tree_lines(&tree) == expect, "{at}: cache lines");
                 assert_eq!(tree.splits, 1, "{at}: only the realistic group splits");
 
                 // Test premises: the small L2s evict, at different steps,
-                // and write dirty lines back; the largest never evict.
+                // and hold dirty lines; the largest never evict.
                 let mut first: Vec<usize> = Vec::new();
                 for c in (0..n).filter(|&c| realistic(c)) {
                     let big = configs[c].1.l2_size == 128 << 10;
@@ -2180,7 +2194,10 @@ mod tests {
                 let overflow = first[0];
                 first.dedup();
                 assert!(first.len() >= 4, "{at}: first evictions at {first:?}");
-                assert!(expect.iter().any(|s| s[1].writebacks > 0), "{at}");
+                assert!(
+                    expect.iter().any(|l| l[1].iter().any(|line| line.1)),
+                    "{at}"
+                );
                 if start == 0 {
                     assert_eq!(split, Some(overflow), "{at}: split at the first overflow");
                 } else {
@@ -2214,6 +2231,15 @@ mod tests {
         assert!(!tag_equivalent_configs(
             base,
             (MemoryModel::Realistic, &big_l2, 4)
+        ));
+        // The bank count is recorded but reaches no tag or transfer time.
+        let banks = MemoryParams {
+            l2_banks: 4,
+            ..MemoryParams::default()
+        };
+        assert!(tag_equivalent_configs(
+            base,
+            (MemoryModel::Realistic, &banks, 4)
         ));
         assert!(!tag_equivalent_configs(
             base,

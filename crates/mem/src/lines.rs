@@ -154,23 +154,6 @@ pub fn collect_naive(base: u64, stride: i64, elems: u32, line: u64, out: &mut Ve
     }
 }
 
-/// Collect the touched-line set through the closed form when one applies,
-/// through the naive walk otherwise.  The scratch buffer is cleared, not
-/// reallocated.  Returns the number of distinct lines.
-pub fn collect(base: u64, stride: i64, elems: u32, line: u64, out: &mut Vec<u64>) -> u32 {
-    match classify(base, stride, elems, line) {
-        Some(walk) => {
-            out.clear();
-            walk.for_each(|blk| out.push(blk));
-            walk.count()
-        }
-        None => {
-            collect_naive(base, stride, elems, line, out);
-            out.len() as u32
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,11 +254,8 @@ mod tests {
             (0x4000, 640, 16),
             (0x4000, 4096, 16),
         ] {
-            let mut scratch = Vec::new();
-            let n = collect(base, stride, elems, 64, &mut scratch);
-            assert_eq!(n as usize, scratch.len());
+            let mut got = closed_form(base, stride, elems, 64).expect("a closed form");
             let mut expect = naive(base, stride, elems, 64);
-            let mut got = scratch.clone();
             expect.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expect, "base={base:#x} stride={stride} elems={elems}");

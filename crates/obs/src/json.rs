@@ -59,9 +59,13 @@ impl Json {
         }
     }
 
+    /// The number as a `u64`, or `None` unless it is a whole number in
+    /// `0..2^64` (`u64::MAX as f64` is 2^64 itself, one past the range).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && *n < u64::MAX as f64 && n.fract() == 0.0 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -512,5 +516,23 @@ mod tests {
         };
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_str(), Some("xA\n"));
+    }
+
+    #[test]
+    fn as_u64_is_none_outside_the_u64_range() {
+        let num = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(num("0"), Some(0));
+        assert_eq!(
+            num("9007199254740993"),
+            Some(1 << 53),
+            "rounded like any f64"
+        );
+        // The largest f64 below 2^64, and 2^64 itself, which a saturating
+        // cast would read as u64::MAX.
+        assert_eq!(num("18446744073709549568"), Some(u64::MAX - 2047));
+        assert_eq!(num("18446744073709551616"), None);
+        assert_eq!(num("1e30"), None);
+        assert_eq!(num("-1"), None);
+        assert_eq!(num("1.5"), None);
     }
 }

@@ -295,7 +295,7 @@ pub fn profile_section(docs: &[vmv_sweep::ProfileDoc]) -> Section {
                     .filter(|d| &d.meta.benchmark == name)
                     .count()
                     .to_string(),
-                stalls.iter().sum::<u64>().to_string(),
+                crate::profile::total(stalls).to_string(),
                 crate::profile::top_stall(stalls).to_string(),
             ]
         })

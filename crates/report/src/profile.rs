@@ -48,6 +48,12 @@ fn pct(part: u64, whole: u64) -> String {
     }
 }
 
+/// Sum of `values`, saturating: a document read from disk may hold any
+/// `u64` in each field.
+pub(crate) fn total(values: &[u64]) -> u64 {
+    values.iter().fold(0, |sum, &v| sum.saturating_add(v))
+}
+
 /// The stall slice of a full cause array.
 fn stall_slice(causes: &[u64], out: &mut [u64; N_STALLS]) {
     out.copy_from_slice(&causes[STALL_BASE..STALL_BASE + N_STALLS]);
@@ -96,9 +102,9 @@ pub fn profile_overview_md(title: &str, docs: &[ProfileDoc]) -> String {
         let mut stalls = [0u64; N_STALLS];
         stall_slice(&d.causes, &mut stalls);
         for (t, v) in totals.iter_mut().zip(stalls) {
-            *t += v;
+            *t = t.saturating_add(v);
         }
-        all_stalls += d.stall_cycles;
+        all_stalls = all_stalls.saturating_add(d.stall_cycles);
     }
     out.push_str("\n## Stall cycles by cause, all runs\n\n");
     out.push_str("| cause | cycles | share of stalls |\n|:--|--:|--:|\n");
@@ -149,8 +155,8 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
     let mut regions: Vec<_> = doc.regions.iter().collect();
     regions.sort_by(|a, b| {
         let (sa, sb) = (
-            a.causes[STALL_BASE..].iter().sum::<u64>(),
-            b.causes[STALL_BASE..].iter().sum::<u64>(),
+            total(&a.causes[STALL_BASE..]),
+            total(&b.causes[STALL_BASE..]),
         );
         sb.cmp(&sa).then(a.id.cmp(&b.id))
     });
@@ -160,8 +166,8 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
         out.push_str(&format!(
             "| `{}` | {} | {} | {} |\n",
             r.name,
-            r.causes.iter().sum::<u64>(),
-            stalls.iter().sum::<u64>(),
+            total(&r.causes),
+            total(&stalls),
             top_stall(&stalls)
         ));
     }
@@ -172,8 +178,8 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
     let mut blocks: Vec<_> = doc.blocks.iter().collect();
     blocks.sort_by(|a, b| {
         let (sa, sb) = (
-            a.causes[STALL_BASE..].iter().sum::<u64>(),
-            b.causes[STALL_BASE..].iter().sum::<u64>(),
+            total(&a.causes[STALL_BASE..]),
+            total(&b.causes[STALL_BASE..]),
         );
         sb.cmp(&sa).then(a.block.cmp(&b.block))
     });
@@ -185,8 +191,8 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
             b.block,
             b.region,
             b.visits,
-            b.causes.iter().sum::<u64>(),
-            stalls.iter().sum::<u64>(),
+            total(&b.causes),
+            total(&stalls),
             top_stall(&stalls)
         ));
     }
@@ -196,7 +202,7 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
     out.push_str("|--:|--:|:--|:--|--:|--:|:--|\n");
     let mut bundles: Vec<_> = doc.bundles.iter().collect();
     bundles.sort_by(|a, b| {
-        let (sa, sb) = (a.stalls.iter().sum::<u64>(), b.stalls.iter().sum::<u64>());
+        let (sa, sb) = (total(&a.stalls), total(&b.stalls));
         sb.cmp(&sa).then(a.bundle.cmp(&b.bundle))
     });
     for b in bundles.iter().take(16) {
@@ -207,7 +213,7 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
             LANE_NAMES.get(b.lane as usize).unwrap_or(&"?"),
             b.class,
             b.issues,
-            b.stalls.iter().sum::<u64>(),
+            total(&b.stalls),
             top_stall(&b.stalls)
         ));
     }
@@ -217,7 +223,7 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
     out.push_str("|--:|--:|:--|--:|:--|\n");
     let mut ops: Vec<_> = doc.ops.iter().collect();
     ops.sort_by(|a, b| {
-        let (sa, sb) = (a.stalls.iter().sum::<u64>(), b.stalls.iter().sum::<u64>());
+        let (sa, sb) = (total(&a.stalls), total(&b.stalls));
         sb.cmp(&sa).then(a.op.cmp(&b.op))
     });
     for o in ops.iter().take(16) {
@@ -226,7 +232,7 @@ pub fn profile_detail_md(doc: &ProfileDoc) -> String {
             o.op,
             o.bundle,
             o.opcode,
-            o.stalls.iter().sum::<u64>(),
+            total(&o.stalls),
             top_stall(&o.stalls)
         ));
     }
@@ -299,7 +305,7 @@ pub fn chrome_trace(doc: &ProfileDoc) -> String {
             ("pid".into(), Json::u64(0)),
             ("tid".into(), Json::u64(lane_of(e.bundle) as u64)),
             ("ts".into(), Json::u64(e.base)),
-            ("dur".into(), Json::u64(e.stall + 1)),
+            ("dur".into(), Json::u64(e.stall.saturating_add(1))),
             (
                 "args".into(),
                 Json::Obj(vec![
@@ -338,7 +344,7 @@ pub fn stalls_by_benchmark(docs: &[ProfileDoc]) -> Vec<(String, [u64; N_STALLS])
         match rows.iter_mut().find(|(name, _)| *name == d.meta.benchmark) {
             Some((_, acc)) => {
                 for (a, v) in acc.iter_mut().zip(stalls) {
-                    *a += v;
+                    *a = a.saturating_add(v);
                 }
             }
             None => rows.push((d.meta.benchmark.clone(), stalls)),
@@ -356,12 +362,7 @@ pub fn stall_stacked_svg(rows: &[(String, [u64; N_STALLS])]) -> String {
     const BAR_H: f64 = 22.0;
     const GAP: f64 = 8.0;
     const LEGEND_H: f64 = 26.0;
-    let max: u64 = rows
-        .iter()
-        .map(|(_, s)| s.iter().sum::<u64>())
-        .max()
-        .unwrap_or(0)
-        .max(1);
+    let max: u64 = rows.iter().map(|(_, s)| total(s)).max().unwrap_or(0).max(1);
     let height = LEGEND_H + rows.len() as f64 * (BAR_H + GAP) + GAP;
     let mut out = format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{WIDTH:.0}\" \
@@ -410,6 +411,11 @@ mod tests {
     use vmv_sweep::profiles::parse_profile;
 
     fn demo_doc() -> ProfileDoc {
+        parse_profile(&demo_text()).unwrap()
+    }
+
+    /// A real `vmv-profile/1` document, as `sweep --profile` writes it.
+    fn demo_text() -> String {
         use vmv_sweep::profiles::{profile_json, ProfileMeta};
         let machine = vmv_machine::presets::vector2(2);
         let prepared = vmv_core::prepare(vmv_kernels::Benchmark::GsmDec, &machine).unwrap();
@@ -428,7 +434,7 @@ mod tests {
             variant: outcome.variant.name().to_string(),
             model: "Realistic".to_string(),
         };
-        parse_profile(&profile_json(&meta, profile).render()).unwrap()
+        profile_json(&meta, profile).render()
     }
 
     #[test]
@@ -477,6 +483,110 @@ mod tests {
             assert!(x.get("dur").and_then(Json::as_u64).unwrap() >= 1);
         }
         assert_eq!(text, chrome_trace(&doc), "byte-deterministic");
+    }
+
+    /// Every renderer a document read from disk reaches, on `doc` and on
+    /// two copies of it (so totals add across documents).
+    fn render_all(doc: &ProfileDoc) {
+        let docs = [doc.clone(), doc.clone()];
+        profile_overview_md("fuzz", &docs);
+        profile_detail_md(doc);
+        chrome_trace(doc);
+        stall_stacked_svg(&stalls_by_benchmark(&docs));
+        crate::html::profile_section(&docs);
+    }
+
+    #[test]
+    fn mutated_documents_fail_typed_and_never_panic() {
+        // A stall past 2^64 is an error that names the field, not a
+        // saturated u64::MAX that `stall + 1` in the Chrome trace overflows.
+        let text = demo_text();
+        assert!(text.is_ascii());
+        let at = text.find("\"stall\":").expect("a timeline event") + 8;
+        let end = at + text[at..].find(',').unwrap();
+        let huge = format!("{}1e30{}", &text[..at], &text[end..]);
+        let err = parse_profile(&huge).unwrap_err();
+        assert!(
+            err.contains("timeline[0]") && err.contains("\"stall\""),
+            "{err}"
+        );
+
+        // Seeded mutants of the document: byte flips, truncations, splices
+        // of one stretch into another place, and numbers replaced by huge,
+        // negative or fractional ones (past 2^64, the largest f64 below it,
+        // past u32 and u8).  Each must parse or fail with an error, and
+        // every one that parses must render without panicking.
+        let mut state = 0x0F11_E5EED_u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let bytes = text.as_bytes();
+        let numbers: Vec<std::ops::Range<usize>> = (1..bytes.len())
+            .filter(|&i| bytes[i - 1] == b':' && bytes[i].is_ascii_digit())
+            .map(|i| i..i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count())
+            .collect();
+        const NUMBERS: [&str; 8] = [
+            "1e30",
+            "18446744073709551616",
+            "18446744073709549568",
+            "9223372036854775808",
+            "4294967296",
+            "256",
+            "-1",
+            "0.5",
+        ];
+        const BYTES: &[u8] = b" {}[]:,\"0123456789eE.-x";
+        let (mut ok, mut typed) = (0, 0);
+        for round in 0..800 {
+            let mutant = match round % 4 {
+                0 => {
+                    let mut v = bytes.to_vec();
+                    for _ in 0..1 + next(4) {
+                        let i = next(v.len());
+                        v[i] = BYTES[next(BYTES.len())];
+                    }
+                    String::from_utf8(v).expect("ASCII")
+                }
+                1 => text[..next(text.len())].to_string(),
+                2 => {
+                    let (from, to) = (next(text.len()), next(text.len()));
+                    let end = (from + next(400)).min(text.len());
+                    format!("{}{}{}", &text[..to], &text[from..end], &text[to..])
+                }
+                _ => {
+                    let mut m = text.clone();
+                    for _ in 0..1 + next(3) {
+                        let r = numbers[next(numbers.len())].clone();
+                        if r.end <= m.len()
+                            && m.as_bytes()[r.clone()].iter().all(u8::is_ascii_digit)
+                        {
+                            m.replace_range(r, NUMBERS[next(NUMBERS.len())]);
+                        }
+                    }
+                    m
+                }
+            };
+            let rendered = std::panic::catch_unwind(|| match parse_profile(&mutant) {
+                Ok(doc) => {
+                    render_all(&doc);
+                    true
+                }
+                Err(_) => false,
+            });
+            match rendered {
+                Ok(true) => ok += 1,
+                Ok(false) => typed += 1,
+                Err(_) => panic!("round {round}: a mutant document panicked"),
+            }
+        }
+        assert!(
+            ok > 50 && typed > 100,
+            "{ok} rendered, {typed} typed errors"
+        );
     }
 
     #[test]

@@ -30,13 +30,13 @@ use std::sync::Arc;
 
 use vmv_isa::{LatencyDescriptor, Op, Reg, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{AccessKind, MemoryHierarchy, MemoryModel};
+use vmv_mem::{transfer_cycles, AccessKind, MemoryHierarchy, MemoryModel};
 use vmv_sched::{lower, LoweredProgram, ScheduledProgram};
 
 use crate::exec::{execute_lowered, execute_op, ExecOutcome, LoweredOutcome, MemAccess};
 use crate::memimage::MemImage;
 use crate::profile::{
-    Binding, Cause, NoProfile, Profile, ProfileRecorder, ProfileSink, ProfileStatics,
+    BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, Profile, ProfileStatics,
 };
 use crate::regfile::RegFiles;
 use crate::stats::RunStats;
@@ -163,7 +163,7 @@ impl Simulator {
 
     /// Run a lowered program to completion: the array-indexed hot path.
     pub fn run_lowered(&mut self, program: &LoweredProgram) -> Result<RunStats, SimError> {
-        self.run_lowered_with(program, &mut NoTrace, &mut NoProfile)
+        self.run_lowered_with(program, &mut NoTrace, &mut NoBatchProfile)
     }
 
     /// Run a lowered program to completion *and* record its timing trace
@@ -181,13 +181,14 @@ impl Simulator {
         let mut recorder = TraceRecorder::new(program, self.regs.vl);
         let (stats, profile) = match statics {
             None => (
-                self.run_lowered_with(program, &mut recorder, &mut NoProfile)?,
+                self.run_lowered_with(program, &mut recorder, &mut NoBatchProfile)?,
                 None,
             ),
             Some(statics) => {
-                let mut rec = ProfileRecorder::new(statics.clone());
-                let stats = self.run_lowered_with(program, &mut recorder, &mut rec)?;
-                let profile = rec.finish();
+                // Profiled as a batch of one.
+                let mut prof = BatchProfiler::new(statics, 1);
+                let stats = self.run_lowered_with(program, &mut recorder, &mut prof)?;
+                let profile = prof.finish().pop().expect("one profile per variant");
                 profile.record_obs();
                 (stats, Some(profile))
             }
@@ -197,12 +198,13 @@ impl Simulator {
     }
 
     /// The lowered-engine loop, generic over a [`TraceSink`] observer and a
-    /// [`ProfileSink`].  The non-observing instantiations ([`NoTrace`],
-    /// [`NoProfile`]) monomorphise to exactly the previous hot path — the
-    /// sink hooks are empty inline functions, and the work of *computing*
-    /// profile hook arguments (echo pricing, binding scans, op indices) is
-    /// gated on `P::ENABLED`, a monomorphisation-time constant.
-    fn run_lowered_with<S: TraceSink, P: ProfileSink>(
+    /// [`BatchSink`] that sees this run as a batch of one.  The
+    /// non-observing instantiations ([`NoTrace`], [`NoBatchProfile`])
+    /// monomorphise to exactly the previous hot path — the sink hooks are
+    /// empty inline functions, and the work of *computing* profile hook
+    /// arguments (echo pricing, binding scans, op indices) is gated on
+    /// `P::ENABLED`, a monomorphisation-time constant.
+    fn run_lowered_with<S: TraceSink, P: BatchSink>(
         &mut self,
         program: &LoweredProgram,
         sink: &mut S,
@@ -234,7 +236,7 @@ impl Simulator {
         // independently borrowed locals instead of `&mut self` projections
         // the optimiser must re-derive per operation.
         let max_cycles = self.options.max_cycles;
-        let port_elems = self.machine.l2_port_elems.max(1);
+        let port_elems = self.machine.l2_port_elems;
         let Simulator {
             regs,
             mem,
@@ -282,14 +284,11 @@ impl Simulator {
                     let latency = match &mem_access {
                         Some(access) => {
                             if access.is_vector {
-                                let occupancy = if access.stride == 8 {
-                                    access.elems.div_ceil(port_elems)
-                                } else {
-                                    access.elems
-                                };
-                                l2_port_free = $issue + occupancy.max(1) as u64;
+                                l2_port_free = $issue
+                                    + transfer_cycles(access.stride, access.elems, port_elems)
+                                        as u64;
                                 if P::ENABLED {
-                                    prof.vec_port($opi);
+                                    prof.vec_port_all($opi);
                                 }
                             }
                             let (lat, echo) = Self::memory_latency_echo(hierarchy, access);
@@ -320,7 +319,7 @@ impl Simulator {
                     if $op.dst_slot != NO_SLOT {
                         ready[$op.dst_slot as usize] = $issue + latency;
                         if P::ENABLED {
-                            prof.write($opi, $op.dst_slot, cause);
+                            prof.write_all($opi, $op.dst_slot, cause);
                         }
                     }
                     let _ = cause;
@@ -362,7 +361,7 @@ impl Simulator {
                             }
                             found
                         };
-                        prof.bundle($b, cycle, stall, binding);
+                        prof.bundle(0, $b, cycle, stall, binding);
                     }
                 };
             }
@@ -507,12 +506,9 @@ impl Simulator {
                     }
                     if let Some(access) = &result.mem {
                         if access.is_vector {
-                            let occupancy = if access.stride == 8 {
-                                access.elems.div_ceil(self.machine.l2_port_elems.max(1))
-                            } else {
-                                access.elems
-                            };
-                            l2_port_free = issue + occupancy.max(1) as u64;
+                            let port_elems = self.machine.l2_port_elems;
+                            l2_port_free = issue
+                                + transfer_cycles(access.stride, access.elems, port_elems) as u64;
                         }
                     }
 

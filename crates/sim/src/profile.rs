@@ -14,8 +14,11 @@
 //! * the ten cause buckets sum **exactly** to `RunStats` total cycles;
 //! * the six stall causes (indices [`STALL_BASE`]..) sum **exactly** to
 //!   `stall_cycles` — globally and per region;
-//! * enabling profiling never changes `RunStats` (the [`NoProfile`] /
-//!   [`NoBatchProfile`] sinks monomorphise to the unprofiled hot paths).
+//! * enabling profiling never changes `RunStats` (the [`NoBatchProfile`]
+//!   sink monomorphises to the unprofiled hot paths).
+//!
+//! Both engines report to one [`BatchSink`]: batched replay with one
+//! recorder per variant, the lowered engine as a batch of one.
 //!
 //! # How attribution works
 //!
@@ -150,51 +153,26 @@ pub enum Binding {
     Port,
 }
 
-/// Observer of one engine's cycle accounting.  Like
+/// Observer of an engine's cycle accounting for K variants (one for the
+/// lowered engine).  One hook call covers all K variants where the
+/// observation is variant-independent (writes, port occupancy); the
+/// per-variant hooks take the variant index.  Like
 /// [`crate::trace::TraceSink`], the disabled implementation
-/// ([`NoProfile`]) must monomorphise away entirely; engines additionally
-/// gate the work of *computing* hook arguments (echo pricing, binding
-/// scans, op indices) on [`ProfileSink::ENABLED`].
-pub trait ProfileSink {
+/// ([`NoBatchProfile`]) must monomorphise away entirely; engines
+/// additionally gate the work of *computing* hook arguments (echo pricing,
+/// binding scans, op indices) on [`BatchSink::ENABLED`].
+pub trait BatchSink {
     /// Whether this sink observes anything (drives engine-side gating).
     const ENABLED: bool;
     /// A block is about to execute.
     fn begin_block(&mut self, block: u32);
-    /// A bundle issued: its stall-free base cycle, its stall, and what
-    /// bound the stall.  Called once per dynamic bundle, in issue order.
-    fn bundle(&mut self, bundle: u32, base: u64, stall: u64, binding: Binding);
-    /// Operation `op` wrote scoreboard slot `slot`; a stall bound to the
-    /// slot later is attributed to `cause` and blamed on `op`.
-    fn write(&mut self, op: u32, slot: u16, cause: Cause);
-    /// Operation `op` occupied the L2 vector port.
-    fn vec_port(&mut self, op: u32);
-}
-
-/// The non-profiling sink: every hook is an empty inline function.
-pub struct NoProfile;
-
-impl ProfileSink for NoProfile {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn begin_block(&mut self, _block: u32) {}
-    #[inline(always)]
-    fn bundle(&mut self, _bundle: u32, _base: u64, _stall: u64, _binding: Binding) {}
-    #[inline(always)]
-    fn write(&mut self, _op: u32, _slot: u16, _cause: Cause) {}
-    #[inline(always)]
-    fn vec_port(&mut self, _op: u32) {}
-}
-
-/// Observer of the batched replay walk: the per-variant analogue of
-/// [`ProfileSink`].  One hook call covers all K variants where the
-/// observation is variant-independent (writes, port occupancy); the
-/// per-variant hooks take the variant index.
-pub trait BatchSink {
-    const ENABLED: bool;
-    fn begin_block(&mut self, block: u32);
-    /// Bundle issue of variant `kk`.
+    /// Bundle issue of variant `kk`: its stall-free base cycle, its stall,
+    /// and what bound the stall.  Called once per dynamic bundle and
+    /// variant, in issue order.
     fn bundle(&mut self, kk: usize, bundle: u32, base: u64, stall: u64, binding: Binding);
-    /// A write whose blame cause is identical across variants.
+    /// Operation `op` wrote scoreboard slot `slot`, with a blame cause
+    /// identical across variants: a stall bound to the slot later is
+    /// attributed to `cause` and blamed on `op`.
     fn write_all(&mut self, op: u32, slot: u16, cause: Cause);
     /// A memory write whose wait level differs per variant: `causes[kk]`
     /// is variant `kk`'s cause.
@@ -509,13 +487,13 @@ impl Profile {
     }
 }
 
-/// Accumulates a [`Profile`] while an engine runs.  The dynamic state is
-/// deliberately minimal — per-block visit counts, per-bundle/per-op stall
-/// accumulators, the per-slot blame side table and the capped timeline —
-/// because every issue-cycle class is static per bundle and expands as
-/// `class × visits` at [`ProfileRecorder::finish`]; this is what lets the
-/// replay engine keep its segment-skipping while profiling.
-pub struct ProfileRecorder {
+/// Accumulates one variant's [`Profile`] while an engine runs.  The dynamic
+/// state is deliberately minimal — per-block visit counts, per-bundle/per-op
+/// stall accumulators, the per-slot blame side table and the capped
+/// timeline — because every issue-cycle class is static per bundle and
+/// expands as `class × visits` at [`ProfileRecorder::finish`]; this is what
+/// lets the replay engine keep its segment-skipping while profiling.
+struct ProfileRecorder {
     statics: Arc<ProfileStatics>,
     visits: Vec<u64>,
     bundle_stalls: Vec<[u64; N_STALLS]>,
@@ -531,7 +509,7 @@ pub struct ProfileRecorder {
 }
 
 impl ProfileRecorder {
-    pub fn new(statics: Arc<ProfileStatics>) -> ProfileRecorder {
+    fn new(statics: Arc<ProfileStatics>) -> ProfileRecorder {
         ProfileRecorder {
             visits: vec![0; statics.block_first_bundle.len()],
             bundle_stalls: vec![[0; N_STALLS]; statics.bundles()],
@@ -547,7 +525,7 @@ impl ProfileRecorder {
 
     /// Assemble the profile: expand static issue classes by visit counts,
     /// fold bundles into blocks and blocks into regions.
-    pub fn finish(self) -> Profile {
+    fn finish(self) -> Profile {
         let s = &self.statics;
         let n_blocks = s.block_first_bundle.len();
         let mut causes = [0u64; N_CAUSES];
@@ -646,16 +624,13 @@ impl ProfileRecorder {
             events_seen: self.events_seen,
         }
     }
-}
-
-impl ProfileSink for ProfileRecorder {
-    const ENABLED: bool = true;
 
     #[inline]
     fn begin_block(&mut self, block: u32) {
         self.visits[block as usize] += 1;
     }
 
+    /// A bundle issued (see [`BatchSink::bundle`]).
     #[inline]
     fn bundle(&mut self, bundle: u32, base: u64, stall: u64, binding: Binding) {
         self.events_seen += 1;
@@ -696,9 +671,9 @@ impl ProfileSink for ProfileRecorder {
     }
 }
 
-/// K per-variant recorders driven by the single fused batched-replay walk:
-/// batch attribution costs one extra pass over the K timing states, not K
-/// extra walks.
+/// K per-variant recorders driven by the single fused batched-replay walk
+/// (or by the lowered engine, K = 1): batch attribution costs one extra
+/// pass over the K timing states, not K extra walks.
 pub struct BatchProfiler {
     recs: Vec<ProfileRecorder>,
 }

@@ -148,7 +148,7 @@ use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{AccessKind, ClassTree, LaneLatency, MemoryModel};
+use vmv_mem::{transfer_cycles, AccessKind, ClassTree, LaneLatency, MemoryModel};
 use vmv_sched::LoweredProgram;
 
 use crate::exec::MemAccess;
@@ -1021,12 +1021,8 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                     if access.is_vector {
                         let mut longest = 0;
                         for l in 0..k {
-                            let occupancy = if access.stride == 8 {
-                                access.elems.div_ceil(port_elems[l])
-                            } else {
-                                access.elems
-                            };
-                            let occupancy = occupancy.max(1) as u64;
+                            let occupancy =
+                                transfer_cycles(access.stride, access.elems, port_elems[l]) as u64;
                             port_free[l] = at + offset[l] + occupancy;
                             longest = longest.max(occupancy);
                         }

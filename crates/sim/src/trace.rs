@@ -12,9 +12,10 @@
 //! is static in the [`vmv_sched::LoweredProgram`].
 //!
 //! A [`Trace`] captures exactly those three streams, so
-//! [`crate::replay::replay_batch`] can re-run the *timing* of an execution
-//! against fresh [`vmv_mem::MemoryHierarchy`] instances without touching
-//! `exec_core`, `RegFiles` or `MemImage`.  None of the streams depends on
+//! [`crate::replay::replay_batch`] can re-run the *timing* of an execution,
+//! pricing its accesses for every variant of a batch through one fresh
+//! [`vmv_mem::ClassTree`], without touching `exec_core`, `RegFiles` or
+//! `MemImage`.  None of the streams depends on
 //! memory-hierarchy parameters or the memory model (functional values never
 //! change with timing).  Nor do they depend on the schedule: the machines
 //! of one ISA run the same program `(benchmark, ISA variant)` and differ

@@ -224,17 +224,16 @@ pub struct DocEvent {
     pub cause: String,
 }
 
-impl ProfileDoc {
-    /// Total stall cycles of one parsed stall object, across all causes.
-    pub fn stall_total(stalls: &[u64; N_STALLS]) -> u64 {
-        stalls.iter().sum()
-    }
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
+/// The number at `key`: a whole number that fits a `T`.  An error names
+/// the field, and the value when one is there.
+fn get_num<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    let n = v
+        .get(key)
+        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
+    n.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+        let ty = std::any::type_name::<T>();
+        format!("field {key:?} is not a {ty}: {}", n.render())
+    })
 }
 
 fn get_str(v: &Json, key: &str) -> Result<String, String> {
@@ -244,34 +243,42 @@ fn get_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-fn parse_causes(v: &Json, key: &str) -> Result<[u64; N_CAUSES], String> {
+/// The counts of object `key`, one per cause of `causes`.  Name-keyed and
+/// defaulting to 0: a newer writer may add causes this reader ignores, and
+/// an older file may lack newer ones.
+fn parse_counts<const N: usize>(v: &Json, key: &str, causes: &[Cause]) -> Result<[u64; N], String> {
     let obj = v.get(key).ok_or_else(|| format!("missing {key:?}"))?;
-    let mut out = [0u64; N_CAUSES];
-    for c in Cause::ALL {
-        // Name-keyed and defaulting to 0: a newer writer may add causes
-        // this reader ignores, and an older file may lack newer ones.
-        out[c as usize] = obj.get(c.name()).and_then(Json::as_u64).unwrap_or(0);
+    let mut out = [0u64; N];
+    for (out, c) in out.iter_mut().zip(causes) {
+        if obj.get(c.name()).is_some() {
+            *out = get_num(obj, c.name()).map_err(|e| format!("{key}: {e}"))?;
+        }
     }
     Ok(out)
+}
+
+fn parse_causes(v: &Json, key: &str) -> Result<[u64; N_CAUSES], String> {
+    parse_counts(v, key, &Cause::ALL)
 }
 
 fn parse_stalls(v: &Json, key: &str) -> Result<[u64; N_STALLS], String> {
-    let obj = v.get(key).ok_or_else(|| format!("missing {key:?}"))?;
-    let mut out = [0u64; N_STALLS];
-    for (i, c) in Cause::ALL[STALL_BASE..].iter().enumerate() {
-        out[i] = obj.get(c.name()).and_then(Json::as_u64).unwrap_or(0);
-    }
-    Ok(out)
+    parse_counts(v, key, &Cause::ALL[STALL_BASE..])
 }
 
-fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+/// Every element of array `key`, parsed by `f`; an error names the element.
+fn each<T>(v: &Json, key: &str, f: impl Fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
     match v.get(key) {
-        Some(Json::Arr(items)) => Ok(items),
+        Some(Json::Arr(items)) => items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(item).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect(),
         _ => Err(format!("missing array field {key:?}")),
     }
 }
 
-/// Parse one `vmv-profile/1` document.
+/// Parse one `vmv-profile/1` document: `Ok`, or an error naming the field
+/// that is missing or out of its type's range.
 pub fn parse_profile(text: &str) -> Result<ProfileDoc, String> {
     let v = Json::parse(text).map_err(|e| format!("profile JSON: {e:?}"))?;
     let schema = get_str(&v, "schema")?;
@@ -285,63 +292,53 @@ pub fn parse_profile(text: &str) -> Result<ProfileDoc, String> {
         variant: get_str(&v, "variant")?,
         model: get_str(&v, "model")?,
     };
-    let mut regions = Vec::new();
-    for r in arr(&v, "regions")? {
-        regions.push(DocRegion {
-            id: get_u64(r, "id")? as u32,
-            name: get_str(r, "name")?,
-            causes: parse_causes(r, "causes")?,
-        });
-    }
-    let mut blocks = Vec::new();
-    for b in arr(&v, "blocks")? {
-        blocks.push(DocBlock {
-            block: get_u64(b, "block")? as u32,
-            region: get_u64(b, "region")? as u32,
-            visits: get_u64(b, "visits")?,
-            causes: parse_causes(b, "causes")?,
-        });
-    }
-    let mut bundles = Vec::new();
-    for b in arr(&v, "bundles")? {
-        bundles.push(DocBundle {
-            bundle: get_u64(b, "bundle")? as u32,
-            block: get_u64(b, "block")? as u32,
-            lane: get_u64(b, "lane")? as u8,
-            class: get_str(b, "class")?,
-            issues: get_u64(b, "issues")?,
-            stalls: parse_stalls(b, "stalls")?,
-        });
-    }
-    let mut ops = Vec::new();
-    for o in arr(&v, "ops")? {
-        ops.push(DocOp {
-            op: get_u64(o, "op")? as u32,
-            bundle: get_u64(o, "bundle")? as u32,
-            opcode: get_str(o, "opcode")?,
-            stalls: parse_stalls(o, "stalls")?,
-        });
-    }
-    let mut timeline = Vec::new();
-    for e in arr(&v, "timeline")? {
-        timeline.push(DocEvent {
-            bundle: get_u64(e, "bundle")? as u32,
-            base: get_u64(e, "base")?,
-            stall: get_u64(e, "stall")?,
-            cause: get_str(e, "cause")?,
-        });
-    }
     Ok(ProfileDoc {
         meta,
-        cycles: get_u64(&v, "cycles")?,
-        stall_cycles: get_u64(&v, "stall_cycles")?,
+        cycles: get_num(&v, "cycles")?,
+        stall_cycles: get_num(&v, "stall_cycles")?,
         causes: parse_causes(&v, "causes")?,
-        regions,
-        blocks,
-        bundles,
-        ops,
-        timeline,
-        events_seen: get_u64(&v, "events_seen")?,
+        regions: each(&v, "regions", |r| {
+            Ok(DocRegion {
+                id: get_num(r, "id")?,
+                name: get_str(r, "name")?,
+                causes: parse_causes(r, "causes")?,
+            })
+        })?,
+        blocks: each(&v, "blocks", |b| {
+            Ok(DocBlock {
+                block: get_num(b, "block")?,
+                region: get_num(b, "region")?,
+                visits: get_num(b, "visits")?,
+                causes: parse_causes(b, "causes")?,
+            })
+        })?,
+        bundles: each(&v, "bundles", |b| {
+            Ok(DocBundle {
+                bundle: get_num(b, "bundle")?,
+                block: get_num(b, "block")?,
+                lane: get_num(b, "lane")?,
+                class: get_str(b, "class")?,
+                issues: get_num(b, "issues")?,
+                stalls: parse_stalls(b, "stalls")?,
+            })
+        })?,
+        ops: each(&v, "ops", |o| {
+            Ok(DocOp {
+                op: get_num(o, "op")?,
+                bundle: get_num(o, "bundle")?,
+                opcode: get_str(o, "opcode")?,
+                stalls: parse_stalls(o, "stalls")?,
+            })
+        })?,
+        timeline: each(&v, "timeline", |e| {
+            Ok(DocEvent {
+                bundle: get_num(e, "bundle")?,
+                base: get_num(e, "base")?,
+                stall: get_num(e, "stall")?,
+                cause: get_str(e, "cause")?,
+            })
+        })?,
+        events_seen: get_num(&v, "events_seen")?,
     })
 }
 
