@@ -168,6 +168,13 @@ fn display_name(loaded: &LoadedStore) -> String {
     }
 }
 
+/// One `WARNING` line per profile document a report leaves out.
+fn warn_skipped(skipped: &[String]) {
+    for diagnostic in skipped {
+        eprintln!("WARNING: skipped unreadable profile {diagnostic}");
+    }
+}
+
 fn emit(out_path: &Option<String>, content: &str) {
     match out_path {
         None => print!("{content}"),
@@ -488,7 +495,9 @@ fn main() {
                     if trace {
                         fail("--trace renders one run's timeline: pass --run KEY");
                     }
-                    let docs = vmv_sweep::load_all_profiles(&dir).unwrap_or_else(|e| fail(e));
+                    let (docs, skipped) =
+                        vmv_sweep::load_all_profiles(&dir).unwrap_or_else(|e| fail(e));
+                    warn_skipped(&skipped);
                     if docs.is_empty() {
                         fail(format!("{}: no profile documents", dir.display()));
                     }
@@ -549,8 +558,12 @@ fn main() {
             let dir = profile_dir(store_paths.last().expect("non-empty checked above"));
             if dir.is_dir() {
                 match vmv_sweep::load_all_profiles(&dir) {
-                    Ok(docs) if !docs.is_empty() => sections.push(html::profile_section(&docs)),
-                    Ok(_) => {}
+                    Ok((docs, skipped)) => {
+                        warn_skipped(&skipped);
+                        if !docs.is_empty() {
+                            sections.push(html::profile_section(&docs));
+                        }
+                    }
                     Err(e) => eprintln!("WARNING: {e}"),
                 }
             }

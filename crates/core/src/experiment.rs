@@ -50,7 +50,8 @@ use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
 use vmv_sim::{
-    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimOptions, Simulator, Trace, VariantState,
+    Profile, ProfileStatics, ReplayAnalysis, RunStats, SimOptions, Simulator, Trace, TraceLayout,
+    VariantState,
 };
 
 /// Hard cap on simulated (or replayed) cycles per run.
@@ -264,11 +265,14 @@ pub fn simulate_batch(
 }
 
 /// What one execution of a program leaves for its other runs: the timing
-/// trace, which retimes every schedule of the program, and the output
-/// checks, which depend only on the values the program computes.
+/// trace, which retimes every schedule of the program (and carries the
+/// execution's own memory pricing), the program's trace layout, which
+/// every schedule's replay analysis maps its operations through, and the
+/// output checks, which depend only on the values the program computes.
 #[derive(Debug)]
 pub struct Recording {
     trace: Trace,
+    layout: TraceLayout,
     check_failures: Vec<String>,
 }
 
@@ -350,6 +354,7 @@ pub fn simulate_schedule(
             (
                 &*made.insert(Recording {
                     trace,
+                    layout: TraceLayout::of(schedule.lowered),
                     check_failures,
                 }),
                 rest,
@@ -358,7 +363,7 @@ pub fn simulate_schedule(
     };
 
     if !rest.is_empty() {
-        let analysis = ReplayAnalysis::build(schedule.lowered);
+        let analysis = ReplayAnalysis::with_layout(schedule.lowered, &recording.layout);
         let mut states: Vec<VariantState> = rest
             .iter()
             .map(|&(machine, model)| VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES))

@@ -42,6 +42,10 @@ pub enum Counter {
     /// Batched replay walks (one walk retiming one or more variants; the
     /// per-variant runs land in `TraceReplays`).
     ReplayBatches,
+    /// Batched replay walks priced from the recording's own latencies
+    /// instead of a class tree: every variant had the recorded memory
+    /// configuration and the schedule the recorded memory issue order.
+    ReplayRecordedWalks,
     /// Scalar loads/stores and vector loads/stores timed by the hierarchy.
     MemScalarLoads,
     MemScalarStores,
@@ -95,7 +99,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 41] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::SchedBlocks,
@@ -106,6 +110,7 @@ impl Counter {
         Counter::TraceRecords,
         Counter::TraceReplays,
         Counter::ReplayBatches,
+        Counter::ReplayRecordedWalks,
         Counter::MemScalarLoads,
         Counter::MemScalarStores,
         Counter::MemVectorLoads,
@@ -151,6 +156,7 @@ impl Counter {
             Counter::TraceRecords => "trace_records",
             Counter::TraceReplays => "trace_replays",
             Counter::ReplayBatches => "replay_batches",
+            Counter::ReplayRecordedWalks => "replay_recorded_walks",
             Counter::MemScalarLoads => "mem_scalar_loads",
             Counter::MemScalarStores => "mem_scalar_stores",
             Counter::MemVectorLoads => "mem_vector_loads",

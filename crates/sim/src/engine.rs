@@ -167,9 +167,10 @@ impl Simulator {
     }
 
     /// Run a lowered program to completion *and* record its timing trace
-    /// (block sequence, memory accesses, VL updates) for later retiming
-    /// with [`crate::replay::replay_batch`] — of this schedule or of any
-    /// other schedule of the same program.  With `statics`, also attribute
+    /// (block sequence, memory accesses, VL updates, and what this run's
+    /// hierarchy priced) for later retiming with
+    /// [`crate::replay::replay_batch`] — of this schedule or of any other
+    /// schedule of the same program.  With `statics`, also attribute
     /// every simulated cycle to a [`Cause`]: the [`RunStats`] stay
     /// bit-identical to [`Simulator::run_lowered`], and the profile sums
     /// exactly to them (see [`Profile::check_against`]).
@@ -178,7 +179,12 @@ impl Simulator {
         program: &LoweredProgram,
         statics: Option<&Arc<ProfileStatics>>,
     ) -> Result<(RunStats, Trace, Option<Profile>), SimError> {
-        let mut recorder = TraceRecorder::new(program, self.regs.vl);
+        let mut recorder = TraceRecorder::new(
+            program,
+            self.regs.vl,
+            self.options.memory_model,
+            &self.machine,
+        );
         let (stats, profile) = match statics {
             None => (
                 self.run_lowered_with(program, &mut recorder, &mut NoBatchProfile)?,
@@ -194,7 +200,8 @@ impl Simulator {
             }
         };
         vmv_obs::incr(vmv_obs::Counter::TraceRecords);
-        Ok((stats, recorder.finish(), profile))
+        let trace = recorder.finish(stats.memory);
+        Ok((stats, trace, profile))
     }
 
     /// The lowered-engine loop, generic over a [`TraceSink`] observer and a
@@ -292,6 +299,7 @@ impl Simulator {
                                 }
                             }
                             let (lat, echo) = Self::memory_latency_echo(hierarchy, access);
+                            sink.latency(lat);
                             if P::ENABLED {
                                 cause = Cause::wait_for_echo(&echo);
                             }

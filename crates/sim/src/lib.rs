@@ -39,4 +39,4 @@ pub use profile::{
 pub use regfile::{RegFiles, VectorValue};
 pub use replay::{replay_batch, replay_batch_profiled, ReplayAnalysis, ReplayError, VariantState};
 pub use stats::{RegionStats, RunStats};
-pub use trace::Trace;
+pub use trace::{Pricing, Trace, TraceLayout};

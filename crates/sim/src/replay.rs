@@ -23,7 +23,9 @@
 //! issues it.  So the program handed in may be any schedule of the program
 //! the trace was recorded from (`tests/trace_replay.rs` retimes every
 //! preset and committed-study schedule of each program from one
-//! recording).  A trace of another program is rejected by its fingerprint,
+//! recording); [`ReplayAnalysis::with_layout`] finds each operation's entry
+//! through the program's one [`TraceLayout`].  A trace of another program
+//! is rejected by its fingerprint,
 //! and a corrupted one with a typed [`ReplayError`]: runs that overrun or
 //! underrun the streams, and accesses no execution could have made (an
 //! element count outside `1..=MAX_VL`, bytes at or past
@@ -108,10 +110,31 @@
 //! (seed 1) 96.0 % of the scoreboard writes take the stamped path, and
 //! the 8,398 stalling segments write out 3,184 rows in all.
 //!
+//! # Recorded latencies
+//!
+//! A trace carries its recording's own pricing ([`crate::trace::Pricing`]):
+//! the configuration it ran under, one latency per dynamic memory access in
+//! execution order, its memory statistics and its memory issue order.  The
+//! hierarchy prices a stream of accesses, whatever their timing, so when
+//! every variant of a batch has exactly the recorded configuration and the
+//! schedule issues every block's memory operations in exactly the recorded
+//! order ([`ReplayAnalysis`] keeps the schedule's order), the walk meets
+//! the recorded accesses in the recorded order and reads their recorded
+//! latencies back instead of pricing them: no class tree is built, every
+//! access is a result all lanes share (stamped, above), and every variant's
+//! `MemStats` are the recorded ones.  Any other batch, and every profiled
+//! walk (its wait causes need the tree's echoes), prices through the class
+//! tree.  A recording's pricing whose latencies run out before its accesses
+//! or outlast them fails with a typed [`ReplayError`].  On the `structural`
+//! benchmark workload every one of a pass's retimes reads its recording
+//! (`sweep --metrics` counts such walks as `replay_recorded_walks`); on
+//! `memory` none does, since its batches mix configurations.
+//!
 //! # The class tree
 //!
 //! Memory is priced through one [`ClassTree`] per batch, a three-level
-//! tree over the variants:
+//! tree over the variants, unless the batch reads its recording's
+//! latencies (above):
 //!
 //! * **fronts**: one L1 front per distinct memory model and L1 geometry.
 //!   L1 state never depends on the levels below (`vmv_mem::hierarchy`), so
@@ -144,11 +167,14 @@
 //! its lanes out front by front, back by back and class by class, so every
 //! back prices into a contiguous run of lanes.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{transfer_cycles, AccessKind, ClassTree, LaneLatency, MemoryModel};
+use vmv_mem::{
+    transfer_cycles, AccessEcho, AccessKind, ClassTree, LaneLatency, MemStats, MemoryModel,
+};
 use vmv_sched::LoweredProgram;
 
 use crate::exec::MemAccess;
@@ -156,7 +182,7 @@ use crate::profile::{
     BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, Profile, ProfileStatics,
 };
 use crate::stats::RunStats;
-use crate::trace::{Trace, TraceLayout};
+use crate::trace::{memory_order, Pricing, Trace, TraceLayout};
 
 /// Flag bits of [`DynOp::flags`].
 const F_MEM: u8 = 1 << 0;
@@ -259,7 +285,8 @@ struct RBlock {
 /// analysis (module docs) collapses everything provably stall-free into
 /// segment-level counters.  Built in O(static ops), once per schedule, and
 /// shared across every variant of a batch; `vmv_core` builds it once per
-/// group call that retimes.
+/// group call that retimes, through the program's [`TraceLayout`]
+/// ([`Self::with_layout`]).
 #[derive(Debug)]
 pub struct ReplayAnalysis {
     blocks: Vec<RBlock>,
@@ -279,6 +306,9 @@ pub struct ReplayAnalysis {
     /// The fingerprint of the program (every schedule of it shares one),
     /// matched against [`Trace::program`].
     program: u64,
+    /// This schedule's memory issue order, matched against
+    /// [`Pricing::order`].
+    memory_order: Vec<u32>,
 }
 
 /// Dynamic-behaviour flag bits of one lowered operation.
@@ -314,8 +344,30 @@ fn access_bytes(opcode: Opcode) -> u8 {
 }
 
 impl ReplayAnalysis {
+    /// The analysis of `program`, which derives its program's
+    /// [`TraceLayout`] on the way.
     pub fn build(program: &LoweredProgram) -> ReplayAnalysis {
-        let layout = TraceLayout::of(program);
+        let (layout, entry) = TraceLayout::with_entries(program);
+        ReplayAnalysis::build_from(program, &layout, &entry)
+    }
+
+    /// The analysis of `program`, one schedule of the program `layout` was
+    /// built from: its operations find their trace entries through their
+    /// source positions.  A schedule that does not place exactly the
+    /// layout's operations at its positions (another program's, say) is
+    /// analysed on its own layout, as [`Self::build`] does, so replaying a
+    /// trace of `layout`'s program against it fails with
+    /// [`ReplayError::ProgramMismatch`].
+    pub fn with_layout(program: &LoweredProgram, layout: &TraceLayout) -> ReplayAnalysis {
+        match layout.entries(program) {
+            Some(entry) => ReplayAnalysis::build_from(program, layout, &entry),
+            None => ReplayAnalysis::build(program),
+        }
+    }
+
+    /// The analysis of `program`, whose operation `i` (in issue order) files
+    /// its values at `entry[i]` of its block instance's runs.
+    fn build_from(program: &LoweredProgram, layout: &TraceLayout, entry: &[u32]) -> ReplayAnalysis {
         // Two same-cycle writes to one slot must apply in program order;
         // splitting them between the static and dynamic paths would
         // reorder them, so such bundles go fully dynamic.
@@ -398,7 +450,7 @@ impl ReplayAnalysis {
                             flow: op.flow,
                             dst_slot: op.dst_slot,
                             micro_ops_unit: op.micro_ops_unit,
-                            entry: layout.entry[op_idx as usize],
+                            entry: entry[op_idx as usize],
                         });
                         dyn_ops.push(op_idx);
                     }
@@ -457,6 +509,7 @@ impl ReplayAnalysis {
             tracked,
             regions: program.regions.iter().map(|r| r.id).collect(),
             program: layout.program,
+            memory_order: memory_order(program),
         }
     }
 
@@ -507,6 +560,11 @@ pub enum ReplayError {
         expected: usize,
         got: usize,
     },
+    /// The trace's recorded pricing ran out after `consumed` accesses,
+    /// before its accesses did.
+    TruncatedLatencies { consumed: usize },
+    /// Recorded latencies were left over after the last access.
+    TrailingLatencies { latencies: usize },
     /// The cycle limit was exceeded (possible when replaying under a much
     /// slower memory variant than the recording ran on).
     CycleLimit(u64),
@@ -554,6 +612,15 @@ impl std::fmt::Display for ReplayError {
                 "variant {variant} was prepared for a {got}-slot program; \
                  this analysis has {expected} slots"
             ),
+            ReplayError::TruncatedLatencies { consumed } => {
+                write!(
+                    f,
+                    "trace truncated: only {consumed} accesses have recorded latencies"
+                )
+            }
+            ReplayError::TrailingLatencies { latencies } => {
+                write!(f, "trace has {latencies} unconsumed recorded latencies")
+            }
             ReplayError::CycleLimit(c) => write!(f, "cycle limit of {c} exceeded during replay"),
         }
     }
@@ -714,6 +781,141 @@ impl Scoreboard {
     }
 }
 
+/// How one walk prices its memory accesses for every lane.
+trait LaneMemory {
+    /// The batch position of the variant each lane retimes.
+    fn lane_variants(&self) -> &[usize];
+
+    /// Every lane's latency of `access`; `heard` hears each run of lanes
+    /// that shares an echo (the profiler's wait causes).
+    fn price(
+        &mut self,
+        access: &MemAccess,
+        heard: impl FnMut(Range<usize>, &AccessEcho),
+    ) -> Result<LaneLatency<'_>, ReplayError>;
+
+    /// Every variant's memory statistics, in batch order, once the walk
+    /// has made its last access.
+    fn finish(self) -> Result<Vec<MemStats>, ReplayError>;
+}
+
+impl LaneMemory for ClassTree {
+    fn lane_variants(&self) -> &[usize] {
+        self.lane_configs()
+    }
+
+    /// Each front looks the L1 up once, and only accesses that reach below
+    /// it walk each class's L2/L3 tags (module docs).
+    #[inline]
+    fn price(
+        &mut self,
+        access: &MemAccess,
+        heard: impl FnMut(Range<usize>, &AccessEcho),
+    ) -> Result<LaneLatency<'_>, ReplayError> {
+        let kind = if access.is_store {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        let MemAccess {
+            base,
+            stride,
+            elems,
+            bytes,
+            ..
+        } = *access;
+        Ok(if access.is_vector {
+            LaneLatency::Lanes(self.vector_access(base, stride, elems, kind, heard))
+        } else {
+            self.scalar_access(base, bytes, kind, heard)
+        })
+    }
+
+    fn finish(self) -> Result<Vec<MemStats>, ReplayError> {
+        self.record_obs();
+        Ok(self.stats())
+    }
+}
+
+/// The recording's own pricing, read back in execution order: every lane
+/// has the recorded configuration, so every access costs every lane its
+/// recorded latency (module docs, "Recorded latencies").
+struct Recorded<'t> {
+    pricing: &'t Pricing,
+    /// The next access to price, and the next of [`Pricing::latencies`]
+    /// to read.
+    next: usize,
+    next_latency: usize,
+    /// Lane `l` retimes variant `l`.
+    lanes: Vec<usize>,
+}
+
+impl<'t> Recorded<'t> {
+    fn new(pricing: &'t Pricing, variants: &[VariantState]) -> Recorded<'t> {
+        Recorded {
+            pricing,
+            next: 0,
+            next_latency: 0,
+            lanes: (0..variants.len()).collect(),
+        }
+    }
+}
+
+impl LaneMemory for Recorded<'_> {
+    fn lane_variants(&self) -> &[usize] {
+        &self.lanes
+    }
+
+    #[inline]
+    fn price(
+        &mut self,
+        _access: &MemAccess,
+        _heard: impl FnMut(Range<usize>, &AccessEcho),
+    ) -> Result<LaneLatency<'_>, ReplayError> {
+        let (p, i) = (self.pricing, self.next);
+        let truncated = ReplayError::TruncatedLatencies { consumed: i };
+        let word = match p.l1.get(i / 64) {
+            Some(&word) if i < p.accesses => word,
+            _ => return Err(truncated),
+        };
+        let latency = if word >> (i % 64) & 1 != 0 {
+            p.memory.l1_latency
+        } else {
+            let latency = *p.latencies.get(self.next_latency).ok_or(truncated)?;
+            self.next_latency += 1;
+            latency
+        };
+        self.next += 1;
+        Ok(LaneLatency::Shared(latency as u64))
+    }
+
+    fn finish(self) -> Result<Vec<MemStats>, ReplayError> {
+        let p = self.pricing;
+        let left = (p.accesses - self.next) + (p.latencies.len() - self.next_latency);
+        if left > 0 {
+            return Err(ReplayError::TrailingLatencies { latencies: left });
+        }
+        vmv_obs::incr(vmv_obs::Counter::ReplayRecordedWalks);
+        Ok(vec![p.stats; self.lanes.len()])
+    }
+}
+
+/// The trace's recorded pricing when it prices this whole batch: every
+/// variant has the recorded configuration, and this schedule issues every
+/// block's memory operations in the recorded order.
+fn recorded_pricing<'t>(
+    trace: &'t Trace,
+    analysis: &ReplayAnalysis,
+    variants: &[VariantState],
+) -> Option<&'t Pricing> {
+    let pricing = trace.pricing.as_ref()?;
+    let recorded = (pricing.model, pricing.memory, pricing.port_elems);
+    let same = variants
+        .iter()
+        .all(|v| (v.model, v.memory, v.port_elems) == recorded);
+    (same && pricing.order == analysis.memory_order).then_some(pricing)
+}
+
 /// Replay `trace` once, retiming K independent memory variants in
 /// lockstep.  The decoded trace — block sequence, access stream, `setvl`
 /// values, collapsed timing-inert segments — is walked a single time, on
@@ -736,14 +938,38 @@ pub fn replay_batch(
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
 ) -> Result<Vec<RunStats>, ReplayError> {
-    // A single variant (a group call retiming one variant) gets the walk
-    // compiled for a width of exactly one: the per-variant loops collapse
-    // to straight-line code, as fast as a dedicated single-variant walk.
-    if variants.len() == 1 {
-        replay_batch_with::<_, 1>(trace, analysis, variants, &mut NoBatchProfile)
-    } else {
-        replay_batch_with::<_, 0>(trace, analysis, variants, &mut NoBatchProfile)
+    match recorded_pricing(trace, analysis, variants) {
+        Some(pricing) => replay_batch_on(trace, analysis, variants, |variants| {
+            Recorded::new(pricing, variants)
+        }),
+        None => replay_batch_on(trace, analysis, variants, class_tree),
     }
+}
+
+/// [`replay_batch`] on the memory `memory` builds for the variants.  A
+/// single variant (a group call retiming one variant) gets the walk
+/// compiled for a width of exactly one: the per-variant loops collapse to
+/// straight-line code, as fast as a dedicated single-variant walk.
+fn replay_batch_on<M: LaneMemory>(
+    trace: &Trace,
+    analysis: &ReplayAnalysis,
+    variants: &mut [VariantState],
+    memory: impl FnOnce(&[VariantState]) -> M,
+) -> Result<Vec<RunStats>, ReplayError> {
+    if variants.len() == 1 {
+        replay_batch_with::<_, _, 1>(trace, analysis, variants, memory, &mut NoBatchProfile)
+    } else {
+        replay_batch_with::<_, _, 0>(trace, analysis, variants, memory, &mut NoBatchProfile)
+    }
+}
+
+/// The class tree of `variants` (module docs, "The class tree").
+fn class_tree(variants: &[VariantState]) -> ClassTree {
+    let configs: Vec<_> = variants
+        .iter()
+        .map(|v| (v.model, v.memory, v.port_elems))
+        .collect();
+    ClassTree::new(&configs)
 }
 
 /// [`replay_batch`] with cycle attribution: one extra pass piggybacked on
@@ -757,7 +983,7 @@ pub fn replay_batch_profiled(
     statics: &Arc<ProfileStatics>,
 ) -> Result<(Vec<RunStats>, Vec<Profile>), ReplayError> {
     let mut bp = BatchProfiler::new(statics, variants.len());
-    let out = replay_batch_with::<_, 0>(trace, analysis, variants, &mut bp)?;
+    let out = replay_batch_with::<_, _, 0>(trace, analysis, variants, class_tree, &mut bp)?;
     let profiles = bp.finish();
     for p in &profiles {
         p.record_obs();
@@ -765,12 +991,14 @@ pub fn replay_batch_profiled(
     Ok((out, profiles))
 }
 
-/// The fused walk.  `WIDTH` is the batch width when known at compile time
-/// (it must then equal `variants.len()`), or 0 to read it at run time.
-fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
+/// The fused walk, pricing memory on what `memory` builds for the
+/// variants.  `WIDTH` is the batch width when known at compile time (it
+/// must then equal `variants.len()`), or 0 to read it at run time.
+fn replay_batch_with<BP: BatchSink, M: LaneMemory, const WIDTH: usize>(
     trace: &Trace,
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
+    memory: impl FnOnce(&[VariantState]) -> M,
     bp: &mut BP,
 ) -> Result<Vec<RunStats>, ReplayError> {
     debug_assert!(WIDTH == 0 || WIDTH == variants.len());
@@ -796,21 +1024,15 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
 
-    // The class tree: one L1 front per distinct model and L1 geometry,
-    // one L2/L3 back per tag-equivalence class under it (model, geometry
-    // and port width: identical hit/miss behaviour) or per group of classes
-    // that differ only in L2 size and associativity while none of them
-    // evicts, and one latency column per variant.  A memory-latency sweep
-    // collapses to one front and one back; an L2 geometry sweep too, until
-    // some L2 would evict.  Lanes are laid out front by front and back by
-    // back, so each back prices into a contiguous run of lanes;
-    // `lane_variant` maps a lane back to its batch position.
-    let configs: Vec<_> = variants
-        .iter()
-        .map(|v| (v.model, v.memory, v.port_elems))
-        .collect();
-    let mut tree = ClassTree::new(&configs);
-    let lane_variant: Vec<usize> = tree.lane_configs().to_vec();
+    // The memory: the recording's own latencies, or the class tree (one
+    // L1 front per distinct model and L1 geometry, one L2/L3 back per
+    // tag-equivalence class under it or per group of classes that differ
+    // only in L2 size and associativity while none of them evicts, and one
+    // latency column per variant).  The tree lays its lanes out front by
+    // front and back by back, so each back prices into a contiguous run of
+    // lanes; `lane_variant` maps a lane back to its batch position.
+    let mut memory = memory(variants);
+    let lane_variant: Vec<usize> = memory.lane_variants().to_vec();
     let port_elems: Vec<u32> = lane_variant
         .iter()
         .map(|&v| variants[v].port_elems)
@@ -1031,15 +1253,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                             bp.vec_port_all(op_idx);
                         }
                     }
-                    // Memory latency is the one per-variant quantity: each
-                    // front looks the L1 up once, and only accesses that
-                    // reach below it walk each class's L2/L3 tags (module
-                    // docs).
-                    let kind = if access.is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
+                    // Memory latency is the one per-variant quantity.
                     let heard = |lanes: std::ops::Range<usize>, echo: &vmv_mem::AccessEcho| {
                         if BP::ENABLED {
                             let cause = Cause::wait_for_echo(echo);
@@ -1048,12 +1262,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
                             }
                         }
                     };
-                    let lat = if access.is_vector {
-                        let (base, stride, elems) = (access.base, access.stride, access.elems);
-                        LaneLatency::Lanes(tree.vector_access(base, stride, elems, kind, heard))
-                    } else {
-                        tree.scalar_access(access.base, access.bytes, kind, heard)
-                    };
+                    let lat = memory.price(access, heard)?;
                     if op.dst_slot != NO_SLOT {
                         match lat {
                             LaneLatency::Shared(latency) => {
@@ -1137,8 +1346,7 @@ fn replay_batch_with<BP: BatchSink, const WIDTH: usize>(
     }
 
     let mut out = vec![RunStats::default(); k];
-    let memory = tree.stats();
-    tree.record_obs();
+    let memory = memory.finish()?;
     for (l, &v) in lane_variant.iter().enumerate() {
         let stats = &mut out[v];
         for &id in &analysis.regions {

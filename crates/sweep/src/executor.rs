@@ -9,11 +9,12 @@
 //! makes its one execution and retimes every other job of the program from
 //! that recording ([`vmv_core::ProgramRunner::run`] holds the whole
 //! recording policy).  Inside a program, jobs are grouped by schedule key
-//! ([`CompileCache::key_for`], the machine as the program's code sees it),
-//! and each group is one lowered schedule's whole lifetime: the worker
-//! compiles it on the group's first machine, runs the group's jobs through
-//! the runner as one call (one batched trace walk), writes the group's
-//! profiles, hands the results to the committer and drops the schedule.
+//! ([`crate::CompileCache::key_for`], the machine as the program's code
+//! sees it), and each group is one lowered schedule's whole lifetime: the
+//! worker compiles it on the group's first machine, runs the group's jobs
+//! through the runner as one call (one batched trace walk), writes the
+//! group's profiles, hands the results to the committer and drops the
+//! schedule.
 //! The groups run in first-seen order, and the program's build and
 //! recording are freed with its last group.  Failures stay per job: a
 //! failed build or compile fails its jobs, and the runner retries a failed
@@ -39,10 +40,11 @@ use vmv_core::{catch_quietly, ExperimentError, ProgramRun, ProgramRunner};
 use vmv_kernels::{Benchmark, IsaVariant};
 use vmv_obs::{Counter, SpanKind};
 
-use crate::cache::{compile, CacheCounters, CompileCache};
+use crate::cache::{compile, CacheCounters};
+use crate::fingerprint::{full_fingerprint, schedule_fingerprint};
 use crate::profiles::{write_profile, ProfileMeta};
 use crate::spec::SweepPoint;
-use crate::store::{run_key, ResultStore, RunRecord};
+use crate::store::{run_key_of, ResultStore, RunRecord};
 
 /// Executor options.
 #[derive(Clone)]
@@ -224,23 +226,31 @@ pub fn run_sweep(
         None => Default::default(),
     };
 
-    // Point-major job list so every job has a stable index.
+    // Point-major job list so every job has a stable index.  Each point's
+    // two fingerprints are formatted once for all of its benchmarks: the
+    // full one derives the run keys, and `schedules[p]`, the schedule
+    // fingerprint of point `p`'s ISA-visible view, the schedule keys.
     struct Job<'a> {
         point: &'a SweepPoint,
+        point_index: usize,
         benchmark: Benchmark,
         key: String,
     }
     let mut jobs = Vec::with_capacity(points.len() * opts.benchmarks.len());
     let mut skipped = 0usize;
-    for point in points {
+    let mut schedules = Vec::with_capacity(points.len());
+    for (point_index, point) in points.iter().enumerate() {
+        let variant = vmv_core::variant_for(&point.machine);
+        let full = full_fingerprint(&point.machine);
+        schedules.push(schedule_fingerprint(&point.machine.schedule_view()));
         for &benchmark in &opts.benchmarks {
-            let variant = vmv_core::variant_for(&point.machine);
-            let key = run_key(benchmark, variant, &point.machine, point.model);
+            let key = run_key_of(benchmark, variant, point.model, &full);
             if done.contains(&key) {
                 skipped += 1;
             } else {
                 jobs.push(Job {
                     point,
+                    point_index,
                     benchmark,
                     key,
                 });
@@ -260,7 +270,9 @@ pub fn run_sweep(
         let mut index: HashMap<crate::cache::CacheKey, (usize, usize)> = HashMap::new();
         let mut program_index: HashMap<(Benchmark, IsaVariant), usize> = HashMap::new();
         for (i, job) in jobs.iter().enumerate() {
-            let key = CompileCache::key_for(job.benchmark, &job.point.machine);
+            // `CompileCache::key_for(job.benchmark, &job.point.machine)`.
+            let variant = vmv_core::variant_for(&job.point.machine);
+            let key = (job.benchmark, variant, schedules[job.point_index].clone());
             let program = (key.0, key.1);
             match index.entry(key) {
                 Entry::Occupied(e) => {
@@ -279,6 +291,7 @@ pub fn run_sweep(
             }
         }
     }
+    drop(schedules);
     let groups: usize = programs.iter().map(|p| p.groups.len()).sum();
 
     // Queue wait is measured from here — the moment the job list exists —
@@ -586,6 +599,7 @@ mod tests {
     use super::*;
     use crate::spec::expand_axes;
     use crate::specfile::AxisSpec;
+    use crate::store::run_key;
 
     fn small_points() -> Vec<SweepPoint> {
         expand_axes(vec![

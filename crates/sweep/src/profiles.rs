@@ -349,9 +349,12 @@ pub fn load_profile(dir: &Path, key: &str) -> Result<ProfileDoc, String> {
     parse_profile(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Load every profile in `dir`, sorted by key.
-pub fn load_all(dir: &Path) -> Result<Vec<ProfileDoc>, String> {
-    let mut docs = Vec::new();
+/// Load every profile in `dir`: the documents that read and parse, sorted
+/// by key, and one diagnostic (`path: error`) per document that does not,
+/// sorted by path.  One bad document costs only itself; only a directory
+/// that cannot be listed is an error.
+pub fn load_all(dir: &Path) -> Result<(Vec<ProfileDoc>, Vec<String>), String> {
+    let (mut docs, mut skipped) = (Vec::new(), Vec::new());
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -359,12 +362,17 @@ pub fn load_all(dir: &Path) -> Result<Vec<ProfileDoc>, String> {
         if path.extension().and_then(|e| e.to_str()) != Some("json") {
             continue;
         }
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        docs.push(parse_profile(&text).map_err(|e| format!("{}: {e}", path.display()))?);
+        let doc = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_profile(&text));
+        match doc {
+            Ok(doc) => docs.push(doc),
+            Err(e) => skipped.push(format!("{}: {e}", path.display())),
+        }
     }
     docs.sort_by(|a, b| a.meta.key.cmp(&b.meta.key));
-    Ok(docs)
+    skipped.sort();
+    Ok((docs, skipped))
 }
 
 #[cfg(test)]
@@ -437,6 +445,48 @@ mod tests {
         text = text.replacen("{\"issue\":", "{\"warp_drive\":7,\"issue\":", 1);
         let doc = parse_profile(&text).unwrap();
         assert_eq!(doc.causes, profile.causes);
+    }
+
+    #[test]
+    fn one_unreadable_document_costs_only_itself() {
+        // Three good documents and one whose first timeline stall is past
+        // 2^64: the good ones load, and the bad one is named with its path
+        // and the field that failed.
+        let (meta, profile) = demo_profile();
+        let dir = std::env::temp_dir().join(format!("vmv_profiles_one_bad_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys = ["0000000000000001", "0000000000000002", "0000000000000003"];
+        for key in keys {
+            let meta = ProfileMeta {
+                key: key.to_string(),
+                ..meta.clone()
+            };
+            write_profile(&dir, &meta, &profile).unwrap();
+        }
+        let bad_meta = ProfileMeta {
+            key: "00000000000000ff".to_string(),
+            ..meta
+        };
+        let text = profile_json(&bad_meta, &profile).render();
+        assert!(text.contains("\"stall\":"), "the demo run stalls");
+        let at = text.find("\"stall\":").unwrap() + "\"stall\":".len();
+        let end = at + text[at..].find([',', '}']).unwrap();
+        let bad = format!("{}1e30{}", &text[..at], &text[end..]);
+        let bad_path = path_for(&dir, &bad_meta.key);
+        std::fs::write(&bad_path, bad).unwrap();
+
+        let (docs, skipped) = load_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let loaded: Vec<&str> = docs.iter().map(|d| d.meta.key.as_str()).collect();
+        assert_eq!(loaded, keys);
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert!(
+            skipped[0].starts_with(&bad_path.display().to_string()),
+            "{skipped:?}"
+        );
+        assert!(skipped[0].contains("stall"), "{skipped:?}");
+        // The strict single-document load still fails with a typed error.
+        assert!(load_profile(&dir, &bad_meta.key).is_err());
     }
 
     #[test]

@@ -25,12 +25,23 @@ pub fn run_key(
     machine: &MachineConfig,
     model: MemoryModel,
 ) -> String {
+    run_key_of(benchmark, variant, model, &full_fingerprint(machine))
+}
+
+/// [`run_key`] from the machine's [`full_fingerprint`], which a sweep
+/// formats once per point for all of the point's benchmarks.
+pub(crate) fn run_key_of(
+    benchmark: Benchmark,
+    variant: IsaVariant,
+    model: MemoryModel,
+    full_fingerprint: &str,
+) -> String {
     let canonical = format!(
         "{}|{}|{:?}|{}",
         benchmark.name(),
         variant.name(),
         model,
-        full_fingerprint(machine)
+        full_fingerprint
     );
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }

@@ -46,7 +46,8 @@ fn demo_profiles(dir: &Path) -> Vec<ProfileDoc> {
     opts.profile_dir = Some(dir.to_path_buf());
     let report = run_sweep(&points, &opts, None).expect("sweep runs");
     assert!(report.errors.is_empty(), "{:?}", report.errors);
-    let docs = load_all_profiles(dir).expect("profiles load");
+    let (docs, skipped) = load_all_profiles(dir).expect("profiles load");
+    assert!(skipped.is_empty(), "{skipped:?}");
     assert_eq!(docs.len(), report.records.len(), "one document per run");
     docs
 }

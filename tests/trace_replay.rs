@@ -4,8 +4,10 @@
 //! hold several L1 fronts, and L2 ladders whose shared back splits in the
 //! middle of the walk), `simulate_batch`'s record-and-
 //! retime call agrees with fresh execution, one program's trace is the same
-//! on every schedule and retimes all of them exactly, and malformed or
-//! foreign traces are rejected with typed errors instead of garbage
+//! on every schedule and retimes all of them exactly, a retime under the
+//! recording's own configuration and memory issue order reads the recorded
+//! latencies while any other prices through the class tree, and malformed
+//! or foreign traces are rejected with typed errors instead of garbage
 //! statistics — also under seeded random corruption.
 
 use std::sync::Arc;
@@ -17,12 +19,12 @@ use vmv::core::{
 use vmv::isa::ProgramBuilder;
 use vmv::kernels::rng::SmallRng;
 use vmv::kernels::{Benchmark, IsaVariant};
-use vmv::machine::{presets, MachineConfig};
+use vmv::machine::{presets, IsaSupport, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sched::LoweredProgram;
 use vmv::sim::{
     replay_batch, replay_batch_profiled, ProfileStatics, ReplayAnalysis, ReplayError, RunStats,
-    SimError, SimOptions, Simulator, Trace, VariantState,
+    SimError, SimOptions, Simulator, Trace, TraceLayout, VariantState,
 };
 use vmv::sweep::{CompileCache, SpecFile};
 
@@ -73,6 +75,28 @@ fn retime_one(
     let mut out = replay_batch(trace, &analysis, &mut variant)?;
     assert_eq!(out.len(), 1, "one RunStats per variant");
     Ok(out.remove(0))
+}
+
+/// A marker no hierarchy counts to: the stall total of [`marked`]'s
+/// recorded statistics.
+const MARK: u64 = u64::MAX - 0x5EED;
+
+/// `trace` with [`MARK`] in its recorded memory statistics: a walk that
+/// prices from the recording reports the mark, one that prices through a
+/// class tree never does.
+fn marked(trace: &Trace) -> Trace {
+    let mut t = trace.clone();
+    t.pricing
+        .as_mut()
+        .expect("the recording priced")
+        .stats
+        .total_stall_cycles = MARK;
+    t
+}
+
+/// Whether `stats` came from a walk that read the recorded pricing.
+fn read_the_recording(stats: &RunStats) -> bool {
+    stats.memory.total_stall_cycles == MARK
 }
 
 #[test]
@@ -188,6 +212,8 @@ fn replay_errors_render_as_text() {
             expected: 40,
             got: 64,
         },
+        ReplayError::TruncatedLatencies { consumed: 40 },
+        ReplayError::TrailingLatencies { latencies: 3 },
         ReplayError::CycleLimit(1_000_000),
     ];
     for e in errors {
@@ -889,6 +915,106 @@ fn one_recording_retimes_every_schedule_of_its_program_exactly() {
 }
 
 #[test]
+fn retimes_under_the_recording_configuration_read_its_latencies() {
+    // A Table 2 program runs on every preset of its ISA with one memory
+    // configuration, and every schedule of it issues each block's memory
+    // operations in one order.  So one recording, under either model,
+    // retimes every other preset's schedule under that model from its own
+    // latencies (no class tree), through the program's one trace layout,
+    // and each retime equals a fresh execution.
+    let presets = vmv::machine::all_configs();
+    let mut retimed = 0;
+    for bench in Benchmark::ALL {
+        for isa in [IsaSupport::Vliw, IsaSupport::Usimd, IsaSupport::Vector] {
+            let machines: Vec<&MachineConfig> = presets.iter().filter(|m| m.isa == isa).collect();
+            let (first, others) = machines.split_first().unwrap();
+            for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
+                let (recorder, _, trace) = record(bench, first, model);
+                let layout = TraceLayout::of(&recorder.lowered);
+                let mark = marked(&trace);
+                for machine in others {
+                    let what = format!("{} on {} under {model:?}", bench.name(), machine.name);
+                    let prepared = prepare(bench, machine).unwrap();
+                    let analysis = ReplayAnalysis::with_layout(&prepared.lowered, &layout);
+                    let retime = |trace: &Trace| {
+                        let state = VariantState::new(&analysis, machine, model, MAX_CYCLES);
+                        replay_batch(trace, &analysis, &mut [state])
+                            .unwrap_or_else(|e| panic!("{what}: {e}"))
+                            .remove(0)
+                    };
+                    assert!(read_the_recording(&retime(&mark)), "{what}: tree");
+                    let fresh = simulate_fresh(&prepared, machine, model).unwrap();
+                    assert_eq!(retime(&trace), fresh.stats, "{what}");
+                    retimed += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        retimed,
+        6 * 2 * (10 - 3),
+        "every other preset of each program"
+    );
+}
+
+#[test]
+fn a_schedule_with_another_memory_order_prices_through_the_tree() {
+    // Two loads of one bundle issue in the same cycle, so swapping them
+    // gives a legal schedule of the same program whose hierarchy sees the
+    // two accesses in the other order.  Retimed from a recording of the
+    // original under the recording's own configuration, it must price
+    // through the class tree and equal its own fresh execution, while the
+    // original schedule still reads the recording.
+    let machine = presets::vliw(8);
+    let model = MemoryModel::Realistic;
+    let mut swapped_any = 0;
+    for bench in Benchmark::ALL {
+        let (prepared, recorded, trace) = record(bench, &machine, model);
+        let lowered = &prepared.lowered;
+        let two_loads = (0..lowered.bundle_bounds.len() as u32 - 1).find_map(|b| {
+            let first = lowered.bundle_bounds[b as usize] as usize;
+            let loads: Vec<usize> = (lowered.bundle_ops(b).iter().enumerate())
+                .filter(|(_, op)| op.opcode.is_memory() && !op.opcode.is_store())
+                .map(|(k, _)| first + k)
+                .collect();
+            (loads.len() >= 2).then(|| (loads[0], loads[1]))
+        });
+        let Some((i, j)) = two_loads else {
+            continue;
+        };
+        let mut swapped = lowered.clone();
+        swapped.ops.swap(i, j);
+        let layout = TraceLayout::of(lowered);
+        let retime = |schedule: &LoweredProgram, trace: &Trace| {
+            let analysis = ReplayAnalysis::with_layout(schedule, &layout);
+            let state = VariantState::new(&analysis, &machine, model, MAX_CYCLES);
+            replay_batch(trace, &analysis, &mut [state])
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
+                .remove(0)
+        };
+        let what = format!("{} with ops {i} and {j} swapped", bench.name());
+        assert!(
+            read_the_recording(&retime(lowered, &marked(&trace))),
+            "{what}: premise"
+        );
+        assert_eq!(retime(lowered, &trace), recorded, "{what}: premise");
+        assert!(
+            !read_the_recording(&retime(&swapped, &marked(&trace))),
+            "{what}"
+        );
+        let fresh = simulator(&prepared, &machine, model, MAX_CYCLES)
+            .run_lowered(&swapped)
+            .expect("the swapped schedule runs");
+        assert_eq!(retime(&swapped, &trace), fresh, "{what}");
+        swapped_any += 1;
+    }
+    assert!(
+        swapped_any > 0,
+        "some kernel issues two loads in one bundle"
+    );
+}
+
+#[test]
 fn a_trace_of_another_program_is_rejected() {
     // Same kernel, other ISA variant; and same ISA, other kernel.
     let vector = presets::vector2(2);
@@ -902,6 +1028,42 @@ fn a_trace_of_another_program_is_rejected() {
             Err(ReplayError::ProgramMismatch { trace: t, .. }) => assert_eq!(t, trace.program),
             other => panic!("expected ProgramMismatch, got {other:?}"),
         }
+        // Handed the recording program's layout, the other program's
+        // schedule is analysed on its own and rejected the same way.
+        let layout = TraceLayout::of(&prepared.lowered);
+        let shared = ReplayAnalysis::with_layout(&other.lowered, &layout);
+        let mut variant = [VariantState::new(
+            &shared,
+            &machine,
+            MemoryModel::Perfect,
+            MAX_CYCLES,
+        )];
+        match replay_batch(&trace, &shared, &mut variant) {
+            Err(ReplayError::ProgramMismatch { trace: t, .. }) => assert_eq!(t, trace.program),
+            other => panic!("expected ProgramMismatch with a shared layout, got {other:?}"),
+        }
+    }
+    // A program with this one's blocks, operation counts and memory
+    // operations but one opcode changed is another program too, also when
+    // handed this program's layout.
+    let mut doctored = prepared.lowered.clone();
+    let add = doctored
+        .ops
+        .iter_mut()
+        .find(|op| op.opcode == vmv::isa::Opcode::IAdd)
+        .expect("the kernel adds");
+    add.opcode = vmv::isa::Opcode::ISub;
+    let layout = TraceLayout::of(&prepared.lowered);
+    let shared = ReplayAnalysis::with_layout(&doctored, &layout);
+    let mut variant = [VariantState::new(
+        &shared,
+        &vector,
+        MemoryModel::Perfect,
+        MAX_CYCLES,
+    )];
+    match replay_batch(&trace, &shared, &mut variant) {
+        Err(ReplayError::ProgramMismatch { trace: t, .. }) => assert_eq!(t, trace.program),
+        other => panic!("expected ProgramMismatch for a changed opcode, got {other:?}"),
     }
     // The recording program itself still retimes.
     assert!(retime_one(&prepared, &trace, &vector, MemoryModel::Perfect).is_ok());
@@ -947,9 +1109,12 @@ fn corrupted_traces_fail_typed_and_never_panic() {
     // Seeded mutation fuzzing of the trace boundary: truncation and
     // extension of every stream, flipped block ids, corrupted vector
     // strides and element counts (and addresses), dropped or duplicated VL
-    // values, addresses past the 4 GiB memory-image cap, and traces of
-    // other programs.  Every replay must return Ok or a typed ReplayError,
-    // promptly.
+    // values, addresses past the 4 GiB memory-image cap, traces of other
+    // programs, and recorded latencies cut short, extended, or recorded
+    // under another configuration.  Every replay must return Ok or a typed
+    // ReplayError, promptly: a batch that mixes configurations, and a
+    // batch of the recorded configuration alone, which reads the recorded
+    // latencies unless their configuration no longer matches.
     let machine = presets::vector2(4);
     let mut small_l2 = machine.clone();
     small_l2.memory.l2_size = 8 * 1024;
@@ -979,13 +1144,13 @@ fn corrupted_traces_fail_typed_and_never_panic() {
     let mut rng = SmallRng::seed_from_u64(0xF022_7ACE);
     let mut pick = |n: usize| rng.gen_range_i64(0, n.max(1) as i64 - 1) as usize;
     let (mut ok, mut typed) = (0, 0);
-    for round in 0..270 {
+    for round in 0..360 {
         let c = round % cases.len();
         let (prepared, trace, roles) = &cases[c];
         let mut t = trace.clone();
         let blocks = prepared.lowered.blocks.len();
-        let mutation = round / cases.len() % 9;
-        let mut past_cap = None;
+        let mutation = round / cases.len() % 12;
+        let (mut past_cap, mut extra) = (None, 0);
         match mutation {
             0 => {
                 let n = pick(t.accesses.len());
@@ -1047,9 +1212,40 @@ fn corrupted_traces_fail_typed_and_never_panic() {
                 t.accesses[i] = vmv::mem::ADDRESS_LIMIT + pick(1 << 20) as u64;
                 past_cap = Some(i);
             }
-            _ => {
+            8 => {
                 // Replay another case's trace: a foreign program.
                 t = cases[(c + 1) % cases.len()].1.clone();
+            }
+            9 => {
+                // Fewer priced accesses, or fewer latencies of the accesses
+                // that missed the L1 latency.
+                let pricing = t.pricing.as_mut().expect("priced");
+                assert!(!pricing.latencies.is_empty(), "vector accesses miss the L1");
+                if pick(2) == 0 {
+                    pricing.accesses = pick(pricing.accesses);
+                } else {
+                    let n = pick(pricing.latencies.len());
+                    pricing.latencies.truncate(n);
+                }
+            }
+            10 => {
+                let pricing = t.pricing.as_mut().expect("priced");
+                extra = 1 + pick(4);
+                if pick(2) == 0 {
+                    pricing.accesses += extra;
+                } else {
+                    for _ in 0..extra {
+                        pricing.latencies.push(pick(1000) as u32);
+                    }
+                }
+            }
+            _ => {
+                let pricing = t.pricing.as_mut().expect("priced");
+                match pick(3) {
+                    0 => pricing.model = MemoryModel::Realistic,
+                    1 => pricing.memory.l1_latency += 1,
+                    _ => pricing.port_elems += 1,
+                }
             }
         }
         let analysis = ReplayAnalysis::build(&prepared.lowered);
@@ -1062,6 +1258,34 @@ fn corrupted_traces_fail_typed_and_never_panic() {
         .map(|&(m, model)| VariantState::new(&analysis, m, model, MAX_CYCLES))
         .collect();
         let start = std::time::Instant::now();
+        let alone = replay_batch(
+            &t,
+            &analysis,
+            &mut [VariantState::new(
+                &analysis,
+                &machine,
+                MemoryModel::Perfect,
+                MAX_CYCLES,
+            )],
+        );
+        match (mutation, past_cap, &alone) {
+            (_, Some(entry), alone) => {
+                assert_eq!(
+                    *alone,
+                    Err(ReplayError::MalformedAccess { entry }),
+                    "round {round}"
+                )
+            }
+            (8, _, Err(ReplayError::ProgramMismatch { .. }))
+            | (9, _, Err(ReplayError::TruncatedLatencies { .. })) => {}
+            (10, _, alone) => assert_eq!(
+                *alone,
+                Err(ReplayError::TrailingLatencies { latencies: extra }),
+                "round {round}"
+            ),
+            (8 | 9, _, alone) => panic!("round {round}: {alone:?} replaying alone"),
+            _ => {}
+        }
         match replay_batch(&t, &analysis, &mut variants) {
             Ok(out) => {
                 assert_eq!(out.len(), 3);
@@ -1069,9 +1293,15 @@ fn corrupted_traces_fail_typed_and_never_panic() {
                     past_cap, None,
                     "round {round}: an access past the cap replayed"
                 );
+                if mutation == 11 {
+                    // Recorded under another configuration: the variant
+                    // alone prices through the tree, as this batch does.
+                    assert_eq!(alone, Ok(vec![out[0].clone()]), "round {round}");
+                }
                 ok += 1;
             }
             Err(e) => {
+                assert_ne!(mutation, 11, "round {round}: {e:?}");
                 if mutation == 8 {
                     assert!(matches!(e, ReplayError::ProgramMismatch { .. }), "{e:?}");
                 }
