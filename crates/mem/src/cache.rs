@@ -25,8 +25,8 @@
 //!
 //! The compact words matter for batch replay, which builds fresh tag state
 //! per batch: one L2/L3 back for each group of tag classes that differ only
-//! in L2 size and associativity, and one per class once a group splits
-//! (`Cache::reshaped` hands each class the group's lines).  The default
+//! in L2 size and associativity, and one per class when a batch is walked
+//! again because some class of a group would evict.  The default
 //! 1 MiB L3 of 64-byte lines has 16,384 lines: its tag and stamp arrays are
 //! 64 KiB each, below glibc's default 128 KiB mmap threshold, so they come
 //! from the heap and reuse the chunks the previous batch freed.  An array
@@ -62,7 +62,6 @@ pub const ADDRESS_LIMIT: u64 = 1 << 32;
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
-    line_bytes: usize,
     assoc: usize,
     /// `log2(line_bytes)`.
     line_shift: u32,
@@ -124,7 +123,6 @@ impl Cache {
         let total = num_sets * assoc;
         Cache {
             name,
-            line_bytes,
             assoc,
             line_shift,
             set_mask: num_sets as u64 - 1,
@@ -314,41 +312,6 @@ impl Cache {
             }
             None => None,
         }
-    }
-
-    /// How many stamps the counter hands out before it renumbers.
-    pub(crate) fn stamps_left(&self) -> u32 {
-        u32::MAX - self.tick
-    }
-
-    /// A cache of `size_bytes` and `assoc` ways with this cache's name and
-    /// line size, holding exactly this cache's lines, each with its dirty
-    /// bit and LRU stamp, and this cache's stamp counter.
-    /// Only the ways the lines take within their sets can differ from a
-    /// cache of that geometry that saw the same accesses, and no lookup or
-    /// victim choice depends on them.  The stamps must still compare across
-    /// this cache's sets (it has not renumbered), and every set of the new
-    /// geometry must have room for the lines that map to it (panics if
-    /// not).
-    pub(crate) fn reshaped(&self, size_bytes: usize, assoc: usize) -> Cache {
-        let mut out = Cache::new(self.name, size_bytes, assoc, self.line_bytes);
-        for set in 0..=self.set_mask as usize {
-            for i in self.set_range(set) {
-                if self.state[i] & VALID == 0 {
-                    continue;
-                }
-                let blk = self.block_of(self.tags[i], set);
-                let way = out
-                    .set_range(out.set_index(blk))
-                    .find(|&j| out.state[j] & VALID == 0)
-                    .unwrap_or_else(|| panic!("{} cache: no room for {blk:#x}", self.name));
-                out.tags[way] = out.tag(blk);
-                out.state[way] = self.state[i];
-                out.lru[way] = self.lru[i];
-            }
-        }
-        out.tick = self.tick;
-        out
     }
 }
 

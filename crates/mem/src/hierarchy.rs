@@ -39,8 +39,9 @@
 //! own L2 line walk reaches them.  Latencies are applied last, from the
 //! access's [`AccessEcho`].  Batched trace replay builds a [`ClassTree`]:
 //! one front per L1 geometry, shared by the backs under it, and one back
-//! per group of tag classes that differ only in L2 size and associativity
-//! until one of them would evict.
+//! per group of tag classes that differ only in L2 size and associativity.
+//! The tree reports when one of a group's classes would evict, and the
+//! batch is then walked again with one back per tag class.
 
 use std::ops::Range;
 
@@ -421,6 +422,9 @@ struct Back {
     l1_line: u64,
     l2_line: u64,
     stats: MemStats,
+    /// While this back serves several realistic-model tag classes: how
+    /// full their L2 sets are (see [`ClassTree`]).
+    occupancy: Option<Box<Occupancy>>,
 }
 
 impl Back {
@@ -433,17 +437,39 @@ impl Back {
             l1_line: params.l1_line as u64,
             l2_line: params.l2_line as u64,
             stats: MemStats::default(),
+            occupancy: None,
         }
     }
 
-    /// This back with its L2 in `l2_size` bytes of `l2_assoc` ways
-    /// ([`Cache::reshaped`]), and a copy of its L3 and counters.
-    fn reshaped(&self, l2_size: usize, l2_assoc: usize) -> Back {
-        Back {
-            l2: self.l2.reshaped(l2_size, l2_assoc),
-            l3: self.l3.clone(),
-            ..*self
+    /// Fill the L2 line of `blk`, which the L2 missed, counting it when
+    /// this back serves several tag classes.
+    #[inline]
+    fn allocate(&mut self, blk: u64, write: bool) {
+        self.l2.fill(blk, write);
+        if let Some(occupancy) = self.occupancy.as_deref_mut() {
+            occupancy.allocate(blk);
         }
+    }
+
+    /// Write the dirty L1 line `blk` into the inclusive L2.  The L1 took
+    /// the line through this L2, and nothing leaves a shared L2 before the
+    /// first overflow, so until then a shared L2 still holds the line and
+    /// allocates nothing here.
+    #[inline]
+    fn write_back(&mut self, blk: u64) {
+        debug_assert!(
+            self.occupancy.as_ref().is_none_or(|o| o.overflowed)
+                || self.l2.probe(blk) == LookupResult::Hit,
+            "a shared L2 lost line {blk:#x} before any class overflowed"
+        );
+        self.l2.fill(blk, true);
+    }
+
+    /// Whether this back serves several tag classes and one of their L2
+    /// sets has been given more lines than it has ways.
+    #[inline]
+    fn overflowed(&self) -> bool {
+        self.occupancy.as_ref().is_some_and(|o| o.overflowed)
     }
 
     /// Serve the L1 misses of a scalar access, line by line: each refill,
@@ -478,13 +504,12 @@ impl Back {
                         ServedBy::Mem
                     }
                 };
-                self.l2.fill(blk, false);
+                self.allocate(blk, false);
                 served
             }
         };
         if let Some(wb) = writeback {
-            // Write-back of a dirty L1 line into the (inclusive) L2.
-            self.l2.fill(wb, true);
+            self.write_back(wb);
         }
         served
     }
@@ -506,7 +531,7 @@ impl Back {
                         LineFill::FromMem
                     }
                 };
-                self.l2.fill(blk, write);
+                self.allocate(blk, write);
                 fill
             }
         }
@@ -516,7 +541,7 @@ impl Back {
     #[inline]
     fn push_down(&mut self, l1: &mut L1Lines, blk: u64) {
         if let Some(dirty) = l1.push(blk) {
-            self.l2.fill(dirty, true);
+            self.write_back(dirty);
         }
     }
 
@@ -747,10 +772,6 @@ impl MemoryHierarchy {
         Self::new(model, machine.memory, machine.l2_port_elems.max(1))
     }
 
-    pub fn model(&self) -> MemoryModel {
-        self.front.model
-    }
-
     /// Latency the *compiler* assumes for a scalar access: an L1 hit.
     pub fn scheduled_scalar_latency(&self) -> u32 {
         self.params.l1_latency
@@ -941,18 +962,9 @@ impl ClassPricer {
             *stall += timing.stall_cycles as u64;
         }
     }
-
-    /// The pricer of members `members`.
-    fn slice(&self, members: Range<usize>) -> ClassPricer {
-        ClassPricer {
-            port_elems: self.port_elems,
-            latencies: self.latencies[members.clone()].to_vec(),
-            stall_cycles: self.stall_cycles[members].to_vec(),
-        }
-    }
 }
 
-/// How many lines each set of one L2 geometry holds.
+/// How many lines each set of one L2 geometry has been given.
 #[derive(Debug, Clone)]
 struct SetCounts {
     set_mask: u64,
@@ -960,140 +972,65 @@ struct SetCounts {
     lines: Vec<u32>,
 }
 
-impl SetCounts {
-    #[inline]
-    fn set(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
-    }
-
-    /// Whether adding the lines (line numbers) of `fresh` would put more
-    /// lines in one of these sets than it has ways.
-    fn overflows(&mut self, fresh: &[u64]) -> bool {
-        let mut over = false;
-        for &line in fresh {
-            let s = self.set(line);
-            self.lines[s] += 1;
-            over |= self.lines[s] as usize > self.ways;
-        }
-        for &line in fresh {
-            let s = self.set(line);
-            self.lines[s] -= 1;
-        }
-        over
-    }
-}
-
-/// What a back serving a whole group of tag classes needs (see
-/// [`ClassTree`]): each class's L2 geometry, to split, and the set
-/// occupancy of the geometries that overflow first, to know when.
+/// What a back serving several tag classes counts to know when one of them
+/// would evict (see [`ClassTree`]): the lines its shared L2 allocates, per
+/// set of each class geometry that overflows first.
 #[derive(Debug, Clone)]
-struct Group {
-    /// `(l2_size, l2_assoc, members)` of each class, in lane order.
-    classes: Vec<(usize, usize, usize)>,
+struct Occupancy {
     /// `log2` of the L2 line size.
     line_shift: u32,
     /// The class geometries no other class has both as few sets and as few
-    /// ways as: one of these overflows whenever any class does, since a set
-    /// of the other gathers a subset of the lines one of its sets gathers.
+    /// ways as: one of these overflows at the allocation at which any class
+    /// first does, since a set of the other gathers a subset of the lines
+    /// one of its sets gathers.
     watched: Vec<SetCounts>,
-    /// Line numbers of the L2 lines the current access may allocate: those
-    /// it touches that the shared L2 does not hold.
-    fresh: Vec<u64>,
+    /// Some allocation gave a set of some class more lines than it has ways.
+    overflowed: bool,
 }
 
-impl Group {
-    fn new(classes: Vec<(usize, usize, usize)>, l2_line: usize) -> Group {
-        let shape = |&(size, assoc, _): &(usize, usize, usize)| (size / (assoc * l2_line), assoc);
-        let watched = classes
+impl Occupancy {
+    /// The occupancy of the L2 geometries `shapes`, `(sets, ways)` each.
+    fn new(shapes: &[(usize, usize)], l2_line: usize) -> Occupancy {
+        let watched = shapes
             .iter()
-            .map(shape)
-            .filter(|&(sets, ways)| {
-                !classes
+            .filter(|&&(sets, ways)| {
+                !shapes
                     .iter()
-                    .map(shape)
-                    .any(|(s, w)| (s, w) != (sets, ways) && s <= sets && w <= ways)
+                    .any(|&(s, w)| (s, w) != (sets, ways) && s <= sets && w <= ways)
             })
-            .map(|(sets, ways)| SetCounts {
+            .map(|&(sets, ways)| SetCounts {
                 set_mask: sets as u64 - 1,
                 ways,
                 lines: vec![0; sets],
             })
             .collect();
-        Group {
-            classes,
+        Occupancy {
             line_shift: l2_line.trailing_zeros(),
             watched,
-            fresh: Vec::new(),
+            overflowed: false,
         }
     }
 
-    /// Note the L2 line holding `addr` as one the access may allocate,
-    /// unless `l2` holds it.
+    /// Count the L2 line holding `blk`, which the shared L2 just allocated.
     #[inline]
-    fn note(&mut self, l2: &Cache, addr: u64) {
-        let line = addr >> self.line_shift;
-        if l2.probe(line << self.line_shift) == LookupResult::Miss && !self.fresh.contains(&line) {
-            self.fresh.push(line);
+    fn allocate(&mut self, blk: u64) {
+        let line = blk >> self.line_shift;
+        for w in &mut self.watched {
+            let s = (line & w.set_mask) as usize;
+            w.lines[s] += 1;
+            self.overflowed |= w.lines[s] as usize > w.ways;
         }
-    }
-
-    /// Whether the access whose lines were noted, which stamps the shared
-    /// `l2` at most `stamps` times, could overflow a set of some class or
-    /// make `l2` renumber its stamps (after which its sets' stamps no longer
-    /// compare).
-    fn must_split(&mut self, l2: &Cache, stamps: u64) -> bool {
-        if (l2.stamps_left() as u64) < stamps {
-            return true;
-        }
-        let fresh = &self.fresh;
-        !fresh.is_empty() && self.watched.iter_mut().any(|w| w.overflows(fresh))
-    }
-
-    /// After the access: count each noted line `l2` now holds.
-    fn settle(&mut self, l2: &Cache) {
-        for line in self.fresh.drain(..) {
-            if l2.probe(line << self.line_shift) == LookupResult::Hit {
-                for w in &mut self.watched {
-                    let s = w.set(line);
-                    w.lines[s] += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Visit each `line`-byte line that a vector access of `elems` elements
-/// at `base`, `stride_bytes` apart, touches, once each and in some order:
-/// the lines [`Back::vector`]'s walk visits at that line size.
-fn each_line(
-    base: u64,
-    stride_bytes: i64,
-    elems: u32,
-    line: u64,
-    memo: &mut SharedAccessScratch,
-    mut f: impl FnMut(u64),
-) {
-    match lines::classify(base, stride_bytes, elems, line) {
-        Some(walk) => walk.for_each(f),
-        None => memo
-            .lines(base, stride_bytes, elems, line)
-            .iter()
-            .for_each(|&blk| f(blk)),
     }
 }
 
 /// One back under a front and its members' latency columns (lanes
-/// `lane..lane + members`): one tag class, or while they share the back,
-/// a whole group of them.
+/// `lane..lane + members`): one tag class, or a group of them (see
+/// [`ClassTree`]).
 #[derive(Debug, Clone)]
 struct BackNode {
     lane: usize,
     back: Back,
     pricer: ClassPricer,
-    /// While the back serves a group of realistic-model classes: when and
-    /// how to split it.  (A perfect-model back never fills a line, so its
-    /// group never splits.)
-    group: Option<Box<Group>>,
 }
 
 impl BackNode {
@@ -1116,128 +1053,38 @@ impl BackNode {
         };
         if let [_] = classes {
             let back = Back::new(model, &params, port.max(1));
-            return BackNode {
-                lane,
-                back,
-                pricer,
-                group: None,
-            };
+            return BackNode { lane, back, pricer };
         }
         // The shared L2 takes the most sets and the fewest ways of any
         // class: sets are powers of two, so each of its sets lies within one
         // set of every class, and it cannot evict before some class would.
-        let classes: Vec<_> = classes
+        let line = params.l2_line;
+        let shapes: Vec<_> = classes
             .iter()
             .map(|class| {
                 let p = &configs[class[0]].1;
                 cache::check_geometry(L2_NAME, p.l2_size, p.l2_assoc, p.l2_line);
                 cache::check_geometry("L3", p.l3_size, p.l3_assoc, p.l3_line);
-                (p.l2_size, p.l2_assoc, class.len())
+                (p.l2_size / (p.l2_assoc * line), p.l2_assoc)
             })
             .collect();
-        let line = params.l2_line;
-        let sets = classes
-            .iter()
-            .map(|&(size, assoc, _)| size / (assoc * line));
-        let ways = classes.iter().map(|&(_, assoc, _)| assoc);
-        let (sets, ways) = (sets.max().unwrap_or(1), ways.min().unwrap_or(1));
+        let sets = shapes.iter().map(|&(sets, _)| sets).max().unwrap_or(1);
+        let ways = shapes.iter().map(|&(_, ways)| ways).min().unwrap_or(1);
         let shared = MemoryParams {
             l2_size: sets * ways * line,
             l2_assoc: ways,
             ..params
         };
-        BackNode {
-            lane,
-            back: Back::new(model, &shared, port.max(1)),
-            pricer,
-            group: (model == MemoryModel::Realistic).then(|| Box::new(Group::new(classes, line))),
+        let mut back = Back::new(model, &shared, port.max(1));
+        // A perfect-model back never fills a line, so it never overflows.
+        if model == MemoryModel::Realistic {
+            back.occupancy = Some(Box::new(Occupancy::new(&shapes, line)));
         }
+        BackNode { lane, back, pricer }
     }
 
     fn lanes(&self) -> Range<usize> {
         self.lane..self.lane + self.pricer.latencies.len()
-    }
-
-    /// Whether this back, serving a group, must split before it serves the
-    /// L1 misses `lines` of a scalar access.
-    #[inline]
-    fn must_split_scalar(&mut self, lines: &ScalarLines) -> bool {
-        let Some(group) = self.group.as_deref_mut() else {
-            return false;
-        };
-        for miss in lines.misses.iter().flatten() {
-            group.note(&self.back.l2, miss.blk);
-            if let Some(wb) = miss.writeback {
-                group.note(&self.back.l2, wb);
-            }
-        }
-        // Each line: a lookup, a refill and a write-back.
-        group.must_split(&self.back.l2, 6)
-    }
-
-    /// Whether this back, serving a group, must split before it serves a
-    /// vector access of `elems` elements at `base`, `stride_bytes` apart;
-    /// `l1_clean` when the access is known to push no dirty L1 line.
-    #[inline]
-    fn must_split_vector(
-        &mut self,
-        base: u64,
-        stride_bytes: i64,
-        elems: u32,
-        l1_clean: bool,
-        memo: &mut SharedAccessScratch,
-    ) -> bool {
-        let Some(group) = self.group.as_deref_mut() else {
-            return false;
-        };
-        let l2 = &self.back.l2;
-        let (l1_line, l2_line) = (self.back.l1_line, self.back.l2_line);
-        let mut lines = 0u64;
-        each_line(base, stride_bytes, elems, l2_line, memo, |blk| {
-            lines += 1;
-            group.note(l2, blk);
-        });
-        // A dirty L1 line the walk pushes down fills the L2 line holding its
-        // first byte: one of the walk's own lines, unless L1 lines are the
-        // longer ones.  Then every L1 line the access spans may be dirty.
-        if l1_line > l2_line && !l1_clean {
-            each_line(base, stride_bytes, elems, l1_line, memo, |blk| {
-                group.note(l2, blk)
-            });
-        }
-        // Each L2 line: a lookup and a refill; each L1 line, at most
-        // `max(1, l2_line / l1_line)` of them per L2 line: a push.
-        group.must_split(l2, lines * (2 + (l2_line / l1_line).max(1)))
-    }
-
-    /// After an access: bring the group's set occupancy up to date.
-    #[inline]
-    fn settle(&mut self) {
-        if let Some(group) = self.group.as_deref_mut() {
-            group.settle(&self.back.l2);
-        }
-    }
-
-    /// One back per class of the group this back serves, each holding this
-    /// back's lines in its own L2 geometry, with a copy of its L3 and
-    /// counters and its members' latency columns.
-    fn split(&self) -> Vec<BackNode> {
-        let group = self.group.as_deref().expect("only a group's back splits");
-        let mut first = 0;
-        group
-            .classes
-            .iter()
-            .map(|&(l2_size, l2_assoc, members)| {
-                let node = BackNode {
-                    lane: self.lane + first,
-                    back: self.back.reshaped(l2_size, l2_assoc),
-                    pricer: self.pricer.slice(first..first + members),
-                    group: None,
-                };
-                first += members;
-                node
-            })
-            .collect()
     }
 }
 
@@ -1254,15 +1101,6 @@ struct FrontNode {
     /// worker over writing every lane's L1 latency on each hit (2-vCPU
     /// host, 7 of 8 alternating pairs).
     l1_priced: bool,
-}
-
-impl FrontNode {
-    /// Replace back `j`, which serves a group, by one back per class.
-    #[cold]
-    fn split(&mut self, j: usize) {
-        let classes = self.backs[j].split();
-        self.backs.splice(j..=j, classes);
-    }
 }
 
 /// The entry of `v` that `same` accepts, else a new empty one pushed last.
@@ -1298,30 +1136,30 @@ fn entry<T: Default>(v: &mut Vec<T>, same: impl Fn(&T) -> bool) -> &mut T {
 /// # Shared backs
 ///
 /// Under a front, the tag classes ([`tag_equivalent_configs`]) that differ
-/// only in L2 size and associativity form a *group*, and one back serves
-/// the whole group until some class's L2 would evict.  While no class's L2
-/// set has held more lines than its ways, every class's L2 holds exactly
-/// the lines filled so far, with the same dirty bits and, since each saw
-/// the same lookups and fills, the same LRU stamps, and every L3 below
-/// sees the same miss stream: one back's verdicts, echoes and counters are
-/// every class's.  The shared L2 has the most sets and the fewest ways of
-/// any class, so each of its sets lies within one set of every class and
-/// it cannot evict first.  The group counts how many lines each set of
-/// each class would hold (only the geometries that overflow first), and
-/// before an access that could push a set past its ways, or make the
-/// shared L2 renumber its stamps, it *splits*: each class gets its own back
-/// whose L2 holds the shared lines, with their stamps and dirty bits, in
-/// the class's geometry (`Cache::reshaped`), and a copy of the L3 and
-/// counters.  From there each class walks on its own.  A split is never
-/// late, and one that comes early loses only time.
+/// only in L2 size and associativity form a *group*.  A tree built to share
+/// backs serves each group from one back, whose L2 has the most sets and
+/// the fewest ways of any class: each of its sets lies within one set of
+/// every class, so it cannot evict before some class would.  While no
+/// class's L2 set has been given more lines than it has ways, every class's
+/// L2 holds exactly the lines filled so far, with the same dirty bits, and
+/// every L3 below sees the same miss stream: one back's verdicts, echoes and
+/// counters are every class's.  (LRU stamps choose only which line leaves a
+/// full set, so they decide nothing before then.)  The back counts each L2
+/// line it allocates against the sets of the class geometries that overflow
+/// first, and at the first allocation that gives one of those sets more
+/// lines than it has ways, the tree reports [`Self::overflowed`].  From that
+/// access on its latencies and statistics are no longer exact: the caller
+/// prices the stream again on a tree built with one back per tag class,
+/// which is exact throughout.  A perfect-model back fills no line and never
+/// overflows.
 ///
 /// Lanes are laid out front by front, back by back and class by class (in
 /// order of first appearance, members in batch order);
 /// [`Self::lane_configs`] maps a lane back to its configuration.  Every
 /// lane's latencies and [`MemStats`] are exactly what a fresh
-/// [`MemoryHierarchy`] of its configuration produces on the same stream.
-/// The latencies live in the tree, so a run of L1 hits under a front
-/// rewrites none of them.
+/// [`MemoryHierarchy`] of its configuration produces on the same stream,
+/// until the tree overflows.  The latencies live in the tree, so a run of
+/// L1 hits under a front rewrites none of them.
 ///
 /// When every lane has one L1 latency, a scalar access that hits the L1 of
 /// every front costs every lane that latency, and the access call says so
@@ -1341,32 +1179,38 @@ pub struct ClassTree {
     /// Touched-line walks of the current irregular vector access, shared
     /// by every back.
     memo: SharedAccessScratch,
-    /// Backs built to serve more than one tag class, and how many of them
-    /// split.
-    shared_backs: u64,
-    splits: u64,
+    /// Whether some shared back has overflowed.
+    overflowed: bool,
 }
 
 impl ClassTree {
     /// The tree of `configs`, each a (model, memory parameters, L2 port
-    /// width) triple.
-    pub fn new(configs: &[(MemoryModel, MemoryParams, u32)]) -> ClassTree {
-        // Front → group → tag class → members, each in order of first
+    /// width) triple, with one back per group of tag classes when
+    /// `share_backs` (see "Shared backs"), else one per tag class.  The
+    /// backs built to serve more than one class count into the telemetry
+    /// recorder's `mem_shared_backs`.
+    pub fn new(configs: &[(MemoryModel, MemoryParams, u32)], share_backs: bool) -> ClassTree {
+        // Front → back → tag class → members, each in order of first
         // appearance.
         let mut tree: Vec<Vec<Vec<Vec<usize>>>> = Vec::new();
+        let same_back = if share_backs {
+            shares_back
+        } else {
+            tag_equivalent_configs
+        };
         for (i, &(model, ref params, port)) in configs.iter().enumerate() {
             let lead = |first: usize| {
                 let (model, ref params, port) = configs[first];
                 (model, params, port)
             };
-            let front = entry(&mut tree, |groups| {
-                let (model_f, params_f, _) = lead(groups[0][0][0]);
+            let front = entry(&mut tree, |backs| {
+                let (model_f, params_f, _) = lead(backs[0][0][0]);
                 shares_front((model_f, params_f), (model, params))
             });
-            let group = entry(front, |classes| {
-                shares_back(lead(classes[0][0]), (model, params, port))
+            let back = entry(front, |classes| {
+                same_back(lead(classes[0][0]), (model, params, port))
             });
-            let class = entry(group, |members| {
+            let class = entry(back, |members| {
                 tag_equivalent_configs(lead(members[0]), (model, params, port))
             });
             class.push(i);
@@ -1375,9 +1219,9 @@ impl ClassTree {
         let mut lane = 0;
         let fronts = tree
             .iter()
-            .map(|groups| {
+            .map(|backs| {
                 let first = lane;
-                let backs = groups
+                let nodes = backs
                     .iter()
                     .map(|classes| {
                         let node = BackNode::new(configs, classes, lane);
@@ -1385,16 +1229,15 @@ impl ClassTree {
                         node
                     })
                     .collect();
-                let (model, ref params, _) = configs[groups[0][0][0]];
+                let (model, ref params, _) = configs[backs[0][0][0]];
                 FrontNode {
                     lanes: first..lane,
                     front: Front::new(model, params),
-                    backs,
+                    backs: nodes,
                     l1_priced: false,
                 }
             })
             .collect();
-        let shared_backs = tree.iter().flatten().filter(|g| g.len() > 1).count();
         let lane_config: Vec<usize> = tree.concat().concat().concat();
         let l1_latency: Vec<u64> = lane_config
             .iter()
@@ -1404,6 +1247,8 @@ impl ClassTree {
             Some((&first, rest)) if rest.iter().all(|&l| l == first) => Some(first),
             _ => None,
         };
+        let shared_backs = tree.iter().flatten().filter(|b| b.len() > 1).count();
+        vmv_obs::add(vmv_obs::Counter::MemSharedBacks, shared_backs as u64);
         ClassTree {
             fronts,
             shared_l1,
@@ -1411,14 +1256,20 @@ impl ClassTree {
             latency: vec![0; lane_config.len()],
             lane_config,
             memo: SharedAccessScratch::default(),
-            shared_backs: shared_backs as u64,
-            splits: 0,
+            overflowed: false,
         }
     }
 
     /// The configuration (index into `configs`) of each lane.
     pub fn lane_configs(&self) -> &[usize] {
         &self.lane_config
+    }
+
+    /// Whether some shared back has overflowed (see "Shared backs"): the
+    /// latencies of the access that did it, and of every later one, are
+    /// not exact, and neither are the statistics.
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
     }
 
     /// Price a scalar access of `size` bytes for every lane: one latency
@@ -1447,18 +1298,11 @@ impl ClassTree {
             }
             hit = false;
             node.l1_priced = false;
-            let mut j = 0;
-            while j < node.backs.len() {
-                if node.backs[j].must_split_scalar(&lines) {
-                    node.split(j);
-                    self.splits += 1;
-                }
-                let b = &mut node.backs[j];
+            for b in &mut node.backs {
                 let e = b.back.scalar(&lines);
-                b.settle();
+                self.overflowed |= b.back.overflowed();
                 b.pricer.price(&e, &mut self.latency[b.lanes()]);
                 echo(b.lanes(), &e);
-                j += 1;
             }
         }
         match self.shared_l1 {
@@ -1483,21 +1327,8 @@ impl ClassTree {
         for node in &mut self.fronts {
             node.front.vector(stride_bytes, kind);
             node.l1_priced = false;
-            let mut j = 0;
-            while j < node.backs.len() {
+            for (j, b) in node.backs.iter_mut().enumerate() {
                 // Only the first back's walk has yet to find the dirty lines.
-                let l1_clean = j > 0 && node.front.dirty.is_empty();
-                if node.backs[j].must_split_vector(
-                    base,
-                    stride_bytes,
-                    elems,
-                    l1_clean,
-                    &mut self.memo,
-                ) {
-                    node.split(j);
-                    self.splits += 1;
-                }
-                let b = &mut node.backs[j];
                 let l1 = if j == 0 {
                     L1Lines::Invalidate(&mut node.front)
                 } else {
@@ -1506,10 +1337,9 @@ impl ClassTree {
                 let e = b
                     .back
                     .vector(base, stride_bytes, elems, write, l1, &mut self.memo);
-                b.settle();
+                self.overflowed |= b.back.overflowed();
                 b.pricer.price(&e, &mut self.latency[b.lanes()]);
                 echo(b.lanes(), &e);
-                j += 1;
             }
         }
         &self.latency
@@ -1527,14 +1357,6 @@ impl ClassTree {
             }
         }
         out
-    }
-
-    /// Fold the tree's back sharing into the telemetry recorder: the backs
-    /// built to serve more than one tag class, and how many of them split.
-    /// Called once per walk.
-    pub fn record_obs(&self) {
-        vmv_obs::add(vmv_obs::Counter::MemSharedBacks, self.shared_backs);
-        vmv_obs::add(vmv_obs::Counter::MemBackSplits, self.splits);
     }
 }
 
@@ -1709,7 +1531,7 @@ mod tests {
         ];
         for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
             let mut plain = MemoryHierarchy::new(model, MemoryParams::default(), 4);
-            let mut tree = ClassTree::new(&[(model, MemoryParams::default(), 4)]);
+            let mut tree = ClassTree::new(&[(model, MemoryParams::default(), 4)], true);
             for &(base, stride, elems, kind) in &accesses {
                 let (a, echo) = plain.vector_access_echoed(base, stride, elems, kind);
                 let mut heard = None;
@@ -1764,7 +1586,7 @@ mod tests {
                     (model, params, 4)
                 ));
             }
-            let mut tree = ClassTree::new(&configs);
+            let mut tree = ClassTree::new(&configs, true);
             assert_eq!(tree.lane_configs(), [0, 1, 2, 3], "one class, batch order");
             let mut real: Vec<MemoryHierarchy> = class
                 .iter()
@@ -2000,7 +1822,7 @@ mod tests {
         let n = configs.len();
         let configs: Vec<_> = (0..n).map(|i| configs[i * 29 % n]).collect();
         for seed in [7, 8] {
-            let mut tree = ClassTree::new(&configs);
+            let mut tree = ClassTree::new(&configs, true);
             let fronts = tree.fronts.len();
             assert_eq!(fronts, 2 + 2 * 3, "L1 lines of 4 bytes split by L2 line");
             let backs: usize = tree.fronts.iter().map(|f| f.backs.len()).sum();
@@ -2085,16 +1907,18 @@ mod tests {
         // points each, under one L1 front per model, in a scrambled batch
         // order: each model's twelve tag classes form one group.  On the
         // seeded streams the 8-32 KiB L2s overflow, at different steps, and
-        // the 128 KiB ones never do.  The realistic group must share one
-        // back up to the first access that makes any class evict and split
-        // exactly there; the perfect group never splits.  Every lane's
-        // latency after every access, and every configuration's final
-        // statistics and L1, L2 and L3 lines (block, dirty bit and LRU
-        // stamp), must equal those of its own hierarchy.  A second pass
-        // starts every L2's stamp counter two stamps before the wrap: the
-        // group must split before its shared L2 renumbers, before any class
-        // overflows, and the classes must still match through their own
-        // renumbering.
+        // the 128 KiB ones never do.  A tree that shares backs must match
+        // every configuration's own hierarchy, latencies and statistics,
+        // after every access before the first one at which some realistic
+        // L2 evicts, and report an overflow exactly there; its perfect
+        // group never overflows, and its lanes stay exact to the end.  A
+        // tree with one back per tag class must match every hierarchy
+        // after every access, in its final statistics and in its L1, L2
+        // and L3 lines (block, dirty bit and LRU stamp).  A second pass
+        // starts every L2's stamp counter two stamps before the wrap, so
+        // the shared L2 renumbers its stamps set by set although its sets
+        // are not the classes' sets: no verdict before the first overflow
+        // reads a stamp.
         let mut configs = Vec::new();
         for model in [MemoryModel::Realistic, MemoryModel::Perfect] {
             for l2_size in [8 << 10, 16 << 10, 32 << 10, 128 << 10] {
@@ -2121,52 +1945,112 @@ mod tests {
         let largest = (0..n)
             .find(|&c| realistic(c) && configs[c].1.l2_size == 128 << 10)
             .expect("a 128 KiB realistic L2");
+        let backs = |tree: &ClassTree| -> Vec<usize> {
+            tree.fronts.iter().map(|f| f.backs.len()).collect()
+        };
+        // Every lane's latency of one access, in `configs` order.
+        let by_config = |tree: &ClassTree, lanes: Vec<u64>| {
+            let mut out = vec![0; n];
+            for (l, &c) in tree.lane_configs().iter().enumerate() {
+                out[c] = lanes[l];
+            }
+            out
+        };
         for seed in [7, 8] {
             for start in [0, u32::MAX - 2] {
-                let mut tree = ClassTree::new(&configs);
-                assert_eq!((tree.fronts.len(), tree.shared_backs), (2, 2));
+                let at = format!("seed {seed} from stamp {start}");
+                let mut shared = ClassTree::new(&configs, true);
+                let mut own = ClassTree::new(&configs, false);
+                assert_eq!(backs(&shared), [1, 1], "{at}: one back per group");
+                assert_eq!(backs(&own), [12, 12], "{at}: one back per class");
                 let mut real: Vec<MemoryHierarchy> = configs
                     .iter()
                     .map(|&(model, params, port)| MemoryHierarchy::new(model, params, port))
                     .collect();
-                for node in &mut tree.fronts {
-                    for b in &mut node.backs {
-                        b.back.l2 = b.back.l2.clone().with_tick(start);
+                for tree in [&mut shared, &mut own] {
+                    for node in &mut tree.fronts {
+                        for b in &mut node.backs {
+                            b.back.l2 = b.back.l2.clone().with_tick(start);
+                        }
                     }
                 }
                 for r in &mut real {
                     r.back.l2 = r.back.l2.clone().with_tick(start);
                 }
                 // The access at which each realistic L2 first evicted (it
-                // then holds fewer lines than one that never evicts), and
-                // the one the tree split at.
+                // then holds fewer lines than one that never evicts), the
+                // one the shared tree overflowed at, and the dirty L1 lines
+                // written back by scalar fills and pushed down by vector
+                // accesses before it.
                 let mut evicted: Vec<Option<usize>> = vec![None; n];
-                let mut split = None;
-                for (step, access) in seeded_stream(seed, 2500).into_iter().enumerate() {
-                    let (lat, expect): (Vec<u64>, Vec<u32>) = match access {
-                        Access::Scalar(addr, size, kind) => (
+                let mut overflow = None;
+                let (mut written_back, mut pushed) = (0, 0);
+                // The random stream overflows within a few accesses, so it
+                // starts with three stores to one L1 set (the third evicts
+                // the first, dirty) and a vector load over the second.
+                let prefix = [
+                    Access::Scalar(0x8000, 8, AccessKind::Store),
+                    Access::Scalar(0x8200, 8, AccessKind::Store),
+                    Access::Scalar(0x8400, 8, AccessKind::Store),
+                    Access::Vector(0x8200, 8, 4, AccessKind::Load),
+                ];
+                let stream = prefix.into_iter().chain(seeded_stream(seed, 2500));
+                for (step, access) in stream.enumerate() {
+                    let price = |tree: &mut ClassTree| match access {
+                        Access::Scalar(addr, size, kind) => {
                             match tree.scalar_access(addr, size, kind, |_, _| {}) {
                                 LaneLatency::Shared(latency) => vec![latency; n],
                                 LaneLatency::Lanes(lanes) => lanes.to_vec(),
-                            },
-                            real.iter_mut()
-                                .map(|r| r.scalar_access(addr, size, kind).latency)
-                                .collect(),
-                        ),
-                        Access::Vector(base, stride, elems, kind) => (
-                            tree.vector_access(base, stride, elems, kind, |_, _| {})
-                                .to_vec(),
-                            real.iter_mut()
-                                .map(|r| r.vector_access(base, stride, elems, kind).latency)
-                                .collect(),
-                        ),
+                            }
+                        }
+                        Access::Vector(base, stride, elems, kind) => tree
+                            .vector_access(base, stride, elems, kind, |_, _| {})
+                            .to_vec(),
                     };
-                    let at = format!("seed {seed} from stamp {start}, step {step}");
-                    for (l, &c) in tree.lane_configs().iter().enumerate() {
-                        assert_eq!(lat[l], expect[c] as u64, "{at}: config {c}");
+                    let expect: Vec<u64> = match access {
+                        Access::Scalar(addr, size, kind) => {
+                            let lines = real[largest].front.clone().scalar(addr, size, kind);
+                            if overflow.is_none() {
+                                written_back += lines
+                                    .misses
+                                    .iter()
+                                    .flatten()
+                                    .filter(|m| m.writeback.is_some())
+                                    .count();
+                            }
+                            real.iter_mut()
+                                .map(|r| r.scalar_access(addr, size, kind).latency as u64)
+                                .collect()
+                        }
+                        Access::Vector(base, stride, elems, kind) => {
+                            let lat = real
+                                .iter_mut()
+                                .map(|r| r.vector_access(base, stride, elems, kind).latency as u64)
+                                .collect();
+                            if overflow.is_none() {
+                                pushed += real[largest].front.dirty.len();
+                            }
+                            lat
+                        }
+                    };
+                    let step_at = format!("{at}, step {step}");
+                    let lat = price(&mut own);
+                    assert_eq!(
+                        by_config(&own, lat),
+                        expect,
+                        "{step_at}: one back per class"
+                    );
+                    let lat = price(&mut shared);
+                    let lat = by_config(&shared, lat);
+                    if overflow.is_none() && shared.overflowed() {
+                        overflow = Some(step);
                     }
-                    if tree.splits > 0 && split.is_none() {
-                        split = Some(step);
+                    let expect_stats: Vec<MemStats> =
+                        real.iter().map(MemoryHierarchy::stats).collect();
+                    let got_stats = shared.stats();
+                    for c in (0..n).filter(|&c| overflow.is_none() || !realistic(c)) {
+                        assert_eq!(lat[c], expect[c], "{step_at}: shared, config {c}");
+                        assert_eq!(got_stats[c], expect_stats[c], "{step_at}: config {c}");
                     }
                     let all = real[largest].back.l2.lines().len();
                     for c in (0..n).filter(|&c| realistic(c)) {
@@ -2175,15 +2059,23 @@ mod tests {
                         }
                     }
                 }
-                let at = format!("seed {seed} from stamp {start}");
                 let expect: Vec<MemStats> = real.iter().map(MemoryHierarchy::stats).collect();
-                assert_eq!(tree.stats(), expect, "{at}");
+                assert_eq!(own.stats(), expect, "{at}");
                 let expect: Vec<_> = real.iter().map(hierarchy_lines).collect();
-                assert!(tree_lines(&tree) == expect, "{at}: cache lines");
-                assert_eq!(tree.splits, 1, "{at}: only the realistic group splits");
+                assert!(tree_lines(&own) == expect, "{at}: cache lines");
+                for node in &shared.fronts {
+                    let perfect = node.front.model == MemoryModel::Perfect;
+                    assert_eq!(
+                        node.backs[0].back.overflowed(),
+                        !perfect,
+                        "{at}: only the realistic group overflows"
+                    );
+                }
 
                 // Test premises: the small L2s evict, at different steps,
-                // and hold dirty lines; the largest never evict.
+                // and hold dirty lines; the largest never evict; before the
+                // first eviction, scalar fills write dirty L1 lines back
+                // and vector accesses push dirty L1 lines down.
                 let mut first: Vec<usize> = Vec::new();
                 for c in (0..n).filter(|&c| realistic(c)) {
                     let big = configs[c].1.l2_size == 128 << 10;
@@ -2191,24 +2083,21 @@ mod tests {
                     first.extend(evicted[c]);
                 }
                 first.sort_unstable();
-                let overflow = first[0];
+                assert_eq!(
+                    overflow,
+                    Some(first[0]),
+                    "{at}: overflow at the first eviction"
+                );
                 first.dedup();
                 assert!(first.len() >= 4, "{at}: first evictions at {first:?}");
                 assert!(
                     expect.iter().any(|l| l[1].iter().any(|line| line.1)),
                     "{at}"
                 );
-                if start == 0 {
-                    assert_eq!(split, Some(overflow), "{at}: split at the first overflow");
-                } else {
-                    assert!(split < Some(overflow), "{at}: split {split:?} at the wrap");
-                    for c in (0..n).filter(|&c| realistic(c)) {
-                        assert!(
-                            real[c].back.l2.stamps_left() > 64,
-                            "{at}: config {c} wrapped"
-                        );
-                    }
-                }
+                assert!(
+                    written_back > 0 && pushed > 0,
+                    "{at}: {written_back} / {pushed}"
+                );
             }
         }
     }

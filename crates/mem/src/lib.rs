@@ -33,8 +33,10 @@
 //!   levels below, so a [`ClassTree`] lets every tag class of a replay
 //!   batch share one front per L1 geometry, and one L1 walk.  Tag classes
 //!   that differ only in L2 size and associativity also share one back,
-//!   and one L2/L3 walk, until one of their L2s would evict; the back then
-//!   splits into one per class, each holding the lines filled so far.
+//!   and one L2/L3 walk.  The back counts the lines its L2 allocates per
+//!   set of each class's geometry, and when one of their L2s would evict
+//!   the tree says so; the batch is then walked again with one back per
+//!   class.
 
 #![forbid(unsafe_code)]
 

@@ -62,9 +62,10 @@ pub enum Counter {
     MemCoherenceInvalidations,
     /// Batched-walk L2/L3 backs built to serve a group of more than one
     /// tag class (classes that differ only in L2 size and associativity),
-    /// and how many of them split into one back per class when some
-    /// class's L2 would evict.  Recorded once per walk.
+    /// counted as each class tree is built.
     MemSharedBacks,
+    /// Batched walks that stopped because some class of a shared back
+    /// would evict, each walked again with one back per tag class.
     MemBackSplits,
     /// Result-store records appended (persisted runs).
     StoreRecordsAppended,
@@ -94,7 +95,10 @@ pub enum Counter {
     ProfileStallL2Port,
     /// Spans entered (== histogram samples recorded via guards).  Exactly 0
     /// while the recorder is disabled — the overhead regression test keys
-    /// on this.
+    /// on this.  With several workers it is not repeatable: the committer
+    /// appends to the store once per batch of drained results, and how the
+    /// workers' results interleave decides how many batches, and so how
+    /// many `StoreAppend` spans, a sweep makes.
     SpansEntered,
 }
 

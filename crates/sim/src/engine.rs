@@ -145,11 +145,6 @@ impl Simulator {
         )
     }
 
-    /// The machine configuration being simulated.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
     /// Run a scheduled program to completion and return the statistics.
     ///
     /// Lowers the program (pre-resolving labels, register slots and latency
@@ -604,11 +599,6 @@ impl Simulator {
             hierarchy.scalar_access_echoed(access.base, access.bytes, kind)
         };
         (timing.latency, echo)
-    }
-
-    /// Memory-hierarchy statistics accumulated so far.
-    pub fn memory_stats(&self) -> vmv_mem::MemStats {
-        self.hierarchy.stats()
     }
 }
 

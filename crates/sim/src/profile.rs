@@ -418,11 +418,6 @@ impl Profile {
         self.causes[STALL_BASE..].iter().sum()
     }
 
-    /// Whether the timeline dropped events past [`TIMELINE_CAP`].
-    pub fn timeline_truncated(&self) -> bool {
-        self.events_seen > self.timeline.len() as u64
-    }
-
     /// Fold this profile into the process-wide vmv-obs counters: one
     /// `profile_runs` tick plus the six stall-cause totals.
     pub fn record_obs(&self) {

@@ -143,12 +143,14 @@
 //! * **backs**: one L2/L3 back per tag-equivalence class
 //!   ([`vmv_mem::tag_equivalent_configs`]: model, cache geometry and port
 //!   width) under its front, except that the classes that differ only in
-//!   L2 size and associativity share one back until some class's L2 would
-//!   evict.  Until then each of them holds exactly the lines filled so
-//!   far, so one shared L2 (the most sets and fewest ways of any class)
-//!   and one L3 decide for all of them; before an access that could
-//!   overflow a set of some class, the back splits into one per class,
-//!   each holding the shared lines in its own geometry;
+//!   L2 size and associativity share one back.  Until some class's L2
+//!   would evict, each of them holds exactly the lines filled so far, so
+//!   one shared L2 (the most sets and fewest ways of any class) and one L3
+//!   decide for all of them.  At the first L2 allocation that would make
+//!   some class evict, the walk stops, and the batch is walked again from
+//!   the start with one back per tag class, paying its shared prefix
+//!   twice; the stopped walk adds only `mem_shared_backs`, one
+//!   `mem_back_splits` and its `replay_batch_ns` span to the telemetry;
 //! * **members**: one latency column per variant in its back's pricer,
 //!   which turns each of the back's access echoes into every member's
 //!   latency at once (members' `MemStats` differ only in the stall total).
@@ -794,6 +796,13 @@ trait LaneMemory {
         heard: impl FnMut(Range<usize>, &AccessEcho),
     ) -> Result<LaneLatency<'_>, ReplayError>;
 
+    /// Whether some latency priced so far is not exact and the walk must
+    /// stop: a back shared by several tag classes overflowed (module docs,
+    /// "The class tree").
+    fn overflowed(&self) -> bool {
+        false
+    }
+
     /// Every variant's memory statistics, in batch order, once the walk
     /// has made its last access.
     fn finish(self) -> Result<Vec<MemStats>, ReplayError>;
@@ -831,8 +840,11 @@ impl LaneMemory for ClassTree {
         })
     }
 
+    fn overflowed(&self) -> bool {
+        ClassTree::overflowed(self)
+    }
+
     fn finish(self) -> Result<Vec<MemStats>, ReplayError> {
-        self.record_obs();
         Ok(self.stats())
     }
 }
@@ -938,12 +950,15 @@ pub fn replay_batch(
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
 ) -> Result<Vec<RunStats>, ReplayError> {
-    match recorded_pricing(trace, analysis, variants) {
+    let pricing = recorded_pricing(trace, analysis, variants);
+    rewalk_on_overflow(|share_backs| match pricing {
         Some(pricing) => replay_batch_on(trace, analysis, variants, |variants| {
             Recorded::new(pricing, variants)
         }),
-        None => replay_batch_on(trace, analysis, variants, class_tree),
-    }
+        None => replay_batch_on(trace, analysis, variants, |variants| {
+            class_tree(variants, share_backs)
+        }),
+    })
 }
 
 /// [`replay_batch`] on the memory `memory` builds for the variants.  A
@@ -955,7 +970,7 @@ fn replay_batch_on<M: LaneMemory>(
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
     memory: impl FnOnce(&[VariantState]) -> M,
-) -> Result<Vec<RunStats>, ReplayError> {
+) -> Result<Option<Vec<RunStats>>, ReplayError> {
     if variants.len() == 1 {
         replay_batch_with::<_, _, 1>(trace, analysis, variants, memory, &mut NoBatchProfile)
     } else {
@@ -963,13 +978,27 @@ fn replay_batch_on<M: LaneMemory>(
     }
 }
 
-/// The class tree of `variants` (module docs, "The class tree").
-fn class_tree(variants: &[VariantState]) -> ClassTree {
+/// The class tree of `variants` (module docs, "The class tree"), with one
+/// back per group of tag classes when `share_backs`, else per class.
+fn class_tree(variants: &[VariantState], share_backs: bool) -> ClassTree {
     let configs: Vec<_> = variants
         .iter()
         .map(|v| (v.model, v.memory, v.port_elems))
         .collect();
-    ClassTree::new(&configs)
+    ClassTree::new(&configs, share_backs)
+}
+
+/// Run `walk` on class trees that share backs and, when it stops because
+/// one of them overflowed (`None`), once more on trees with one back per
+/// tag class (module docs, "The class tree").
+fn rewalk_on_overflow<T>(
+    mut walk: impl FnMut(bool) -> Result<Option<T>, ReplayError>,
+) -> Result<T, ReplayError> {
+    if let Some(out) = walk(true)? {
+        return Ok(out);
+    }
+    vmv_obs::incr(vmv_obs::Counter::MemBackSplits);
+    Ok(walk(false)?.expect("a tree with one back per tag class never overflows"))
 }
 
 /// [`replay_batch`] with cycle attribution: one extra pass piggybacked on
@@ -982,8 +1011,12 @@ pub fn replay_batch_profiled(
     variants: &mut [VariantState],
     statics: &Arc<ProfileStatics>,
 ) -> Result<(Vec<RunStats>, Vec<Profile>), ReplayError> {
-    let mut bp = BatchProfiler::new(statics, variants.len());
-    let out = replay_batch_with::<_, _, 0>(trace, analysis, variants, class_tree, &mut bp)?;
+    let (out, bp) = rewalk_on_overflow(|share_backs| {
+        let mut bp = BatchProfiler::new(statics, variants.len());
+        let memory = |variants: &[VariantState]| class_tree(variants, share_backs);
+        let out = replay_batch_with::<_, _, 0>(trace, analysis, variants, memory, &mut bp)?;
+        Ok(out.map(|out| (out, bp)))
+    })?;
     let profiles = bp.finish();
     for p in &profiles {
         p.record_obs();
@@ -994,17 +1027,19 @@ pub fn replay_batch_profiled(
 /// The fused walk, pricing memory on what `memory` builds for the
 /// variants.  `WIDTH` is the batch width when known at compile time (it
 /// must then equal `variants.len()`), or 0 to read it at run time.
+/// `None` when the walk stopped because its memory overflowed; such a walk
+/// counts no replay.
 fn replay_batch_with<BP: BatchSink, M: LaneMemory, const WIDTH: usize>(
     trace: &Trace,
     analysis: &ReplayAnalysis,
     variants: &mut [VariantState],
     memory: impl FnOnce(&[VariantState]) -> M,
     bp: &mut BP,
-) -> Result<Vec<RunStats>, ReplayError> {
+) -> Result<Option<Vec<RunStats>>, ReplayError> {
     debug_assert!(WIDTH == 0 || WIDTH == variants.len());
     let k = if WIDTH == 0 { variants.len() } else { WIDTH };
     if k == 0 {
-        return Ok(Vec::new());
+        return Ok(Some(Vec::new()));
     }
     for (i, v) in variants.iter().enumerate() {
         if v.slots != analysis.total_slots() {
@@ -1027,10 +1062,10 @@ fn replay_batch_with<BP: BatchSink, M: LaneMemory, const WIDTH: usize>(
     // The memory: the recording's own latencies, or the class tree (one
     // L1 front per distinct model and L1 geometry, one L2/L3 back per
     // tag-equivalence class under it or per group of classes that differ
-    // only in L2 size and associativity while none of them evicts, and one
-    // latency column per variant).  The tree lays its lanes out front by
-    // front and back by back, so each back prices into a contiguous run of
-    // lanes; `lane_variant` maps a lane back to its batch position.
+    // only in L2 size and associativity, and one latency column per
+    // variant).  The tree lays its lanes out front by front and back by
+    // back, so each back prices into a contiguous run of lanes;
+    // `lane_variant` maps a lane back to its batch position.
     let mut memory = memory(variants);
     let lane_variant: Vec<usize> = memory.lane_variants().to_vec();
     let port_elems: Vec<u32> = lane_variant
@@ -1276,6 +1311,10 @@ fn replay_batch_with<BP: BatchSink, M: LaneMemory, const WIDTH: usize>(
                             bp.write_k(op_idx, op.dst_slot, &cause_k);
                         }
                     }
+                    // Stop before an inexact latency can reach a cycle cap.
+                    if memory.overflowed() {
+                        return Ok(None);
+                    }
                 } else {
                     if op.flags & F_SETVL != 0 {
                         vl = trace.vl_sets[vl_run + op.entry as usize];
@@ -1364,5 +1403,5 @@ fn replay_batch_with<BP: BatchSink, M: LaneMemory, const WIDTH: usize>(
     }
     vmv_obs::incr(vmv_obs::Counter::ReplayBatches);
     vmv_obs::record_value(vmv_obs::ValueHist::ReplayBatchWidth, k as u64);
-    Ok(out)
+    Ok(Some(out))
 }

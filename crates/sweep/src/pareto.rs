@@ -87,7 +87,8 @@ pub fn pareto_report(points: &[SweepPoint], records: &[RunRecord]) -> Vec<Pareto
     let mut cycles = vec![0u64; points.len()];
     let mut benchmarks = vec![0usize; points.len()];
     for (i, r) in crate::store::matched_records(points, records) {
-        cycles[i] += r.cycles;
+        // A store read from disk may hold any u64: a total past it pins.
+        cycles[i] = cycles[i].saturating_add(r.cycles);
         benchmarks[i] += 1;
     }
     let mut entries: Vec<ParetoEntry> = Vec::new();
@@ -263,5 +264,16 @@ mod tests {
             "incomplete point must not dominate"
         );
         assert!(partial[1].on_frontier, "the fully measured point wins");
+
+        // A store read from disk may carry any u64 cycle count: a total
+        // past u64::MAX pins there instead of overflowing.
+        let huge: Vec<RunRecord> = records[..2]
+            .iter()
+            .map(|r| RunRecord {
+                cycles: u64::MAX - 1,
+                ..r.clone()
+            })
+            .collect();
+        assert_eq!(pareto_report(&points, &huge)[0].cycles, u64::MAX);
     }
 }

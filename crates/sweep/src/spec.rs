@@ -77,7 +77,9 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Number of points the cartesian product would produce before
-    /// constraints and deduplication.
+    /// constraints and deduplication: at most
+    /// [`MAX_RAW_POINTS`](crate::specfile::MAX_RAW_POINTS), which lowering
+    /// enforces.
     pub fn raw_size(&self) -> usize {
         self.axes.iter().map(AxisSpec::len).product()
     }

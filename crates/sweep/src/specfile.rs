@@ -532,7 +532,9 @@ impl ConstraintSpec {
     /// drops the points where it does not.
     pub(crate) fn admits(&self, m: &MachineConfig) -> bool {
         match *self {
-            ConstraintSpec::LaneBudget { max } => m.vector_units as u32 * m.vector_lanes <= max,
+            ConstraintSpec::LaneBudget { max } => {
+                (m.vector_units as u64).saturating_mul(m.vector_lanes as u64) <= max as u64
+            }
             ConstraintSpec::MaxCost { max } => hardware_cost(m) <= max,
             ConstraintSpec::VectorIsaOnly => matches!(m.isa, IsaSupport::Vector),
         }
@@ -624,6 +626,14 @@ impl SpecDefaults {
         Ok(defaults)
     }
 }
+
+/// The most raw points a spec may expand to: the product of its machine
+/// axes' lengths ([`SweepSpec::raw_size`], before constraints and
+/// deduplication).  Expansion builds every raw point, so the cap keeps a
+/// spec that asks for billions of them (three 4096-value ranges) from
+/// hanging `sweep`, `verify` and `report` and exhausting memory; a spec at
+/// the cap holds about 1.2 GB of design points (1.1 KiB each).
+pub const MAX_RAW_POINTS: usize = 1 << 20;
 
 /// Error parsing or validating a spec file, with an actionable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -746,6 +756,7 @@ impl SpecFile {
     /// construction is re-checked at lowering time).
     pub fn validate(&self) -> Result<(), SpecError> {
         let mut seen = std::collections::HashSet::new();
+        let (mut factors, mut raw) = (Vec::new(), Some(1usize));
         for axis in &self.axes {
             if !seen.insert(axis.name()) {
                 return Err(SpecError {
@@ -760,6 +771,21 @@ impl SpecFile {
                     message: format!("axis '{}' has no values", axis.name()),
                 });
             }
+            if !matches!(axis, AxisSpec::Benchmarks(_)) {
+                factors.push(axis.len().to_string());
+                raw = raw.and_then(|n| n.checked_mul(axis.len()));
+            }
+        }
+        if raw.is_none_or(|raw| raw > MAX_RAW_POINTS) {
+            let product =
+                raw.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
+            return Err(SpecError {
+                message: format!(
+                    "the machine axes expand to {} = {product} raw points \
+                     (max {MAX_RAW_POINTS}); drop values or raise a range's \"step\"",
+                    factors.join(" x ")
+                ),
+            });
         }
         Ok(())
     }
@@ -1011,6 +1037,76 @@ mod tests {
             assert!(matches!(p.machine.isa, IsaSupport::Vector));
             assert!(p.machine.vector_units as u32 * p.machine.vector_lanes <= 4);
         }
+    }
+
+    #[test]
+    fn a_lane_budget_weighs_any_unit_count() {
+        // A unit count past u32 once overflowed the budget's product.
+        let spec = SpecFile::parse(
+            r#"{"axes": [{"axis": "vector_units", "values": [1, 18446744073709549568]}],
+                "constraints": [{"constraint": "lane_budget", "max": 16}]}"#,
+        )
+        .unwrap();
+        let e = spec.lower().unwrap().spec.expand();
+        assert_eq!((e.points.len(), e.rejected), (1, 1));
+        assert_eq!(e.points[0].machine.vector_units, 1);
+    }
+
+    #[test]
+    fn oversized_expansions_fail_before_any_point_is_built() {
+        // Three 4096-value ranges ask for 2^36 raw points and six overflow
+        // usize.  Each fails in `parse`, and again in `lower` when built in
+        // code, with the product named; the benchmarks pseudo-axis does not
+        // count.
+        let range =
+            |axis: &str| format!(r#"{{"axis": "{axis}", "values": {{"from": 1, "to": 4096}}}}"#);
+        let names = [
+            "mem_latency",
+            "l2_latency",
+            "l2_banks",
+            "l1_size",
+            "l2_size",
+            "l1_assoc",
+        ];
+        let many = |k: usize| {
+            let axes: Vec<String> = names[..k].iter().map(|a| range(a)).collect();
+            format!(r#"{{"axes": [{}]}}"#, axes.join(", "))
+        };
+        let err = SpecFile::parse(&many(3)).unwrap_err();
+        assert!(
+            err.message
+                .contains("4096 x 4096 x 4096 = 68719476736 raw points"),
+            "{}",
+            err.message
+        );
+        let err = SpecFile::parse(&many(6)).unwrap_err();
+        assert!(
+            err.message
+                .contains(&format!("= more than {} raw points", usize::MAX)),
+            "{}",
+            err.message
+        );
+        let values: Vec<u32> = (1..=4096).collect();
+        let mut spec = SpecFile {
+            name: "huge".to_string(),
+            axes: vec![
+                AxisSpec::MemLatency(values.clone()),
+                AxisSpec::L2Latency(values),
+                AxisSpec::L2Banks((1..=4096).collect()),
+                AxisSpec::Benchmarks(Benchmark::ALL.to_vec()),
+            ],
+            constraints: Vec::new(),
+            defaults: SpecDefaults::default(),
+        };
+        match spec.lower() {
+            Err(e) => assert!(e.message.contains("68719476736"), "{}", e.message),
+            Ok(_) => panic!("a 2^36-point spec lowered"),
+        }
+        // At the cap it lowers; the benchmarks do not multiply it.
+        spec.axes[0] = AxisSpec::MemLatency((1..=64).collect());
+        spec.axes[1] = AxisSpec::L2Latency((1..=4).collect());
+        let lowered = spec.lower().unwrap_or_else(|e| panic!("{}", e.message));
+        assert_eq!(lowered.spec.raw_size(), MAX_RAW_POINTS);
     }
 
     #[test]

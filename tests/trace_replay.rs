@@ -1,8 +1,8 @@
 //! Trace-replay behaviour beyond the three-engine differential: the batched
 //! walk is deterministic and bit-identical to fresh execution for any
 //! variant subset (a batch of one included, batches whose class trees
-//! hold several L1 fronts, and L2 ladders whose shared back splits in the
-//! middle of the walk), `simulate_batch`'s record-and-
+//! hold several L1 fronts, and L2 ladders whose shared back overflows in
+//! the middle of the walk), `simulate_batch`'s record-and-
 //! retime call agrees with fresh execution, one program's trace is the same
 //! on every schedule and retimes all of them exactly, a retime under the
 //! recording's own configuration and memory issue order reads the recorded
@@ -534,14 +534,14 @@ fn wide_batches_whose_lanes_stall_apart_match_fresh_execution() {
 }
 
 #[test]
-fn l2_ladders_whose_shared_back_splits_mid_walk_match_fresh_execution() {
+fn l2_ladders_whose_shared_back_overflows_mid_walk_match_fresh_execution() {
     // The committed cache_geometry study's L2 ladder (8, 64 and 256 KiB,
     // 1-, 2- and 4-way, each at four DRAM latencies) is one group of nine
     // tag classes under one L1 front: the batch's class tree serves them
-    // from one shared back until some class's L2 would evict, and then
-    // splits it into one back per class for the rest of the walk.  On every
-    // kernel, the batch, unprofiled and profiled, must match fresh
-    // execution of every variant.
+    // from one shared back until some class's L2 would evict, and then the
+    // batch is walked again with one back per class.  On every kernel, the
+    // batch, unprofiled and profiled, must match fresh execution of every
+    // variant.
     let study = SpecFile::parse(include_str!("../examples/specs/cache_geometry.json"))
         .unwrap()
         .lower()
@@ -564,7 +564,7 @@ fn l2_ladders_whose_shared_back_splits_mid_walk_match_fresh_execution() {
             &format!("{} on the L2 ladder", bench.name()),
         );
         // Test premise: on JPEG_DEC the classes part ways, so some L2
-        // evicted and the shared back split; the 8 KiB direct-mapped L2
+        // evicted and the shared back overflowed; the 8 KiB direct-mapped L2
         // costs cycles over the 256 KiB 4-way one at every DRAM latency.
         if bench == Benchmark::JpegDec {
             let cycles = |l2_size, l2_assoc, mem_latency| {
